@@ -95,8 +95,8 @@ grep -q 'CLAIM \[HOLDS\] all 5 committed corpus repros replay byte-identically' 
 # invalid mutants, and arbitrary cache corruption (dedicated property
 # suite), and the exp_incremental smoke must hold all three claims —
 # <5% of queries re-executed on a single-block edit, >=10x warm
-# speedup, and cold+warm engine output bit-identical to the legacy
-# pipeline across the workload suite and every committed corpus repro.
+# speedup, and a warm engine's output bit-identical to a fresh engine's
+# across the workload suite and every committed corpus repro.
 cargo test -q --test property_incremental
 cargo run --release -q -p valpipe-bench --bin exp_incremental -- --blocks 120 > target/ci_incremental.txt
 grep -q 'CLAIM \[FAILS\]' target/ci_incremental.txt \

@@ -18,9 +18,7 @@ pub mod problem;
 pub mod solve;
 
 pub use problem::{apply, extract, BalanceProblem, BalanceSolution, ProblemError};
-pub use solve::{solve_alap, solve_asap, solve_heuristic, solve_optimal, solve_sub};
-
-use valpipe_ir::Graph;
+pub use solve::{solve_alap, solve_asap, solve_heuristic, solve_optimal};
 
 /// Which balancing algorithm to use.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -34,20 +32,4 @@ pub enum BalanceMode {
     Optimal,
     /// Insert no buffers (for ablation experiments).
     None,
-}
-
-/// Balance a graph in place: extract, solve with the chosen mode, insert
-/// FIFOs. Returns the number of buffer stages added.
-pub fn balance(g: &mut Graph, mode: BalanceMode) -> Result<u64, ProblemError> {
-    if mode == BalanceMode::None {
-        return Ok(0);
-    }
-    let p = problem::extract(g)?;
-    let sol = match mode {
-        BalanceMode::Asap => solve::solve_asap(&p),
-        BalanceMode::Heuristic => solve::solve_heuristic(&p, 64),
-        BalanceMode::Optimal => solve::solve_optimal(&p),
-        BalanceMode::None => unreachable!(),
-    };
-    Ok(problem::apply(g, &p, &sol))
 }

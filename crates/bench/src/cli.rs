@@ -32,7 +32,7 @@
 //!   every compile (stderr).
 
 use crate::measure::{measure_compiled_with, Measurement};
-use valpipe_core::{render_pass_stats, CompileOptions, PassManager, Stage};
+use valpipe_core::{render_pass_stats, CompileLimits, CompileOptions, QueryEngine, Stage};
 use valpipe_machine::{FaultPlan, Kernel, ShardPolicy, SimConfig, WatchdogConfig};
 
 /// Robustness flags parsed from the process arguments.
@@ -257,10 +257,13 @@ impl FaultArgs {
         output: &str,
         waves: usize,
     ) -> Option<Measurement> {
-        let out = match PassManager::new(opts)
-            .emit_all(&self.emit)
-            .run_source(src, label)
-        {
+        let out = match QueryEngine::new().run_source(
+            opts,
+            &CompileLimits::unbounded(),
+            &self.emit,
+            src,
+            label,
+        ) {
             Ok(o) => o,
             Err(e) => {
                 println!("{label}: compile error: {e}");

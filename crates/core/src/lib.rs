@@ -13,10 +13,12 @@
 //! * [`foriter`] — `for-iter` recurrences, via Todd's scheme (Fig. 7) or
 //!   the companion-pipeline scheme (Theorem 3, Fig. 8);
 //! * [`loops`] — local balancing of feedback-loop interiors;
-//! * [`pipeline`] — the staged pass pipeline driving every compile
-//!   (typed artifacts, per-pass stats, stage dumps);
+//! * [`pipeline`] — the staged pass pipeline's stages, per-pass stats,
+//!   stage dumps and per-block lowering;
+//! * [`query`] — the query engine, the one compile driver: it runs the
+//!   pass sequence and memoizes every stage for incremental recompiles;
 //! * [`program`] — whole-program composition + global balancing
-//!   (Theorem 4);
+//!   (Theorem 4) and the one-shot [`compile_source`] entry points;
 //! * [`verify`] — compile → simulate → compare against the reference
 //!   interpreter.
 //!
@@ -66,9 +68,6 @@ pub use error::CompileError;
 pub use foriter::UsedScheme;
 pub use limits::{CompileLimits, LimitBreach};
 pub use options::{CompileOptions, ForIterScheme};
-pub use pipeline::{dump_graph, render_pass_stats, PassManager, PassStat, PipelineOutput, Stage};
-pub use program::{
-    compile_program, compile_program_mapped, compile_source, compile_source_limited,
-    compile_source_named, CompileStats, Compiled,
-};
+pub use pipeline::{dump_graph, render_pass_stats, PassStat, PipelineOutput, Stage};
+pub use program::{compile_source, compile_source_limited, CompileStats, Compiled};
 pub use query::{QueryEngine, QueryStats};

@@ -13,7 +13,7 @@
 use std::fmt;
 use std::time::Duration;
 
-/// Resource budgets enforced by the [`crate::PassManager`] while compiling.
+/// Resource budgets enforced by the [`crate::QueryEngine`] while compiling.
 ///
 /// A limit of `usize::MAX` / `u64::MAX` (see [`CompileLimits::unbounded`])
 /// disables that check. [`CompileLimits::default`] is generous — far above

@@ -1,13 +1,15 @@
-//! The staged pass pipeline: AST → TypedAst → Ir → BalancedIr →
-//! MachineProgram.
+//! The staged pass pipeline's vocabulary: AST → TypedAst → Ir →
+//! BalancedIr → MachineProgram.
 //!
-//! Every compile in the workspace runs through [`PassManager::run`]: a
-//! fixed sequence of named passes with typed artifacts between the
-//! stages, each gated by its validator (type checking, the flow analysis,
+//! The pass sequence itself lives in exactly one place, the query
+//! engine's driver ([`crate::query::QueryEngine::run_source`]): a fixed
+//! sequence of named passes with typed artifacts between the stages,
+//! each gated by its validator (type checking, the flow analysis,
 //! [`valpipe_ir::validate`], the balancer's anchoring extraction) and
-//! instrumented with wall time and node/arc growth ([`PassStat`]).
-//! [`crate::compile_program`] and [`crate::compile_source`] are thin
-//! wrappers over it.
+//! instrumented with wall time and node/arc growth ([`PassStat`]). This
+//! module holds what that driver shares with its callers: the stage
+//! names, the per-pass statistics, the [`PipelineOutput`] it returns,
+//! and the cold lowering helpers it replays per block.
 //!
 //! Stage artifacts can be dumped as deterministic text
 //! ([`Stage`], [`dump_graph`]) — the CLI exposes this as
@@ -19,24 +21,16 @@ use crate::builder::{BlockProv, Compiler, Provider};
 use crate::error::CompileError;
 use crate::forall::compile_forall;
 use crate::foriter::compile_foriter;
-use crate::limits::{CompileLimits, LimitBreach};
-use crate::loops::balance_loop_interiors;
 use crate::options::CompileOptions;
-use crate::program::{CompileStats, Compiled};
+use crate::program::Compiled;
 use std::collections::{HashMap, HashSet};
 use std::fmt;
-use std::time::Instant;
-use valpipe_balance::{problem, solve, BalanceMode};
 use valpipe_ir::opcode::Opcode;
 use valpipe_ir::prov::Provenance;
-use valpipe_ir::validate::validate;
-use valpipe_ir::value::Value;
 use valpipe_ir::{Graph, PortBinding};
 use valpipe_val::ast::{BlockBody, Program};
-use valpipe_val::deps::{analyze, BlockClass, FlowGraph};
-use valpipe_val::fold::Bindings;
+use valpipe_val::deps::{BlockClass, FlowGraph};
 use valpipe_val::srcmap::{SourceMap, StmtKey};
-use valpipe_val::typeck::check_program_mapped;
 
 /// The pipeline's observable artifacts, in stage order.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
@@ -158,298 +152,13 @@ pub fn render_pass_stats(stats: &[PassStat]) -> String {
 /// instrumentation was requested.
 #[derive(Debug, Clone)]
 pub struct PipelineOutput {
-    /// The compiled program (same value `compile_program` returns).
+    /// The compiled program (same value [`crate::compile_source`]
+    /// returns).
     pub compiled: Compiled,
     /// Per-pass wall time and growth, in execution order.
     pub pass_stats: Vec<PassStat>,
-    /// Requested stage dumps, in the order given to [`PassManager::emit`].
+    /// Requested stage dumps, in the order the emit list gave them.
     pub dumps: Vec<(Stage, String)>,
-}
-
-/// The staged compile driver. Configure which artifacts to dump, then
-/// [`run`](PassManager::run).
-#[derive(Debug, Clone)]
-pub struct PassManager<'o> {
-    opts: &'o CompileOptions,
-    emit: Vec<Stage>,
-    limits: CompileLimits,
-}
-
-impl<'o> PassManager<'o> {
-    /// A pipeline over the given compile options, dumping nothing and
-    /// enforcing no resource limits (the historical, trusted-input
-    /// behaviour).
-    pub fn new(opts: &'o CompileOptions) -> Self {
-        PassManager {
-            opts,
-            emit: Vec::new(),
-            limits: CompileLimits::unbounded(),
-        }
-    }
-
-    /// Enforce the given resource budgets; breaches surface as
-    /// [`CompileError::Limit`].
-    pub fn limits(mut self, limits: CompileLimits) -> Self {
-        self.limits = limits;
-        self
-    }
-
-    /// Request a textual dump of a stage artifact.
-    pub fn emit(mut self, stage: Stage) -> Self {
-        if !self.emit.contains(&stage) {
-            self.emit.push(stage);
-        }
-        self
-    }
-
-    /// Request several stage dumps at once.
-    pub fn emit_all(mut self, stages: &[Stage]) -> Self {
-        for &s in stages {
-            self = self.emit(s);
-        }
-        self
-    }
-
-    /// Compile source text through the full pipeline.
-    ///
-    /// Delegates to a fresh [`crate::query::QueryEngine`] (all memo
-    /// tables empty), which performs exactly the cold staged compile.
-    /// Callers that compile repeatedly should hold an engine themselves
-    /// and reuse it across runs to get incremental recompilation.
-    pub fn run_source(&self, src: &str, file: &str) -> Result<PipelineOutput, CompileError> {
-        crate::query::QueryEngine::new().run_source(self.opts, &self.limits, &self.emit, src, file)
-    }
-
-    /// Run every pass over `prog`, whose statement spans live in `map`.
-    pub fn run(&self, prog: &Program, map: &SourceMap) -> Result<PipelineOutput, CompileError> {
-        let mut stats: Vec<PassStat> = Vec::new();
-        let mut dumps: Vec<(Stage, String)> = Vec::new();
-        let empty = Graph::new();
-        let t_compile = Instant::now();
-        let limits = self.limits;
-
-        // Every pass ends with an artifact-size and wall-budget check, so a
-        // hostile program is cut off at the first pass that blows a budget.
-        macro_rules! pass {
-            ($name:literal, $g:expr, $body:expr) => {{
-                let t0 = Instant::now();
-                let (nb, ab) = {
-                    let g: &Graph = $g;
-                    (g.node_count(), g.arcs.len())
-                };
-                let r = $body;
-                let (na, aa) = {
-                    let g: &Graph = $g;
-                    (g.node_count(), g.arcs.len())
-                };
-                stats.push(PassStat {
-                    name: $name,
-                    wall_s: t0.elapsed().as_secs_f64(),
-                    nodes_before: nb,
-                    arcs_before: ab,
-                    nodes_after: na,
-                    arcs_after: aa,
-                });
-                if na > limits.max_cells {
-                    return Err(LimitBreach::Cells {
-                        pass: $name,
-                        got: na,
-                        limit: limits.max_cells,
-                    }
-                    .into());
-                }
-                if aa > limits.max_arcs {
-                    return Err(LimitBreach::Arcs {
-                        pass: $name,
-                        got: aa,
-                        limit: limits.max_arcs,
-                    }
-                    .into());
-                }
-                let elapsed = t_compile.elapsed();
-                if elapsed > limits.compile_budget() {
-                    return Err(LimitBreach::CompileWall {
-                        elapsed_ms: elapsed.as_millis() as u64,
-                        limit_ms: limits.max_compile_millis,
-                    }
-                    .into());
-                }
-                r
-            }};
-        }
-
-        if self.emit.contains(&Stage::Ast) {
-            dumps.push((Stage::Ast, valpipe_val::pretty::program_to_source(prog)));
-        }
-
-        // ---- AST → TypedAst --------------------------------------------
-        let (prog, dims) = pass!("flatten", &empty, {
-            valpipe_val::dims::flatten_program(prog).map_err(CompileError::Unsupported)?
-        });
-        let prog = pass!("typecheck", &empty, check_program_mapped(&prog, map)?);
-        let flow = pass!("analyze", &empty, analyze(&prog)?);
-        let (prov, src_ids) = build_prov(&prog, map);
-
-        if self.emit.contains(&Stage::Typed) {
-            dumps.push((Stage::Typed, valpipe_val::pretty::program_to_source(&prog)));
-        }
-
-        // ---- TypedAst → Ir ---------------------------------------------
-        let mut params = Bindings::new();
-        for (n, v) in &prog.params {
-            params.insert(n.clone(), Value::Int(*v));
-        }
-        let mut c = Compiler::new(params);
-        let mut cstats = CompileStats::default();
-
-        pass!(
-            "lower",
-            &c.g,
-            self.lower(&mut c, &mut cstats, &prog, &flow, &src_ids)?
-        );
-
-        if self.opts.fuse_gates {
-            pass!("fuse", &c.g, {
-                let fused = crate::fuse::fuse_static_gates(&mut c.g);
-                cstats.fused_gates = fused.fused;
-                if fused.fused > 0 {
-                    crate::fuse::sweep_dead(&mut c.g);
-                }
-            });
-        }
-
-        if self.opts.synthesize_generators {
-            pass!("synth", &c.g, {
-                let synth = crate::synth::synthesize_generators(&mut c.g);
-                cstats.synthesized_generators = synth.ctl_generators + synth.index_generators;
-            });
-        }
-
-        cstats.cells_before_balance = c.g.node_count();
-        if self.emit.contains(&Stage::Ir) {
-            dumps.push((Stage::Ir, dump_graph(&c.g, &prov)));
-        }
-
-        // ---- Ir → BalancedIr -------------------------------------------
-        pass!("loop-balance", &c.g, {
-            cstats.loop_buffers = balance_loop_interiors(&mut c.g);
-        });
-
-        pass!("validate", &c.g, {
-            let defects = validate(&c.g);
-            if !defects.is_empty() {
-                let msg = defects
-                    .iter()
-                    .map(|d| d.to_string())
-                    .collect::<Vec<_>>()
-                    .join("; ");
-                return Err(CompileError::BadCode(msg));
-            }
-        });
-
-        if self.opts.balance != BalanceMode::None {
-            pass!("global-balance", &c.g, {
-                let p = problem::extract_anchored(&c.g, &c.anchors)?;
-                let sol = match self.opts.balance {
-                    BalanceMode::Asap => solve::solve_asap(&p),
-                    BalanceMode::Heuristic => solve::solve_heuristic(&p, 64),
-                    BalanceMode::Optimal => solve::solve_optimal(&p),
-                    BalanceMode::None => {
-                        return Err(CompileError::Internal(
-                            "balance pass entered with BalanceMode::None".into(),
-                        ))
-                    }
-                };
-                cstats.global_buffers = problem::apply(&mut c.g, &p, &sol);
-            });
-        }
-
-        // Balancing decides FIFO depths symbolically; expansion multiplies
-        // each `Fifo(d)` into `d` identity cells. Check both the deepest
-        // single FIFO and the total expanded cell count now, before
-        // `Compiled::executable` would materialize the blow-up.
-        let mut expanded_cells = c.g.node_count();
-        let mut deepest = 0usize;
-        for n in &c.g.nodes {
-            if let Opcode::Fifo(d) = n.op {
-                deepest = deepest.max(d as usize);
-                expanded_cells += (d as usize).saturating_sub(1);
-            }
-        }
-        if deepest > limits.max_fifo_depth {
-            return Err(LimitBreach::FifoDepth {
-                got: deepest,
-                limit: limits.max_fifo_depth,
-            }
-            .into());
-        }
-        if expanded_cells > limits.max_cells {
-            return Err(LimitBreach::Cells {
-                pass: "fifo-expand",
-                got: expanded_cells,
-                limit: limits.max_cells,
-            }
-            .into());
-        }
-
-        if self.emit.contains(&Stage::Balanced) {
-            dumps.push((Stage::Balanced, dump_graph(&c.g, &prov)));
-        }
-
-        let compiled = Compiled {
-            graph: c.g,
-            program: prog,
-            flow,
-            dims,
-            prov,
-            stats: cstats,
-        };
-
-        // ---- BalancedIr → MachineProgram -------------------------------
-        if self.emit.contains(&Stage::Machine) {
-            let g = compiled.executable();
-            dumps.push((Stage::Machine, dump_graph(&g, &compiled.prov)));
-        }
-
-        // Dumps come back in the order requested, not pipeline order.
-        dumps.sort_by_key(|(s, _)| self.emit.iter().position(|e| e == s));
-
-        Ok(PipelineOutput {
-            compiled,
-            pass_stats: stats,
-            dumps,
-        })
-    }
-
-    /// The lowering pass: input sources, per-block circuits (Theorems
-    /// 1–3), output sinks and structural drains, with every cell stamped
-    /// with its statement's provenance id.
-    fn lower(
-        &self,
-        c: &mut Compiler,
-        stats: &mut CompileStats,
-        prog: &Program,
-        flow: &FlowGraph,
-        src_ids: &HashMap<StmtKey, u32>,
-    ) -> Result<(), CompileError> {
-        lower_inputs(c, self.opts, flow, src_ids);
-
-        // Dead-block elimination: only blocks that (transitively) reach a
-        // declared output are compiled.
-        let live = live_blocks(flow, &prog.outputs);
-
-        for block in &flow.blocks {
-            if !self.opts.keep_dead_blocks && !live.contains(&block.name) {
-                stats.dead_blocks.push(block.name.clone());
-                continue;
-            }
-            if let Some(used) = lower_block(c, self.opts, prog, block, src_ids)? {
-                stats.schemes.insert(block.name.clone(), used);
-            }
-        }
-
-        lower_epilogue(c, self.opts, prog, src_ids)
-    }
 }
 
 /// Lower the program's input declarations: one anchored `Source` cell per
@@ -744,15 +453,27 @@ pub fn dump_graph(g: &Graph, prov: &Provenance) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::limits::CompileLimits;
+    use crate::query::QueryEngine;
     use valpipe_val::parser::FIG3_PROGRAM;
 
+    fn run(emit: &[Stage], file: &str) -> PipelineOutput {
+        QueryEngine::new()
+            .run_source(
+                &CompileOptions::paper(),
+                &CompileLimits::unbounded(),
+                emit,
+                FIG3_PROGRAM,
+                file,
+            )
+            .unwrap()
+    }
+
     #[test]
-    fn pipeline_matches_compile_program() {
-        let opts = CompileOptions::paper();
-        let direct = crate::program::compile_source(FIG3_PROGRAM, &opts).unwrap();
-        let piped = PassManager::new(&opts)
-            .run_source(FIG3_PROGRAM, "<source>")
-            .unwrap();
+    fn pipeline_matches_compile_source() {
+        let direct =
+            crate::program::compile_source(FIG3_PROGRAM, &CompileOptions::paper()).unwrap();
+        let piped = run(&[], "<source>");
         assert_eq!(
             direct.graph.fingerprint(),
             piped.compiled.graph.fingerprint()
@@ -761,12 +482,11 @@ mod tests {
 
     #[test]
     fn stage_dumps_are_deterministic_and_ordered() {
-        let opts = CompileOptions::paper();
-        let pm = PassManager::new(&opts).emit_all(&[Stage::Machine, Stage::Ast, Stage::Ir]);
-        let a = pm.run_source(FIG3_PROGRAM, "fig3.val").unwrap();
-        let b = pm.run_source(FIG3_PROGRAM, "fig3.val").unwrap();
+        let emit = [Stage::Machine, Stage::Ast, Stage::Ir];
+        let a = run(&emit, "fig3.val");
+        let b = run(&emit, "fig3.val");
         let sa: Vec<_> = a.dumps.iter().map(|(s, _)| *s).collect();
-        assert_eq!(sa, vec![Stage::Machine, Stage::Ast, Stage::Ir]);
+        assert_eq!(sa, emit);
         assert_eq!(a.dumps, b.dumps, "dumps must be byte-stable");
         let machine = &a.dumps[0].1;
         assert!(machine.starts_with("cells "));
@@ -776,10 +496,7 @@ mod tests {
 
     #[test]
     fn pass_stats_cover_the_pipeline() {
-        let opts = CompileOptions::paper();
-        let out = PassManager::new(&opts)
-            .run_source(FIG3_PROGRAM, "<source>")
-            .unwrap();
+        let out = run(&[], "<source>");
         let names: Vec<_> = out.pass_stats.iter().map(|s| s.name).collect();
         // paper(): fuse_gates on, generator synthesis off.
         assert_eq!(

@@ -6,17 +6,22 @@
 //! cells. Loop interiors are balanced locally, then the whole acyclic
 //! interconnection is balanced globally ([`valpipe_balance`]) so the
 //! complete program runs fully pipelined.
+//!
+//! This module holds the compiled artifact ([`Compiled`]) and the two
+//! one-shot entry points, [`compile_source`] and
+//! [`compile_source_limited`]. Both are one call on a fresh
+//! [`QueryEngine`], the workspace's only compile driver.
 
 use crate::error::CompileError;
 use crate::foriter::UsedScheme;
+use crate::limits::CompileLimits;
 use crate::options::CompileOptions;
-use crate::pipeline::PassManager;
+use crate::query::QueryEngine;
 use std::collections::HashMap;
 use valpipe_ir::prov::Provenance;
 use valpipe_ir::Graph;
 use valpipe_val::ast::Program;
 use valpipe_val::deps::FlowGraph;
-use valpipe_val::srcmap::SourceMap;
 
 /// Compilation statistics.
 #[derive(Debug, Clone, Default)]
@@ -71,58 +76,26 @@ impl Compiled {
         self.flow.range_of(name)
     }
 }
-/// Compile a pipe-structured program to fully pipelined machine code.
-/// Two-dimensional constructs (§9's extension) are flattened to row-major
-/// streams first. Source spans are synthesized by pretty-printing the
-/// program, so provenance is total even for programs built in memory;
-/// compile from text via [`compile_source`] to get real source locations.
-pub fn compile_program(prog: &Program, opts: &CompileOptions) -> Result<Compiled, CompileError> {
-    let map = valpipe_val::pretty::program_to_source_mapped(prog, "<ast>");
-    compile_program_mapped(prog, opts, &map)
-}
 
-/// Compile with an explicit statement [`SourceMap`] (from
-/// `parse_program_mapped` or `program_to_source_mapped`): diagnostics and
-/// provenance point at the mapped source text. Runs the full staged
-/// pipeline ([`crate::pipeline::PassManager`]) without instrumentation.
-pub fn compile_program_mapped(
-    prog: &Program,
-    opts: &CompileOptions,
-    map: &SourceMap,
-) -> Result<Compiled, CompileError> {
-    Ok(PassManager::new(opts).run(prog, map)?.compiled)
-}
-
-/// Compile a program given as source text. Parse positions are carried
-/// through to machine-level provenance, so diagnostics point back at this
-/// text.
+/// Compile a program given as source text, with no resource limits.
+/// Parse positions are carried through to machine-level provenance, so
+/// diagnostics point back at this text.
 pub fn compile_source(src: &str, opts: &CompileOptions) -> Result<Compiled, CompileError> {
-    compile_source_named(src, "<source>", opts)
-}
-
-/// [`compile_source`] with an explicit file name for diagnostics.
-pub fn compile_source_named(
-    src: &str,
-    file: &str,
-    opts: &CompileOptions,
-) -> Result<Compiled, CompileError> {
-    let (prog, map) =
-        valpipe_val::parser::parse_program_mapped(src, file).map_err(CompileError::Parse)?;
-    compile_program_mapped(&prog, opts, &map)
+    compile_source_limited(src, "<source>", opts, &CompileLimits::unbounded())
 }
 
 /// Compile untrusted source text under resource budgets: parse failures
 /// come back as [`CompileError::Parse`] and any exceeded budget as
-/// [`CompileError::Limit`], never a panic. This is the entry point for the
-/// CLI and the service; trusted callers keep using [`compile_source`].
+/// [`CompileError::Limit`], never a panic. Callers that compile
+/// repeatedly should hold a [`QueryEngine`] themselves to get incremental
+/// recompilation.
 pub fn compile_source_limited(
     src: &str,
     file: &str,
     opts: &CompileOptions,
-    limits: &crate::limits::CompileLimits,
+    limits: &CompileLimits,
 ) -> Result<Compiled, CompileError> {
-    Ok(PassManager::new(opts)
-        .limits(*limits)
-        .run_source(src, file)?
+    Ok(QueryEngine::new()
+        .run_source(opts, limits, &[], src, file)?
         .compiled)
 }

@@ -1,17 +1,21 @@
-//! Query-based incremental compilation.
+//! Query-based incremental compilation — the workspace's only compile
+//! driver.
 //!
-//! The classic pipeline ([`PassManager::run`]) is a straight line: parse
-//! the whole file, check the whole program, lower every block, balance
-//! the whole graph. This module re-poses each stage as a set of
-//! **queries** — per-statement parses, per-block type checks, per-block
-//! lowered regions, whole-problem balance solutions, the machine listing
-//! — each memoized under a fingerprint of *everything that can influence
-//! its result*. Re-running a compile after an edit re-executes only the
-//! queries whose inputs changed; everything else is revalidated
-//! green-for-free because its key still matches (red–green with early
-//! cutoff: a downstream key embeds the upstream *value* fingerprints, so
-//! an upstream re-execution that reproduces the same value leaves the
-//! downstream keys untouched).
+//! Every compile runs through [`QueryEngine::run_source`]:
+//! [`crate::compile_source`] and [`crate::compile_source_limited`] are one
+//! call on a fresh engine, and the CLI, the service, the fuzzer and the
+//! benches hold engines of their own. The pass sequence is the classic
+//! straight line (parse the whole file, check the whole program, lower
+//! every block, balance the whole graph), but each stage is posed as a
+//! set of **queries** — per-statement parses, per-block type checks,
+//! per-block lowered regions, whole-problem balance solutions, the
+//! machine listing — each memoized under a fingerprint of *everything
+//! that can influence its result*. Re-running a compile after an edit
+//! re-executes only the queries whose inputs changed; everything else is
+//! revalidated green-for-free because its key still matches (red–green
+//! with early cutoff: a downstream key embeds the upstream *value*
+//! fingerprints, so an upstream re-execution that reproduces the same
+//! value leaves the downstream keys untouched).
 //!
 //! Memo hits are **exact-match**, not hash-match: every memo table is
 //! keyed by the full canonical key string, so a hit proves the inputs
@@ -272,10 +276,8 @@ impl QueryEngine {
 
     /// Compile source text through the staged pipeline, answering every
     /// stage from the memo tables where the inputs are unchanged. The
-    /// output is bit-identical to [`PassManager::run_source`] with the
-    /// same options, limits, and emit list.
-    ///
-    /// [`PassManager::run_source`]: crate::pipeline::PassManager::run_source
+    /// output is bit-identical to a fresh engine's with the same options,
+    /// limits, and emit list. Stage dumps come back in `emit` order.
     pub fn run_source(
         &mut self,
         opts: &CompileOptions,
@@ -421,11 +423,9 @@ impl QueryEngine {
 
     // ---- the staged driver ----------------------------------------------
 
-    /// The pass sequence of [`PassManager::run`], with the per-block
-    /// stages answered by queries. Pass names, order, limit checkpoints,
-    /// and dump contents replicate the cold pipeline exactly.
-    ///
-    /// [`PassManager::run`]: crate::pipeline::PassManager::run
+    /// The pass sequence, with the per-block stages answered by queries.
+    /// Every pass ends with an artifact-size and wall-budget check, so a
+    /// hostile program is cut off at the first pass that blows a budget.
     fn drive(
         &mut self,
         opts: &CompileOptions,
@@ -581,6 +581,10 @@ impl QueryEngine {
             });
         }
 
+        // Balancing decides FIFO depths symbolically; expansion multiplies
+        // each `Fifo(d)` into `d` identity cells. Check both the deepest
+        // single FIFO and the total expanded cell count now, before
+        // `Compiled::executable` would materialize the blow-up.
         let mut expanded_cells = c.g.node_count();
         let mut deepest = 0usize;
         for n in &c.g.nodes {
@@ -646,6 +650,7 @@ impl QueryEngine {
             dumps.push((Stage::Machine, listing));
         }
 
+        // Dumps come back in the order requested, not pipeline order.
         dumps.sort_by_key(|(s, _)| emit.iter().position(|e| e == s));
 
         Ok(PipelineOutput {
@@ -657,7 +662,7 @@ impl QueryEngine {
 
     // ---- typed queries ---------------------------------------------------
 
-    /// Per-block replication of `check_program`: same environment
+    /// Per-block replication of `check_program_mapped`: same environment
     /// evolution, same first-error-wins order, same output check. Cached
     /// type errors are stored location-free and resolved against the
     /// current source map at use time.
@@ -834,16 +839,9 @@ impl QueryEngine {
             return Ok(hit.value.clone());
         }
         self.stats.balance.1 += 1;
-        let sol = match mode {
-            BalanceMode::Asap => solve::solve_asap(p),
-            BalanceMode::Heuristic => solve::solve_heuristic(p, 64),
-            BalanceMode::Optimal => solve::solve_optimal(p),
-            BalanceMode::None => {
-                return Err(CompileError::Internal(
-                    "balance pass entered with BalanceMode::None".into(),
-                ))
-            }
-        };
+        let sol = solve::solve(p, mode).ok_or_else(|| {
+            CompileError::Internal("balance pass entered with BalanceMode::None".into())
+        })?;
         self.balance_memo.insert(
             key,
             Memo {
@@ -1154,20 +1152,18 @@ fn balance_entry_from_json(j: &Json) -> Option<(String, BalanceSolution)> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::pipeline::PassManager;
     use valpipe_val::parser::FIG3_PROGRAM;
+    use valpipe_val::typeck::check_program_mapped;
+
+    /// A program whose only block reads an undeclared name.
+    const BAD_SRC: &str = "\ninput B : array[real] [0, 10];\n\nA : array[real] :=\n  forall i in [0, 10]\n  construct\n    B[i] + Q\n  endall;\n\noutput A;\n";
 
     fn all_stages() -> Vec<Stage> {
         Stage::ALL.to_vec()
     }
 
     fn cold(src: &str) -> PipelineOutput {
-        let opts = CompileOptions::paper();
-        PassManager::new(&opts)
-            .limits(CompileLimits::default())
-            .emit_all(&Stage::ALL)
-            .run_source(src, "fig3.val")
-            .unwrap()
+        run(&mut QueryEngine::new(), src)
     }
 
     fn run(engine: &mut QueryEngine, src: &str) -> PipelineOutput {
@@ -1265,7 +1261,7 @@ mod tests {
 
     #[test]
     fn cached_type_errors_resolve_locations_each_run() {
-        let bad = "\ninput B : array[real] [0, 10];\n\nA : array[real] :=\n  forall i in [0, 10]\n  construct\n    B[i] + Q\n  endall;\n\noutput A;\n";
+        let bad = BAD_SRC;
         let opts = CompileOptions::paper();
         let limits = CompileLimits::default();
         let mut e = QueryEngine::new();
@@ -1414,5 +1410,71 @@ mod tests {
             .unwrap_err();
         assert!(matches!(err, CompileError::Parse(_)), "{err}");
         assert_eq!(e.stats().full_parse_fallbacks, 1);
+    }
+
+    /// The engine's per-statement parse and per-block type check are the
+    /// only frontend code the compile path runs, so they are checked
+    /// against the whole-program parser and checker as an independent
+    /// reference: same `Program`, same `SourceMap`, same errors.
+    #[test]
+    fn incremental_frontend_matches_whole_program_frontend() {
+        let mut cases = vec![
+            ("fig3.val".to_string(), FIG3_PROGRAM.to_string()),
+            (
+                "fig3-edit.val".to_string(),
+                FIG3_PROGRAM.replace("0.25", "0.75"),
+            ),
+            ("bad.val".to_string(), BAD_SRC.to_string()),
+        ];
+        let corpus = Path::new(env!("CARGO_MANIFEST_DIR")).join("../../tests/corpus");
+        let mut files: Vec<PathBuf> = std::fs::read_dir(&corpus)
+            .unwrap()
+            .map(|f| f.unwrap().path())
+            .filter(|p| p.extension().is_some_and(|x| x == "val"))
+            .collect();
+        files.sort();
+        assert!(!files.is_empty(), "no corpus repros under {corpus:?}");
+        for p in files {
+            let name = p.file_name().unwrap().to_string_lossy().into_owned();
+            cases.push((name, std::fs::read_to_string(&p).unwrap()));
+        }
+
+        let depth = CompileLimits::default().max_nesting_depth;
+        let mut type_errors = 0;
+        for (file, src) in &cases {
+            let mut e = QueryEngine::new();
+            let whole = parse_program_mapped_limited(src, file, depth);
+            let (prog, map) = match (e.parse(src, file, depth), whole) {
+                (Ok(got), Ok(want)) => {
+                    assert_eq!(got, want, "{file}: parse diverges");
+                    want
+                }
+                (Err(CompileError::Parse(got)), Err(want)) => {
+                    assert_eq!(got, want, "{file}: parse error diverges");
+                    continue;
+                }
+                (Err(CompileError::Limit(LimitBreach::NestingDepth { .. })), Err(want))
+                    if want.kind == ParseErrorKind::DepthLimit =>
+                {
+                    continue;
+                }
+                (got, want) => panic!("{file}: parse outcomes diverge: {got:?} vs {want:?}"),
+            };
+            let Ok((flat, _)) = valpipe_val::dims::flatten_program(&prog) else {
+                continue;
+            };
+            match (e.typecheck(&flat, &map), check_program_mapped(&flat, &map)) {
+                (Ok(got), Ok(want)) => assert_eq!(got, want, "{file}: typecheck diverges"),
+                (Err(CompileError::Type(got)), Err(want)) => {
+                    assert_eq!(got, want, "{file}: type error diverges");
+                    type_errors += 1;
+                }
+                (got, want) => panic!("{file}: typecheck outcomes diverge: {got:?} vs {want:?}"),
+            }
+        }
+        assert!(
+            type_errors > 0,
+            "the type-error source must reach the checker"
+        );
     }
 }

@@ -760,3 +760,22 @@ output V;
     assert!(v[m / 2] < 30.0 && v[m / 2] > 1.0);
     assert!(am > 0 && (am as f64 / total as f64) <= 0.125);
 }
+
+#[test]
+fn deep_nesting_is_a_typed_limit_breach() {
+    // The parser's stack-safety ceiling applies even to unbounded
+    // compiles, and reports as a resource limit, not a syntax error.
+    let depth = valpipe_val::parser::DEFAULT_MAX_NESTING_DEPTH + 1;
+    let src = format!(
+        "input P : array[real] [0, 4];\nY : array[real] := forall i in [0, 4] construct {}P[i]{} endall;\noutput Y;\n",
+        "(".repeat(depth),
+        ")".repeat(depth)
+    );
+    match compile_source(&src, &CompileOptions::paper()) {
+        Err(crate::CompileError::Limit(crate::LimitBreach::NestingDepth { limit })) => {
+            assert_eq!(limit, valpipe_val::parser::DEFAULT_MAX_NESTING_DEPTH)
+        }
+        Err(e) => panic!("expected a nesting-depth limit breach, got: {e}"),
+        Ok(_) => panic!("a program nested {depth} deep must not compile"),
+    }
+}

@@ -784,8 +784,8 @@ pub(crate) enum RunPhase<'g> {
 }
 
 /// The simulation engine. Construct through [`Simulator::builder`], which
-/// yields a [`crate::session::Session`]; the engine's `step`/`run` remain
-/// public for the session to delegate to.
+/// yields a [`crate::session::Session`]; the session's `step` and `drive`
+/// delegate to the engine's `step` and its one run loop.
 pub struct Simulator<'g> {
     pub(crate) g: &'g Graph,
     pub(crate) cfg: SimConfig,
@@ -1240,27 +1240,6 @@ impl<'g> Simulator<'g> {
             StopSlots::Watch(list) => list
                 .iter()
                 .all(|&(slot, count)| self.cells.outputs[slot as usize].1.len() >= count),
-        }
-    }
-
-    /// Run to quiescence, the step limit, the output-count target, or a
-    /// watchdog stall; consumes the simulator.
-    pub fn run(self) -> Result<RunResult, SimError> {
-        self.run_with(None)
-    }
-
-    /// `run`, additionally handing every periodic checkpoint (see
-    /// [`SimConfig::checkpoint_every`]) to `sink` after writing it to the
-    /// configured path (if any).
-    pub(crate) fn run_with(
-        self,
-        sink: Option<&mut dyn FnMut(crate::snapshot::Snapshot)>,
-    ) -> Result<RunResult, SimError> {
-        match self.run_inner(None, sink, None, None)? {
-            RunPhase::Done(r) => Ok(*r),
-            // Unreachable: without a pause boundary the loop only exits
-            // through a stopping decision.
-            RunPhase::Paused(_) => unreachable!("run without pause_at cannot pause"),
         }
     }
 

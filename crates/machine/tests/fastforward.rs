@@ -8,8 +8,8 @@ use valpipe_ir::opcode::Opcode;
 use valpipe_ir::value::{BinOp, Value};
 use valpipe_ir::{CtlStream, Graph};
 use valpipe_machine::{
-    FaultPlan, Kernel, ProgramInputs, ResourceModel, RunOutcome, RunResult, RunSpec, Session,
-    SimConfig, Simulator,
+    FaultPlan, Kernel, ProgramInputs, ResourceModel, RunOutcome, RunResult, RunSpec, SimConfig,
+    Simulator,
 };
 
 fn reals(v: &[f64]) -> Vec<Value> {
@@ -262,27 +262,4 @@ fn skipped_windows_dominate_long_steady_state() {
         ff.steps,
         stats.skipped_steps
     );
-}
-
-#[test]
-#[allow(deprecated)]
-fn deprecated_wrappers_still_run() {
-    let g = pipeline_graph();
-    let inputs = wave_inputs(20);
-    let cfg = SimConfig::new();
-    let reference = run_exact(&g, &inputs, &cfg, Kernel::EventDriven);
-    let build = || {
-        Simulator::builder(&g)
-            .inputs(inputs.clone())
-            .config(cfg.clone())
-            .build()
-            .unwrap()
-    };
-    assert_eq!(build().run().unwrap(), reference);
-    match build().run_until(u64::MAX).unwrap() {
-        RunOutcome::Done(r) => assert_eq!(*r, reference),
-        RunOutcome::Paused(_) => panic!("run_until must complete"),
-    }
-    let session = Session::restore(&g, &build().checkpoint()).unwrap();
-    assert_eq!(session.run_with_checkpoints(|_| ()).unwrap(), reference);
 }

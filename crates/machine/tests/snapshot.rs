@@ -157,7 +157,7 @@ fn default_restore_resumes_on_default_kernel() {
 }
 
 #[test]
-fn run_with_checkpoints_every_snapshot_resumes_identically() {
+fn drive_with_checkpoints_every_snapshot_resumes_identically() {
     let g = workload_graph();
     let inputs = workload_inputs(32);
     let cfg = faulted_config(g.arcs.len()).checkpoint_every(25);

@@ -20,8 +20,7 @@ use std::process::ExitCode;
 use valpipe::compiler::render_pass_stats;
 use valpipe::compiler::verify::check_against_oracle;
 use valpipe::{
-    ArrayVal, CompileError, CompileLimits, CompileOptions, ForIterScheme, PassManager, QueryEngine,
-    Stage,
+    ArrayVal, CompileError, CompileLimits, CompileOptions, ForIterScheme, QueryEngine, Stage,
 };
 use valpipe_balance::BalanceMode;
 
@@ -127,17 +126,15 @@ fn main() -> ExitCode {
     // artifacts persist in `.valpipe-cache/` between invocations, so a
     // recompile after a small edit re-executes only the touched queries.
     // The output is bit-identical to a cold compile either way.
-    let result = if incremental {
-        let mut engine = QueryEngine::with_disk_cache(".valpipe-cache");
-        let r = engine.run_source(&opts, &limits, &emit_stages, &src, path);
-        eprintln!("{}", engine.stats().render());
-        r
+    let mut engine = if incremental {
+        QueryEngine::with_disk_cache(".valpipe-cache")
     } else {
-        PassManager::new(&opts)
-            .limits(limits)
-            .emit_all(&emit_stages)
-            .run_source(&src, path)
+        QueryEngine::new()
     };
+    let result = engine.run_source(&opts, &limits, &emit_stages, &src, path);
+    if incremental {
+        eprintln!("{}", engine.stats().render());
+    }
     let out = match result {
         Ok(o) => o,
         // Limit breaches get a distinct, machine-grepable line and exit

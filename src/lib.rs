@@ -28,9 +28,8 @@ pub use valpipe_machine as machine;
 pub use valpipe_val as val;
 
 pub use valpipe_core::{
-    compile_source, compile_source_limited, compile_source_named, CompileError, CompileLimits,
-    CompileOptions, Compiled, ForIterScheme, LimitBreach, PassManager, QueryEngine, QueryStats,
-    Stage,
+    compile_source, compile_source_limited, CompileError, CompileLimits, CompileOptions, Compiled,
+    ForIterScheme, LimitBreach, QueryEngine, QueryStats, Stage,
 };
 pub use valpipe_machine::{
     render_error, render_stall, Driven, ExecMode, FastForwardStats, Kernel, ProgramInputs,

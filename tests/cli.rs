@@ -2,9 +2,17 @@
 
 use std::io::Write;
 use std::process::Command;
+use std::sync::atomic::{AtomicUsize, Ordering};
 
+/// Write the test program to a file of its own: tests run in parallel,
+/// and a shared path lets one test truncate the file another is reading.
 fn write_program() -> std::path::PathBuf {
-    let path = std::env::temp_dir().join(format!("valpipe_cli_test_{}.val", std::process::id()));
+    static NEXT: AtomicUsize = AtomicUsize::new(0);
+    let path = std::env::temp_dir().join(format!(
+        "valpipe_cli_test_{}_{}.val",
+        std::process::id(),
+        NEXT.fetch_add(1, Ordering::Relaxed)
+    ));
     let mut f = std::fs::File::create(&path).unwrap();
     writeln!(
         f,

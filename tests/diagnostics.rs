@@ -10,8 +10,8 @@ use valpipe::ir::value::{BinOp, Value};
 use valpipe::machine::fault::CellFreeze;
 use valpipe::machine::{FaultPlan, WatchdogConfig};
 use valpipe::{
-    compile_source_named, render_error, ArrayVal, CompileOptions, ForIterScheme, ProgramInputs,
-    SimConfig, Simulator,
+    compile_source_limited, render_error, ArrayVal, CompileLimits, CompileOptions, Compiled,
+    ForIterScheme, ProgramInputs, SimConfig, Simulator,
 };
 use valpipe_util::Rng;
 
@@ -43,13 +43,19 @@ fn fig6_inputs(m: usize) -> HashMap<String, ArrayVal> {
     h
 }
 
+/// Compile trusted test source under `file`, with no resource limits.
+fn compile_named(src: &str, file: &str, opts: &CompileOptions) -> Compiled {
+    compile_source_limited(src, file, opts, &CompileLimits::unbounded())
+        .unwrap_or_else(|e| panic!("compile failed: {e}\nsource:\n{src}"))
+}
+
 /// Acceptance: freeze a multiplier mid-run; the stall diagnosis must name
 /// the Val source location of *every* blocked cell it lists.
 #[test]
 fn stall_report_names_the_source_of_every_blocked_cell() {
     let m = 8;
     let src = fig6_src(m);
-    let compiled = compile_source_named(&src, "fig6.val", &CompileOptions::paper()).unwrap();
+    let compiled = compile_named(&src, "fig6.val", &CompileOptions::paper());
     let exe = compiled.executable();
     let victim = exe
         .nodes
@@ -106,7 +112,7 @@ fn stall_report_names_the_source_of_every_blocked_cell() {
 fn machine_error_names_the_faulting_statement() {
     let m = 8;
     let src = fig6_src(m);
-    let compiled = compile_source_named(&src, "fig6.val", &CompileOptions::paper()).unwrap();
+    let compiled = compile_named(&src, "fig6.val", &CompileOptions::paper());
     let exe = compiled.executable();
     // Poison one element of C: a boolean in real arithmetic faults the
     // first arithmetic cell it reaches.
@@ -196,8 +202,7 @@ output Y;",
         if r.chance(0.3) {
             opts.scheme = ForIterScheme::Todd;
         }
-        let compiled = compile_source_named(&src, "prop.val", &opts)
-            .unwrap_or_else(|e| panic!("compile failed: {e}\nsource:\n{src}"));
+        let compiled = compile_named(&src, "prop.val", &opts);
         for g in [&compiled.graph, &compiled.executable()] {
             for (i, n) in g.nodes.iter().enumerate() {
                 assert!(

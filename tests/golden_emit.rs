@@ -11,7 +11,7 @@
 //! UPDATE_GOLDEN=1 cargo test --test golden_emit
 //! ```
 
-use valpipe::{CompileOptions, PassManager, Stage};
+use valpipe::{CompileLimits, CompileOptions, QueryEngine, Stage};
 
 fn fig2_src(m: usize) -> String {
     format!(
@@ -51,9 +51,14 @@ fn fig3_src(m: usize) -> String {
 /// Dump the requested stages and compare against (or update) the golden
 /// file.
 fn check(name: &str, src: &str, file: &str, stages: &[Stage]) {
-    let out = PassManager::new(&CompileOptions::paper())
-        .emit_all(stages)
-        .run_source(src, file)
+    let out = QueryEngine::new()
+        .run_source(
+            &CompileOptions::paper(),
+            &CompileLimits::unbounded(),
+            stages,
+            src,
+            file,
+        )
         .unwrap_or_else(|e| panic!("{name}: compile failed: {e}"));
     let mut got = String::new();
     for (stage, dump) in &out.dumps {
