@@ -58,7 +58,7 @@ pub struct BalanceProblem {
     pub rel: Vec<i64>,
 }
 
-/// Why a problem could not be extracted.
+/// Why a problem could not be extracted or solved.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum ProblemError {
     /// The forward graph (initial-token arcs removed) has a cycle, i.e. an
@@ -71,6 +71,18 @@ pub enum ProblemError {
         /// A cell where the disagreement was detected.
         node: usize,
     },
+    /// A constraint arc names a supernode `≥ n` (a malformed hand-built
+    /// problem; `extract` never produces one).
+    ArcOutOfRange {
+        /// Index of the arc in `BalanceProblem::arcs`.
+        arc: usize,
+    },
+    /// The contracted constraint graph has a cycle (a malformed hand-built
+    /// problem; `extract` contracts every loop interior).
+    ContractedCycle,
+    /// The optimal solver's result failed its optimality certificate — a
+    /// solver bug, reported with the first violated condition.
+    NotOptimal(String),
 }
 
 impl std::fmt::Display for ProblemError {
@@ -80,6 +92,11 @@ impl std::fmt::Display for ProblemError {
             ProblemError::InconsistentLoop { node } => {
                 write!(f, "feedback loop interior is unbalanced at cell {node}")
             }
+            ProblemError::ArcOutOfRange { arc } => {
+                write!(f, "constraint arc {arc} names a supernode out of range")
+            }
+            ProblemError::ContractedCycle => write!(f, "contracted constraint graph has a cycle"),
+            ProblemError::NotOptimal(why) => write!(f, "optimality certificate failed: {why}"),
         }
     }
 }
@@ -474,7 +491,7 @@ mod tests {
     fn apply_inserts_fifos() {
         let mut g = diamond();
         let p = extract(&g).unwrap();
-        let sol = crate::solve::solve_asap(&p);
+        let sol = crate::solve::solve_asap(&p).unwrap();
         assert_eq!(sol.total_buffers, 1); // slack on the short diamond arm
         let before = g.node_count();
         apply(&mut g, &p, &sol);

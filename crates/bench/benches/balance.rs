@@ -47,26 +47,30 @@ fn main() {
         let p = problem::extract(&g).unwrap();
         let n = g.node_count();
         bench(&format!("balance/asap/{n}"), iters(10), || {
-            solve::solve_asap(&p)
+            solve::solve_asap(&p).unwrap()
         });
         bench(&format!("balance/heuristic/{n}"), iters(10), || {
-            solve::solve_heuristic(&p, 64)
+            solve::solve_heuristic(&p, 64).unwrap()
         });
-        // The MCMF optimum is the slow one — keep its instances modest.
         bench(&format!("balance/optimal_mcmf/{n}"), iters(10), || {
-            solve::solve_optimal(&p)
+            solve::solve_optimal(&p).unwrap()
         });
     }
-    // Larger instances for the polynomial-scaling picture, cheap solvers only.
+    // Larger instances for the polynomial-scaling picture.
     for (width, layers) in [(16usize, 50usize), (24, 80)] {
         let g = random_dag(width, layers, 7);
         let p = problem::extract(&g).unwrap();
         let n = g.node_count();
         bench(&format!("balance/asap_large/{n}"), iters(10), || {
-            solve::solve_asap(&p)
+            solve::solve_asap(&p).unwrap()
         });
         bench(&format!("balance/heuristic_large/{n}"), iters(10), || {
-            solve::solve_heuristic(&p, 64)
+            solve::solve_heuristic(&p, 64).unwrap()
         });
+        bench(
+            &format!("balance/optimal_mcmf_large/{n}"),
+            iters(10),
+            || solve::solve_optimal(&p).unwrap(),
+        );
     }
 }

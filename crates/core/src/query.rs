@@ -839,9 +839,11 @@ impl QueryEngine {
             return Ok(hit.value.clone());
         }
         self.stats.balance.1 += 1;
-        let sol = solve::solve(p, mode).ok_or_else(|| {
-            CompileError::Internal("balance pass entered with BalanceMode::None".into())
-        })?;
+        let sol = solve::solve(p, mode)
+            .map_err(|e| CompileError::Internal(format!("balance solver: {e}")))?
+            .ok_or_else(|| {
+                CompileError::Internal("balance pass entered with BalanceMode::None".into())
+            })?;
         self.balance_memo.insert(
             key,
             Memo {
@@ -1212,6 +1214,33 @@ mod tests {
         let d = std::env::temp_dir().join(format!("valpipe-qtest-{}-{tag}", std::process::id()));
         let _ = std::fs::remove_dir_all(&d);
         d
+    }
+
+    #[test]
+    fn malformed_balance_problem_is_an_internal_error() {
+        let arc = |u, v| problem::BArc {
+            u,
+            v,
+            w: 1,
+            cost: 1,
+            arc: None,
+        };
+        let cyclic = problem::BalanceProblem {
+            n: 2,
+            arcs: vec![arc(0, 1), arc(1, 0)],
+            comp_of: vec![0, 1],
+            rel: vec![0, 0],
+        };
+        for mode in [
+            BalanceMode::Asap,
+            BalanceMode::Heuristic,
+            BalanceMode::Optimal,
+        ] {
+            match QueryEngine::new().balance_query(&cyclic, mode) {
+                Err(CompileError::Internal(m)) => assert!(m.contains("cycle"), "{m}"),
+                other => panic!("{mode:?}: want an internal error, got {other:?}"),
+            }
+        }
     }
 
     #[test]

@@ -225,6 +225,25 @@ impl fmt::Display for AnalyzeError {
 
 impl std::error::Error for AnalyzeError {}
 
+/// The first index of `span` at which the unconditional access
+/// `A[i + offset]` leaves `producer`'s range, or `None`. The indices it
+/// may run at form the interval `[lo − offset, hi − offset]`, so only the
+/// ends of `span` need checking: the first index if it falls outside, else
+/// the first past the interval's upper end.
+fn first_out_of_range(span: (i64, i64), offset: i64, producer: (i64, i64)) -> Option<i64> {
+    let (first, last) = span;
+    let (lo, hi) = (producer.0 - offset, producer.1 - offset);
+    if last < first {
+        None
+    } else if first < lo || first > hi {
+        Some(first)
+    } else if last > hi {
+        Some(hi + 1)
+    } else {
+        None
+    }
+}
+
 /// Analyze a (type-checked) program into its flow dependency graph,
 /// classifying every block and range-checking every access.
 pub fn analyze(prog: &Program) -> Result<FlowGraph, AnalyzeError> {
@@ -249,10 +268,9 @@ pub fn analyze(prog: &Program) -> Result<FlowGraph, AnalyzeError> {
 
     let mut blocks = Vec::new();
     let mut edges = Vec::new();
+    let mut edge_set: HashSet<(String, String)> = HashSet::new();
+    let mut env = NameEnv::new(None, [], known.keys().cloned(), params.clone());
     for block in &prog.blocks {
-        let arrays: HashSet<String> = known.keys().cloned().collect();
-        let scalars: HashSet<String> = HashSet::new();
-        let env = NameEnv::new(None, scalars, arrays, params.clone());
         let fail = |violation| AnalyzeError::NotPipelinable {
             block: block.name.clone(),
             violation,
@@ -317,20 +335,25 @@ pub fn analyze(prog: &Program) -> Result<FlowGraph, AnalyzeError> {
                         }
                     }
                 };
-                // Check bounds for every index at which the access runs.
-                for i in index_span.0..=index_span.1 {
-                    let active = ga.active_at(&index_var, i, &params).unwrap_or(true);
-                    if active {
+                // Check bounds for every index at which the access runs:
+                // both ends suffice for an unconditional access, a guarded
+                // one is checked index by index.
+                let violation = if ga.guards.is_empty() {
+                    first_out_of_range(index_span, ga.offset, producer_range)
+                } else {
+                    (index_span.0..=index_span.1).find(|&i| {
                         let at = i + ga.offset;
-                        if at < producer_range.0 || at > producer_range.1 {
-                            return Err(AnalyzeError::OutOfRange {
-                                block: block.name.clone(),
-                                array: ga.array.clone(),
-                                offset: ga.offset,
-                                at_index: i,
-                            });
-                        }
-                    }
+                        (at < producer_range.0 || at > producer_range.1)
+                            && ga.active_at(&index_var, i, &params).unwrap_or(true)
+                    })
+                };
+                if let Some(at_index) = violation {
+                    return Err(AnalyzeError::OutOfRange {
+                        block: block.name.clone(),
+                        array: ga.array.clone(),
+                        offset: ga.offset,
+                        at_index,
+                    });
                 }
                 if !consumes.contains(&(ga.array.clone(), ga.offset)) {
                     consumes.push((ga.array.clone(), ga.offset));
@@ -340,12 +363,13 @@ pub fn analyze(prog: &Program) -> Result<FlowGraph, AnalyzeError> {
         consumes.sort();
         for (a, _) in &consumes {
             let edge = (a.clone(), block.name.clone());
-            if !edges.contains(&edge) {
+            if edge_set.insert(edge.clone()) {
                 edges.push(edge);
             }
         }
 
         known.insert(block.name.clone(), range);
+        env.arrays.insert(block.name.clone());
         blocks.push(BlockNode {
             name: block.name.clone(),
             class,
@@ -386,6 +410,50 @@ pub fn has_dynamic_guards(expr: &Expr, index_var: &str, params: &Bindings) -> bo
 mod tests {
     use super::*;
     use crate::parser::{parse_expr, parse_program, FIG3_PROGRAM};
+
+    #[test]
+    fn unguarded_range_check_matches_the_per_index_loop() {
+        let per_index = |span: (i64, i64), offset: i64, producer: (i64, i64)| {
+            (span.0..=span.1).find(|&i| i + offset < producer.0 || i + offset > producer.1)
+        };
+        let cases = [
+            // Negative offset: the low end falls off first.
+            ((0, 10), -1, (0, 10)),
+            ((3, 10), -2, (0, 10)),
+            ((5, 9), -7, (0, 10)),
+            // Positive offset: runs off the high end partway through.
+            ((0, 10), 1, (0, 10)),
+            ((0, 10), 3, (0, 11)),
+            ((0, 4), 20, (0, 10)),
+            // In range throughout.
+            ((1, 9), -1, (0, 10)),
+            ((0, 8), 2, (0, 10)),
+            // Empty range: no index runs, so nothing can violate.
+            ((5, 4), -100, (0, 10)),
+            ((0, -1), 50, (0, 10)),
+        ];
+        for (span, offset, producer) in cases {
+            assert_eq!(
+                first_out_of_range(span, offset, producer),
+                per_index(span, offset, producer),
+                "span {span:?}, offset {offset}, producer {producer:?}"
+            );
+        }
+        assert_eq!(first_out_of_range((0, 10), -1, (0, 10)), Some(0));
+        assert_eq!(first_out_of_range((0, 10), 1, (0, 10)), Some(10));
+        assert_eq!(first_out_of_range((5, 4), -100, (0, 10)), None);
+        for lo in -3..3 {
+            for hi in lo - 1..lo + 5 {
+                for offset in -4..5 {
+                    let (span, producer) = ((lo, hi), (0, 3));
+                    assert_eq!(
+                        first_out_of_range(span, offset, producer),
+                        per_index(span, offset, producer)
+                    );
+                }
+            }
+        }
+    }
 
     #[test]
     fn fig3_analyzes() {

@@ -2,8 +2,11 @@
 //! layered DAGs, all three solvers produce feasible potentials, the
 //! optimum never uses more buffers than the heuristic, which never uses
 //! more than ASAP — and applying any of them yields a machine program that
-//! actually runs at the maximum rate.
+//! actually runs at the maximum rate. Every optimal solve is checked by
+//! its dual certificate, and on tiny hand-built problems against a
+//! brute-force enumeration of integer potentials.
 
+use valpipe::balance::problem::{BArc, BalanceProblem, BalanceSolution};
 use valpipe::balance::{problem, solve};
 use valpipe::ir::{Graph, Opcode, Value};
 use valpipe::machine::{ProgramInputs, Simulator};
@@ -57,6 +60,99 @@ fn random_layers(r: &mut Rng, max_layers: usize, max_width: usize) -> Vec<Vec<(u
         .collect()
 }
 
+/// `solve_optimal`'s result, checked by the certificate against the
+/// solver's flow.
+fn certified_optimum(p: &BalanceProblem) -> BalanceSolution {
+    let sol = solve::solve_optimal(p).unwrap();
+    let flow = solve::optimal_flow(p).unwrap();
+    if let Err(why) = solve::certify(p, &sol, &flow) {
+        panic!("certificate failed: {why}\nproblem: {p:?}");
+    }
+    sol
+}
+
+/// A random DAG problem on `n` supernodes: up to five arcs running
+/// forward in a random node order, with weights in [-2, 2] and costs in
+/// {0, 1, 2}.
+fn tiny_problem(r: &mut Rng, n: usize) -> BalanceProblem {
+    let mut rank: Vec<usize> = (0..n).collect();
+    for i in (1..n).rev() {
+        rank.swap(i, r.below(i + 1));
+    }
+    let arcs = if n < 2 {
+        Vec::new()
+    } else {
+        (0..r.range(1, 6))
+            .map(|_| {
+                let lo = r.below(n - 1);
+                BArc {
+                    u: rank[lo],
+                    v: rank[r.range(lo + 1, n)],
+                    w: r.range_i64(-2, 3),
+                    cost: r.below(3) as u32,
+                    arc: None,
+                }
+            })
+            .collect()
+    };
+    BalanceProblem {
+        n,
+        arcs,
+        comp_of: (0..n).collect(),
+        rel: vec![0; n],
+    }
+}
+
+/// Brute-force oracle: the minimum total cost over every integer
+/// potential vector in `[0, Σ|w|]ⁿ` (a box that holds the least optimum),
+/// and the pointwise minimum of all vectors attaining it.
+fn brute_force(p: &BalanceProblem) -> (u64, Vec<i64>) {
+    let bound: i64 = p.arcs.iter().map(|a| a.w.abs()).sum();
+    let mut pot = vec![0i64; p.n];
+    let mut best: Option<(u64, Vec<i64>)> = None;
+    loop {
+        let feasible = p.arcs.iter().all(|a| pot[a.v] - pot[a.u] >= a.w);
+        if feasible {
+            let cost: u64 = p
+                .arcs
+                .iter()
+                .map(|a| a.cost as u64 * (pot[a.v] - pot[a.u] - a.w) as u64)
+                .sum();
+            match &mut best {
+                Some((c, least)) if cost == *c => {
+                    for (l, &x) in least.iter_mut().zip(&pot) {
+                        *l = (*l).min(x);
+                    }
+                }
+                Some((c, _)) if cost > *c => {}
+                _ => best = Some((cost, pot.clone())),
+            }
+        }
+        // Odometer step over the box.
+        let Some(i) = pot.iter().position(|&x| x < bound) else {
+            break;
+        };
+        pot[i] += 1;
+        for x in &mut pot[..i] {
+            *x = 0;
+        }
+    }
+    best.expect("a DAG problem is feasible")
+}
+
+#[test]
+fn tiny_problems_match_the_brute_force_oracle() {
+    for case in 0..150u64 {
+        let mut r = Rng::seed(0x3003).fork(case);
+        let n = r.range(1, 6);
+        let p = tiny_problem(&mut r, n);
+        let sol = certified_optimum(&p);
+        let (cost, least) = brute_force(&p);
+        assert_eq!(sol.total_buffers, cost, "minimum cost, problem {p:?}");
+        assert_eq!(sol.potential, least, "least optimum, problem {p:?}");
+    }
+}
+
 #[test]
 fn solver_hierarchy_feasible_and_ordered() {
     for case in 0..40u64 {
@@ -65,9 +161,9 @@ fn solver_hierarchy_feasible_and_ordered() {
         let layers = random_layers(&mut r, 5, 5);
         let g = build_dag(srcs, &layers);
         let p = problem::extract(&g).expect("acyclic");
-        let asap = solve::solve_asap(&p);
-        let heur = solve::solve_heuristic(&p, 64);
-        let opt = solve::solve_optimal(&p);
+        let asap = solve::solve_asap(&p).unwrap();
+        let heur = solve::solve_heuristic(&p, 64).unwrap();
+        let opt = certified_optimum(&p);
         assert!(asap.is_feasible(&p));
         assert!(heur.is_feasible(&p));
         assert!(opt.is_feasible(&p));
@@ -94,7 +190,7 @@ fn optimally_balanced_dag_runs_at_maximum_rate() {
         let layers = random_layers(&mut r, 4, 4);
         let mut g = build_dag(srcs, &layers);
         let p = problem::extract(&g).expect("acyclic");
-        let sol = solve::solve_optimal(&p);
+        let sol = certified_optimum(&p);
         problem::apply(&mut g, &p, &sol);
         g.expand_fifos();
 
