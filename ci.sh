@@ -17,6 +17,9 @@ cargo test -q
 
 # The three step-loop kernels must agree bit-for-bit; run the dedicated
 # equivalence and property suites explicitly so a regression names them.
+# The event kernels' bitmap wakeup wheel is checked against a plain
+# sort-and-dedup reference model the same way.
+cargo test -q -p valpipe-machine --lib scheduler::tests::wheel_matches_reference_model
 cargo test -q -p valpipe-machine --test kernel_equivalence
 cargo test -q --test property_kernels
 
@@ -32,6 +35,15 @@ cmp -s target/ci_fig2_seq.txt target/ci_fig2_par.txt \
     || { echo "ci: FAIL — exp_fig2 output differs under --workers 2" >&2; exit 1; }
 grep -q 'CLAIM \[HOLDS\]' target/ci_fig2_par.txt \
     || { echo "ci: FAIL — exp_fig2 claims did not hold under --workers 2" >&2; exit 1; }
+
+# Program scale: per-wave throughput must not depend on the block count,
+# and concurrency (average and measured peak fires per instruction time)
+# must grow with the program.
+cargo run --release -q -p valpipe-bench --bin exp_scale > target/ci_scale.txt
+grep -q 'CLAIM \[FAILS\]' target/ci_scale.txt \
+    && { echo "ci: FAIL — exp_scale claims did not hold" >&2; exit 1; }
+test "$(grep -c 'CLAIM \[HOLDS\]' target/ci_scale.txt)" -eq 2 \
+    || { echo "ci: FAIL — exp_scale did not report both scale claims" >&2; exit 1; }
 
 # Checkpoint/restore must replay bit-identically (snapshot format is
 # pinned by the golden fixture; recovery at every step by the property

@@ -83,6 +83,22 @@ pub enum ProblemError {
     /// The optimal solver's result failed its optimality certificate — a
     /// solver bug, reported with the first violated condition.
     NotOptimal(String),
+    /// A potential assignment does not give one potential per supernode.
+    PotentialCount {
+        /// Supernodes in the problem.
+        expected: usize,
+        /// Potentials given.
+        got: usize,
+    },
+    /// A potential assignment leaves a constraint arc with a slack (its
+    /// FIFO depth) that is negative — the potentials are infeasible — or
+    /// does not fit a `u32`.
+    SlackOutOfRange {
+        /// Index of the arc in `BalanceProblem::arcs`.
+        arc: usize,
+        /// `π_v − π_u − w` on that arc.
+        slack: i128,
+    },
 }
 
 impl std::fmt::Display for ProblemError {
@@ -97,6 +113,15 @@ impl std::fmt::Display for ProblemError {
             }
             ProblemError::ContractedCycle => write!(f, "contracted constraint graph has a cycle"),
             ProblemError::NotOptimal(why) => write!(f, "optimality certificate failed: {why}"),
+            ProblemError::PotentialCount { expected, got } => {
+                write!(f, "{got} potentials for {expected} supernodes")
+            }
+            ProblemError::SlackOutOfRange { arc, slack } => {
+                write!(
+                    f,
+                    "constraint arc {arc} has slack {slack}, outside 0..=u32::MAX"
+                )
+            }
         }
     }
 }
@@ -345,29 +370,44 @@ pub struct BalanceSolution {
 }
 
 impl BalanceSolution {
-    /// Build a solution from potentials, computing depths; panics if the
-    /// potentials are infeasible (negative slack).
-    pub fn from_potentials(problem: &BalanceProblem, potential: Vec<i64>) -> Self {
+    /// Build a solution from potentials, computing depths. Fails if the
+    /// count is not one per supernode, an arc names a supernode out of
+    /// range, or an arc's slack is negative (infeasible potentials) or
+    /// exceeds `u32`.
+    pub fn from_potentials(
+        problem: &BalanceProblem,
+        potential: Vec<i64>,
+    ) -> Result<Self, ProblemError> {
+        if potential.len() != problem.n {
+            return Err(ProblemError::PotentialCount {
+                expected: problem.n,
+                got: potential.len(),
+            });
+        }
         let depths: Vec<u32> = problem
             .arcs
             .iter()
-            .map(|a| {
-                let slack = potential[a.v] - potential[a.u] - a.w;
-                assert!(slack >= 0, "infeasible potentials: slack {slack} on arc");
-                u32::try_from(slack).expect("slack exceeds u32")
+            .enumerate()
+            .map(|(arc, a)| {
+                let (Some(&pv), Some(&pu)) = (potential.get(a.v), potential.get(a.u)) else {
+                    return Err(ProblemError::ArcOutOfRange { arc });
+                };
+                // i128: hostile potentials must not overflow the subtraction.
+                let slack = pv as i128 - pu as i128 - a.w as i128;
+                u32::try_from(slack).map_err(|_| ProblemError::SlackOutOfRange { arc, slack })
             })
-            .collect();
+            .collect::<Result<_, _>>()?;
         let total_buffers = problem
             .arcs
             .iter()
             .zip(&depths)
             .map(|(a, &d)| a.cost as u64 * d as u64)
             .sum();
-        BalanceSolution {
+        Ok(BalanceSolution {
             potential,
             depths,
             total_buffers,
-        }
+        })
     }
 
     /// Check feasibility of the solution against the problem.
@@ -497,5 +537,57 @@ mod tests {
         apply(&mut g, &p, &sol);
         assert_eq!(g.node_count(), before + 1);
         assert!(g.nodes.iter().any(|n| matches!(n.op, Opcode::Fifo(1))));
+    }
+
+    #[test]
+    fn hostile_potentials_are_typed_errors() {
+        let p = extract(&diamond()).unwrap();
+        let good = crate::solve::solve_asap(&p).unwrap().potential;
+        let ok = BalanceSolution::from_potentials(&p, good.clone()).unwrap();
+        assert!(ok.is_feasible(&p));
+
+        // Wrong length, either way.
+        for len in [0, p.n - 1, p.n + 1] {
+            let err = BalanceSolution::from_potentials(&p, vec![0; len]).unwrap_err();
+            assert_eq!(
+                err,
+                ProblemError::PotentialCount {
+                    expected: p.n,
+                    got: len
+                }
+            );
+        }
+        // Infeasible: everything at 0 gives every weighted arc negative slack.
+        let err = BalanceSolution::from_potentials(&p, vec![0; p.n]).unwrap_err();
+        assert!(
+            matches!(err, ProblemError::SlackOutOfRange { slack, .. } if slack < 0),
+            "{err:?}"
+        );
+        // Extremes: slack past u32, and potentials whose difference
+        // overflows i64.
+        let (u, v) = (p.arcs[0].u, p.arcs[0].v);
+        let mut wide = good.clone();
+        wide[v] = wide[u] + p.arcs[0].w + u32::MAX as i64 + 1;
+        assert_eq!(
+            BalanceSolution::from_potentials(&p, wide).unwrap_err(),
+            ProblemError::SlackOutOfRange {
+                arc: 0,
+                slack: u32::MAX as i128 + 1
+            }
+        );
+        let mut wild = good.clone();
+        wild[v] = i64::MAX;
+        wild[u] = i64::MIN;
+        assert!(matches!(
+            BalanceSolution::from_potentials(&p, wild).unwrap_err(),
+            ProblemError::SlackOutOfRange { arc: 0, .. }
+        ));
+        // An arc naming a supernode out of range.
+        let mut bad = p.clone();
+        bad.arcs[1].v = p.n + 7;
+        assert_eq!(
+            BalanceSolution::from_potentials(&bad, good).unwrap_err(),
+            ProblemError::ArcOutOfRange { arc: 1 }
+        );
     }
 }

@@ -129,10 +129,7 @@ fn asap_potentials(p: &BalanceProblem, order: &[usize]) -> Vec<i64> {
 /// allows.
 pub fn solve_asap(p: &BalanceProblem) -> Result<BalanceSolution, ProblemError> {
     let order = topo_order(p)?;
-    Ok(BalanceSolution::from_potentials(
-        p,
-        asap_potentials(p, &order),
-    ))
+    BalanceSolution::from_potentials(p, asap_potentials(p, &order))
 }
 
 /// ALAP balancing: every supernode fires as late as its earliest consumer
@@ -156,7 +153,7 @@ pub fn solve_alap(p: &BalanceProblem) -> Result<BalanceSolution, ProblemError> {
             pot[u] = ub;
         }
     }
-    Ok(BalanceSolution::from_potentials(p, pot))
+    BalanceSolution::from_potentials(p, pot)
 }
 
 /// Coordinate-descent improvement over ASAP: slide each supernode within
@@ -219,7 +216,7 @@ pub fn solve_heuristic(
             break;
         }
     }
-    Ok(BalanceSolution::from_potentials(p, pot))
+    BalanceSolution::from_potentials(p, pot)
 }
 
 /// Optimal balancing via the min-cost-flow dual.
@@ -254,7 +251,7 @@ pub fn solve_optimal(p: &BalanceProblem) -> Result<BalanceSolution, ProblemError
             break;
         }
     }
-    let sol = BalanceSolution::from_potentials(p, dist);
+    let sol = BalanceSolution::from_potentials(p, dist)?;
     certify(p, &sol, &flow).map_err(ProblemError::NotOptimal)?;
     Ok(sol)
 }
@@ -670,7 +667,7 @@ mod tests {
 
         // Shifting the optimum up by one keeps it optimal but not least.
         let shifted: Vec<i64> = opt.potential.iter().map(|&x| x + 1).collect();
-        let shifted = BalanceSolution::from_potentials(&p, shifted);
+        let shifted = BalanceSolution::from_potentials(&p, shifted).unwrap();
         assert_eq!(shifted.total_buffers, opt.total_buffers);
         let err = certify(&p, &shifted, &flow).unwrap_err();
         assert!(err.contains("not the least optimum"), "{err}");

@@ -2,7 +2,9 @@
 //!
 //! The scan kernel pays O(cells) every instruction time; the event-driven
 //! kernel pays O(fired + woken). On a dense, fully pipelined workload the
-//! two are close (most cells fire most steps). The separation shows on
+//! two are close (most cells fire most steps): the fig6 and fig3 dense
+//! rows print the event/scan ratio of the fastest runs, so the event
+//! kernel's per-fire overhead stays visible. The separation shows on
 //! *sparse-activity* workloads — a long pipeline carrying a handful of
 //! packets, where the scan kernel re-examines thousands of idle cells per
 //! step. That is the acceptance workload: the event kernel must beat the
@@ -21,8 +23,8 @@
 //! bench trajectory.
 
 use std::time::Instant;
-use valpipe_bench::timing::{bench, iters, json_mode, smoke_mode, BenchLog};
-use valpipe_bench::workloads::{fig6_src, inputs_for_compiled};
+use valpipe_bench::timing::{iters, json_mode, smoke_mode, BenchLog};
+use valpipe_bench::workloads::{fig3_src, fig6_src, inputs_for_compiled};
 use valpipe_core::verify::stream_inputs;
 use valpipe_core::{compile_source, CompileOptions};
 use valpipe_ir::value::Value;
@@ -139,6 +141,51 @@ fn median_secs(n: usize, mut f: impl FnMut()) -> f64 {
     times[times.len() / 2]
 }
 
+/// One dense workload under both sequential kernels: assert that every
+/// kernel agrees bit-for-bit, then time scan and event interleaved and
+/// print the event/scan ratio of their fastest runs.
+fn dense_row(log: &mut BenchLog, name: &str, g: &Graph, inputs: &ProgramInputs, n: usize) {
+    let reference = run_kernel(g, inputs, Kernel::Scan);
+    for kernel in [Kernel::EventDriven, Kernel::ParallelEvent(2)] {
+        assert_eq!(
+            reference,
+            run_kernel(g, inputs, kernel),
+            "{kernel:?} disagrees with Scan on {name}"
+        );
+    }
+    let kernels = [Kernel::Scan, Kernel::EventDriven];
+    let mut times = [Vec::new(), Vec::new()];
+    for _ in 0..n {
+        for (k, &kernel) in kernels.iter().enumerate() {
+            let t0 = Instant::now();
+            let _ = run_kernel(g, inputs, kernel);
+            times[k].push(t0.elapsed().as_secs_f64());
+        }
+    }
+    let [scan, event] = times.map(|mut ts| {
+        ts.sort_by(|x, y| x.total_cmp(y));
+        (ts[0], ts[ts.len() / 2])
+    });
+    println!(
+        "kernels/{name}/{}cells   scan {:>8.3}ms   event {:>8.3}ms   event/scan {:.2}   (min of {n})",
+        g.node_count(),
+        scan.0 * 1e3,
+        event.0 * 1e3,
+        event.0 / scan.0,
+    );
+    for (tag, (_, median)) in [("scan", scan), ("event", event)] {
+        log.record(
+            name,
+            g.node_count(),
+            g.arc_count(),
+            tag,
+            1,
+            reference.steps,
+            median,
+        );
+    }
+}
+
 fn kernel_tag(kernel: Kernel) -> (&'static str, usize) {
     match kernel {
         Kernel::Scan => ("scan", 1),
@@ -252,22 +299,18 @@ fn main() {
         t_event,
     );
 
-    // 3. Dense paper workload: both sequential kernels on fig6, for the
-    // honest "what does it cost when everything fires" number.
-    let compiled = compile_source(&fig6_src(64), &CompileOptions::paper()).unwrap();
-    let exe = compiled.executable();
-    let arrays = inputs_for_compiled(&compiled);
-    let dense_inputs = stream_inputs(&compiled, &arrays, 10);
-    let fig6_ref = run_kernel(&exe, &dense_inputs, Kernel::Scan);
-    assert_eq!(
-        fig6_ref,
-        run_kernel(&exe, &dense_inputs, Kernel::EventDriven),
-        "kernels disagree on fig6"
-    );
-    for kernel in [Kernel::Scan, Kernel::EventDriven] {
-        bench(&format!("kernels/fig6_dense/{kernel:?}"), n, || {
-            run_kernel(&exe, &dense_inputs, kernel)
-        });
+    // 3. Dense paper workloads: both sequential kernels where almost
+    // everything fires, for the honest "what does it cost when everything
+    // fires" number — fig6 and the fig3 program streamed 8 waves.
+    for (name, src, waves) in [
+        ("fig6_dense", fig6_src(64), 10),
+        ("fig3_dense", fig3_src(1024), 8),
+    ] {
+        let compiled = compile_source(&src, &CompileOptions::paper()).unwrap();
+        let exe = compiled.executable();
+        let arrays = inputs_for_compiled(&compiled);
+        let inputs = stream_inputs(&compiled, &arrays, waves);
+        dense_row(&mut log, name, &exe, &inputs, n);
     }
 
     // 4. Worker sweep on the wide dense grid — the parallel kernel's

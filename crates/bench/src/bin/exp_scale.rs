@@ -3,14 +3,29 @@
 //! programs of "several hundred blocks".
 //!
 //! Chains of stencil blocks: throughput stays at the maximum rate as the
-//! block count grows; concurrency (cells firing per instruction time)
-//! grows with the program, not the rate.
+//! block count grows; concurrency (cells firing per instruction time,
+//! averaged over the run and at its busiest step) grows with the
+//! program, not the rate.
 
 use valpipe_bench::report;
 use valpipe_bench::workloads::{chain_src, inputs_for_compiled};
 use valpipe_bench::FaultArgs;
 use valpipe_core::verify::{run, stream_inputs};
 use valpipe_core::{compile_source, CompileOptions};
+
+/// The most cells that fired in any one instruction time, from the
+/// run's per-cell fire times histogrammed by step.
+fn peak_fires_per_step(fire_times: &[Vec<u64>]) -> usize {
+    let mut per_step: Vec<usize> = Vec::new();
+    for &t in fire_times.iter().flatten() {
+        let t = t as usize;
+        if t >= per_step.len() {
+            per_step.resize(t + 1, 0);
+        }
+        per_step[t] += 1;
+    }
+    per_step.into_iter().max().unwrap_or(0)
+}
 
 fn main() {
     let fault_args = FaultArgs::parse_env();
@@ -29,7 +44,8 @@ fn main() {
         let compiled = compile_source(&src, &CompileOptions::paper()).expect("chain compiles");
         let arrays = inputs_for_compiled(&compiled);
         let _ = stream_inputs(&compiled, &arrays, 1); // warm the builder
-        let r = match run(&compiled, &arrays, 14, fault_args.sim_config()) {
+        let cfg = fault_args.sim_config().record_fire_times(true);
+        let r = match run(&compiled, &arrays, 14, cfg) {
             Ok(r) => r,
             Err(e) => {
                 println!("blocks={blocks}: {e}");
@@ -50,6 +66,7 @@ fn main() {
         let out = format!("S{blocks}");
         let iv = r.timing(&out).interval().expect("steady");
         let avg_fires = r.total_fires as f64 / r.steps as f64;
+        let peak = peak_fires_per_step(r.fire_times.as_deref().unwrap_or_default());
         println!(
             "{:<10} {:>7} {:>9.3} {:>10.4} {:>12.1} {:>14}",
             blocks,
@@ -57,9 +74,9 @@ fn main() {
             iv,
             1.0 / iv,
             avg_fires,
-            "~cells/2"
+            peak
         );
-        ivs.push((blocks, iv, compiled.graph.node_count(), avg_fires));
+        ivs.push((blocks, iv, avg_fires, peak));
     }
     println!();
     if fault_args.claims_skipped() {
@@ -76,9 +93,12 @@ fn main() {
         "throughput per input wave independent of block count (deep pipes don't slow down)",
         ok,
     );
-    let concurrency_grows = ivs.windows(2).all(|w| w[1].3 > w[0].3 * 1.5);
+    // Both the run's average and its busiest step.
+    let concurrency_grows = ivs
+        .windows(2)
+        .all(|w| w[1].2 > w[0].2 * 1.5 && w[1].3 as f64 > w[0].3 as f64 * 1.5);
     report::verdict(
-        "concurrent instruction executions grow with program size",
+        "concurrent instruction executions (average and peak) grow with program size",
         concurrency_grows,
     );
 }

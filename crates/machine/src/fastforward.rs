@@ -53,7 +53,7 @@
 //!
 //! With (1)–(4) established, a `K`-window jump is semantically a
 //! *snapshot restore at a future time*: the canonical state is
-//! materialized directly and the scheduler wheels are rebuilt with the
+//! materialized directly and the scheduler wheel is rebuilt with the
 //! same `Scheduler::resume` + wakeup-repost sequence the snapshot
 //! subsystem uses — so the post-jump machine inherits the proven
 //! kernel-neutral resume invariant, and both the final [`RunResult`]
@@ -540,7 +540,7 @@ impl FastForward {
 /// timestamp rebased to `now` (and a checksum for cheap pre-compare).
 /// Excluded on purpose: monotone counters and histories (measured as
 /// per-window deltas), generator cursors (covered by shift-invariance
-/// checks), and the scheduler wheels (not canonical state).
+/// checks), and the scheduler wheel (not canonical state).
 fn rebased_fingerprint(sim: &Simulator<'_>, p: u64) -> (Vec<u8>, u64) {
     let mut w = Writer::default();
     w.u64(p);
@@ -683,7 +683,7 @@ fn delta_sum(now: &[u64], before: &[u64]) -> u64 {
 /// Materialize the state `k` windows ahead: shift every live timestamp
 /// by `k·p`, advance every monotone counter by `k` window-deltas,
 /// replay the window's history segments `k` times with shifted times,
-/// and rebuild the scheduler wheels exactly as a snapshot restore does.
+/// and rebuild the scheduler wheel exactly as a snapshot restore does.
 ///
 /// `base` is how many windows past the measured one the machine already
 /// sits at (non-zero when a verified prefix was applied first): the
@@ -757,7 +757,7 @@ fn apply_jump(sim: &mut Simulator<'_>, d: &WindowDelta, p: u64, k: u64, base: u6
     // boundary of a periodic state, so it carries over unchanged.
     sim.now += shift;
 
-    // Rebuild the wakeup wheels exactly as a snapshot restore does: seed
+    // Rebuild the wakeup wheel exactly as a snapshot restore does: seed
     // every cell at `now`, then repost the future wakeups implied by
     // canonical state. This is what makes the jump a "restore at a
     // future time" and inherits the kernel-neutral resume invariant.
@@ -772,7 +772,6 @@ fn apply_jump(sim: &mut Simulator<'_>, d: &WindowDelta, p: u64, k: u64, base: u6
         }
         for &t in &st.freeing {
             if t >= sim.now {
-                sim.sched.wake_arc(i as u32, t);
                 sim.sched.wake(src, t);
             }
         }

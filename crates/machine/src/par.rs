@@ -9,9 +9,9 @@
 //! one tick's work embarrassingly parallel provided the phases stay
 //! separated and the mutations merge in a canonical order:
 //!
-//! 1. **Release** — due acknowledge slots expire. Arcs are partitioned
-//!    into contiguous id ranges, one disjoint `&mut` slice per worker;
-//!    releases on distinct arcs are independent.
+//! 1. **Release** — acknowledge slots expiring now are released on the
+//!    output arcs of the due cells, sequentially on the calling thread
+//!    (a handful of arcs per step; see `Simulator::release_due_acks`).
 //! 2. **Plan** — the drained ready set (ascending cell ids) is split
 //!    into contiguous chunks; planning is read-only, so workers share
 //!    `&Simulator`. Concatenating the per-worker plan buffers in worker
@@ -34,8 +34,8 @@
 //!    Per-cell bookkeeping ([`Simulator::note_fire`] — the exact
 //!    function the sequential `fire` uses) then runs sequentially over
 //!    the plans in cell order, and buffered wakeups merge afterwards;
-//!    wheel insertion order is irrelevant because due lists are
-//!    sorted and deduplicated on drain.
+//!    wheel insertion order is irrelevant because posting a wakeup is
+//!    an idempotent bit-set and a drain reads the bitmap in id order.
 //!
 //! The pool blocks workers on a condvar between ticks (never spins), so
 //! oversubscribing a small machine degrades gracefully; ticks below
@@ -58,13 +58,13 @@ use crate::fault::{AckFate, ResultFate};
 use crate::scheduler::{Kernel, Wheel};
 use crate::shard::{EpochStats, ShardMap};
 use crate::sim::{
-    consume_token, emit_token, launch_value, note_fire_cell, plan_cell, release_acks, ArcState,
-    Cells, FirePlan, NoteSink, PlanView, Simulator, StopSlots, NO_SLOT,
+    consume_token, emit_token, launch_value, may_refire, note_fire_cell, plan_cell, release_acks,
+    ArcState, Cells, FirePlan, NoteSink, PlanView, Simulator, StopSlots, NO_SLOT,
 };
 
-/// Below this many ready items (due cells + due arcs) a tick runs the
-/// sequential step body instead of dispatching to the pool: the phase
-/// barriers cost more than the work. Results are identical either way.
+/// Below this many due cells a tick runs the sequential step body
+/// instead of dispatching to the pool: the phase barriers cost more than
+/// the work. Results are identical either way.
 pub(crate) const PAR_MIN_WORK: usize = 96;
 
 /// Hard cap on `ParallelEvent(w)`; a worker beyond this adds only
@@ -80,8 +80,6 @@ pub(crate) struct WorkerBuf {
     thaw: Vec<(u32, u64)>,
     /// First planning error in this worker's chunk (phase 2).
     err: Option<SimError>,
-    /// Wakeups for arcs this worker owns (phase 3).
-    arc_wakes: Vec<(u32, u64)>,
     /// Wakeups for cells, from acks freeing producer slots and packets
     /// reaching consumers on arcs this worker owns (phase 3).
     node_wakes: Vec<(u32, u64)>,
@@ -92,7 +90,6 @@ impl WorkerBuf {
         self.plans.clear();
         self.thaw.clear();
         self.err = None;
-        self.arc_wakes.clear();
         self.node_wakes.clear();
     }
 }
@@ -288,28 +285,19 @@ fn worker_loop(shared: &PoolShared, wi: usize) {
 impl Simulator<'_> {
     /// One instruction time under [`Kernel::ParallelEvent`].
     pub(crate) fn step_parallel(&mut self, workers: usize) -> Result<usize, SimError> {
-        let now = self.now;
         let mut due = std::mem::take(&mut self.scratch.due_nodes);
-        let mut due_arcs = std::mem::take(&mut self.scratch.due_arcs);
-        self.sched.due_arcs(now, &mut due_arcs);
-        self.sched.due_nodes(now, &mut due);
+        self.sched.due_nodes(self.now, &mut due);
         let w = workers.clamp(1, MAX_WORKERS);
-        let r = if w < 2 || due.len() + due_arcs.len() < PAR_MIN_WORK {
-            self.step_ready(&due, &due_arcs)
+        let r = if w < 2 || due.len() < PAR_MIN_WORK {
+            self.step_ready(&due)
         } else {
-            self.step_ready_parallel(w, &due, &due_arcs)
+            self.step_ready_parallel(w, &due)
         };
         self.scratch.due_nodes = due;
-        self.scratch.due_arcs = due_arcs;
         r
     }
 
-    fn step_ready_parallel(
-        &mut self,
-        w: usize,
-        due: &[u32],
-        due_arcs: &[u32],
-    ) -> Result<usize, SimError> {
+    fn step_ready_parallel(&mut self, w: usize, due: &[u32]) -> Result<usize, SimError> {
         debug_assert!(matches!(self.cfg.kernel, Kernel::ParallelEvent(_)));
         let now = self.now;
         if self.pool.as_ref().is_none_or(|p| p.workers() != w) {
@@ -321,20 +309,8 @@ impl Simulator<'_> {
             b.clear();
         }
 
-        // Phase 1: release due acknowledge slots, arcs partitioned into
-        // contiguous id ranges (due_arcs is sorted, so each worker
-        // binary-searches its window).
-        {
-            let pool = self.pool.as_ref().expect("pool created above");
-            let mut shards = split_shards(&mut self.arcs, w);
-            pool.run_sharded(&mut shards, |_wi, (base, slice)| {
-                let lo = due_arcs.partition_point(|&a| (a as usize) < *base);
-                let hi = due_arcs.partition_point(|&a| (a as usize) < *base + slice.len());
-                for &aid in &due_arcs[lo..hi] {
-                    release_acks(&mut slice[aid as usize - *base], now);
-                }
-            });
-        }
+        // Phase 1: release the acknowledge slots expiring now.
+        self.release_due_acks(due);
 
         // Phase 2: plan, read-only over the whole machine; the ready
         // set is chunked contiguously so concatenation preserves the
@@ -402,7 +378,6 @@ impl Simulator<'_> {
                         };
                         if let Some(t) = consume_token(&mut slice[i - base], now + ack[i], fate) {
                             // The freed slot re-enables the arc's producer.
-                            buf.arc_wakes.push((i as u32, t));
                             buf.node_wakes.push((g.arcs[i].src.idx() as u32, t));
                         }
                     }
@@ -428,19 +403,18 @@ impl Simulator<'_> {
 
         // Merge: per-cell bookkeeping in plan (= cell) order — the same
         // `note_fire` the sequential fire loop runs — then the buffered
-        // wakeups (insertion order is irrelevant: due lists sort and
-        // deduplicate on drain).
+        // wakeups (insertion order is irrelevant: posting is an
+        // idempotent bit-set).
         let count = plans.len();
         for &(nid, plan) in &plans {
             self.note_fire(NodeId(nid), &plan);
-            // A fired cell may be enabled again immediately; re-examine
-            // it next step.
-            self.sched.wake(nid, now + 1);
+            // Re-examine a fired cell next step if it may be enabled
+            // again with no new event.
+            if may_refire(self.g, &*self, nid) {
+                self.sched.wake(nid, now + 1);
+            }
         }
         for b in &bufs {
-            for &(a, t) in &b.arc_wakes {
-                self.sched.wake_arc(a, t);
-            }
             for &(n, t) in &b.node_wakes {
                 self.sched.wake(n, t);
             }
@@ -456,9 +430,9 @@ impl Simulator<'_> {
 // ---------------------------------------------------------------------------
 // Epoch-batched execution (DESIGN.md §16).
 //
-// The per-step parallel kernel above pays three barrier handoffs per
-// instruction time. The epoch engine amortizes them: the global wheels
-// know the earliest pending wakeup, and influence spreads at most one
+// The per-step parallel kernel above pays two barrier handoffs per
+// instruction time. The epoch engine amortizes them: the global wheel
+// knows the earliest pending wakeup, and influence spreads at most one
 // undirected hop per step (every result and acknowledge delay is ≥ 1),
 // so a BFS distance from each cell to the nearest shard boundary turns
 // the pending-wakeup set into a proven horizon `h` during which no
@@ -607,10 +581,8 @@ impl NoteSink for ShardExec<'_> {
 
 /// One shard's private execution state, reused across epochs.
 struct ShardState {
-    node_wheel: Wheel,
-    arc_wheel: Wheel,
+    wheel: Wheel,
     due: Vec<u32>,
-    due_arcs: Vec<u32>,
     plans: Vec<(u32, FirePlan)>,
     /// Per sub-step `(fired, progress delta)` — the canonical replay
     /// feed for tracker/idle bookkeeping on the merge side.
@@ -622,12 +594,10 @@ struct ShardState {
 }
 
 impl ShardState {
-    fn new() -> ShardState {
+    fn new(cells: usize) -> ShardState {
         ShardState {
-            node_wheel: Wheel::new(0),
-            arc_wheel: Wheel::new(0),
+            wheel: Wheel::new(0, cells),
             due: Vec::new(),
-            due_arcs: Vec::new(),
             plans: Vec::new(),
             log: Vec::new(),
             err: None,
@@ -649,8 +619,7 @@ pub(crate) struct EpochEngine {
     /// `stop_outputs` target can fill).
     sink_feeders: Vec<u32>,
     shards: Vec<ShardState>,
-    nodes_scratch: Vec<(u32, u64)>,
-    arcs_scratch: Vec<(u32, u64)>,
+    pending: Vec<(u32, u64)>,
     pub(crate) stats: EpochStats,
 }
 
@@ -681,9 +650,10 @@ impl EpochEngine {
             map,
             max_lat,
             sink_feeders,
-            shards: (0..workers).map(|_| ShardState::new()).collect(),
-            nodes_scratch: Vec::new(),
-            arcs_scratch: Vec::new(),
+            shards: (0..workers)
+                .map(|_| ShardState::new(g.nodes.len()))
+                .collect(),
+            pending: Vec::new(),
             stats,
         }
     }
@@ -750,23 +720,26 @@ fn run_shard(
     };
     for k in 0..h {
         let t = t0 + k;
-        // Phase 1: release due acknowledge slots.
-        st.arc_wheel.drain(t, &mut st.due_arcs);
-        for &a in &st.due_arcs {
-            debug_assert_eq!(map.arc_shard[a as usize], s);
-            debug_assert!(!map.arc_cross[a as usize]);
-            release_acks(unsafe { &mut *shared.arcs[a as usize].get() }, t);
-        }
-        // Phase 2: plan due cells (drain sorts + dedups, so plans are
-        // in ascending cell order — the canonical tie-break).
-        st.node_wheel.drain(t, &mut st.due);
-        st.plans.clear();
+        // Due cells come out distinct and ascending — the canonical
+        // tie-break order.
+        st.wheel.drain(t, &mut st.due);
+        // Phase 1: release the acknowledge slots expiring now on the
+        // due cells' output arcs. A due cell is interior (dist > 0), so
+        // none of its arcs crosses a shard.
         for &nid in &st.due {
             debug_assert_eq!(map.cell_shard[nid as usize], s);
             debug_assert!(
                 map.dist[nid as usize] > 0,
                 "boundary cell examined inside a proven horizon"
             );
+            for &a in &shared.g.nodes[nid as usize].outputs {
+                debug_assert!(!map.arc_cross[a.idx()]);
+                release_acks(unsafe { &mut *shared.arcs[a.idx()].get() }, t);
+            }
+        }
+        // Phase 2: plan the due cells.
+        st.plans.clear();
+        for &nid in &st.due {
             match plan_cell(shared.g, &exec, t, NodeId(nid)) {
                 Ok(Some(plan)) => st.plans.push((nid, plan)),
                 Ok(None) => {}
@@ -786,8 +759,7 @@ fn run_shard(
                 let ack_at = t + shared.ack[a];
                 let arc_st = unsafe { &mut *shared.arcs[a].get() };
                 if let Some(ft) = consume_token(arc_st, ack_at, AckFate::Deliver) {
-                    st.arc_wheel.push(a as u32, ft);
-                    st.node_wheel.push(src, ft);
+                    st.wheel.push(src, ft);
                 }
             }
             if let Some(v) = note_fire_cell(shared.g, &mut exec, t, NodeId(nid), &plan) {
@@ -798,11 +770,13 @@ fn run_shard(
                     let ready = t + shared.fwd[ai];
                     let arc_st = unsafe { &mut *shared.arcs[ai].get() };
                     if let Some(rt) = emit_token(arc_st, v, ready, ResultFate::Deliver) {
-                        st.node_wheel.push(dst, rt);
+                        st.wheel.push(dst, rt);
                     }
                 }
             }
-            st.node_wheel.push(nid, t + 1);
+            if may_refire(shared.g, &exec, nid) {
+                st.wheel.push(nid, t + 1);
+            }
         }
         st.log.push((
             st.plans.len() as u32,
@@ -859,31 +833,18 @@ impl Simulator<'_> {
             return Ok(None);
         }
         // Horizon probe: the earliest step at which any pending wakeup
-        // could influence a boundary cell. A node wakeup at (i, t)
-        // reaches the boundary no earlier than t + dist[i]; an arc
-        // wakeup re-examines its *source* cell, so it scores
-        // t + dist[src] — except cross arcs, which are boundary events
-        // themselves. All delays are ≥ 1 and influence moves one
-        // undirected hop per step (DESIGN.md §16 for the induction).
+        // could influence a boundary cell. A wakeup at (i, t) reaches
+        // the boundary no earlier than t + dist[i]. A pending
+        // acknowledge is a wakeup of its producer, so one on a cross
+        // arc scores t: its producer is a boundary cell. All delays are
+        // ≥ 1 and influence moves one undirected hop per step
+        // (DESIGN.md §16 for the induction).
         let horizon_limit = t0.saturating_add(cap);
         let mut q = u64::MAX;
         let mut deferred: u64 = 0;
         let dist = &eng.map.dist;
-        self.sched.for_each_pending_node(|id, t| {
+        self.sched.for_each_pending(|id, t| {
             let score = t.saturating_add(dist[id as usize]);
-            if score < horizon_limit {
-                deferred += 1;
-            }
-            q = q.min(score);
-        });
-        let arc_cross = &eng.map.arc_cross;
-        let g = self.g;
-        self.sched.for_each_pending_arc(|id, t| {
-            let score = if arc_cross[id as usize] {
-                t
-            } else {
-                t.saturating_add(dist[g.arcs[id as usize].src.idx()])
-            };
             if score < horizon_limit {
                 deferred += 1;
             }
@@ -898,27 +859,20 @@ impl Simulator<'_> {
         // only those inside the proven horizon were actually deferred.
         let deferred = if h < cap { deferred } else { 0 };
 
-        // Route the global wheels' contents onto per-shard wheels.
-        let mut nodes = std::mem::take(&mut eng.nodes_scratch);
-        let mut arcs_pending = std::mem::take(&mut eng.arcs_scratch);
-        nodes.clear();
-        arcs_pending.clear();
-        self.sched.take_all(&mut nodes, &mut arcs_pending);
+        // Route the global wheel's contents onto per-shard wheels.
+        let mut pending = std::mem::take(&mut eng.pending);
+        pending.clear();
+        self.sched.take_all(&mut pending);
         for st in &mut eng.shards {
-            st.node_wheel.reset(t0);
-            st.arc_wheel.reset(t0);
+            st.wheel.reset(t0);
             st.log.clear();
             st.err = None;
             st.am = 0;
             st.fu = 0;
         }
-        for &(id, t) in &nodes {
+        for &(id, t) in &pending {
             let s = eng.map.cell_shard[id as usize] as usize;
-            eng.shards[s].node_wheel.push(id, t);
-        }
-        for &(id, t) in &arcs_pending {
-            let s = eng.map.arc_shard[id as usize] as usize;
-            eng.shards[s].arc_wheel.push(id, t);
+            eng.shards[s].wheel.push(id, t);
         }
 
         if self.pool.as_ref().is_none_or(|p| p.workers() != w) {
@@ -975,8 +929,7 @@ impl Simulator<'_> {
             .filter_map(|st| st.err.take())
             .min_by_key(|&(k, nid, _)| (k, nid))
         {
-            eng.nodes_scratch = nodes;
-            eng.arcs_scratch = arcs_pending;
+            eng.pending = pending;
             return Err(best.2);
         }
 
@@ -1022,24 +975,18 @@ impl Simulator<'_> {
             // the shard wheels hold nothing the truncated timeline can
             // still owe. Discard defensively and rebase.
             for st in &mut eng.shards {
-                st.node_wheel.reset(0);
-                st.arc_wheel.reset(0);
+                st.wheel.reset(0);
             }
             self.sched.rebase(self.now);
         } else {
             // Merge leftover shard wakeups (all ≥ t0 + h by the drain
-            // loop) back onto the rebased global wheels.
+            // loop) back onto the rebased global wheel.
             self.sched.rebase(self.now);
             for st in &mut eng.shards {
-                nodes.clear();
-                st.node_wheel.take_all(&mut nodes);
-                for &(id, at) in &nodes {
+                pending.clear();
+                st.wheel.take_all(&mut pending);
+                for &(id, at) in &pending {
                     self.sched.wake(id, at);
-                }
-                arcs_pending.clear();
-                st.arc_wheel.take_all(&mut arcs_pending);
-                for &(id, at) in &arcs_pending {
-                    self.sched.wake_arc(id, at);
                 }
             }
         }
@@ -1047,8 +994,7 @@ impl Simulator<'_> {
         eng.stats.epochs += 1;
         eng.stats.batched_steps += executed;
         eng.stats.cross_wakes_deferred += deferred;
-        eng.nodes_scratch = nodes;
-        eng.arcs_scratch = arcs_pending;
+        eng.pending = pending;
         Ok(Some(last_fired))
     }
 }

@@ -72,8 +72,10 @@ pub struct EpochStats {
     /// Times the provable horizon collapsed below 2 and the step fell
     /// back to the per-step phased path.
     pub horizon_fallbacks: u64,
-    /// Pending cross-shard wakeups that bounded an epoch horizon below
-    /// the configured cap.
+    /// Pending wakeups that bounded an epoch horizon below the
+    /// configured cap, counted as distinct `(cell, time)` pairs (a
+    /// pending acknowledge is a wakeup of its producer, so it counts
+    /// once, with that cell).
     pub cross_wakes_deferred: u64,
     /// Worker shards in the map (0 until the engine is built).
     pub shards: u32,
@@ -96,7 +98,7 @@ impl EpochStats {
 
 /// A cell→shard assignment plus the derived geometry the epoch engine's
 /// horizon proof needs. Built once per simulation (the graph never
-/// changes mid-run) and never snapshotted — like the wakeup wheels, it
+/// changes mid-run) and never snapshotted — like the wakeup wheel, it
 /// is an optimization artifact, not canonical machine state.
 #[derive(Debug)]
 pub(crate) struct ShardMap {

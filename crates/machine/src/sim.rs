@@ -337,6 +337,18 @@ impl ArcState {
 /// overtake each other), so filter rather than front-pop.
 #[inline]
 pub(crate) fn release_acks(st: &mut ArcState, now: u64) {
+    match st.freeing[..] {
+        [] => return,
+        // A unit-capacity arc holds at most one slot: skip `retain`.
+        [t] => {
+            if t <= now {
+                st.freeing.clear();
+                st.acked += 1;
+            }
+            return;
+        }
+        _ => {}
+    }
     let before = st.freeing.len();
     st.freeing.retain(|&t| t > now);
     st.acked += (before - st.freeing.len()) as u64;
@@ -511,7 +523,6 @@ impl StopSlots {
 #[derive(Debug, Default)]
 pub(crate) struct StepScratch {
     pub(crate) due_nodes: Vec<u32>,
-    pub(crate) due_arcs: Vec<u32>,
     pub(crate) plans: Vec<(u32, FirePlan)>,
     pub(crate) thawing: Vec<(u32, u64)>,
     pub(crate) throttled: Vec<u32>,
@@ -706,6 +717,32 @@ pub(crate) fn plan_cell<V: PlanView + ?Sized>(
     Ok(plan)
 }
 
+/// Whether cell `n`, having just fired, may be enabled at the next step
+/// with no further event — the test for its re-examination wakeup. It
+/// cannot be while an output arc is full, unless it is a gate (a
+/// discarding gate fires with its outputs full): only an acknowledge
+/// frees a slot, and every acknowledge wakes its producer when the slot
+/// frees. Nor while an input arc that every firing reads (a merge reads
+/// only its control port every time) holds no token: only a delivery
+/// refills it, and every delivery wakes its consumer. Arc occupancy is
+/// settled once the cell's own emits are applied, since a consume
+/// leaves it unchanged, so the answer does not depend on the order the
+/// step's other firings are applied in.
+pub(crate) fn may_refire<V: PlanView + ?Sized>(g: &Graph, view: &V, n: u32) -> bool {
+    let node = &g.nodes[n as usize];
+    if !matches!(node.op, Opcode::TGate | Opcode::FGate) && !view_outputs_free(g, view, NodeId(n)) {
+        return false;
+    }
+    node.inputs.iter().enumerate().all(|(port, b)| match b {
+        PortBinding::Wired(a) => {
+            (matches!(node.op, Opcode::Merge) && port != MERGE_CTL)
+                || !view.arc(a.idx()).queue.is_empty()
+        }
+        PortBinding::Lit(_) => true,
+        PortBinding::Unbound => false,
+    })
+}
+
 /// Mutation sink for the per-cell effects of one firing. The
 /// `Simulator` implements it over its own storage; the epoch engine's
 /// shard views implement it over disjointly-aliased slices plus local
@@ -801,7 +838,7 @@ pub struct Simulator<'g> {
     /// given plan is empty, so the empty plan shares the exact fault-free
     /// code path (bit-identical runs).
     pub(crate) fault: Option<FaultPlan>,
-    /// Wakeup wheels (inert for the scan kernel).
+    /// Wakeup wheel (inert for the scan kernel).
     pub(crate) sched: Scheduler,
     /// `stop_outputs` precompiled to sink slots.
     pub(crate) stop_slots: StopSlots,
@@ -1049,8 +1086,8 @@ impl<'g> Simulator<'g> {
             let src = self.g.arcs[arc.idx()].src.idx() as u32;
             let ack_at = now + self.ack_delay[arc.idx()];
             if let Some(t) = consume_token(&mut self.arcs[arc.idx()], ack_at, fate) {
-                // The freed slot re-enables the arc's producer.
-                self.sched.wake_arc(arc.idx() as u32, t);
+                // The freed slot re-enables the arc's producer; its
+                // wakeup also releases the slot (`release_due_acks`).
                 self.sched.wake(src, t);
             }
         }
@@ -1060,9 +1097,11 @@ impl<'g> Simulator<'g> {
                 self.emit_on(a, v);
             }
         }
-        // A fired cell may be enabled again immediately (buffered output
-        // arcs, queued operands); re-examine it next step.
-        self.sched.wake(n.idx() as u32, now + 1);
+        // Re-examine a fired cell next step if it may be enabled again
+        // with no new event (buffered output arcs, queued operands).
+        if self.sched.is_event_driven() && may_refire(self.g, self, n.idx() as u32) {
+            self.sched.wake(n.idx() as u32, now + 1);
+        }
     }
 
     /// Advance one instruction time. Returns how many cells fired.
@@ -1153,19 +1192,28 @@ impl<'g> Simulator<'g> {
         self.scratch.throttled = throttled;
     }
 
+    /// Release the acknowledge slots expiring now on the output arcs of
+    /// every due cell, frozen ones included. Every acknowledge wakes its
+    /// producer at the instant its slot frees, so the producers of all
+    /// slots expiring now are due, and every slot of an arc expired
+    /// before now was released at its own expiry: this leaves the same
+    /// state the scan kernel's release over every arc does.
+    pub(crate) fn release_due_acks(&mut self, due: &[u32]) {
+        let (g, now) = (self.g, self.now);
+        for &nid in due {
+            for &a in &g.nodes[nid as usize].outputs {
+                release_acks(&mut self.arcs[a.idx()], now);
+            }
+        }
+    }
+
     /// The body of one event-driven instruction time over an already
     /// drained ready set: release due acknowledges, plan, post thaw
     /// wakeups, throttle, fire. Used by [`Kernel::EventDriven`] and by
     /// [`Kernel::ParallelEvent`] when the tick is too small to be worth
     /// fanning out (the results do not depend on which path ran).
-    pub(crate) fn step_ready(&mut self, due: &[u32], due_arcs: &[u32]) -> Result<usize, SimError> {
-        let now = self.now;
-        // Release exactly the acknowledge slots scheduled to expire now;
-        // arcs without due slots hold only future times, so skipping them
-        // leaves the same state the full scan would.
-        for &arc in due_arcs {
-            release_acks(&mut self.arcs[arc as usize], now);
-        }
+    pub(crate) fn step_ready(&mut self, due: &[u32]) -> Result<usize, SimError> {
+        self.release_due_acks(due);
         // Examine woken cells in index order (the scan order, which the
         // resource throttle and first-error selection depend on). A plan
         // error propagates before the thaw wakeups are posted and before
@@ -1223,14 +1271,10 @@ impl<'g> Simulator<'g> {
     /// The event-driven O(fired + woken) step: examine only cells with a
     /// pending wakeup (see [`crate::scheduler`] for the invariant).
     fn step_event(&mut self) -> Result<usize, SimError> {
-        let now = self.now;
         let mut due = mem::take(&mut self.scratch.due_nodes);
-        let mut due_arcs = mem::take(&mut self.scratch.due_arcs);
-        self.sched.due_arcs(now, &mut due_arcs);
-        self.sched.due_nodes(now, &mut due);
-        let r = self.step_ready(&due, &due_arcs);
+        self.sched.due_nodes(self.now, &mut due);
+        let r = self.step_ready(&due);
         self.scratch.due_nodes = due;
-        self.scratch.due_arcs = due_arcs;
         r
     }
 

@@ -7,9 +7,9 @@
 //! source/generator cursors, firing counters, accumulated outputs and
 //! emission times, the step clock, and the watchdog's progress
 //! bookkeeping. It deliberately does *not* capture the event-driven
-//! scheduler's wakeup wheels: those are an optimization artifact of one
+//! scheduler's wakeup wheel: that is an optimization artifact of one
 //! kernel, fully implied by the canonical state. Restore re-seeds the
-//! wheels from the in-flight packets (see [`crate::scheduler`]'s resume
+//! wheel from the in-flight packets and acknowledges (see [`crate::scheduler`]'s resume
 //! notes), which is what makes a snapshot **kernel-neutral** — a
 //! checkpoint taken under [`Kernel::Scan`] resumes under
 //! [`Kernel::EventDriven`] (and vice versa) and the continued run is
@@ -471,7 +471,6 @@ impl Snapshot {
             }
             for &t in &st.freeing {
                 if t >= now {
-                    sched.wake_arc(i as u32, t);
                     sched.wake(src, t);
                 }
             }

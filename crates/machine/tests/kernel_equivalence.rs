@@ -17,8 +17,8 @@ use valpipe_ir::opcode::Opcode;
 use valpipe_ir::value::{BinOp, Value};
 use valpipe_ir::{CtlStream, Graph};
 use valpipe_machine::{
-    CellFreeze, FaultPlan, Kernel, LinkFault, ProgramInputs, RunResult, SimConfig, Simulator,
-    StopReason, WatchdogConfig,
+    CellFreeze, FaultPlan, Kernel, LinkFault, ProgramInputs, RunResult, RunSpec, SimConfig,
+    Simulator, StopReason, WatchdogConfig,
 };
 
 fn reals(v: &[f64]) -> Vec<Value> {
@@ -257,6 +257,103 @@ fn cell_freezes_and_link_faults_match() {
         ..Default::default()
     };
     assert_equivalent(&g, &inputs, SimConfig::new().fault_plan(plan));
+}
+
+/// Run under every kernel, checkpointing after every one of the first
+/// `window` steps, then drive to completion; assert the checkpoint bytes
+/// at each step and the whole `RunResult` agree with the scan kernel's.
+fn assert_equivalent_stepwise(g: &Graph, inputs: &ProgramInputs, cfg: SimConfig, window: u64) {
+    let run = |kernel: Kernel| {
+        let mut s = Simulator::builder(g)
+            .inputs(inputs.clone())
+            .config(cfg.clone().kernel(kernel))
+            .build()
+            .unwrap();
+        let mut snaps = Vec::new();
+        for _ in 0..window {
+            s.step().unwrap();
+            snaps.push(s.checkpoint().as_bytes().to_vec());
+        }
+        (snaps, s.drive(RunSpec::new()).unwrap().result())
+    };
+    let (scan_snaps, scan) = run(Kernel::Scan);
+    for kernel in &ALL_KERNELS[1..] {
+        let (snaps, other) = run(*kernel);
+        for (k, (a, b)) in scan_snaps.iter().zip(&snaps).enumerate() {
+            assert!(a == b, "{kernel:?} snapshot after step {} differs", k + 1);
+        }
+        assert_eq!(scan, other, "{kernel:?} must agree with Scan bit-for-bit");
+    }
+}
+
+/// Non-uniform delays over `g`'s arcs, a fixed pattern per arc.
+fn skewed_delays(g: &Graph) -> valpipe_machine::ArcDelays {
+    valpipe_machine::ArcDelays {
+        forward: (0..g.arc_count()).map(|i| 1 + (i % 3) as u64).collect(),
+        ack: (0..g.arc_count()).map(|i| 1 + (i * 5 % 7) as u64).collect(),
+    }
+}
+
+#[test]
+fn acknowledge_release_on_frozen_producers_matches() {
+    // An acknowledge slot is released when its producer is due, so a
+    // producer frozen across the slot's expiry must still release it on
+    // time: every checkpoint taken inside the freeze window must be
+    // byte-identical to the scan kernel's, which releases every arc.
+    let g = chain(6);
+    let inputs = ProgramInputs::new().bind("a", reals(&ramp(24)));
+    for (cap, node) in [(1usize, 2usize), (2, 2), (2, 4), (3, 1)] {
+        let plan = FaultPlan {
+            freezes: vec![CellFreeze {
+                node,
+                from: 12,
+                until: 41,
+            }],
+            ..Default::default()
+        };
+        let cfg = SimConfig::new()
+            .arc_capacity(cap)
+            .delays(skewed_delays(&g))
+            .fault_plan(plan);
+        assert_equivalent_stepwise(&g, &inputs, cfg, 60);
+    }
+}
+
+#[test]
+fn gates_refire_with_full_outputs_under_capacity() {
+    // A discarding gate fires with its output arc full, so a gate that
+    // has just filled its output must still be re-examined while tokens
+    // queue on its inputs (arc capacity > 1). Here the gate's consumer
+    // waits on a second operand paced by a slow acknowledge, so the
+    // gate spends most of the run blocked on a full output with full
+    // input queues, and each pass is followed by discards.
+    for (t_run, f_run) in [(1u32, 1u32), (1, 3), (2, 2)] {
+        let mut g = Graph::new();
+        let a = g.add_node(Opcode::Source("a".into()), "a");
+        let ctl = g.add_node(
+            Opcode::CtlGen(CtlStream::from_runs([(true, t_run), (false, f_run)])),
+            "ctl",
+        );
+        let b = g.add_node(Opcode::Source("b".into()), "b");
+        let tg = g.cell(Opcode::TGate, "tg", &[ctl.into(), a.into()]);
+        let sum = g.cell(Opcode::Bin(BinOp::Add), "sum", &[tg.into(), b.into()]);
+        let _ = g.cell(Opcode::Sink("y".into()), "y", &[sum.into()]);
+        let paced = g.nodes[b.idx()].outputs[0].idx();
+        let inputs = ProgramInputs::new()
+            .bind("a", reals(&ramp(48)))
+            .bind("b", reals(&ramp(48)));
+        for cap in [1usize, 2, 3] {
+            for slow in [3u64, 5] {
+                let mut delays = valpipe_machine::ArcDelays {
+                    forward: vec![1; g.arc_count()],
+                    ack: vec![1; g.arc_count()],
+                };
+                delays.ack[paced] = slow;
+                let cfg = SimConfig::new().arc_capacity(cap).delays(delays);
+                assert_equivalent_stepwise(&g, &inputs, cfg, 40);
+            }
+        }
+    }
 }
 
 #[test]
