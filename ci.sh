@@ -105,18 +105,22 @@ grep -q 'CLAIM \[HOLDS\] all 5 committed corpus repros replay byte-identically' 
 # Incremental compilation (DESIGN.md §17): warm recompiles must be
 # byte-identical to cold across random programs, single-block edits,
 # invalid mutants, and arbitrary cache corruption (dedicated property
-# suite), and the exp_incremental smoke must hold all three claims —
-# <5% of queries re-executed on a single-block edit, >=10x warm
-# speedup, and a warm engine's output bit-identical to a fresh engine's
-# across the workload suite and every committed corpus repro.
+# suite), and exp_incremental must hold all three claims at 120 and at
+# 1000 blocks — <5% of queries re-executed on a single-block edit,
+# >=10x warm speedup, and a warm engine's output bit-identical to a
+# fresh engine's across the workload suite and every committed corpus
+# repro.
 cargo test -q --test property_incremental
-cargo run --release -q -p valpipe-bench --bin exp_incremental -- --blocks 120 > target/ci_incremental.txt
-grep -q 'CLAIM \[FAILS\]' target/ci_incremental.txt \
-    && { echo "ci: FAIL — exp_incremental claims did not hold" >&2; exit 1; }
-grep -q 'CLAIM \[HOLDS\] a single-block edit' target/ci_incremental.txt \
-    || { echo "ci: FAIL — exp_incremental did not report the query-reuse claim" >&2; exit 1; }
-grep -q 'CLAIM \[HOLDS\] cold and warm engine output is bit-identical' target/ci_incremental.txt \
-    || { echo "ci: FAIL — exp_incremental did not report the bit-identity claim" >&2; exit 1; }
+for blocks in 120 1000; do
+    out="target/ci_incremental_$blocks.txt"
+    cargo run --release -q -p valpipe-bench --bin exp_incremental -- --blocks "$blocks" > "$out"
+    grep -q 'CLAIM \[FAILS\]' "$out" \
+        && { echo "ci: FAIL — exp_incremental --blocks $blocks claims did not hold" >&2; exit 1; }
+    grep -q 'CLAIM \[HOLDS\] a single-block edit' "$out" \
+        || { echo "ci: FAIL — exp_incremental --blocks $blocks did not report the query-reuse claim" >&2; exit 1; }
+    grep -q 'CLAIM \[HOLDS\] cold and warm engine output is bit-identical' "$out" \
+        || { echo "ci: FAIL — exp_incremental --blocks $blocks did not report the bit-identity claim" >&2; exit 1; }
+done
 
 # The --incremental CLI path must produce the same pinned fig6 machine
 # dump as the plain pipeline, both cold (empty cache) and warm (second

@@ -5,8 +5,8 @@
 //! Claims checked:
 //!
 //! 1. editing one block of a 1000-block program re-executes fewer than
-//!    5% of the compile queries (parse, typecheck, lower-region,
-//!    balance, machine listing);
+//!    5% of the compile queries (parse, typecheck, analyze,
+//!    lower-region, balance, machine listing);
 //! 2. the warm recompile after that edit is at least 10× faster than a
 //!    cold compile of the same source;
 //! 3. a warm engine's output is bit-identical to a fresh engine's — same
@@ -90,7 +90,15 @@ fn main() {
     observe("cells", cold.compiled.graph.node_count());
     observe("arcs", cold.compiled.graph.arcs.len());
     observe("cold compile", format!("{:.1} ms", t_cold * 1e3));
+    observe(
+        "cold compile per block",
+        format!("{:.4} ms", t_cold * 1e3 / blocks as f64),
+    );
     observe("queries (cold)", engine.stats().render());
+    observe(
+        "memo-key bytes per block (cold)",
+        engine.stats().key_bytes.total() / blocks,
+    );
 
     // ---- one-block edit, warm recompile --------------------------------
     let edited = edit_block(&src, blocks / 2);

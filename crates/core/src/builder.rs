@@ -74,6 +74,9 @@ pub struct Compiler {
     /// `[lo, hi]` is pinned at `−2·lo` relative to the machine start.
     pub anchors: Vec<(NodeId, i64)>,
     label_seq: u32,
+    /// Streams registered through [`Compiler::provide`] since the last
+    /// [`Compiler::take_provided`], in registration order.
+    provided: Vec<(String, Provider)>,
 }
 
 impl Compiler {
@@ -85,7 +88,22 @@ impl Compiler {
             providers: HashMap::new(),
             anchors: Vec::new(),
             label_seq: 0,
+            provided: Vec::new(),
         }
+    }
+
+    /// Register a block's array stream under `name`, and log it so the
+    /// block's lowering can report what it registered.
+    pub fn provide(&mut self, name: impl Into<String>, p: Provider) {
+        let name = name.into();
+        self.providers.insert(name.clone(), p);
+        self.provided.push((name, p));
+    }
+
+    /// The streams registered through [`Compiler::provide`] since the
+    /// last call, in registration order.
+    pub fn take_provided(&mut self) -> Vec<(String, Provider)> {
+        std::mem::take(&mut self.provided)
     }
 
     /// Unique label with a readable prefix.
@@ -94,10 +112,10 @@ impl Compiler {
         format!("{prefix}.{}", self.label_seq)
     }
 
-    /// Current value of the unique-label counter. Part of the lowering
-    /// state an incremental compiler must key and restore: labels embed
-    /// the counter, so replaying a cached block region only reproduces
-    /// the cold compile bit-for-bit if the counter advances identically.
+    /// Current value of the unique-label counter. Labels embed it, so an
+    /// incremental compiler replaying a cached block region renumbers the
+    /// region's labels from the counter's current value and advances the
+    /// counter by as many numbers as the cold lowering drew.
     pub fn label_seq(&self) -> u32 {
         self.label_seq
     }

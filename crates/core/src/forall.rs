@@ -37,7 +37,6 @@ pub fn compile_forall(
     b.c.g.set_provenance(src.body);
     let out = b.compile(&simplify(&f.body))?;
     let node = b.materialize(out);
-    c.providers
-        .insert(name.to_string(), Provider { node, lo, hi });
+    c.provide(name, Provider { node, lo, hi });
     Ok(node)
 }

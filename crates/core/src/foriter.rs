@@ -68,8 +68,7 @@ pub fn compile_foriter(
     // disguise: initial element merged with an unconditional step stream.
     if !uses_feedback {
         let node = compile_straight(c, name, pfi, &step, init, n)?;
-        c.providers
-            .insert(name.to_string(), Provider { node, lo: r, hi });
+        c.provide(name, Provider { node, lo: r, hi });
         return Ok((node, UsedScheme::Straight));
     }
 
@@ -100,8 +99,7 @@ pub fn compile_foriter(
             UsedScheme::Todd,
         )
     };
-    c.providers
-        .insert(name.to_string(), Provider { node, lo: r, hi });
+    c.provide(name, Provider { node, lo: r, hi });
     Ok((node, used))
 }
 
@@ -204,7 +202,7 @@ fn compile_companion(
         b.compile(alpha)?
     };
     if let In::Node(node) = a_in {
-        c.providers.insert(
+        c.provide(
             a_name.clone(),
             Provider {
                 node,
@@ -218,7 +216,7 @@ fn compile_companion(
         b.compile(beta)?
     };
     if let In::Node(node) = b_in {
-        c.providers.insert(
+        c.provide(
             b_name.clone(),
             Provider {
                 node,

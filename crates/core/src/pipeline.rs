@@ -28,7 +28,7 @@ use std::fmt;
 use valpipe_ir::opcode::Opcode;
 use valpipe_ir::prov::Provenance;
 use valpipe_ir::{Graph, PortBinding};
-use valpipe_val::ast::{BlockBody, Program};
+use valpipe_val::ast::{BlockBody, BlockDecl, Program};
 use valpipe_val::deps::{BlockClass, FlowGraph};
 use valpipe_val::srcmap::{SourceMap, StmtKey};
 
@@ -197,33 +197,42 @@ pub(crate) fn lower_inputs(
     }
 }
 
-/// Lower one block to its circuit (Theorems 1–3). Returns the recurrence
-/// scheme used when the block is a for-iter.
+/// What lowering one block left in the compiler besides its cells: the
+/// recurrence scheme (for-iter blocks) and the streams it registered.
+pub(crate) struct Lowered {
+    pub scheme: Option<crate::foriter::UsedScheme>,
+    pub provided: Vec<(String, Provider)>,
+}
+
+/// Lower one block to its circuit (Theorems 1–3).
 pub(crate) fn lower_block(
     c: &mut Compiler,
     opts: &CompileOptions,
-    prog: &Program,
+    decl: &BlockDecl,
     block: &valpipe_val::deps::BlockNode,
     src_ids: &HashMap<StmtKey, u32>,
-) -> Result<Option<crate::foriter::UsedScheme>, CompileError> {
-    let decl = prog
-        .block(&block.name)
-        .ok_or_else(|| CompileError::Internal(format!("missing block '{}'", block.name)))?;
-    let bp = block_prov(prog, &block.name, src_ids);
-    match (&block.class, &decl.body) {
+) -> Result<Lowered, CompileError> {
+    let bp = block_prov(decl, src_ids);
+    let scheme = match (&block.class, &decl.body) {
         (BlockClass::Forall { lo, hi }, BlockBody::Forall(f)) => {
             compile_forall(c, &block.name, f, *lo, *hi, &bp)?;
-            Ok(None)
+            None
         }
         (BlockClass::ForIter(pfi), _) => {
             let (_, used) = compile_foriter(c, &block.name, pfi, opts.scheme, &bp)?;
-            Ok(Some(used))
+            Some(used)
         }
-        _ => Err(CompileError::Internal(format!(
-            "classification mismatch for block '{}'",
-            block.name
-        ))),
-    }
+        _ => {
+            return Err(CompileError::Internal(format!(
+                "classification mismatch for block '{}'",
+                block.name
+            )))
+        }
+    };
+    Ok(Lowered {
+        scheme,
+        provided: c.take_provided(),
+    })
 }
 
 /// Lower the program epilogue: output sinks (optionally through
@@ -348,7 +357,8 @@ pub(crate) fn build_prov(prog: &Program, map: &SourceMap) -> (Provenance, HashMa
 }
 
 /// Per-block provenance ids for [`compile_forall`]/[`compile_foriter`].
-pub(crate) fn block_prov(prog: &Program, name: &str, ids: &HashMap<StmtKey, u32>) -> BlockProv {
+pub(crate) fn block_prov(decl: &BlockDecl, ids: &HashMap<StmtKey, u32>) -> BlockProv {
+    let name = decl.name.as_str();
     let mut bp = BlockProv {
         header: ids
             .get(&StmtKey::BlockHeader(name.to_string()))
@@ -360,23 +370,18 @@ pub(crate) fn block_prov(prog: &Program, name: &str, ids: &HashMap<StmtKey, u32>
             .copied()
             .unwrap_or(0),
     };
-    if let Some(decl) = prog.block(name) {
-        match &decl.body {
-            BlockBody::Forall(f) => {
-                for d in &f.defs {
-                    if let Some(&id) = ids.get(&StmtKey::BlockDef(name.to_string(), d.name.clone()))
-                    {
-                        bp.defs.insert(d.name.clone(), id);
-                    }
+    match &decl.body {
+        BlockBody::Forall(f) => {
+            for d in &f.defs {
+                if let Some(&id) = ids.get(&StmtKey::BlockDef(name.to_string(), d.name.clone())) {
+                    bp.defs.insert(d.name.clone(), id);
                 }
             }
-            BlockBody::ForIter(fi) => {
-                for d in &fi.inits {
-                    if let Some(&id) =
-                        ids.get(&StmtKey::BlockInit(name.to_string(), d.name.clone()))
-                    {
-                        bp.defs.insert(d.name.clone(), id);
-                    }
+        }
+        BlockBody::ForIter(fi) => {
+            for d in &fi.inits {
+                if let Some(&id) = ids.get(&StmtKey::BlockInit(name.to_string(), d.name.clone())) {
+                    bp.defs.insert(d.name.clone(), id);
                 }
             }
         }

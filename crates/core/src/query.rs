@@ -38,18 +38,33 @@
 //! * per-statement parses are cached with **relative** spans and rebased
 //!   to the statement's current position, so cached parse trees are
 //!   position-independent;
-//! * per-block type checks are keyed by the flattened block **and** a
-//!   canonical rendering of the typing environment; cached type errors
-//!   carry no source location — the location is attached at use time
-//!   from the current source map;
-//! * per-block lowered regions ([`valpipe_ir::GraphDelta`]) are keyed by
-//!   the typed block, the lowering options, the parameter bindings, the
-//!   upstream providers, the provenance ids, and the exact node/arc/label
-//!   counters they were captured at, so a splice is a verbatim replay;
+//! * per-block queries are keyed by what the block reads, not by the
+//!   program around it (the paper's Theorem 4 composes a program from
+//!   per-block graphs over the flow-dependency graph, so a block's code
+//!   depends only on the blocks it reads). The **typed** key is the
+//!   flattened block plus the types bound to the names it mentions
+//!   ([`valpipe_val::deps::block_names`]); cached type errors carry no
+//!   source location — it is attached at use time from the current
+//!   source map;
+//! * the per-block **analyze** key extends the typed key with the
+//!   block's [`valpipe_val::deps::BlockScope`]: the values of the
+//!   parameters it mentions and the ranges of the arrays it reads;
+//! * the per-block lowered **region** ([`valpipe_ir::GraphDelta`]) key
+//!   extends the analyze key with the lowering options, the block's
+//!   provenance ids and each *direct* provider's name, aliasing (the
+//!   index of the first direct provider sharing its cell) and range.
+//!   Deltas are position-independent — local cell ids, relative arc ids
+//!   and label numbers, providers named by position — and are rebased
+//!   at splice, so an edit that changes one block's cell count does not
+//!   miss any other block's region (provenance ids stay absolute, so an
+//!   edit that adds or removes a statement re-keys the blocks after it);
 //! * balance solutions are keyed by the full constraint-problem
 //!   structure; the solvers are deterministic, so an equal problem has an
 //!   equal solution;
 //! * the machine listing is keyed by the full balanced listing.
+//!
+//! Building a block's keys therefore costs O(block), cold or warm;
+//! [`QueryStats::key_bytes`] counts the bytes built per table.
 //!
 //! Any irregularity (a statement the splitter cannot carve, a corrupt
 //! disk-cache file) falls back to the cold path — never a panic, never a
@@ -70,19 +85,22 @@ use crate::pipeline::{
 };
 use crate::program::{CompileStats, Compiled};
 use std::collections::HashMap;
+use std::convert::Infallible;
 use std::fmt::Write as _;
 use std::path::{Path, PathBuf};
 use std::time::Instant;
 use valpipe_balance::{problem, solve, BalanceMode, BalanceSolution};
 use valpipe_ir::opcode::Opcode;
 use valpipe_ir::prov::Span;
-use valpipe_ir::region::GraphDelta;
+use valpipe_ir::region::{Frame, GraphDelta, Mark};
 use valpipe_ir::validate::validate;
 use valpipe_ir::value::Value;
 use valpipe_ir::NodeId;
 use valpipe_util::{checksum64, Json};
 use valpipe_val::ast::{BlockDecl, Program};
-use valpipe_val::deps::analyze;
+use valpipe_val::deps::{
+    analyze_block, analyze_with, block_names, AnalyzeError, BlockNode, FlowGraph,
+};
 use valpipe_val::fold::Bindings;
 use valpipe_val::parser::{
     parse_program_mapped_limited, parse_stmt_mapped, split_statements, ParseErrorKind, TopStmt,
@@ -104,12 +122,16 @@ pub struct QueryStats {
     pub parse: (usize, usize),
     /// Per-block type-check queries.
     pub typed: (usize, usize),
+    /// Per-block flow-analysis queries.
+    pub analyze: (usize, usize),
     /// Per-block lowered-region queries.
     pub region: (usize, usize),
     /// Balance-solution queries.
     pub balance: (usize, usize),
     /// Machine-listing queries.
     pub machine: (usize, usize),
+    /// Memo-key bytes built this run, per table.
+    pub key_bytes: KeyBytes,
     /// Whether this run abandoned statement splitting and re-parsed the
     /// whole file (malformed source, or a statement failed in isolation).
     pub full_parse_fallbacks: usize,
@@ -117,15 +139,50 @@ pub struct QueryStats {
     pub disk_entries_loaded: usize,
 }
 
+/// Bytes of memo keys built in one run, per query table.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct KeyBytes {
+    /// Per-statement parse keys.
+    pub parse: usize,
+    /// Per-block type-check keys.
+    pub typed: usize,
+    /// Per-block flow-analysis keys.
+    pub analyze: usize,
+    /// Per-block region keys.
+    pub region: usize,
+    /// Balance-problem keys.
+    pub balance: usize,
+    /// Machine-listing keys.
+    pub machine: usize,
+}
+
+impl KeyBytes {
+    /// All tables together.
+    pub fn total(&self) -> usize {
+        self.parse + self.typed + self.analyze + self.region + self.balance + self.machine
+    }
+}
+
 impl QueryStats {
+    fn tables(&self) -> [(usize, usize); 6] {
+        [
+            self.parse,
+            self.typed,
+            self.analyze,
+            self.region,
+            self.balance,
+            self.machine,
+        ]
+    }
+
     /// Total queries posed this run.
     pub fn total(&self) -> usize {
-        self.parse.0 + self.typed.0 + self.region.0 + self.balance.0 + self.machine.0
+        self.tables().iter().map(|t| t.0).sum()
     }
 
     /// Queries that executed (missed the memo) this run.
     pub fn executed(&self) -> usize {
-        self.parse.1 + self.typed.1 + self.region.1 + self.balance.1 + self.machine.1
+        self.tables().iter().map(|t| t.1).sum()
     }
 
     /// Queries answered from the memo this run.
@@ -135,9 +192,11 @@ impl QueryStats {
 
     /// One-line human rendering (for `--incremental` stderr reporting).
     pub fn render(&self) -> String {
+        let k = &self.key_bytes;
         format!(
             "queries: {} total, {} executed, {} cached \
-             (parse {}/{}, typed {}/{}, region {}/{}, balance {}/{}, machine {}/{}){}{}",
+             (parse {}/{}, typed {}/{}, analyze {}/{}, region {}/{}, balance {}/{}, machine {}/{}); \
+             key bytes {} (parse {}, typed {}, analyze {}, region {}, balance {}, machine {}){}{}",
             self.total(),
             self.executed(),
             self.hits(),
@@ -145,12 +204,21 @@ impl QueryStats {
             self.parse.0,
             self.typed.1,
             self.typed.0,
+            self.analyze.1,
+            self.analyze.0,
             self.region.1,
             self.region.0,
             self.balance.1,
             self.balance.0,
             self.machine.1,
             self.machine.0,
+            k.total(),
+            k.parse,
+            k.typed,
+            k.analyze,
+            k.region,
+            k.balance,
+            k.machine,
             if self.full_parse_fallbacks > 0 {
                 " [full-parse fallback]"
             } else {
@@ -166,17 +234,15 @@ impl QueryStats {
 }
 
 /// Cached result of lowering one block: the graph region it appended plus
-/// every other piece of compiler state the block's lowering touched.
+/// every other piece of compiler state the block's lowering touched, all
+/// in the delta's local cell ids (see [`valpipe_ir::region`]).
 #[derive(Debug, Clone, PartialEq)]
 struct RegionEntry {
     delta: GraphDelta,
-    /// Providers the block registered (its own output stream), sorted by
-    /// name for determinism.
+    /// Streams the block registered, in registration order.
     providers: Vec<(String, Provider)>,
     /// Balance anchors the block appended.
     anchors: Vec<(NodeId, i64)>,
-    /// Unique-label counter after the block lowered.
-    label_seq: u32,
     /// Recurrence scheme used (for-iter blocks only).
     scheme: Option<UsedScheme>,
 }
@@ -187,6 +253,33 @@ struct RegionEntry {
 struct Memo<V> {
     value: V,
     gen: u64,
+}
+
+/// Look `key` up in `table`, refreshing a hit's generation; on a miss run
+/// the query and memoize its value unless it fails. `count` tallies
+/// (posed, executed).
+fn answer<V: Clone, E>(
+    table: &mut HashMap<String, Memo<V>>,
+    gen: u64,
+    count: &mut (usize, usize),
+    key: &str,
+    run: impl FnOnce() -> Result<V, E>,
+) -> Result<V, E> {
+    count.0 += 1;
+    if let Some(hit) = table.get_mut(key) {
+        hit.gen = gen;
+        return Ok(hit.value.clone());
+    }
+    count.1 += 1;
+    let value = run()?;
+    table.insert(
+        key.to_string(),
+        Memo {
+            value: value.clone(),
+            gen,
+        },
+    );
+    Ok(value)
 }
 
 /// A parsed statement with its statement-relative spans.
@@ -208,6 +301,7 @@ const DEFAULT_MEMO_CAP: usize = 16_384;
 pub struct QueryEngine {
     parse_memo: HashMap<String, Memo<ParsedStmt>>,
     typed_memo: HashMap<String, Memo<Result<BlockDecl, TypeError>>>,
+    analyze_memo: HashMap<String, Memo<Result<BlockNode, AnalyzeError>>>,
     region_memo: HashMap<String, Memo<RegionEntry>>,
     balance_memo: HashMap<String, Memo<BalanceSolution>>,
     machine_memo: HashMap<String, Memo<String>>,
@@ -227,6 +321,7 @@ impl Default for QueryEngine {
         QueryEngine {
             parse_memo: HashMap::new(),
             typed_memo: HashMap::new(),
+            analyze_memo: HashMap::new(),
             region_memo: HashMap::new(),
             balance_memo: HashMap::new(),
             machine_memo: HashMap::new(),
@@ -346,6 +441,7 @@ impl QueryEngine {
         let cap = self.memo_cap;
         trim(&mut self.parse_memo, cap);
         trim(&mut self.typed_memo, cap);
+        trim(&mut self.analyze_memo, cap);
         trim(&mut self.region_memo, cap);
         trim(&mut self.balance_memo, cap);
         trim(&mut self.machine_memo, cap);
@@ -382,31 +478,18 @@ impl QueryEngine {
         for s in &stmts {
             let text = &src[s.start..s.end];
             let key = format!("parse|{max_depth}|{text}");
-            self.stats.parse.0 += 1;
-            let (stmt, rel) = match self.parse_memo.get_mut(&key) {
-                Some(hit) => {
-                    hit.gen = gen;
-                    hit.value.clone()
-                }
-                None => {
-                    self.stats.parse.1 += 1;
-                    match parse_stmt_mapped(text, max_depth) {
-                        Ok(v) => {
-                            self.parse_memo.insert(
-                                key,
-                                Memo {
-                                    value: v.clone(),
-                                    gen,
-                                },
-                            );
-                            v
-                        }
-                        // A statement that fails in isolation gets its
-                        // authoritative diagnostic from the whole-program
-                        // parser (absolute positions, identical wording).
-                        Err(_) => return full(&mut self.stats),
-                    }
-                }
+            self.stats.key_bytes.parse += key.len();
+            // A statement that fails in isolation gets its authoritative
+            // diagnostic from the whole-program parser (absolute
+            // positions, identical wording).
+            let Ok((stmt, rel)) = answer(
+                &mut self.parse_memo,
+                gen,
+                &mut self.stats.parse,
+                &key,
+                || parse_stmt_mapped(text, max_depth),
+            ) else {
+                return full(&mut self.stats);
             };
             for (k, sp) in rel {
                 map.record(k, rebase(sp, s.start as u32, s.line, s.col));
@@ -496,8 +579,8 @@ impl QueryEngine {
         let (prog, dims) = pass!("flatten", &empty, {
             valpipe_val::dims::flatten_program(prog0).map_err(CompileError::Unsupported)?
         });
-        let prog = pass!("typecheck", &empty, self.typecheck(&prog, map)?);
-        let flow = pass!("analyze", &empty, analyze(&prog)?);
+        let (prog, typed_keys) = pass!("typecheck", &empty, self.typecheck(&prog, map)?);
+        let (flow, block_keys) = pass!("analyze", &empty, self.analyze(&prog, typed_keys)?);
         let (prov, src_ids) = build_prov(&prog, map);
 
         if emit.contains(&Stage::Typed) {
@@ -509,27 +592,19 @@ impl QueryEngine {
         for (n, v) in &prog.params {
             params.insert(n.clone(), Value::Int(*v));
         }
-        let params_fp = fp(&format!("{:?}", prog.params));
         let mut c = Compiler::new(params);
         let mut cstats = CompileStats::default();
 
         pass!("lower", &c.g, {
             lower_inputs(&mut c, opts, &flow, &src_ids);
             let live = live_blocks(&flow, &prog.outputs);
-            for block in &flow.blocks {
+            let blocks = flow.blocks.iter().zip(&prog.blocks).zip(block_keys);
+            for ((block, decl), key) in blocks {
                 if !opts.keep_dead_blocks && !live.contains(&block.name) {
                     cstats.dead_blocks.push(block.name.clone());
                     continue;
                 }
-                self.lower_block_query(
-                    &mut c,
-                    &mut cstats,
-                    opts,
-                    &prog,
-                    block,
-                    &src_ids,
-                    params_fp,
-                )?;
+                self.lower_block_query(&mut c, &mut cstats, opts, decl, block, &src_ids, key)?;
             }
             lower_epilogue(&mut c, opts, &prog, &src_ids)?;
         });
@@ -624,29 +699,16 @@ impl QueryEngine {
 
         // ---- BalancedIr → MachineProgram -------------------------------
         if emit.contains(&Stage::Machine) {
-            self.stats.machine.0 += 1;
             let balanced_listing = dump_graph(&compiled.graph, &compiled.prov);
             let key = format!("machine|{balanced_listing}");
-            let gen = self.gen;
-            let listing = match self.machine_memo.get_mut(&key) {
-                Some(hit) => {
-                    hit.gen = gen;
-                    hit.value.clone()
-                }
-                None => {
-                    self.stats.machine.1 += 1;
-                    let g = compiled.executable();
-                    let text = dump_graph(&g, &compiled.prov);
-                    self.machine_memo.insert(
-                        key,
-                        Memo {
-                            value: text.clone(),
-                            gen,
-                        },
-                    );
-                    text
-                }
-            };
+            self.stats.key_bytes.machine += key.len();
+            let Ok(listing) = answer(
+                &mut self.machine_memo,
+                self.gen,
+                &mut self.stats.machine,
+                &key,
+                || Ok::<_, Infallible>(dump_graph(&compiled.executable(), &compiled.prov)),
+            );
             dumps.push((Stage::Machine, listing));
         }
 
@@ -660,39 +722,39 @@ impl QueryEngine {
         })
     }
 
-    // ---- typed queries ---------------------------------------------------
+    // ---- typed and analyze queries ---------------------------------------
 
     /// Per-block replication of `check_program_mapped`: same environment
     /// evolution, same first-error-wins order, same output check. Cached
     /// type errors are stored location-free and resolved against the
-    /// current source map at use time.
-    fn typecheck(&mut self, prog: &Program, map: &SourceMap) -> Result<Program, CompileError> {
+    /// current source map at use time. Returns the checked program and
+    /// each block's typed key, which the analyze and region keys extend.
+    fn typecheck(
+        &mut self,
+        prog: &Program,
+        map: &SourceMap,
+    ) -> Result<(Program, Vec<String>), CompileError> {
         let mut env = program_prelude_env(prog).map_err(|e| attach_loc(e, map))?;
-        let mut out = prog.clone();
-        let gen = self.gen;
-        for (bi, block) in prog.blocks.iter().enumerate() {
-            let key = format!("typed|{:?}|{}", block, env.canonical());
-            self.stats.typed.0 += 1;
-            let checked = match self.typed_memo.get_mut(&key) {
-                Some(hit) => {
-                    hit.gen = gen;
-                    hit.value.clone()
+        let mut blocks = Vec::with_capacity(prog.blocks.len());
+        let mut keys = Vec::with_capacity(prog.blocks.len());
+        for block in &prog.blocks {
+            let mut key = format!("typed|{block:?}|");
+            for name in block_names(block) {
+                if let Some(ty) = env.get(&name) {
+                    let _ = write!(key, "{name}:{ty};");
                 }
-                None => {
-                    self.stats.typed.1 += 1;
-                    let r = check_block(block, &env);
-                    self.typed_memo.insert(
-                        key,
-                        Memo {
-                            value: r.clone(),
-                            gen,
-                        },
-                    );
-                    r
-                }
-            };
-            out.blocks[bi] = checked.map_err(|e| attach_loc(e, map))?;
+            }
+            self.stats.key_bytes.typed += key.len();
+            let Ok(checked) = answer(
+                &mut self.typed_memo,
+                self.gen,
+                &mut self.stats.typed,
+                &key,
+                || Ok::<_, Infallible>(check_block(block, &env)),
+            );
+            blocks.push(checked.map_err(|e| attach_loc(e, map))?);
             env.bind(&block.name, block.ty.clone());
+            keys.push(key);
         }
         for o in &prog.outputs {
             if env.get(o).is_none() {
@@ -708,70 +770,112 @@ impl QueryEngine {
                 .into());
             }
         }
-        Ok(out)
+        let prog = Program {
+            params: prog.params.clone(),
+            inputs: prog.inputs.clone(),
+            blocks,
+            outputs: prog.outputs.clone(),
+        };
+        Ok((prog, keys))
+    }
+
+    /// The flow analysis with each block's step answered per block, keyed
+    /// by its typed key (which determines the checked block) plus its
+    /// [`valpipe_val::deps::BlockScope`]. Returns the flow graph and each
+    /// block's analyze key, which the region key extends.
+    fn analyze(
+        &mut self,
+        prog: &Program,
+        mut keys: Vec<String>,
+    ) -> Result<(FlowGraph, Vec<String>), CompileError> {
+        let (memo, stats, gen) = (&mut self.analyze_memo, &mut self.stats, self.gen);
+        let mut bi = 0;
+        let flow = analyze_with(prog, |block, scope| {
+            let key = &mut keys[bi];
+            bi += 1;
+            let _ = write!(key, "|analyze|{scope:?}");
+            stats.key_bytes.analyze += key.len();
+            let Ok(node) = answer(memo, gen, &mut stats.analyze, key, || {
+                Ok::<_, Infallible>(analyze_block(block, scope))
+            });
+            node
+        })?;
+        Ok((flow, keys))
     }
 
     // ---- region queries --------------------------------------------------
 
-    /// Lower one block, answering from the region memo when every input —
-    /// the typed block, the classification, the options, the parameters,
-    /// the upstream providers, the provenance ids, and the exact
-    /// node/arc/label counters — is unchanged. A memo hit splices the
-    /// cached region verbatim; a miss lowers cold and captures the delta.
+    /// Lower one block, answering from the region memo when its key — the
+    /// block's analyze key, the lowering options, its provenance ids and
+    /// its direct providers' names, aliasing and ranges — is unchanged. A
+    /// memo hit splices the cached region at the graph's end, wired to
+    /// the providers' current cells; a miss lowers cold and captures the
+    /// delta.
     #[allow(clippy::too_many_arguments)]
     fn lower_block_query(
         &mut self,
         c: &mut Compiler,
         cstats: &mut CompileStats,
         opts: &CompileOptions,
-        prog: &Program,
-        block: &valpipe_val::deps::BlockNode,
+        decl: &BlockDecl,
+        block: &BlockNode,
         src_ids: &HashMap<StmtKey, u32>,
-        params_fp: u64,
+        mut key: String,
     ) -> Result<(), CompileError> {
-        let decl = prog.block(&block.name);
-        let bp = block_prov(prog, &block.name, src_ids);
-        let node_base = c.g.nodes.len() as u32;
-        let arc_base = c.g.arcs.len() as u32;
-
-        let mut key_src = String::new();
+        let bp = block_prov(decl, src_ids);
         let _ = write!(
-            key_src,
-            "region|{:?}|decl:{decl:?}|scheme:{:?}|am:{}|params:{params_fp:016x}\
-             |nb:{node_base}|ab:{arc_base}|ls:{}|bp:{}:{}:",
-            block,
-            opts.scheme,
-            opts.am_boundary,
-            c.label_seq(),
-            bp.header,
-            bp.body,
+            key,
+            "|region|scheme:{:?}|am:{}|bp:{}:{}:",
+            opts.scheme, opts.am_boundary, bp.header, bp.body,
         );
         let mut defs: Vec<_> = bp.defs.iter().collect();
         defs.sort();
         for (name, id) in defs {
-            let _ = write!(key_src, "{name}={id},");
+            let _ = write!(key, "{name}={id},");
         }
-        let mut provs: Vec<_> = c.providers.iter().collect();
-        provs.sort_by(|a, b| a.0.cmp(b.0));
-        for (name, p) in provs {
-            let _ = write!(key_src, "|{name}:n{}:{}..{}", p.node.0, p.lo, p.hi);
+        // The direct providers, in name order (`consumes` is sorted): the
+        // region's external cells. A provider sharing a cell with an
+        // earlier one is keyed by that one's index.
+        let mut ext: Vec<NodeId> = Vec::new();
+        let mut prev: Option<&str> = None;
+        for (name, _) in &block.consumes {
+            if prev == Some(name.as_str()) {
+                continue;
+            }
+            prev = Some(name);
+            match c.providers.get(name) {
+                Some(p) => {
+                    let alias = ext.iter().position(|&n| n == p.node).unwrap_or(ext.len());
+                    let _ = write!(key, "|{name}:{alias}:{}..{}", p.lo, p.hi);
+                    ext.push(p.node);
+                }
+                None => {
+                    let _ = write!(key, "|{name}:-");
+                }
+            }
         }
-        let key = key_src;
-        let gen = self.gen;
-
+        self.stats.key_bytes.region += key.len();
         self.stats.region.0 += 1;
+        let mark = Mark::of(&c.g, c.label_seq());
+        let frame = Frame {
+            base: mark.nodes,
+            ext: &ext,
+        };
+
         if let Some(hit) = self.region_memo.get_mut(&key) {
-            hit.gen = gen;
-            let entry = hit.value.clone();
+            hit.gen = self.gen;
+            let entry = &hit.value;
             entry
                 .delta
-                .splice(&mut c.g)
+                .splice(&mut c.g, mark.labels, &ext)
                 .map_err(CompileError::Internal)?;
             for (name, p) in &entry.providers {
-                c.providers.insert(name.clone(), *p);
+                let node = frame.global(p.node);
+                c.providers.insert(name.clone(), Provider { node, ..*p });
             }
-            c.anchors.extend(entry.anchors.iter().copied());
-            c.set_label_seq(entry.label_seq);
+            c.anchors
+                .extend(entry.anchors.iter().map(|&(n, w)| (frame.global(n), w)));
+            c.set_label_seq(mark.labels + entry.delta.labels);
             if let Some(used) = entry.scheme {
                 cstats.schemes.insert(block.name.clone(), used);
             }
@@ -780,29 +884,42 @@ impl QueryEngine {
 
         self.stats.region.1 += 1;
         let anchors_base = c.anchors.len();
-        let providers_before = c.providers.clone();
-        let used = lower_block(c, opts, prog, block, src_ids)?;
-        if let Some(u) = used {
+        let lowered = lower_block(c, opts, decl, block, src_ids)?;
+        if let Some(u) = lowered.scheme {
             cstats.schemes.insert(block.name.clone(), u);
         }
-        let mut added: Vec<(String, Provider)> = c
-            .providers
-            .iter()
-            .filter(|(k, v)| providers_before.get(*k) != Some(v))
-            .map(|(k, v)| (k.clone(), *v))
-            .collect();
-        added.sort_by(|a, b| a.0.cmp(&b.0));
+        let internal = |e: String| CompileError::Internal(format!("block '{}': {e}", block.name));
+        let local = |n: NodeId| {
+            frame
+                .local(n)
+                .ok_or_else(|| internal(format!("cell {} is outside the region", n.0)))
+        };
+        let entry = RegionEntry {
+            delta: GraphDelta::capture(&c.g, mark, c.label_seq(), &ext).map_err(internal)?,
+            providers: lowered
+                .provided
+                .into_iter()
+                .map(|(name, p)| {
+                    Ok((
+                        name,
+                        Provider {
+                            node: local(p.node)?,
+                            ..p
+                        },
+                    ))
+                })
+                .collect::<Result<_, CompileError>>()?,
+            anchors: c.anchors[anchors_base..]
+                .iter()
+                .map(|&(n, w)| Ok((local(n)?, w)))
+                .collect::<Result<_, CompileError>>()?,
+            scheme: lowered.scheme,
+        };
         self.region_memo.insert(
             key,
             Memo {
-                value: RegionEntry {
-                    delta: GraphDelta::capture(&c.g, node_base, arc_base),
-                    providers: added,
-                    anchors: c.anchors[anchors_base..].to_vec(),
-                    label_seq: c.label_seq(),
-                    scheme: used,
-                },
-                gen,
+                value: entry,
+                gen: self.gen,
             },
         );
         self.dirty = true;
@@ -832,26 +949,22 @@ impl QueryEngine {
             );
         }
         let key = key_src;
-        let gen = self.gen;
-        self.stats.balance.0 += 1;
-        if let Some(hit) = self.balance_memo.get_mut(&key) {
-            hit.gen = gen;
-            return Ok(hit.value.clone());
-        }
-        self.stats.balance.1 += 1;
-        let sol = solve::solve(p, mode)
-            .map_err(|e| CompileError::Internal(format!("balance solver: {e}")))?
-            .ok_or_else(|| {
-                CompileError::Internal("balance pass entered with BalanceMode::None".into())
-            })?;
-        self.balance_memo.insert(
-            key,
-            Memo {
-                value: sol.clone(),
-                gen,
+        self.stats.key_bytes.balance += key.len();
+        let executed = self.stats.balance.1;
+        let sol = answer(
+            &mut self.balance_memo,
+            self.gen,
+            &mut self.stats.balance,
+            &key,
+            || {
+                solve::solve(p, mode)
+                    .map_err(|e| CompileError::Internal(format!("balance solver: {e}")))?
+                    .ok_or_else(|| {
+                        CompileError::Internal("balance pass entered with BalanceMode::None".into())
+                    })
             },
-        );
-        self.dirty = true;
+        )?;
+        self.dirty |= self.stats.balance.1 > executed;
         Ok(sol)
     }
 
@@ -980,9 +1093,11 @@ fn cache_file(dir: &Path, key: u64) -> PathBuf {
 }
 
 const CACHE_MAGIC: &[u8; 4] = b"VPQC";
-/// v2: entries key by full canonical key string (v1 keyed by 64-bit
-/// fingerprint, which cannot be verified on hit).
-const CACHE_VERSION: u32 = 2;
+/// v3: position-independent region deltas (local cell ids, relative arc
+/// ids and label numbers) under per-block keys. v2 regions were
+/// positional; v1 keyed entries by a 64-bit fingerprint, which cannot be
+/// verified on hit.
+const CACHE_VERSION: u32 = 3;
 
 /// Envelope: magic, version, payload checksum, payload.
 fn seal_envelope(payload: &[u8]) -> Vec<u8> {
@@ -1058,7 +1173,6 @@ fn region_entry_to_json(key: &str, e: &RegionEntry) -> Json {
                     .collect(),
             ),
         ),
-        ("label_seq", Json::Int(e.label_seq as i64)),
         (
             "scheme",
             match e.scheme {
@@ -1072,6 +1186,12 @@ fn region_entry_to_json(key: &str, e: &RegionEntry) -> Json {
 fn region_entry_from_json(j: &Json) -> Option<(String, RegionEntry)> {
     let key = j.get("key")?.as_str()?.to_string();
     let delta = GraphDelta::from_json(j.get("delta")?).ok()?;
+    // Every cell the entry names must be one of the delta's local ids.
+    let cells = delta.ext as usize + delta.nodes.len();
+    let cell = |v: &Json| {
+        let n = usize::try_from(v.as_i64()?).ok().filter(|&n| n < cells)?;
+        Some(NodeId(n as u32))
+    };
     let Json::Arr(ps) = j.get("providers")? else {
         return None;
     };
@@ -1080,7 +1200,7 @@ fn region_entry_from_json(j: &Json) -> Option<(String, RegionEntry)> {
         providers.push((
             p.get("name")?.as_str()?.to_string(),
             Provider {
-                node: NodeId(p.get("node")?.as_i64()? as u32),
+                node: cell(p.get("node")?)?,
                 lo: p.get("lo")?.as_i64()?,
                 hi: p.get("hi")?.as_i64()?,
             },
@@ -1094,7 +1214,7 @@ fn region_entry_from_json(j: &Json) -> Option<(String, RegionEntry)> {
     }
     let anchors = ans
         .chunks(2)
-        .map(|c| Some((NodeId(c[0].as_i64()? as u32), c[1].as_i64()?)))
+        .map(|c| Some((cell(&c[0])?, c[1].as_i64()?)))
         .collect::<Option<Vec<_>>>()?;
     let scheme = match j.get("scheme")? {
         Json::Null => None,
@@ -1107,7 +1227,6 @@ fn region_entry_from_json(j: &Json) -> Option<(String, RegionEntry)> {
             delta,
             providers,
             anchors,
-            label_seq: j.get("label_seq")?.as_i64()? as u32,
             scheme,
         },
     ))
@@ -1272,6 +1391,7 @@ mod tests {
         let s = e.stats();
         assert_eq!(s.parse.1, 1, "only the edited statement re-parses");
         assert_eq!(s.typed.1, 1, "only the edited block re-checks");
+        assert_eq!(s.analyze.1, 1, "only the edited block re-analyzes");
         assert_eq!(s.region.1, 1, "only the edited block re-lowers");
         assert_eq!(
             s.balance.1, 0,
@@ -1425,6 +1545,120 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
     }
 
+    /// The 1-D stencil chain of the scaling workloads: `blocks` blocks,
+    /// each reading its predecessor at offsets -1 and +1.
+    fn chain_src(blocks: usize) -> String {
+        let mut s = format!(
+            "param m = {};\ninput S0 : array[real] [0, m+1];\n",
+            2 * blocks + 16
+        );
+        for k in 1..=blocks {
+            let _ = writeln!(
+                s,
+                "S{k} : array[real] := forall i in [{k}, m+1-{k}] construct 0.5 * (S{p}[i-1] + S{p}[i+1]) endall;",
+                p = k - 1
+            );
+        }
+        let _ = writeln!(s, "output S{blocks};");
+        s
+    }
+
+    #[test]
+    fn key_bytes_per_block_do_not_grow_with_the_program() {
+        let per_block = |blocks: usize| {
+            let mut e = QueryEngine::new();
+            e.run_source(
+                &CompileOptions::paper(),
+                &CompileLimits::unbounded(),
+                &[],
+                &chain_src(blocks),
+                "chain.val",
+            )
+            .unwrap();
+            let k = e.stats().key_bytes;
+            assert!(k.typed > 0 && k.analyze > 0 && k.region > 0 && k.balance > 0);
+            k.total() as f64 / blocks as f64
+        };
+        let (small, large) = (per_block(50), per_block(200));
+        assert!(
+            large <= 1.25 * small,
+            "memo-key bytes per block grew from {small:.0} (50 blocks) to {large:.0} (200 blocks)"
+        );
+    }
+
+    /// Seal `payload` the way [`seal_envelope`] does, but under `version`.
+    fn seal_as(version: u32, payload: &[u8]) -> Vec<u8> {
+        let mut out = seal_envelope(payload);
+        out[4..8].copy_from_slice(&version.to_le_bytes());
+        out
+    }
+
+    #[test]
+    fn cache_files_of_version_2_are_ignored() {
+        let dir = tmp_dir("v2");
+        let reference = {
+            let mut e = QueryEngine::with_disk_cache(&dir);
+            run(&mut e, FIG3_PROGRAM)
+        };
+        let path = std::fs::read_dir(&dir)
+            .unwrap()
+            .map(|f| f.unwrap().path())
+            .find(|p| p.extension().is_some_and(|x| x == "vpqc"))
+            .unwrap();
+        // Poison every cached region under its unchanged key: a loaded
+        // entry would now splice a wrong literal.
+        fn poison(j: &mut Json) {
+            match j {
+                Json::Float(v) if *v == 0.25 => *v = 0.75,
+                Json::Arr(xs) => xs.iter_mut().for_each(poison),
+                Json::Obj(ms) => ms.iter_mut().for_each(|(_, v)| poison(v)),
+                _ => {}
+            }
+        }
+        let pristine = std::fs::read(&path).unwrap();
+        let text = std::str::from_utf8(open_envelope(&pristine).unwrap()).unwrap();
+        let mut j = Json::parse(text).unwrap();
+        let Json::Obj(root) = &mut j else {
+            panic!("cache payload is not an object")
+        };
+        for (k, regions) in root.iter_mut() {
+            let (true, Json::Arr(regions)) = (k == "regions", regions) else {
+                continue;
+            };
+            for r in regions {
+                let Json::Obj(fields) = r else {
+                    panic!("region entry")
+                };
+                for (_, d) in fields.iter_mut().filter(|(k, _)| k == "delta") {
+                    poison(d);
+                }
+            }
+        }
+        let poisoned = j.to_string();
+        assert_ne!(poisoned, text, "the regions carry Example 1's literal");
+
+        // Under the current version the poison is loaded and shows: the
+        // check below can tell a loaded file from an ignored one.
+        std::fs::write(&path, seal_as(CACHE_VERSION, poisoned.as_bytes())).unwrap();
+        let mut e = QueryEngine::with_disk_cache(&dir);
+        let stale = run(&mut e, FIG3_PROGRAM);
+        assert!(e.stats().disk_entries_loaded > 0);
+        assert_ne!(stale.dumps, reference.dumps, "the poison must be visible");
+
+        // Written by version 2, the same file is ignored: cold fallback.
+        std::fs::write(&path, seal_as(2, poisoned.as_bytes())).unwrap();
+        let mut e = QueryEngine::with_disk_cache(&dir);
+        let out = run(&mut e, FIG3_PROGRAM);
+        assert_eq!(e.stats().disk_entries_loaded, 0, "{}", e.stats().render());
+        assert_eq!(
+            e.stats().region.1,
+            e.stats().region.0,
+            "every region lowered cold"
+        );
+        assert_identical(&reference, &out);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
     #[test]
     fn malformed_source_falls_back_to_the_whole_program_parser() {
         let mut e = QueryEngine::new();
@@ -1492,7 +1726,10 @@ mod tests {
             let Ok((flat, _)) = valpipe_val::dims::flatten_program(&prog) else {
                 continue;
             };
-            match (e.typecheck(&flat, &map), check_program_mapped(&flat, &map)) {
+            match (
+                e.typecheck(&flat, &map).map(|(p, _)| p),
+                check_program_mapped(&flat, &map),
+            ) {
                 (Ok(got), Ok(want)) => assert_eq!(got, want, "{file}: typecheck diverges"),
                 (Err(CompileError::Type(got)), Err(want)) => {
                     assert_eq!(got, want, "{file}: type error diverges");

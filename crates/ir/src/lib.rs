@@ -35,5 +35,5 @@ pub use ctl::{CtlStream, Run};
 pub use graph::{ArcId, Edge, Graph, In, Node, NodeId, PortBinding};
 pub use opcode::{Opcode, GATE_CTL, GATE_DATA, MERGE_CTL, MERGE_FALSE, MERGE_TRUE};
 pub use prov::{Provenance, SourceInfo, Span};
-pub use region::GraphDelta;
+pub use region::{GraphDelta, Mark};
 pub use value::{apply_bin, apply_un, BinOp, EvalError, UnOp, Value};

@@ -244,18 +244,194 @@ fn first_out_of_range(span: (i64, i64), offset: i64, producer: (i64, i64)) -> Op
     }
 }
 
+/// Every name a block's expressions mention — as a scalar, an indexed
+/// or appended array — including its range and loop-bound expressions,
+/// sorted and deduplicated. Local bindings are not subtracted, so this is
+/// a superset of the block's free names: everything the type checker and
+/// [`analyze_block`] can look up in the program around the block. The
+/// incremental compiler keys each block's queries on the bindings of
+/// these names, not on the whole program.
+pub fn block_names(block: &BlockDecl) -> Vec<String> {
+    let mut names: Vec<String> = Vec::new();
+    let mut visit = |e: &Expr| {
+        e.walk(&mut |x| match x {
+            Expr::Var(n) | Expr::Index(n, _) | Expr::Index2(n, ..) | Expr::Append(n, ..) => {
+                names.push(n.clone())
+            }
+            _ => {}
+        })
+    };
+    match &block.body {
+        BlockBody::Forall(f) => {
+            visit(&f.range.0);
+            visit(&f.range.1);
+            if let Some((_, (lo, hi))) = &f.second {
+                visit(lo);
+                visit(hi);
+            }
+            f.defs.iter().for_each(|d| visit(&d.value));
+            visit(&f.body);
+        }
+        BlockBody::ForIter(fi) => {
+            fi.inits.iter().for_each(|d| visit(&d.value));
+            visit(&fi.body);
+        }
+    }
+    names.sort_unstable();
+    names.dedup();
+    names
+}
+
+/// What one block's analysis reads from the program around it: the
+/// parameters and the arrays (inputs and earlier blocks) among the names
+/// it mentions ([`block_names`]), each in name order.
+#[derive(Debug, Clone, Default, PartialEq)]
+pub struct BlockScope {
+    /// Mentioned parameters with their values.
+    pub params: Vec<(String, i64)>,
+    /// Mentioned arrays with their manifest ranges.
+    pub arrays: Vec<(String, (i64, i64))>,
+}
+
+/// Classify one block and range-check its accesses against the arrays in
+/// `scope`. The result depends only on `block` and `scope`.
+pub fn analyze_block(block: &BlockDecl, scope: &BlockScope) -> Result<BlockNode, AnalyzeError> {
+    let params: Bindings = scope
+        .params
+        .iter()
+        .map(|(n, v)| (n.clone(), Value::Int(*v)))
+        .collect();
+    let known: HashMap<&str, (i64, i64)> =
+        scope.arrays.iter().map(|(n, r)| (n.as_str(), *r)).collect();
+    let env = NameEnv::new(
+        None,
+        [],
+        scope.arrays.iter().map(|(n, _)| n.clone()),
+        params.clone(),
+    );
+    let fail = |violation| AnalyzeError::NotPipelinable {
+        block: block.name.clone(),
+        violation,
+    };
+
+    let (class, range, index_var, index_span, exprs): (_, _, String, (i64, i64), Vec<Expr>) =
+        match &block.body {
+            BlockBody::Forall(fa) => {
+                let pf = check_primitive_forall(fa, &env).map_err(fail)?;
+                if pf.hi < pf.lo {
+                    return Err(AnalyzeError::Other(format!(
+                        "block '{}' has empty range [{}, {}]",
+                        block.name, pf.lo, pf.hi
+                    )));
+                }
+                // Defs then body, in evaluation order, wrapped so the
+                // guard analysis sees the def conditions.
+                let mut exprs: Vec<Expr> = fa.defs.iter().map(|d| d.value.clone()).collect();
+                exprs.push(fa.body.clone());
+                (
+                    BlockClass::Forall {
+                        lo: pf.lo,
+                        hi: pf.hi,
+                    },
+                    (pf.lo, pf.hi),
+                    fa.index_var.clone(),
+                    (pf.lo, pf.hi),
+                    exprs,
+                )
+            }
+            BlockBody::ForIter(fi) => {
+                let pfi = check_primitive_foriter(fi, &env).map_err(fail)?;
+                let range = pfi.range();
+                let step = pfi.step_inlined();
+                let init = pfi.init_expr.clone();
+                let iv = pfi.index_var.clone();
+                let span = (pfi.start, pfi.bound - 1);
+                (BlockClass::ForIter(pfi), range, iv, span, vec![init, step])
+            }
+        };
+
+    // Range-check every guarded access of every constituent expression.
+    let acc_name = match &class {
+        BlockClass::ForIter(p) => Some(p.acc.clone()),
+        _ => None,
+    };
+    let mut consumes: Vec<(String, i64)> = Vec::new();
+    for e in &exprs {
+        for ga in collect_guarded(e, &index_var, &params) {
+            let producer_range = if Some(&ga.array) == acc_name.as_ref() {
+                // Self-access of the accumulator: guaranteed by the
+                // first-order check; skip.
+                continue;
+            } else {
+                match known.get(ga.array.as_str()) {
+                    Some(&r) => r,
+                    None => {
+                        return Err(AnalyzeError::Unresolved {
+                            block: block.name.clone(),
+                            array: ga.array.clone(),
+                        })
+                    }
+                }
+            };
+            // Check bounds for every index at which the access runs:
+            // both ends suffice for an unconditional access, a guarded
+            // one is checked index by index.
+            let violation = if ga.guards.is_empty() {
+                first_out_of_range(index_span, ga.offset, producer_range)
+            } else {
+                (index_span.0..=index_span.1).find(|&i| {
+                    let at = i + ga.offset;
+                    (at < producer_range.0 || at > producer_range.1)
+                        && ga.active_at(&index_var, i, &params).unwrap_or(true)
+                })
+            };
+            if let Some(at_index) = violation {
+                return Err(AnalyzeError::OutOfRange {
+                    block: block.name.clone(),
+                    array: ga.array.clone(),
+                    offset: ga.offset,
+                    at_index,
+                });
+            }
+            if !consumes.contains(&(ga.array.clone(), ga.offset)) {
+                consumes.push((ga.array.clone(), ga.offset));
+            }
+        }
+    }
+    consumes.sort();
+    Ok(BlockNode {
+        name: block.name.clone(),
+        class,
+        range,
+        consumes,
+    })
+}
+
 /// Analyze a (type-checked) program into its flow dependency graph,
 /// classifying every block and range-checking every access.
 pub fn analyze(prog: &Program) -> Result<FlowGraph, AnalyzeError> {
-    let mut params = Bindings::new();
+    analyze_with(prog, analyze_block)
+}
+
+/// [`analyze`] with the per-block step supplied by the caller, which gets
+/// each block with its [`BlockScope`] and must return what
+/// [`analyze_block`] would; the incremental compiler answers it from a
+/// memo. Blocks are visited in source order and the first error wins.
+pub fn analyze_with(
+    prog: &Program,
+    mut per_block: impl FnMut(&BlockDecl, &BlockScope) -> Result<BlockNode, AnalyzeError>,
+) -> Result<FlowGraph, AnalyzeError> {
+    let mut params: HashMap<&str, i64> = HashMap::new();
+    let mut bindings = Bindings::new();
     for (n, v) in &prog.params {
-        params.insert(n.clone(), Value::Int(*v));
+        params.insert(n, *v);
+        bindings.insert(n.clone(), Value::Int(*v));
     }
     let mut inputs = Vec::new();
     let mut known: HashMap<String, (i64, i64)> = HashMap::new();
     for d in &prog.inputs {
-        let lo = eval_manifest_int(&d.range.0, &params).map_err(AnalyzeError::Other)?;
-        let hi = eval_manifest_int(&d.range.1, &params).map_err(AnalyzeError::Other)?;
+        let lo = eval_manifest_int(&d.range.0, &bindings).map_err(AnalyzeError::Other)?;
+        let hi = eval_manifest_int(&d.range.1, &bindings).map_err(AnalyzeError::Other)?;
         if hi < lo {
             return Err(AnalyzeError::Other(format!(
                 "input '{}' has empty range [{lo}, {hi}]",
@@ -266,116 +442,28 @@ pub fn analyze(prog: &Program) -> Result<FlowGraph, AnalyzeError> {
         known.insert(d.name.clone(), (lo, hi));
     }
 
-    let mut blocks = Vec::new();
+    let mut blocks = Vec::with_capacity(prog.blocks.len());
     let mut edges = Vec::new();
     let mut edge_set: HashSet<(String, String)> = HashSet::new();
-    let mut env = NameEnv::new(None, [], known.keys().cloned(), params.clone());
     for block in &prog.blocks {
-        let fail = |violation| AnalyzeError::NotPipelinable {
-            block: block.name.clone(),
-            violation,
-        };
-
-        let (class, range, index_var, index_span, exprs): (_, _, String, (i64, i64), Vec<Expr>) =
-            match &block.body {
-                BlockBody::Forall(fa) => {
-                    let pf = check_primitive_forall(fa, &env).map_err(fail)?;
-                    if pf.hi < pf.lo {
-                        return Err(AnalyzeError::Other(format!(
-                            "block '{}' has empty range [{}, {}]",
-                            block.name, pf.lo, pf.hi
-                        )));
-                    }
-                    // Defs then body, in evaluation order, wrapped so the
-                    // guard analysis sees the def conditions.
-                    let mut exprs: Vec<Expr> = fa.defs.iter().map(|d| d.value.clone()).collect();
-                    exprs.push(fa.body.clone());
-                    (
-                        BlockClass::Forall {
-                            lo: pf.lo,
-                            hi: pf.hi,
-                        },
-                        (pf.lo, pf.hi),
-                        fa.index_var.clone(),
-                        (pf.lo, pf.hi),
-                        exprs,
-                    )
-                }
-                BlockBody::ForIter(fi) => {
-                    let pfi = check_primitive_foriter(fi, &env).map_err(fail)?;
-                    let range = pfi.range();
-                    let step = pfi.step_inlined();
-                    let init = pfi.init_expr.clone();
-                    let iv = pfi.index_var.clone();
-                    let span = (pfi.start, pfi.bound - 1);
-                    (BlockClass::ForIter(pfi), range, iv, span, vec![init, step])
-                }
-            };
-
-        // Range-check every guarded access of every constituent expression.
-        let acc_name = match &class {
-            BlockClass::ForIter(p) => Some(p.acc.clone()),
-            _ => None,
-        };
-        let mut consumes: Vec<(String, i64)> = Vec::new();
-        for e in &exprs {
-            for ga in collect_guarded(e, &index_var, &params) {
-                let producer_range = if Some(&ga.array) == acc_name.as_ref() {
-                    // Self-access of the accumulator: guaranteed by the
-                    // first-order check; skip.
-                    continue;
-                } else {
-                    match known.get(&ga.array) {
-                        Some(&r) => r,
-                        None => {
-                            return Err(AnalyzeError::Unresolved {
-                                block: block.name.clone(),
-                                array: ga.array.clone(),
-                            })
-                        }
-                    }
-                };
-                // Check bounds for every index at which the access runs:
-                // both ends suffice for an unconditional access, a guarded
-                // one is checked index by index.
-                let violation = if ga.guards.is_empty() {
-                    first_out_of_range(index_span, ga.offset, producer_range)
-                } else {
-                    (index_span.0..=index_span.1).find(|&i| {
-                        let at = i + ga.offset;
-                        (at < producer_range.0 || at > producer_range.1)
-                            && ga.active_at(&index_var, i, &params).unwrap_or(true)
-                    })
-                };
-                if let Some(at_index) = violation {
-                    return Err(AnalyzeError::OutOfRange {
-                        block: block.name.clone(),
-                        array: ga.array.clone(),
-                        offset: ga.offset,
-                        at_index,
-                    });
-                }
-                if !consumes.contains(&(ga.array.clone(), ga.offset)) {
-                    consumes.push((ga.array.clone(), ga.offset));
-                }
+        let mut scope = BlockScope::default();
+        for n in block_names(block) {
+            if let Some(&v) = params.get(n.as_str()) {
+                scope.params.push((n.clone(), v));
+            }
+            if let Some(&r) = known.get(&n) {
+                scope.arrays.push((n, r));
             }
         }
-        consumes.sort();
-        for (a, _) in &consumes {
+        let node = per_block(block, &scope)?;
+        for (a, _) in &node.consumes {
             let edge = (a.clone(), block.name.clone());
             if edge_set.insert(edge.clone()) {
                 edges.push(edge);
             }
         }
-
-        known.insert(block.name.clone(), range);
-        env.arrays.insert(block.name.clone());
-        blocks.push(BlockNode {
-            name: block.name.clone(),
-            class,
-            range,
-            consumes,
-        });
+        known.insert(block.name.clone(), node.range);
+        blocks.push(node);
     }
 
     // Outputs must resolve.

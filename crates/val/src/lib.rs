@@ -31,7 +31,10 @@ pub use classify::{
     check_primitive_expr, check_primitive_forall, check_primitive_foriter, ArrayAccess, NameEnv,
     PrimitiveForIter, Violation,
 };
-pub use deps::{analyze, AnalyzeError, BlockClass, FlowGraph};
+pub use deps::{
+    analyze, analyze_block, analyze_with, block_names, AnalyzeError, BlockClass, BlockScope,
+    FlowGraph,
+};
 pub use dims::{flatten_program, Dim2, FlattenInfo};
 pub use interp::{ArrayVal, InterpError};
 pub use linear::{companion_g, companion_tree, extract_linear, recurrence_f, LinearForm};

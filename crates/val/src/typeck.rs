@@ -80,22 +80,66 @@ impl TypeEnv {
     pub fn get(&self, name: &str) -> Option<&Type> {
         self.vars.get(name)
     }
+}
 
-    /// Deterministic rendering of the whole environment — bindings sorted
-    /// by name — for content fingerprinting. Two environments with equal
-    /// canonical forms type any expression identically, so this is a
-    /// sound cache key for per-block checking.
-    pub fn canonical(&self) -> String {
-        let mut items: Vec<_> = self.vars.iter().collect();
-        items.sort_by(|a, b| a.0.cmp(b.0));
-        let mut out = String::new();
-        for (name, ty) in items {
-            out.push_str(name);
-            out.push(':');
-            out.push_str(&ty.to_string());
-            out.push(';');
+/// A borrowed [`TypeEnv`] seen through the local bindings of the block
+/// being checked (its index variable, definitions, loop names and `let`
+/// names). Lookups try the innermost local binding first, then the
+/// enclosing environment, so checking a block never copies the
+/// program-wide environment.
+#[derive(Debug)]
+pub struct Scope<'a> {
+    outer: &'a TypeEnv,
+    locals: Vec<(String, Type)>,
+}
+
+impl<'a> Scope<'a> {
+    /// A scope with no local bindings over `outer`.
+    pub fn new(outer: &'a TypeEnv) -> Self {
+        Scope {
+            outer,
+            locals: Vec::new(),
         }
-        out
+    }
+
+    /// Bind a local name, shadowing any earlier binding of it.
+    pub fn bind(&mut self, name: &str, ty: Type) {
+        self.locals.push((name.to_string(), ty));
+    }
+
+    /// Look up a name: the innermost local binding, else the enclosing
+    /// environment's.
+    pub fn get(&self, name: &str) -> Option<&Type> {
+        match self.locals.iter().rev().find(|(n, _)| n == name) {
+            Some((_, t)) => Some(t),
+            None => self.outer.get(name),
+        }
+    }
+
+    /// Check `defs` in order, each one's value seeing the ones before it,
+    /// and leave them bound. Returns the annotated definitions.
+    fn bind_defs(&mut self, defs: &[Def]) -> Result<Vec<Def>, TypeError> {
+        let mut out = Vec::with_capacity(defs.len());
+        for d in defs {
+            let (tv, ev) = check_expr(&d.value, self)?;
+            if let Some(declared) = &d.ty {
+                let ok = declared == &tv || (declared == &Type::Real && tv == Type::Int);
+                if !ok {
+                    return err(format!(
+                        "definition '{}' declared {declared} but has type {tv}",
+                        d.name
+                    ));
+                }
+            }
+            let bound_ty = d.ty.clone().unwrap_or(tv);
+            self.bind(&d.name, bound_ty.clone());
+            out.push(Def {
+                name: d.name.clone(),
+                ty: Some(bound_ty),
+                value: ev,
+            });
+        }
+        Ok(out)
     }
 }
 
@@ -113,7 +157,7 @@ fn join_numeric(a: &Type, b: &Type) -> Option<Type> {
 /// Type-check an expression, returning its type and the (possibly
 /// rewritten) expression. `Iter` is rejected here; for-iter bodies use
 /// [`check_foriter_body`].
-pub fn check_expr(expr: &Expr, env: &TypeEnv) -> Result<(Type, Expr), TypeError> {
+pub fn check_expr(expr: &Expr, env: &mut Scope) -> Result<(Type, Expr), TypeError> {
     match expr {
         Expr::IntLit(v) => Ok((Type::Int, Expr::IntLit(*v))),
         Expr::RealLit(v) => Ok((Type::Real, Expr::RealLit(*v))),
@@ -175,28 +219,10 @@ pub fn check_expr(expr: &Expr, env: &TypeEnv) -> Result<(Type, Expr), TypeError>
             Ok((ty, Expr::if_(ec, et, ee)))
         }
         Expr::Let(defs, body) => {
-            let mut inner = env.clone();
-            let mut new_defs = Vec::with_capacity(defs.len());
-            for d in defs {
-                let (tv, ev) = check_expr(&d.value, &inner)?;
-                if let Some(declared) = &d.ty {
-                    let ok = declared == &tv || (declared == &Type::Real && tv == Type::Int);
-                    if !ok {
-                        return err(format!(
-                            "definition '{}' declared {declared} but has type {tv}",
-                            d.name
-                        ));
-                    }
-                }
-                let bound_ty = d.ty.clone().unwrap_or(tv);
-                inner.bind(&d.name, bound_ty.clone());
-                new_defs.push(Def {
-                    name: d.name.clone(),
-                    ty: Some(bound_ty),
-                    value: ev,
-                });
-            }
-            let (tb, eb) = check_expr(body, &inner)?;
+            let mark = env.locals.len();
+            let new_defs = env.bind_defs(defs)?;
+            let (tb, eb) = check_expr(body, env)?;
+            env.locals.truncate(mark);
             Ok((tb, Expr::Let(new_defs, Box::new(eb))))
         }
         Expr::Index2(name, ..) => err(format!(
@@ -258,7 +284,7 @@ fn bin_type(op: BinOp, a: &Type, b: &Type) -> Option<Type> {
 /// yields the loop result. Returns the result type and rewritten body.
 pub fn check_foriter_body(
     body: &Expr,
-    env: &TypeEnv,
+    env: &mut Scope,
     loop_vars: &HashMap<String, Type>,
 ) -> Result<(Type, Expr), TypeError> {
     match body {
@@ -310,28 +336,10 @@ pub fn check_foriter_body(
             Ok((ty, Expr::if_(ec, et, ee)))
         }
         Expr::Let(defs, inner) => {
-            let mut scoped = env.clone();
-            let mut new_defs = Vec::with_capacity(defs.len());
-            for d in defs {
-                let (tv, ev) = check_expr(&d.value, &scoped)?;
-                if let Some(declared) = &d.ty {
-                    let ok = declared == &tv || (declared == &Type::Real && tv == Type::Int);
-                    if !ok {
-                        return err(format!(
-                            "definition '{}' declared {declared} but has type {tv}",
-                            d.name
-                        ));
-                    }
-                }
-                let bound_ty = d.ty.clone().unwrap_or(tv);
-                scoped.bind(&d.name, bound_ty.clone());
-                new_defs.push(Def {
-                    name: d.name.clone(),
-                    ty: Some(bound_ty),
-                    value: ev,
-                });
-            }
-            let (ty, eb) = check_foriter_body(inner, &scoped, loop_vars)?;
+            let mark = env.locals.len();
+            let new_defs = env.bind_defs(defs)?;
+            let (ty, eb) = check_foriter_body(inner, env, loop_vars)?;
+            env.locals.truncate(mark);
             Ok((ty, Expr::Let(new_defs, Box::new(eb))))
         }
         other => check_expr(other, env),
@@ -372,8 +380,11 @@ pub fn program_prelude_env(prog: &Program) -> Result<TypeEnv, TypeError> {
 /// block/def context but no source location — callers attach one via
 /// [`attach_loc`] when they hold a [`SourceMap`].
 ///
-/// The result depends only on `block` and the bindings in `env`, which is
-/// what lets the incremental engine cache it keyed by the pair's content.
+/// The result depends only on `block` and the bindings `env` gives the
+/// names it mentions ([`crate::deps::block_names`]), which is what lets
+/// the incremental engine cache it keyed by the block and those bindings.
+/// Local bindings go to a [`Scope`] over the borrowed `env`; the
+/// program-wide environment is never copied.
 pub fn check_block(block: &BlockDecl, env: &TypeEnv) -> Result<BlockDecl, TypeError> {
     let in_block = |mut e: TypeError| {
         e.block = Some(block.name.clone());
@@ -387,7 +398,7 @@ pub fn check_block(block: &BlockDecl, env: &TypeEnv) -> Result<BlockDecl, TypeEr
     };
     let body = match &block.body {
         BlockBody::Forall(f) => {
-            let mut inner = env.clone();
+            let mut inner = Scope::new(env);
             inner.bind(&f.index_var, Type::Int);
             let mut new_defs = Vec::new();
             for d in &f.defs {
@@ -395,7 +406,7 @@ pub fn check_block(block: &BlockDecl, env: &TypeEnv) -> Result<BlockDecl, TypeEr
                     e.def = Some(d.name.clone());
                     in_block(e)
                 };
-                let (tv, ev) = check_expr(&d.value, &inner).map_err(in_def)?;
+                let (tv, ev) = check_expr(&d.value, &mut inner).map_err(in_def)?;
                 if let Some(declared) = &d.ty {
                     let ok = declared == &tv || (declared == &Type::Real && tv == Type::Int);
                     if !ok {
@@ -412,7 +423,7 @@ pub fn check_block(block: &BlockDecl, env: &TypeEnv) -> Result<BlockDecl, TypeEr
                     value: ev,
                 });
             }
-            let (tb, eb) = check_expr(&f.body, &inner).map_err(in_block)?;
+            let (tb, eb) = check_expr(&f.body, &mut inner).map_err(in_block)?;
             if tb != elem && !(elem == Type::Real && tb == Type::Int) {
                 return Err(in_block(terr(format!(
                     "accumulation has type {tb}, block declares {elem}"
@@ -425,7 +436,7 @@ pub fn check_block(block: &BlockDecl, env: &TypeEnv) -> Result<BlockDecl, TypeEr
             })
         }
         BlockBody::ForIter(fi) => {
-            let mut inner = env.clone();
+            let mut inner = Scope::new(env);
             let mut loop_vars = HashMap::new();
             let mut new_inits = Vec::new();
             for d in &fi.inits {
@@ -433,7 +444,7 @@ pub fn check_block(block: &BlockDecl, env: &TypeEnv) -> Result<BlockDecl, TypeEr
                     e.def = Some(d.name.clone());
                     in_block(e)
                 };
-                let (tv, ev) = check_expr(&d.value, &inner).map_err(in_def)?;
+                let (tv, ev) = check_expr(&d.value, &mut inner).map_err(in_def)?;
                 let bty = d.ty.clone().unwrap_or(tv);
                 inner.bind(&d.name, bty.clone());
                 loop_vars.insert(d.name.clone(), bty.clone());
@@ -443,7 +454,8 @@ pub fn check_block(block: &BlockDecl, env: &TypeEnv) -> Result<BlockDecl, TypeEr
                     value: ev,
                 });
             }
-            let (tb, eb) = check_foriter_body(&fi.body, &inner, &loop_vars).map_err(in_block)?;
+            let (tb, eb) =
+                check_foriter_body(&fi.body, &mut inner, &loop_vars).map_err(in_block)?;
             if tb != block.ty {
                 return Err(in_block(terr(format!(
                     "loop result has type {tb}, block declares {}",
@@ -521,19 +533,23 @@ mod tests {
         e
     }
 
+    fn check(src: &str, env: &TypeEnv) -> Result<(Type, Expr), TypeError> {
+        check_expr(&parse_expr(src).unwrap(), &mut Scope::new(env))
+    }
+
     #[test]
     fn arithmetic_promotion() {
         let env = env_with(&[("i", Type::Int)]);
-        let (t, _) = check_expr(&parse_expr("i + 1").unwrap(), &env).unwrap();
+        let (t, _) = check("i + 1", &env).unwrap();
         assert_eq!(t, Type::Int);
-        let (t, _) = check_expr(&parse_expr("i + 1.5").unwrap(), &env).unwrap();
+        let (t, _) = check("i + 1.5", &env).unwrap();
         assert_eq!(t, Type::Real);
     }
 
     #[test]
     fn tilde_rewritten_to_neg_on_numeric() {
         let env = env_with(&[("x", Type::Real)]);
-        let (t, e) = check_expr(&parse_expr("~(x + 1.)").unwrap(), &env).unwrap();
+        let (t, e) = check("~(x + 1.)", &env).unwrap();
         assert_eq!(t, Type::Real);
         assert!(matches!(e, Expr::Un(UnOp::Neg, _)));
     }
@@ -541,7 +557,7 @@ mod tests {
     #[test]
     fn tilde_stays_not_on_bool() {
         let env = env_with(&[("b", Type::Bool)]);
-        let (t, e) = check_expr(&parse_expr("~b").unwrap(), &env).unwrap();
+        let (t, e) = check("~b", &env).unwrap();
         assert_eq!(t, Type::Bool);
         assert!(matches!(e, Expr::Un(UnOp::Not, _)));
     }
@@ -553,27 +569,23 @@ mod tests {
             ("i", Type::Int),
             ("x", Type::Real),
         ]);
-        assert!(check_expr(&parse_expr("A[i]").unwrap(), &env).is_ok());
-        assert!(check_expr(&parse_expr("A[x]").unwrap(), &env).is_err());
-        assert!(check_expr(&parse_expr("x[i]").unwrap(), &env).is_err());
+        assert!(check("A[i]", &env).is_ok());
+        assert!(check("A[x]", &env).is_err());
+        assert!(check("x[i]", &env).is_err());
     }
 
     #[test]
     fn conditional_arm_mismatch_rejected() {
         let env = env_with(&[("b", Type::Bool)]);
-        assert!(check_expr(&parse_expr("if b then 1 else true endif").unwrap(), &env).is_err());
-        let (t, _) = check_expr(&parse_expr("if b then 1 else 2.5 endif").unwrap(), &env).unwrap();
+        assert!(check("if b then 1 else true endif", &env).is_err());
+        let (t, _) = check("if b then 1 else 2.5 endif", &env).unwrap();
         assert_eq!(t, Type::Real);
     }
 
     #[test]
     fn let_binds_and_annotates() {
         let env = env_with(&[("a", Type::Real)]);
-        let (t, e) = check_expr(
-            &parse_expr("let p := a * a in p + 1. endlet").unwrap(),
-            &env,
-        )
-        .unwrap();
+        let (t, e) = check("let p := a * a in p + 1. endlet", &env).unwrap();
         assert_eq!(t, Type::Real);
         let Expr::Let(defs, _) = e else { panic!() };
         assert_eq!(defs[0].ty, Some(Type::Real));
@@ -582,7 +594,7 @@ mod tests {
     #[test]
     fn iter_outside_loop_rejected() {
         let env = TypeEnv::new();
-        assert!(check_expr(&parse_expr("iter x := 1 enditer").unwrap(), &env).is_err());
+        assert!(check("iter x := 1 enditer", &env).is_err());
     }
 
     #[test]
