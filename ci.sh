@@ -28,11 +28,17 @@ cargo test -q --test property_kernels
 cargo test -q --test property_epochs
 
 # Smoke equivalence through the reporter CLI: the parallel kernel at two
-# workers must print the byte-identical experiment report.
+# workers must print the byte-identical experiment report, both with
+# epoch batching and with it disabled (every step then runs the
+# sequential event body).
 cargo run --release -q -p valpipe-bench --bin exp_fig2 > target/ci_fig2_seq.txt
 cargo run --release -q -p valpipe-bench --bin exp_fig2 -- --workers 2 > target/ci_fig2_par.txt
 cmp -s target/ci_fig2_seq.txt target/ci_fig2_par.txt \
     || { echo "ci: FAIL — exp_fig2 output differs under --workers 2" >&2; exit 1; }
+cargo run --release -q -p valpipe-bench --bin exp_fig2 -- --workers 2 --epoch-cap 1 \
+    > target/ci_fig2_cap1.txt
+cmp -s target/ci_fig2_seq.txt target/ci_fig2_cap1.txt \
+    || { echo "ci: FAIL — exp_fig2 output differs under --workers 2 --epoch-cap 1" >&2; exit 1; }
 grep -q 'CLAIM \[HOLDS\]' target/ci_fig2_par.txt \
     || { echo "ci: FAIL — exp_fig2 claims did not hold under --workers 2" >&2; exit 1; }
 

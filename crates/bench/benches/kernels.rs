@@ -393,8 +393,10 @@ fn main() {
 
     // 5. Epoch/shard sweep on the same grid: how the barrier-amortizing
     // horizon cap and the sharding policy shape the 4-worker kernel.
-    // cap=1 disables batching (the pre-epoch per-step kernel), and the
-    // striped policy cuts chains across shards — both honest baselines.
+    // cap=1 disables batching, so every step runs the sequential event
+    // body (the row prices the parallel kernel's epoch gate against
+    // `event1`), and the striped policy cuts chains across shards —
+    // both honest baselines.
     for policy in [ShardPolicy::Topology, ShardPolicy::Striped] {
         for cap in [1u64, 4, 16, 64] {
             let cfg = SimConfig::new()
@@ -409,8 +411,9 @@ fn main() {
             let t = median_secs(n, || {
                 let _ = drive_config(&wg, &winputs, cfg.clone());
             });
+            let sequential = if cap < 2 { "-sequential" } else { "" };
             println!(
-                "kernels/wide_grid/epoch_sweep/{}/cap{cap}   {:>10.3}ms   {:>12.0} steps/s   epochs {} (mean horizon {:.1}, {} fallbacks)",
+                "kernels/wide_grid/epoch_sweep/{}/cap{cap}{sequential}   {:>10.3}ms   {:>12.0} steps/s   epochs {} (mean horizon {:.1}, {} fallbacks)",
                 policy.as_str(),
                 t * 1e3,
                 reference.steps as f64 / t,

@@ -1,8 +1,8 @@
 //! FUZZ — differential fuzzing: random well-typed pipe programs through
-//! the interpreter oracle and the full machine matrix (3 kernels ×
-//! {Exact, FastForward} × kill-and-restore-from-snapshot), plus corrupted
-//! mutants through the never-panic check, plus byte-exact replay of the
-//! committed regression corpus in `tests/corpus/`.
+//! the interpreter oracle and the full machine matrix (3 kernels exact,
+//! scan and event under fast-forward, kill-and-restore-from-snapshot),
+//! plus corrupted mutants through the never-panic check, plus byte-exact
+//! replay of the committed regression corpus in `tests/corpus/`.
 //!
 //! Claims checked:
 //!
@@ -127,9 +127,11 @@ fn main() {
     println!();
     verdict(
         &format!(
-            "every valid generated program agrees across oracle, 6 machine legs, \
+            "every valid generated program agrees across oracle, {} machine legs, \
              and kill-restore ({}/{} pass, 0 divergences, 0 panics)",
-            report.passes, report.trials
+            valpipe_fuzz::diff::matrix().len(),
+            report.passes,
+            report.trials
         ),
         generated_findings == 0 && report.passes + report.generated_rejections == report.trials,
     );

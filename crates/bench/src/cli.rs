@@ -18,11 +18,13 @@
 //! * `--seed <n>` / `--shrink` / `--corpus <dir>` — `exp_fuzz` campaign
 //!   base seed (hex ok), delta-debug findings to minimal repros, and
 //!   where to write them;
-//! * `--workers <n>` — run the simulation on the parallel kernel with
-//!   `n` worker threads (default 1 = the sequential event kernel);
+//! * `--workers <n>` — run the simulation on the parallel kernel, which
+//!   batches epochs across `n` worker threads (default 1 = the
+//!   sequential event kernel; steps that cannot batch run the
+//!   sequential event body at any `n`);
 //! * `--epoch-cap <k>` — cap the parallel kernel's epoch length at `k`
 //!   steps per barrier handoff (see DESIGN.md §16; `1` disables epoch
-//!   batching entirely);
+//!   batching, so every step runs the sequential event body);
 //! * `--shard-policy <topology|striped>` — how the parallel kernel
 //!   assigns cells to worker shards;
 //! * `--emit=ast,typed,ir,balanced,machine` — dump compiler stage
@@ -60,10 +62,11 @@ pub struct FaultArgs {
     /// writes reduced repros.
     pub corpus: Option<String>,
     /// Parsed `--workers`, if given (worker threads for the parallel
-    /// kernel; 1 keeps the sequential event kernel).
+    /// kernel's epochs; 1 keeps the sequential event kernel).
     pub workers: Option<usize>,
     /// Parsed `--epoch-cap`, if given (max steps per epoch barrier for
-    /// the parallel kernel; `1` disables epoch batching).
+    /// the parallel kernel; `1` disables epoch batching, so every step
+    /// runs the sequential event body).
     pub epoch_cap: Option<u64>,
     /// Parsed `--shard-policy`, if given (cell→shard assignment for the
     /// parallel kernel).

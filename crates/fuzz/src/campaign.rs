@@ -115,9 +115,10 @@ impl CampaignReport {
     }
 }
 
-/// Is this failure kind a finding when it appears on a *mutant*? Panics
-/// and bit-identity breaks always are; stalls are not (damage can inflate
-/// the workload past any fixed budget on a program that is still valid).
+/// Is this failure kind a finding when it appears on a *mutant*? Panics,
+/// internal compiler errors and bit-identity breaks always are; stalls
+/// are not (damage can inflate the workload past any fixed budget on a
+/// program that is still valid).
 fn mutant_failure_counts(kind: FailureKind) -> bool {
     !matches!(kind, FailureKind::Stall)
 }
@@ -265,6 +266,12 @@ pub fn run_campaign(cfg: &CampaignConfig, mut log: impl FnMut(&str)) -> Campaign
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn internal_compile_errors_count_on_mutants() {
+        assert!(mutant_failure_counts(FailureKind::CompileInternal));
+        assert!(!mutant_failure_counts(FailureKind::Stall));
+    }
 
     #[test]
     fn small_campaign_is_clean_and_deterministic() {

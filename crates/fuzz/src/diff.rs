@@ -1,7 +1,9 @@
 //! The differential executor: one program, every execution path.
 //!
 //! A case runs through the interpreter oracle and then across the full
-//! machine matrix — all three kernels × {Exact, FastForward} — plus a
+//! machine matrix — all three kernels exact, plus the sequential kernels
+//! under fast-forward (which never batches epochs, so a parallel
+//! fast-forward leg would rerun the event leg's code) — plus a
 //! kill-and-restore leg that pauses mid-run, round-trips the snapshot
 //! through bytes, resumes on a *different* kernel, and drives to
 //! completion. Every leg must agree with the oracle within tolerance and
@@ -97,6 +99,9 @@ pub enum Outcome {
 pub enum FailureKind {
     /// The compiler panicked instead of returning a typed error.
     CompilePanic,
+    /// The compiler returned [`CompileError::Internal`]: a typed error,
+    /// but one that reports a compiler bug, not a bad program.
+    CompileInternal,
     /// A machine leg panicked.
     RunPanic,
     /// A machine leg disagreed with the interpreter oracle.
@@ -116,6 +121,7 @@ impl FailureKind {
     pub fn as_str(self) -> &'static str {
         match self {
             FailureKind::CompilePanic => "compile-panic",
+            FailureKind::CompileInternal => "compile-internal",
             FailureKind::RunPanic => "run-panic",
             FailureKind::OracleDivergence => "oracle-divergence",
             FailureKind::KernelDivergence => "kernel-divergence",
@@ -167,8 +173,9 @@ pub fn standard_arrays(compiled: &Compiled) -> HashMap<String, ArrayVal> {
     arrays
 }
 
-/// The machine matrix: every kernel × every execution mode.
-fn matrix() -> Vec<(&'static str, Kernel, ExecMode)> {
+/// The machine matrix: every kernel exact, and the sequential kernels
+/// under fast-forward.
+pub fn matrix() -> Vec<(&'static str, Kernel, ExecMode)> {
     vec![
         ("scan/exact", Kernel::Scan, ExecMode::Exact),
         ("event/exact", Kernel::EventDriven, ExecMode::Exact),
@@ -182,16 +189,6 @@ fn matrix() -> Vec<(&'static str, Kernel, ExecMode)> {
         (
             "event/ff",
             Kernel::EventDriven,
-            ExecMode::FastForward { verify_window: 1 },
-        ),
-        (
-            "parallel2/ff",
-            Kernel::ParallelEvent(2),
-            ExecMode::FastForward { verify_window: 1 },
-        ),
-        (
-            "parallel4/ff",
-            Kernel::ParallelEvent(4),
             ExecMode::FastForward { verify_window: 1 },
         ),
     ]
@@ -310,6 +307,25 @@ fn check_leg_against_oracle(
     Ok(packets)
 }
 
+/// What a typed compile error means for a case: an internal error is a
+/// compiler bug (a finding); every other error is a correct rejection.
+fn compile_outcome(e: CompileError) -> Outcome {
+    match e {
+        CompileError::Limit(b) => Outcome::Rejected {
+            stage: "limit",
+            error: b.to_string(),
+        },
+        CompileError::Internal(_) => Outcome::Failure {
+            kind: FailureKind::CompileInternal,
+            detail: e.to_string(),
+        },
+        e => Outcome::Rejected {
+            stage: "compile",
+            error: e.to_string(),
+        },
+    }
+}
+
 /// Run the full differential matrix over one case.
 pub fn run_case(spec: &CaseSpec) -> Outcome {
     // Phase 1: compile, under catch_unwind — a panic here is a finding.
@@ -322,18 +338,7 @@ pub fn run_case(spec: &CaseSpec) -> Outcome {
                 detail: panic_text(p),
             }
         }
-        Ok(Err(CompileError::Limit(b))) => {
-            return Outcome::Rejected {
-                stage: "limit",
-                error: b.to_string(),
-            }
-        }
-        Ok(Err(e)) => {
-            return Outcome::Rejected {
-                stage: "compile",
-                error: e.to_string(),
-            }
-        }
+        Ok(Err(e)) => return compile_outcome(e),
         Ok(Ok(c)) => c,
     };
 
@@ -562,6 +567,34 @@ mod tests {
             matches!(out, Outcome::Rejected { stage: "limit", .. }),
             "got {}",
             out.line()
+        );
+    }
+
+    #[test]
+    fn internal_compile_errors_are_findings_not_rejections() {
+        let out = compile_outcome(CompileError::Internal("no provider for output 'Y'".into()));
+        assert_eq!(
+            out,
+            Outcome::Failure {
+                kind: FailureKind::CompileInternal,
+                detail: "internal compiler error: no provider for output 'Y'".into(),
+            }
+        );
+        assert_eq!(
+            out.line(),
+            "failure[compile-internal]: internal compiler error: no provider for output 'Y'"
+        );
+        let typed = compile_outcome(CompileError::Unsupported("nonlinear".into()));
+        assert!(
+            matches!(
+                typed,
+                Outcome::Rejected {
+                    stage: "compile",
+                    ..
+                }
+            ),
+            "got {}",
+            typed.line()
         );
     }
 

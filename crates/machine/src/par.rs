@@ -1,50 +1,23 @@
-//! The parallel event-driven step: [`Kernel::ParallelEvent`]'s phased
-//! execution of one instruction time across a persistent worker pool.
+//! The parallel mechanism of
+//! [`Kernel::ParallelEvent`](crate::scheduler::Kernel::ParallelEvent):
+//! epoch-batched execution (DESIGN.md §16) on a persistent worker pool.
 //!
-//! # Why this is deterministic (DESIGN.md §11 carries the full argument)
+//! The machine is tick-synchronous and each cell does very little work
+//! per tick, so synchronizing workers every instruction time costs more
+//! than the tick's fires. The epoch engine synchronizes once per epoch
+//! instead: it proves a horizon during which no token can cross a shard
+//! boundary, runs every shard that many whole steps with no
+//! synchronization, then replays the per-step bookkeeping canonically.
+//! A step for which no horizon of at least 2 is provable — and every
+//! step of a run whose features make the horizon unprovable (faults,
+//! throttles, watchdogs, fast-forward, checkpoints, `epoch_cap < 2`) —
+//! runs the sequential event-driven step body, so it is bit-identical
+//! by construction.
 //!
-//! The machine is tick-synchronous: whether a cell fires at instruction
-//! time `t`, and what it does, depends only on machine state at the
-//! *start* of `t` — all enabled cells fire simultaneously. That makes
-//! one tick's work embarrassingly parallel provided the phases stay
-//! separated and the mutations merge in a canonical order:
-//!
-//! 1. **Release** — acknowledge slots expiring now are released on the
-//!    output arcs of the due cells, sequentially on the calling thread
-//!    (a handful of arcs per step; see `Simulator::release_due_acks`).
-//! 2. **Plan** — the drained ready set (ascending cell ids) is split
-//!    into contiguous chunks; planning is read-only, so workers share
-//!    `&Simulator`. Concatenating the per-worker plan buffers in worker
-//!    order restores exactly the sequential ascending-cell-id plan
-//!    list. The first planning error in worker order is the error the
-//!    sequential loop would have hit first (all lower cells planned
-//!    clean), and it propagates before any wakeup or firing side
-//!    effect — planning has no side effects, so the error state is
-//!    bit-identical to the sequential kernels'.
-//! 3. **Fire** — arc mutations are partitioned by *arc ownership*:
-//!    every worker walks the full plan list in order and applies only
-//!    the consumes/emits landing on arcs in its contiguous range. An
-//!    arc sees at most one consume (its unique destination cell) and
-//!    one emit (its unique source cell) per tick, and a consume moves a
-//!    slot from `queue` to `freeing` without changing `occupied()`, so
-//!    the two commute — including the `Duplicate` fault's capacity
-//!    check. Fault fates are position-keyed (`hash_mix(seed, arc,
-//!    step)`), not draw-order-keyed, so every worker resolves the same
-//!    fates the sequential kernels do with no RNG coordination.
-//!    Per-cell bookkeeping ([`Simulator::note_fire`] — the exact
-//!    function the sequential `fire` uses) then runs sequentially over
-//!    the plans in cell order, and buffered wakeups merge afterwards;
-//!    wheel insertion order is irrelevant because posting a wakeup is
-//!    an idempotent bit-set and a drain reads the bitmap in id order.
-//!
-//! The pool blocks workers on a condvar between ticks (never spins), so
-//! oversubscribing a small machine degrades gracefully; ticks below
-//! [`PAR_MIN_WORK`] ready items skip the fan-out entirely and run the
-//! sequential step body, which produces identical results by the same
-//! argument with one worker.
+//! The pool blocks workers on a condvar between epochs (never spins), so
+//! oversubscribing a small machine degrades gracefully.
 
 use std::cell::UnsafeCell;
-use std::ops::Range;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
@@ -55,74 +28,16 @@ use valpipe_ir::NodeId;
 
 use crate::error::SimError;
 use crate::fault::{AckFate, ResultFate};
-use crate::scheduler::{Kernel, Wheel};
+use crate::scheduler::Wheel;
 use crate::shard::{EpochStats, ShardMap};
 use crate::sim::{
-    consume_token, emit_token, launch_value, may_refire, note_fire_cell, plan_cell, release_acks,
-    ArcState, Cells, FirePlan, NoteSink, PlanView, Simulator, StopSlots, NO_SLOT,
+    consume_token, emit_token, may_refire, note_fire_cell, plan_cell, release_acks, ArcState,
+    Cells, FirePlan, NoteSink, PlanView, Simulator, StopSlots, NO_SLOT,
 };
-
-/// Below this many due cells a tick runs the sequential step body
-/// instead of dispatching to the pool: the phase barriers cost more than
-/// the work. Results are identical either way.
-pub(crate) const PAR_MIN_WORK: usize = 96;
 
 /// Hard cap on `ParallelEvent(w)`; a worker beyond this adds only
 /// scheduling overhead on any machine this simulator targets.
 pub(crate) const MAX_WORKERS: usize = 32;
-
-/// Per-worker buffers for one tick, reused across the whole run.
-#[derive(Debug, Default)]
-pub(crate) struct WorkerBuf {
-    /// Plans from this worker's chunk of the ready set (phase 2).
-    plans: Vec<(u32, FirePlan)>,
-    /// Frozen cells deferred to their thaw time (phase 2).
-    thaw: Vec<(u32, u64)>,
-    /// First planning error in this worker's chunk (phase 2).
-    err: Option<SimError>,
-    /// Wakeups for cells, from acks freeing producer slots and packets
-    /// reaching consumers on arcs this worker owns (phase 3).
-    node_wakes: Vec<(u32, u64)>,
-}
-
-impl WorkerBuf {
-    fn clear(&mut self) {
-        self.plans.clear();
-        self.thaw.clear();
-        self.err = None;
-        self.node_wakes.clear();
-    }
-}
-
-/// Contiguous even partition of `0..len` into `parts` ranges (the first
-/// `len % parts` ranges get the extra element).
-fn chunk_ranges(len: usize, parts: usize) -> impl Iterator<Item = Range<usize>> {
-    let base = len / parts;
-    let extra = len % parts;
-    let mut start = 0;
-    (0..parts).map(move |i| {
-        let size = base + usize::from(i < extra);
-        let r = start..start + size;
-        start += size;
-        r
-    })
-}
-
-/// Split a slice into `parts` contiguous `(base index, sub-slice)`
-/// shards — disjoint `&mut` views, one per worker.
-fn split_shards<T>(items: &mut [T], parts: usize) -> Vec<(usize, &mut [T])> {
-    let mut out = Vec::with_capacity(parts);
-    let total = items.len();
-    let mut rest = items;
-    let mut base = 0;
-    for r in chunk_ranges(total, parts) {
-        let (head, tail) = rest.split_at_mut(r.len());
-        out.push((base, head));
-        base += r.len();
-        rest = tail;
-    }
-    out
-}
 
 /// The job handed to workers: a borrowed closure with its lifetime
 /// erased. Sound because [`Pool::run`] does not return until every
@@ -155,7 +70,7 @@ struct PoolShared {
 
 /// A persistent pool of `workers − 1` blocked threads; the calling
 /// thread acts as worker 0, so `ParallelEvent(w)` uses exactly `w`
-/// threads during a tick and zero CPU between ticks.
+/// threads during an epoch and zero CPU between epochs.
 pub(crate) struct Pool {
     shared: Arc<PoolShared>,
     handles: Vec<JoinHandle<()>>,
@@ -282,157 +197,11 @@ fn worker_loop(shared: &PoolShared, wi: usize) {
     }
 }
 
-impl Simulator<'_> {
-    /// One instruction time under [`Kernel::ParallelEvent`].
-    pub(crate) fn step_parallel(&mut self, workers: usize) -> Result<usize, SimError> {
-        let mut due = std::mem::take(&mut self.scratch.due_nodes);
-        self.sched.due_nodes(self.now, &mut due);
-        let w = workers.clamp(1, MAX_WORKERS);
-        let r = if w < 2 || due.len() < PAR_MIN_WORK {
-            self.step_ready(&due)
-        } else {
-            self.step_ready_parallel(w, &due)
-        };
-        self.scratch.due_nodes = due;
-        r
-    }
-
-    fn step_ready_parallel(&mut self, w: usize, due: &[u32]) -> Result<usize, SimError> {
-        debug_assert!(matches!(self.cfg.kernel, Kernel::ParallelEvent(_)));
-        let now = self.now;
-        if self.pool.as_ref().is_none_or(|p| p.workers() != w) {
-            self.pool = Some(Pool::new(w));
-        }
-        let mut bufs = std::mem::take(&mut self.scratch.bufs);
-        bufs.resize_with(w, WorkerBuf::default);
-        for b in &mut bufs {
-            b.clear();
-        }
-
-        // Phase 1: release the acknowledge slots expiring now.
-        self.release_due_acks(due);
-
-        // Phase 2: plan, read-only over the whole machine; the ready
-        // set is chunked contiguously so concatenation preserves the
-        // ascending cell order.
-        {
-            let this: &Simulator = self;
-            let pool = self.pool.as_ref().expect("pool created above");
-            let mut shards: Vec<(Range<usize>, &mut WorkerBuf)> =
-                chunk_ranges(due.len(), w).zip(bufs.iter_mut()).collect();
-            pool.run_sharded(&mut shards, |_wi, (range, buf)| {
-                if let Err(e) = this.plan_due(&due[range.clone()], &mut buf.plans, &mut buf.thaw) {
-                    buf.err = Some(e);
-                }
-            });
-        }
-        let mut first_err = None;
-        for b in &mut bufs {
-            let e = b.err.take();
-            if first_err.is_none() {
-                first_err = e;
-            }
-        }
-        if let Some(e) = first_err {
-            self.scratch.bufs = bufs;
-            return Err(e);
-        }
-        let mut plans = std::mem::take(&mut self.scratch.plans);
-        plans.clear();
-        for b in &bufs {
-            plans.extend_from_slice(&b.plans);
-        }
-        for b in &bufs {
-            for &(nid, at) in &b.thaw {
-                self.sched.wake(nid, at);
-            }
-        }
-        self.apply_throttle(&mut plans);
-
-        // Phase 3: fire. Every worker walks the full plan list in order
-        // and applies the consume/emit operations landing on its arc
-        // range; wakeups are buffered per worker.
-        {
-            let g = self.g;
-            let fault = &self.fault;
-            let fwd = &self.fwd_delay;
-            let ack = &self.ack_delay;
-            let plans: &[(u32, FirePlan)] = &plans;
-            let pool = self.pool.as_ref().expect("pool created above");
-            let mut shards: Vec<((usize, &mut [_]), &mut WorkerBuf)> =
-                split_shards(&mut self.arcs, w)
-                    .into_iter()
-                    .zip(bufs.iter_mut())
-                    .collect();
-            pool.run_sharded(&mut shards, |_wi, ((base, slice), buf)| {
-                let (base, end) = (*base, *base + slice.len());
-                for &(nid, plan) in plans {
-                    for arc in plan.consumes() {
-                        let i = arc.idx();
-                        if i < base || i >= end {
-                            continue;
-                        }
-                        let fate = match fault {
-                            Some(f) => f.ack_fate(i, now),
-                            None => AckFate::Deliver,
-                        };
-                        if let Some(t) = consume_token(&mut slice[i - base], now + ack[i], fate) {
-                            // The freed slot re-enables the arc's producer.
-                            buf.node_wakes.push((g.arcs[i].src.idx() as u32, t));
-                        }
-                    }
-                    if let Some(v) = launch_value(g, nid, &plan) {
-                        for &a in &g.nodes[nid as usize].outputs {
-                            let i = a.idx();
-                            if i < base || i >= end {
-                                continue;
-                            }
-                            let fate = match fault {
-                                Some(f) => f.result_fate(i, now),
-                                None => ResultFate::Deliver,
-                            };
-                            if let Some(t) = emit_token(&mut slice[i - base], v, now + fwd[i], fate)
-                            {
-                                buf.node_wakes.push((g.arcs[i].dst.idx() as u32, t));
-                            }
-                        }
-                    }
-                }
-            });
-        }
-
-        // Merge: per-cell bookkeeping in plan (= cell) order — the same
-        // `note_fire` the sequential fire loop runs — then the buffered
-        // wakeups (insertion order is irrelevant: posting is an
-        // idempotent bit-set).
-        let count = plans.len();
-        for &(nid, plan) in &plans {
-            self.note_fire(NodeId(nid), &plan);
-            // Re-examine a fired cell next step if it may be enabled
-            // again with no new event.
-            if may_refire(self.g, &*self, nid) {
-                self.sched.wake(nid, now + 1);
-            }
-        }
-        for b in &bufs {
-            for &(n, t) in &b.node_wakes {
-                self.sched.wake(n, t);
-            }
-        }
-        plans.clear();
-        self.scratch.plans = plans;
-        self.scratch.bufs = bufs;
-        self.now += 1;
-        Ok(count)
-    }
-}
-
 // ---------------------------------------------------------------------------
 // Epoch-batched execution (DESIGN.md §16).
 //
-// The per-step parallel kernel above pays two barrier handoffs per
-// instruction time. The epoch engine amortizes them: the global wheel
-// knows the earliest pending wakeup, and influence spreads at most one
+// One pool dispatch per epoch, not per instruction time: the global
+// wheel knows the earliest pending wakeup, and influence spreads at most one
 // undirected hop per step (every result and acknowledge delay is ≥ 1),
 // so a BFS distance from each cell to the nearest shard boundary turns
 // the pending-wakeup set into a proven horizon `h` during which no
@@ -790,8 +559,7 @@ fn run_shard(
 impl Simulator<'_> {
     /// Attempt an epoch-batched multi-step advance (DESIGN.md §16).
     /// Returns `Ok(None)` when no horizon ≥ 2 is provable right now —
-    /// the caller falls back to the ordinary per-step parallel kernel
-    /// for exactly one step. `Ok(Some(fired))` reports the fire count
+    /// the caller runs the sequential event step for exactly one step. `Ok(Some(fired))` reports the fire count
     /// of the *last* sub-step executed, matching what a sequence of
     /// `step()` calls would have returned last.
     pub(crate) fn try_step_epoch(&mut self, workers: usize) -> Result<Option<usize>, SimError> {
@@ -1004,6 +772,101 @@ mod tests {
     use super::*;
     use std::sync::atomic::{AtomicUsize, Ordering};
 
+    use valpipe_ir::opcode::Opcode;
+    use valpipe_ir::value::BinOp;
+
+    use crate::fastforward::FastForward;
+    use crate::fault::FaultPlan;
+    use crate::scheduler::Kernel;
+    use crate::session::SimConfig;
+    use crate::sim::{ProgramInputs, RunPhase, RunResult};
+    use crate::watchdog::WatchdogConfig;
+
+    /// `chains` independent pipelines side by side: hundreds of cells
+    /// are due every steady-state step.
+    fn dense(chains: usize, stages: usize) -> (Graph, ProgramInputs) {
+        let mut g = Graph::new();
+        let mut inputs = ProgramInputs::new();
+        for c in 0..chains {
+            let name = format!("a{c}");
+            let mut prev = g.add_node(Opcode::Source(name.clone()), &name);
+            for k in 0..stages {
+                prev = g.cell(
+                    Opcode::Bin(BinOp::Add),
+                    format!("s{c}_{k}"),
+                    &[prev.into(), (k as f64).into()],
+                );
+            }
+            let _ = g.cell(
+                Opcode::Sink(format!("y{c}")),
+                format!("y{c}"),
+                &[prev.into()],
+            );
+            let vals: Vec<f64> = (0..32).map(|i| (i * c) as f64).collect();
+            inputs = inputs.bind_reals(&name, &vals);
+        }
+        (g, inputs)
+    }
+
+    /// Run `cfg` to completion, pausing every 8 steps; returns whether
+    /// the worker pool existed at any pause, the result, and the epoch
+    /// engine's cumulative stats.
+    fn run_watching_pool(
+        g: &Graph,
+        inputs: &ProgramInputs,
+        cfg: SimConfig,
+        fast_forward: bool,
+    ) -> (bool, RunResult, EpochStats) {
+        let mut sim = Simulator::with_config(g, inputs, cfg).expect("valid config");
+        let mut ff = fast_forward
+            .then(|| FastForward::new(&sim, 1, false).expect("fault-free run admits fast-forward"));
+        let mut pooled = false;
+        let mut stats = EpochStats::default();
+        loop {
+            let pause = sim.now() + 8;
+            match sim
+                .run_inner(Some(pause), None, ff.as_mut(), Some(&mut stats))
+                .expect("run succeeds")
+            {
+                RunPhase::Paused(s) => {
+                    pooled |= s.pool.is_some();
+                    sim = *s;
+                }
+                RunPhase::Done(r) => return (pooled, *r, stats),
+            }
+        }
+    }
+
+    #[test]
+    fn runs_that_cannot_batch_never_start_the_pool() {
+        let (g, inputs) = dense(128, 6);
+        let par4 = || SimConfig::new().kernel(Kernel::ParallelEvent(4));
+        let fault = FaultPlan::parse("seed=7,delay_result=0.001").expect("valid fault spec");
+        for (name, cfg, ff) in [
+            ("fault plan", par4().fault_plan(fault), false),
+            (
+                "watchdog",
+                par4().watchdog(WatchdogConfig::default()),
+                false,
+            ),
+            ("epoch_cap 1", par4().epoch_cap(1), false),
+            ("fast-forward", par4(), true),
+            ("default", par4(), false),
+        ] {
+            let event = cfg.clone().kernel(Kernel::EventDriven);
+            let (_, reference, _) = run_watching_pool(&g, &inputs, event, ff);
+            let (pooled, r, stats) = run_watching_pool(&g, &inputs, cfg, ff);
+            assert_eq!(r, reference, "{name}: differs from the event kernel");
+            if name == "default" {
+                assert!(pooled, "a default-config run must batch on the pool");
+                assert!(stats.epochs > 0, "a default-config run must record epochs");
+            } else {
+                assert!(!pooled, "{name}: a run that cannot batch started the pool");
+                assert_eq!(stats.epochs, 0, "{name}");
+            }
+        }
+    }
+
     #[test]
     fn pool_runs_every_worker_and_is_reusable() {
         let pool = Pool::new(4);
@@ -1042,30 +905,5 @@ mod tests {
         let mut shards = vec![0usize; 3];
         pool.run_sharded(&mut shards, |wi, v| *v = wi + 10);
         assert_eq!(shards, vec![10, 11, 12]);
-    }
-
-    #[test]
-    fn chunk_ranges_cover_exactly_once() {
-        for (len, parts) in [(0, 3), (5, 2), (7, 3), (8, 4), (3, 8)] {
-            let ranges: Vec<_> = chunk_ranges(len, parts).collect();
-            assert_eq!(ranges.len(), parts);
-            let mut covered = 0;
-            for r in &ranges {
-                assert_eq!(r.start, covered, "contiguous");
-                covered = r.end;
-            }
-            assert_eq!(covered, len, "complete for len={len} parts={parts}");
-        }
-    }
-
-    #[test]
-    fn split_shards_bases_match_offsets() {
-        let mut items: Vec<u32> = (0..10).collect();
-        let shards = split_shards(&mut items, 3);
-        for (base, slice) in &shards {
-            for (k, v) in slice.iter().enumerate() {
-                assert_eq!(*v as usize, base + k);
-            }
-        }
     }
 }

@@ -63,11 +63,13 @@ pub enum Kernel {
     /// events. O(fired + woken) per step.
     #[default]
     EventDriven,
-    /// The event-driven kernel with each instruction time's ready set
-    /// planned and fired across the given number of worker threads.
-    /// Bit-identical to the sequential kernels for any worker count (see
-    /// DESIGN.md §11); `ParallelEvent(0)` and `ParallelEvent(1)` run the
-    /// event-driven step body inline without spawning threads.
+    /// The event-driven kernel with epoch batching: inside an eligible
+    /// run, whole epochs of instruction times execute on worker shards
+    /// across the given number of threads (DESIGN.md §16); every step
+    /// that cannot batch runs the event-driven step body. Bit-identical
+    /// to the sequential kernels for any worker count;
+    /// `ParallelEvent(0)` and `ParallelEvent(1)` never batch and spawn
+    /// no threads.
     ParallelEvent(usize),
 }
 

@@ -226,7 +226,8 @@ impl SimConfig {
 
     /// Most steps the parallel kernel batches per epoch barrier (the
     /// provable horizon may shorten any given epoch; values below 2
-    /// disable epoch batching and restore the per-step phased kernel).
+    /// disable epoch batching, so every step runs the sequential event
+    /// body).
     /// Results are bit-identical for every cap. Ignored by the
     /// sequential kernels.
     pub fn epoch_cap(mut self, cap: u64) -> Self {

@@ -70,7 +70,7 @@ pub struct EpochStats {
     /// Instruction times advanced inside epochs (Σ per-epoch horizons).
     pub batched_steps: u64,
     /// Times the provable horizon collapsed below 2 and the step fell
-    /// back to the per-step phased path.
+    /// back to the sequential event step.
     pub horizon_fallbacks: u64,
     /// Pending wakeups that bounded an epoch horizon below the
     /// configured cap, counted as distinct `(cell, time)` pairs (a

@@ -26,8 +26,9 @@
 //! every cell each instruction time; the default [`Kernel::EventDriven`]
 //! loop examines only cells woken by token, acknowledge, thaw, or firing
 //! events — O(fired + woken) per step instead of O(cells); and
-//! [`Kernel::ParallelEvent`] fires each step's ready set across worker
-//! threads (`par.rs`). All three produce bit-identical [`RunResult`]s.
+//! [`Kernel::ParallelEvent`] runs the event-driven loop but, inside an
+//! eligible `run`, batches whole epochs of steps across worker threads
+//! (`par.rs`). All three produce bit-identical [`RunResult`]s.
 //!
 //! Construct runs with [`Simulator::builder`] (see [`crate::session`]).
 
@@ -517,9 +518,9 @@ impl StopSlots {
 }
 
 /// Per-step buffers reused across the whole run so the hot loop never
-/// reallocates: due lists, fire plans, thaw/throttle lists, the
-/// resource budget, and the parallel kernel's per-worker buffers. Not
-/// part of canonical machine state (never snapshotted).
+/// reallocates: due lists, fire plans, thaw/throttle lists, and the
+/// resource budget. Not part of canonical machine state (never
+/// snapshotted).
 #[derive(Debug, Default)]
 pub(crate) struct StepScratch {
     pub(crate) due_nodes: Vec<u32>,
@@ -527,7 +528,6 @@ pub(crate) struct StepScratch {
     pub(crate) thawing: Vec<(u32, u64)>,
     pub(crate) throttled: Vec<u32>,
     pub(crate) budget: Vec<u32>,
-    pub(crate) bufs: Vec<crate::par::WorkerBuf>,
 }
 
 enum Operand {
@@ -766,8 +766,8 @@ pub(crate) trait NoteSink {
 /// Per-cell effects of one firing: gate accounting, sink/source/
 /// control-generator cursors, fire counters, and fire-time recording.
 /// Returns the value to launch on the cell's output arcs, if any. Arc
-/// mutations stay with the caller, which is what lets the parallel
-/// kernel partition them by arc ownership (see DESIGN.md §11).
+/// mutations stay with the caller: the sequential kernels post wakeups
+/// to the global wheel, an epoch shard to its private one.
 pub(crate) fn note_fire_cell<S: NoteSink + ?Sized>(
     g: &Graph,
     sink: &mut S,
@@ -855,7 +855,7 @@ pub struct Simulator<'g> {
     /// Reusable per-step buffers (not machine state, never snapshotted).
     pub(crate) scratch: StepScratch,
     /// Lazily created worker pool for [`Kernel::ParallelEvent`]; `None`
-    /// until the first parallel-phased step.
+    /// until the first epoch.
     pub(crate) pool: Option<crate::par::Pool>,
     /// Whether `run_inner` proved the whole run free of the features
     /// (faults, throttles, watchdogs, fast-forward, invariant checking,
@@ -1063,19 +1063,6 @@ impl<'g> Simulator<'g> {
         }
     }
 
-    /// Per-cell effects of one firing: gate accounting, sink/source/
-    /// control-generator cursors, fire counters, and fire-time
-    /// recording. Returns the value to launch on the cell's output
-    /// arcs, if any. Shared verbatim by the sequential kernels (inside
-    /// [`Self::fire`]) and the parallel kernel's sequential merge — arc
-    /// mutations stay with the caller, which is what lets the parallel
-    /// kernel partition them by arc ownership (see DESIGN.md §11).
-    pub(crate) fn note_fire(&mut self, n: NodeId, plan: &FirePlan) -> Option<Value> {
-        let g = self.g;
-        let now = self.now;
-        note_fire_cell(g, self, now, n, plan)
-    }
-
     fn fire(&mut self, n: NodeId, plan: FirePlan) {
         let now = self.now;
         for arc in plan.consumes() {
@@ -1087,12 +1074,12 @@ impl<'g> Simulator<'g> {
             let ack_at = now + self.ack_delay[arc.idx()];
             if let Some(t) = consume_token(&mut self.arcs[arc.idx()], ack_at, fate) {
                 // The freed slot re-enables the arc's producer; its
-                // wakeup also releases the slot (`release_due_acks`).
+                // wakeup also releases the slot (see `step_event`).
                 self.sched.wake(src, t);
             }
         }
-        if let Some(v) = self.note_fire(n, &plan) {
-            let g = self.g;
+        let g = self.g;
+        if let Some(v) = note_fire_cell(g, self, now, n, &plan) {
             for &a in &g.nodes[n.idx()].outputs {
                 self.emit_on(a, v);
             }
@@ -1110,7 +1097,8 @@ impl<'g> Simulator<'g> {
     /// parallel kernel may instead execute a whole multi-step *epoch*
     /// and advance `now` by the proven horizon; the epoch path does its
     /// own per-sub-step tracker/idle bookkeeping, so it returns before
-    /// the shared observation below.
+    /// the shared observation below. Every other parallel-kernel step
+    /// is the sequential event step.
     pub fn step(&mut self) -> Result<usize, SimError> {
         if self.allow_epochs {
             if let Kernel::ParallelEvent(w) = self.cfg.kernel {
@@ -1121,8 +1109,7 @@ impl<'g> Simulator<'g> {
         }
         let fired = match self.cfg.kernel {
             Kernel::Scan => self.step_scan()?,
-            Kernel::EventDriven => self.step_event()?,
-            Kernel::ParallelEvent(w) => self.step_parallel(w)?,
+            Kernel::EventDriven | Kernel::ParallelEvent(_) => self.step_event()?,
         };
         // Progress/idle bookkeeping happens here — not in `run` — so
         // manual stepping, `run`, and a checkpoint-restored machine all
@@ -1136,36 +1123,11 @@ impl<'g> Simulator<'g> {
         Ok(fired)
     }
 
-    /// Plan every cell of `due` (ascending cell ids): frozen cells are
-    /// deferred into `thaw` with their wake time, enabled cells append
-    /// to `plans`. Read-only on the machine — shared by the sequential
-    /// event step and each parallel planning worker.
-    pub(crate) fn plan_due(
-        &self,
-        due: &[u32],
-        plans: &mut Vec<(u32, FirePlan)>,
-        thaw: &mut Vec<(u32, u64)>,
-    ) -> Result<(), SimError> {
-        let now = self.now;
-        for &nid in due {
-            if let Some(f) = &self.fault {
-                if f.frozen(nid as usize, now) {
-                    thaw.push((nid, f.thaw_time(nid as usize, now)));
-                    continue;
-                }
-            }
-            if let Some(p) = self.plan(NodeId(nid))? {
-                plans.push((nid, p));
-            }
-        }
-        Ok(())
-    }
-
     /// Contention throttling over the planned firings (in cell order).
     /// A throttled cell is still enabled and must be re-examined next
     /// step; the wakeup is a no-op for the scan kernel, which re-scans
     /// everything anyway.
-    pub(crate) fn apply_throttle(&mut self, plans: &mut Vec<(u32, FirePlan)>) {
+    fn apply_throttle(&mut self, plans: &mut Vec<(u32, FirePlan)>) {
         let Some(res) = &self.cfg.resources else {
             return;
         };
@@ -1190,52 +1152,6 @@ impl<'g> Simulator<'g> {
         }
         self.scratch.budget = budget;
         self.scratch.throttled = throttled;
-    }
-
-    /// Release the acknowledge slots expiring now on the output arcs of
-    /// every due cell, frozen ones included. Every acknowledge wakes its
-    /// producer at the instant its slot frees, so the producers of all
-    /// slots expiring now are due, and every slot of an arc expired
-    /// before now was released at its own expiry: this leaves the same
-    /// state the scan kernel's release over every arc does.
-    pub(crate) fn release_due_acks(&mut self, due: &[u32]) {
-        let (g, now) = (self.g, self.now);
-        for &nid in due {
-            for &a in &g.nodes[nid as usize].outputs {
-                release_acks(&mut self.arcs[a.idx()], now);
-            }
-        }
-    }
-
-    /// The body of one event-driven instruction time over an already
-    /// drained ready set: release due acknowledges, plan, post thaw
-    /// wakeups, throttle, fire. Used by [`Kernel::EventDriven`] and by
-    /// [`Kernel::ParallelEvent`] when the tick is too small to be worth
-    /// fanning out (the results do not depend on which path ran).
-    pub(crate) fn step_ready(&mut self, due: &[u32]) -> Result<usize, SimError> {
-        self.release_due_acks(due);
-        // Examine woken cells in index order (the scan order, which the
-        // resource throttle and first-error selection depend on). A plan
-        // error propagates before the thaw wakeups are posted and before
-        // anything fires — planning has no side effects, so the machine
-        // state is exactly the sequential error state.
-        let mut plans = mem::take(&mut self.scratch.plans);
-        let mut thaw = mem::take(&mut self.scratch.thawing);
-        plans.clear();
-        thaw.clear();
-        self.plan_due(due, &mut plans, &mut thaw)?;
-        for &(nid, at) in &thaw {
-            self.sched.wake(nid, at);
-        }
-        self.apply_throttle(&mut plans);
-        let count = plans.len();
-        for &(nid, plan) in &plans {
-            self.fire(NodeId(nid), plan);
-        }
-        self.scratch.plans = plans;
-        self.scratch.thawing = thaw;
-        self.now += 1;
-        Ok(count)
     }
 
     /// The legacy O(cells) step: re-scan every cell.
@@ -1271,11 +1187,55 @@ impl<'g> Simulator<'g> {
     /// The event-driven O(fired + woken) step: examine only cells with a
     /// pending wakeup (see [`crate::scheduler`] for the invariant).
     fn step_event(&mut self) -> Result<usize, SimError> {
+        let (g, now) = (self.g, self.now);
         let mut due = mem::take(&mut self.scratch.due_nodes);
-        self.sched.due_nodes(self.now, &mut due);
-        let r = self.step_ready(&due);
+        self.sched.due_nodes(now, &mut due);
+        // Release the acknowledge slots expiring now on the output arcs
+        // of every due cell, frozen ones included. Every acknowledge
+        // wakes its producer at the instant its slot frees, so the
+        // producers of all slots expiring now are due, and every slot of
+        // an arc expired before now was released at its own expiry: this
+        // leaves the same state the scan kernel's release over every arc
+        // does.
+        for &nid in &due {
+            for &a in &g.nodes[nid as usize].outputs {
+                release_acks(&mut self.arcs[a.idx()], now);
+            }
+        }
+        // Examine woken cells in index order (the scan order, which the
+        // resource throttle and first-error selection depend on). A plan
+        // error propagates before the thaw wakeups are posted and before
+        // anything fires — planning has no side effects, so the machine
+        // state is exactly the sequential error state. Frozen cells are
+        // deferred to their thaw time.
+        let mut plans = mem::take(&mut self.scratch.plans);
+        let mut thaw = mem::take(&mut self.scratch.thawing);
+        plans.clear();
+        thaw.clear();
+        for &nid in &due {
+            if let Some(f) = &self.fault {
+                if f.frozen(nid as usize, now) {
+                    thaw.push((nid, f.thaw_time(nid as usize, now)));
+                    continue;
+                }
+            }
+            if let Some(p) = self.plan(NodeId(nid))? {
+                plans.push((nid, p));
+            }
+        }
         self.scratch.due_nodes = due;
-        r
+        for &(nid, at) in &thaw {
+            self.sched.wake(nid, at);
+        }
+        self.apply_throttle(&mut plans);
+        let count = plans.len();
+        for &(nid, plan) in &plans {
+            self.fire(NodeId(nid), plan);
+        }
+        self.scratch.plans = plans;
+        self.scratch.thawing = thaw;
+        self.now += 1;
+        Ok(count)
     }
 
     pub(crate) fn outputs_reached(&self) -> bool {
@@ -1320,7 +1280,7 @@ impl<'g> Simulator<'g> {
         // no faults (freezes/fates), no resource throttle, no watchdog
         // straddle, no fast-forward observer, no per-step invariant
         // audit, no periodic checkpoint. Anything else falls back to
-        // the per-step kernels (H=1 behavior). See DESIGN.md §16.
+        // the sequential event step (H=1 behavior). See DESIGN.md §16.
         self.epoch_stop_cap = pause_at.map_or(step_limit, |p| step_limit.min(p));
         self.allow_epochs = matches!(self.cfg.kernel, Kernel::ParallelEvent(w) if w >= 2)
             && self.cfg.epoch_cap >= 2
@@ -1689,19 +1649,6 @@ impl FirePlan {
     /// The consumed arcs, in operand-port order.
     pub(crate) fn consumes(&self) -> impl Iterator<Item = ArcId> + '_ {
         self.consume.iter().flatten().copied()
-    }
-}
-
-/// The value a planned firing launches on its output arcs, if any —
-/// [`Simulator::note_fire`]'s return value, derivable without touching
-/// any per-cell state: only sinks swallow their emitted value. This is
-/// what lets the parallel fire phase apply arc effects for plans whose
-/// cells belong to other workers.
-pub(crate) fn launch_value(g: &Graph, nid: u32, plan: &FirePlan) -> Option<Value> {
-    if matches!(g.nodes[nid as usize].op, Opcode::Sink(_)) {
-        None
-    } else {
-        plan.emit
     }
 }
 
