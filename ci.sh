@@ -12,6 +12,14 @@ fi
 # The tree must be rustfmt-clean.
 cargo fmt --all --check
 
+# Verdict lines are formatted only by the experiment report
+# (Report::claim in report.rs), so every claim printed is one computed
+# from data.
+if grep -rn 'CLAIM \[' crates/bench/src | grep -v '^crates/bench/src/report.rs:'; then
+    echo "ci: FAIL — a CLAIM line is formatted outside crates/bench/src/report.rs" >&2
+    exit 1
+fi
+
 cargo build --release
 cargo test -q
 
@@ -27,17 +35,39 @@ cargo test -q --test property_kernels
 # epoch cap and shard policy, forced fallbacks included (DESIGN.md §16).
 cargo test -q --test property_epochs
 
-# Smoke equivalence through the reporter CLI: the parallel kernel at two
-# workers must print the byte-identical experiment report, both with
+# Every experiment runs through one driver, `valpipe-exp <name>`, which
+# exits 1 when any claim fails. run_exp writes one report to a file and
+# stops CI, naming the run, on a nonzero exit. The driver's flag parser
+# and report have unit tests of their own.
+cargo test -q -p valpipe-bench --lib
+cargo build --release -p valpipe-bench --bin valpipe-exp
+run_exp() {
+    out="$1"
+    shift
+    ./target/release/valpipe-exp "$@" > "$out" \
+        || { echo "ci: FAIL — valpipe-exp $* exited nonzero (report: $out)" >&2; exit 1; }
+}
+
+# Committed reports are expected outputs: each deterministic experiment
+# must reproduce results/<name>.txt byte for byte. (balance, incremental,
+# fastforward and service print wall-clock times, pids or ports; their
+# committed reports are not compared.)
+for name in am_traffic closedloop delay faults fig2 fig3 fig4 fig5 fig6 fig7_fig8 \
+    fuzz machine network predict scale soak synth; do
+    run_exp "target/ci_exp_$name.txt" "$name"
+    cmp -s "target/ci_exp_$name.txt" "results/$name.txt" \
+        || { echo "ci: FAIL — valpipe-exp $name output differs from results/$name.txt" >&2; exit 1; }
+done
+
+# Smoke equivalence through the experiment CLI: the parallel kernel at
+# two workers must print the byte-identical experiment report, both with
 # epoch batching and with it disabled (every step then runs the
 # sequential event body).
-cargo run --release -q -p valpipe-bench --bin exp_fig2 > target/ci_fig2_seq.txt
-cargo run --release -q -p valpipe-bench --bin exp_fig2 -- --workers 2 > target/ci_fig2_par.txt
-cmp -s target/ci_fig2_seq.txt target/ci_fig2_par.txt \
+run_exp target/ci_fig2_par.txt fig2 --workers 2
+cmp -s target/ci_exp_fig2.txt target/ci_fig2_par.txt \
     || { echo "ci: FAIL — exp_fig2 output differs under --workers 2" >&2; exit 1; }
-cargo run --release -q -p valpipe-bench --bin exp_fig2 -- --workers 2 --epoch-cap 1 \
-    > target/ci_fig2_cap1.txt
-cmp -s target/ci_fig2_seq.txt target/ci_fig2_cap1.txt \
+run_exp target/ci_fig2_cap1.txt fig2 --workers 2 --epoch-cap 1
+cmp -s target/ci_exp_fig2.txt target/ci_fig2_cap1.txt \
     || { echo "ci: FAIL — exp_fig2 output differs under --workers 2 --epoch-cap 1" >&2; exit 1; }
 grep -q 'CLAIM \[HOLDS\]' target/ci_fig2_par.txt \
     || { echo "ci: FAIL — exp_fig2 claims did not hold under --workers 2" >&2; exit 1; }
@@ -45,18 +75,17 @@ grep -q 'CLAIM \[HOLDS\]' target/ci_fig2_par.txt \
 # Program scale: per-wave throughput must not depend on the block count,
 # and concurrency (average and measured peak fires per instruction time)
 # must grow with the program.
-cargo run --release -q -p valpipe-bench --bin exp_scale > target/ci_scale.txt
-grep -q 'CLAIM \[FAILS\]' target/ci_scale.txt \
+grep -q 'CLAIM \[FAILS\]' target/ci_exp_scale.txt \
     && { echo "ci: FAIL — exp_scale claims did not hold" >&2; exit 1; }
-test "$(grep -c 'CLAIM \[HOLDS\]' target/ci_scale.txt)" -eq 2 \
+test "$(grep -c 'CLAIM \[HOLDS\]' target/ci_exp_scale.txt)" -eq 2 \
     || { echo "ci: FAIL — exp_scale did not report both scale claims" >&2; exit 1; }
 
 # Checkpoint/restore must replay bit-identically (snapshot format is
 # pinned by the golden fixture; recovery at every step by the property
-# suite; crash-against-disk by one exp_soak trial).
+# suite; crash-against-disk by one soak trial).
 cargo test -q -p valpipe-machine --test snapshot
 cargo test -q --test property_snapshot
-cargo run --release -q -p valpipe-bench --bin exp_soak -- --trials 1 > target/ci_soak.txt
+run_exp target/ci_soak.txt soak --trials 1
 grep -q 'CLAIM \[HOLDS\] a run killed at a random step' target/ci_soak.txt \
     || { echo "ci: FAIL — exp_soak recovery claim did not hold" >&2; exit 1; }
 
@@ -79,7 +108,7 @@ grep -q '^total' target/ci_pass_stats.txt \
 # claim on the Fig. 6 steady-state workload.
 cargo test -q -p valpipe-machine --test fastforward
 cargo test -q --test property_fastforward
-cargo run --release -q -p valpipe-bench --bin exp_fastforward -- --smoke > target/ci_fastforward.txt
+run_exp target/ci_fastforward.txt fastforward --smoke
 grep -q 'CLAIM \[FAILS\]' target/ci_fastforward.txt \
     && { echo "ci: FAIL — exp_fastforward claims did not hold" >&2; exit 1; }
 grep -q 'CLAIM \[HOLDS\] fast-forward simulates >= 100x fewer' target/ci_fastforward.txt \
@@ -88,7 +117,7 @@ grep -q 'CLAIM \[HOLDS\] fast-forward simulates >= 100x fewer' target/ci_fastfor
 # The simulation service must survive its chaos soak: concurrent clients
 # vs. kill -9 + restart, bit-identical results, at least one structured
 # overload rejection, hibernated-session recovery, graceful shutdown.
-cargo run --release -q -p valpipe-bench --bin exp_service -- --smoke > target/ci_service.txt
+run_exp target/ci_service.txt service --smoke
 grep -q 'CLAIM \[FAILS\]' target/ci_service.txt \
     && { echo "ci: FAIL — exp_service chaos soak claims did not hold" >&2; exit 1; }
 grep -q 'CLAIM \[HOLDS\] results served across kill -9' target/ci_service.txt \
@@ -100,7 +129,7 @@ grep -q 'CLAIM \[HOLDS\] results served across kill -9' target/ci_service.txt \
 # run first so a regression names them.
 cargo test -q --test property_fuzz
 cargo test -q --test corpus_replay
-cargo run --release -q -p valpipe-bench --bin exp_fuzz -- --trials 100 --seed 0xD1FF > target/ci_fuzz.txt
+run_exp target/ci_fuzz.txt fuzz --trials 100 --seed 0xD1FF
 grep -q 'CLAIM \[FAILS\]' target/ci_fuzz.txt \
     && { echo "ci: FAIL — exp_fuzz claims did not hold" >&2; exit 1; }
 grep -q 'CLAIM \[HOLDS\] every valid generated program agrees' target/ci_fuzz.txt \
@@ -111,7 +140,7 @@ grep -q 'CLAIM \[HOLDS\] all 5 committed corpus repros replay byte-identically' 
 # Incremental compilation (DESIGN.md §17): warm recompiles must be
 # byte-identical to cold across random programs, single-block edits,
 # invalid mutants, and arbitrary cache corruption (dedicated property
-# suite), and exp_incremental must hold all three claims at 120 and at
+# suite), and the incremental experiment must hold all three claims at 120 and at
 # 1000 blocks — <5% of queries re-executed on a single-block edit,
 # >=10x warm speedup, and a warm engine's output bit-identical to a
 # fresh engine's across the workload suite and every committed corpus
@@ -119,7 +148,7 @@ grep -q 'CLAIM \[HOLDS\] all 5 committed corpus repros replay byte-identically' 
 cargo test -q --test property_incremental
 for blocks in 120 1000; do
     out="target/ci_incremental_$blocks.txt"
-    cargo run --release -q -p valpipe-bench --bin exp_incremental -- --blocks "$blocks" > "$out"
+    run_exp "$out" incremental --blocks "$blocks"
     grep -q 'CLAIM \[FAILS\]' "$out" \
         && { echo "ci: FAIL — exp_incremental --blocks $blocks claims did not hold" >&2; exit 1; }
     grep -q 'CLAIM \[HOLDS\] a single-block edit' "$out" \

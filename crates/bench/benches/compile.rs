@@ -9,27 +9,12 @@
 //! single-block-edit path. Per-pass wall times ride along as a nested
 //! `passes` object (milliseconds).
 
-use std::time::Instant;
-use valpipe_bench::timing::{bench, iters, json_mode, smoke_mode, BenchLog};
+use valpipe_bench::timing::{bench, iters, json_mode, median_secs, smoke_mode, BenchLog};
 use valpipe_bench::workloads::{chain_src, fig3_src, fig6_src};
 use valpipe_core::{
     compile_source, CompileLimits, CompileOptions, ForIterScheme, PipelineOutput, QueryEngine,
 };
 use valpipe_util::Json;
-
-/// Median wall time of `n` runs.
-fn median_secs(n: usize, mut f: impl FnMut()) -> f64 {
-    f(); // warmup
-    let mut times: Vec<f64> = (0..n)
-        .map(|_| {
-            let t0 = Instant::now();
-            f();
-            t0.elapsed().as_secs_f64()
-        })
-        .collect();
-    times.sort_by(|x, y| x.total_cmp(y));
-    times[times.len() / 2]
-}
 
 fn engine_compile(engine: &mut QueryEngine, src: &str) -> PipelineOutput {
     engine

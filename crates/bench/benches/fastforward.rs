@@ -9,27 +9,12 @@
 //! just printed. With `--json` the measurements land in the
 //! `BENCH_machine.json` trajectory under bench `fast_forward`.
 
-use std::time::Instant;
-
-use valpipe_bench::timing::{iters, json_mode, smoke_mode, BenchLog};
+use valpipe_bench::timing::{iters, json_mode, median_secs, smoke_mode, BenchLog};
 use valpipe_bench::workloads::{fig6_src, inputs_for_compiled};
 use valpipe_core::verify::stream_inputs;
 use valpipe_core::{compile_source, CompileOptions};
 use valpipe_ir::Graph;
 use valpipe_machine::{Kernel, ProgramInputs, RunSpec, SimConfig, Simulator};
-
-fn median_secs(n: usize, mut f: impl FnMut()) -> f64 {
-    f(); // warmup
-    let mut times: Vec<f64> = (0..n)
-        .map(|_| {
-            let t0 = Instant::now();
-            f();
-            t0.elapsed().as_secs_f64()
-        })
-        .collect();
-    times.sort_by(|x, y| x.total_cmp(y));
-    times[times.len() / 2]
-}
 
 fn session<'g>(
     g: &'g Graph,

@@ -23,7 +23,7 @@
 //! bench trajectory.
 
 use std::time::Instant;
-use valpipe_bench::timing::{iters, json_mode, smoke_mode, BenchLog};
+use valpipe_bench::timing::{iters, json_mode, median_secs, smoke_mode, BenchLog};
 use valpipe_bench::workloads::{fig3_src, fig6_src, inputs_for_compiled};
 use valpipe_core::verify::stream_inputs;
 use valpipe_core::{compile_source, CompileOptions};
@@ -125,20 +125,6 @@ fn epoch_extras(cap: u64, policy: ShardPolicy, stats: &EpochStats) -> Vec<(&'sta
         ),
         ("cross_arcs", Json::Int(stats.cross_arcs as i64)),
     ]
-}
-
-/// Median wall time of `n` runs.
-fn median_secs(n: usize, mut f: impl FnMut()) -> f64 {
-    f(); // warmup
-    let mut times: Vec<f64> = (0..n)
-        .map(|_| {
-            let t0 = Instant::now();
-            f();
-            t0.elapsed().as_secs_f64()
-        })
-        .collect();
-    times.sort_by(|x, y| x.total_cmp(y));
-    times[times.len() / 2]
 }
 
 /// One dense workload under both sequential kernels: assert that every

@@ -2,8 +2,9 @@
 //! oracle, and extract rate / size / traffic numbers.
 
 use crate::workloads::inputs_for_compiled;
+use crate::{FaultArgs, Report};
 use valpipe_core::verify::{check_against_oracle_with, VerifyError};
-use valpipe_core::{compile_source, CompileOptions, Compiled};
+use valpipe_core::{render_pass_stats, CompileLimits, CompileOptions, Compiled, QueryEngine};
 use valpipe_machine::SimConfig;
 
 /// One measured configuration.
@@ -17,56 +18,18 @@ pub struct Measurement {
     pub buffers: u64,
     /// Steady-state initiation interval of the primary output.
     pub interval: f64,
-    /// Computation rate (packets per instruction time) = 1 / interval.
-    pub rate: f64,
     /// Maximum relative error vs the interpreter.
     pub max_rel_err: f64,
     /// Total operation packets processed.
     pub total_fires: u64,
     /// Fraction of operation packets sent to array memories.
     pub am_fraction: f64,
-    /// Instruction times simulated.
-    pub steps: u64,
 }
 
-/// Compile `src`, run `waves` waves against the oracle, measure the
-/// interval on `output`.
-pub fn measure_program(
-    label: impl Into<String>,
-    src: &str,
-    opts: &CompileOptions,
-    output: &str,
-    waves: usize,
-) -> Measurement {
-    measure_program_with(label, src, opts, output, waves, SimConfig::new()).expect("oracle check")
-}
-
-/// [`measure_program`] on a caller-supplied simulator config; a stalled
-/// or mismatched run comes back as an error instead of a panic, so
-/// reporters can print the stall diagnosis under an active fault plan.
-pub fn measure_program_with(
-    label: impl Into<String>,
-    src: &str,
-    opts: &CompileOptions,
-    output: &str,
-    waves: usize,
-    sim: SimConfig,
-) -> Result<Measurement, VerifyError> {
-    let compiled = compile_source(src, opts).expect("workload compiles");
-    measure_compiled_with(label, &compiled, output, waves, sim)
-}
-
-/// Measure an already-compiled program.
-pub fn measure_compiled(
-    label: impl Into<String>,
-    compiled: &Compiled,
-    output: &str,
-    waves: usize,
-) -> Measurement {
-    measure_compiled_with(label, compiled, output, waves, SimConfig::new()).expect("oracle check")
-}
-
-/// [`measure_compiled`] on a caller-supplied simulator config.
+/// Verify `compiled` against the oracle over `waves` waves on the given
+/// simulator config and measure the interval on `output`; a stalled or
+/// mismatched run comes back as an error, so experiments can report the
+/// stall diagnosis under an active fault plan.
 pub fn measure_compiled_with(
     label: impl Into<String>,
     compiled: &Compiled,
@@ -86,30 +49,54 @@ pub fn measure_compiled_with(
         cells: compiled.graph.node_count(),
         buffers: compiled.stats.loop_buffers + compiled.stats.global_buffers,
         interval,
-        rate: 1.0 / interval,
         max_rel_err: report.max_rel_err,
         total_fires: report.run.total_fires,
         am_fraction: report.run.am_traffic_fraction(),
-        steps: report.run.steps,
     })
 }
 
-impl Measurement {
-    /// One-line JSON rendering (for EXPERIMENTS.md regeneration scripts).
-    pub fn to_json(&self) -> String {
-        use valpipe_util::Json;
-        Json::obj([
-            ("label", Json::Str(self.label.clone())),
-            ("cells", Json::Int(self.cells as i64)),
-            ("buffers", Json::Int(self.buffers as i64)),
-            ("interval", Json::Float(self.interval)),
-            ("rate", Json::Float(self.rate)),
-            ("max_rel_err", Json::Float(self.max_rel_err)),
-            ("total_fires", Json::Int(self.total_fires as i64)),
-            ("am_fraction", Json::Float(self.am_fraction)),
-            ("steps", Json::Int(self.steps as i64)),
-        ])
-        .to_compact()
+impl Report {
+    /// Compile `src` and measure it under the flags in `args`. Stage
+    /// dumps, compile errors and a stalled run's diagnosis are printed,
+    /// and a failed measurement returns `None`, so experiments degrade
+    /// to a partial table instead of panicking.
+    pub fn measure(
+        &mut self,
+        args: &FaultArgs,
+        label: &str,
+        src: &str,
+        opts: &CompileOptions,
+        output: &str,
+        waves: usize,
+    ) -> Option<Measurement> {
+        let out = match QueryEngine::new().run_source(
+            opts,
+            &CompileLimits::unbounded(),
+            &args.emit,
+            src,
+            label,
+        ) {
+            Ok(o) => o,
+            Err(e) => {
+                println!("{label}: compile error: {e}");
+                return None;
+            }
+        };
+        if args.pass_stats {
+            eprintln!("{label}:");
+            eprint!("{}", render_pass_stats(&out.pass_stats));
+        }
+        for (stage, dump) in &out.dumps {
+            println!("==== {label}: {stage} ====");
+            print!("{dump}");
+        }
+        match measure_compiled_with(label, &out.compiled, output, waves, args.sim_config()) {
+            Ok(m) => Some(m),
+            Err(e) => {
+                println!("{label}: {e}");
+                None
+            }
+        }
     }
 }
 
@@ -117,10 +104,12 @@ impl Measurement {
 mod tests {
     use super::*;
     use crate::workloads::fig4_src;
+    use valpipe_core::compile_source;
 
     #[test]
     fn measure_produces_sane_numbers() {
-        let m = measure_program("fig4", &fig4_src(16), &CompileOptions::paper(), "S", 20);
+        let compiled = compile_source(&fig4_src(16), &CompileOptions::paper()).unwrap();
+        let m = measure_compiled_with("fig4", &compiled, "S", 20, SimConfig::new()).unwrap();
         assert!(m.cells > 5);
         assert!(m.interval > 1.9 && m.interval < 3.0);
         assert!(m.max_rel_err < 1e-8);

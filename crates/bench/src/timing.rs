@@ -26,6 +26,20 @@ pub fn iters(full: usize) -> usize {
     }
 }
 
+/// Median wall time of `n` runs of `f`, after one warmup run.
+pub fn median_secs(n: usize, mut f: impl FnMut()) -> f64 {
+    f(); // warmup
+    let mut times: Vec<f64> = (0..n)
+        .map(|_| {
+            let t0 = Instant::now();
+            f();
+            t0.elapsed().as_secs_f64()
+        })
+        .collect();
+    times.sort_by(|x, y| x.total_cmp(y));
+    times[times.len() / 2]
+}
+
 /// Run `f` repeatedly and print a one-line summary.
 ///
 /// `f` is called once for warmup, then `iters` timed times. The median and

@@ -1,8 +1,12 @@
-//! Workload generators: the paper's figures as parameterized Val sources
-//! plus the synthetic application-shaped programs used for the scaling and
-//! traffic claims.
+//! Workload generators: the paper's figures as parameterized Val sources,
+//! the synthetic application-shaped programs used for the scaling and
+//! traffic claims, and the random flow-dependency DAGs the balancing
+//! experiment and bench solve.
 
 use std::collections::HashMap;
+use valpipe_ir::value::BinOp;
+use valpipe_ir::{Graph, Opcode};
+use valpipe_util::Rng;
 use valpipe_val::interp::ArrayVal;
 
 /// Fig. 2's scalar pipeline wrapped as a (degenerate, window-free) forall:
@@ -133,6 +137,42 @@ D : array[real] :=
   endfor;
 output V, D;"
     )
+}
+
+/// Random layered DAG: `width` cells per layer, `layers` layers, each cell
+/// reading 1–2 uniformly random earlier cells.
+pub fn random_dag(width: usize, layers: usize, seed: u64) -> Graph {
+    let mut rng = Rng::seed(seed);
+    let mut g = Graph::new();
+    let mut pool: Vec<valpipe_ir::NodeId> = (0..width)
+        .map(|k| g.add_node(Opcode::Source(format!("s{k}")), format!("s{k}")))
+        .collect();
+    for li in 0..layers {
+        let mut next = Vec::new();
+        for ni in 0..width {
+            let a = pool[rng.below(pool.len())];
+            let b = pool[rng.below(pool.len())];
+            let node = if a == b || rng.chance(0.3) {
+                g.cell(Opcode::Id, format!("n{li}_{ni}"), &[a.into()])
+            } else {
+                g.cell(
+                    Opcode::Bin(BinOp::Add),
+                    format!("n{li}_{ni}"),
+                    &[a.into(), b.into()],
+                )
+            };
+            next.push(node);
+        }
+        pool.extend(next);
+    }
+    for id in g.node_ids().collect::<Vec<_>>() {
+        if g.nodes[id.idx()].op.produces_output() && g.nodes[id.idx()].outputs.is_empty() {
+            let name = format!("out{}", id.idx());
+            let s = g.add_node(Opcode::Sink(name.clone()), name);
+            g.connect(id, s, 0);
+        }
+    }
+    g
 }
 
 /// Deterministic pseudo-random input arrays for the named ranges.
