@@ -20,6 +20,14 @@ if grep -rn 'CLAIM \[' crates/bench/src | grep -v '^crates/bench/src/report.rs:'
     exit 1
 fi
 
+# The machine has one firing rule: operators are evaluated only by
+# sim.rs::plan_cell, which every kernel, the epoch engine and the
+# closed-loop machine share.
+if grep -rn 'apply_bin(\|apply_un(' crates/machine/src | grep -v '^crates/machine/src/sim.rs:'; then
+    echo "ci: FAIL — an operator is evaluated outside crates/machine/src/sim.rs" >&2
+    exit 1
+fi
+
 cargo build --release
 cargo test -q
 

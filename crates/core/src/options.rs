@@ -40,7 +40,8 @@ pub struct CompileOptions {
     pub synthesize_generators: bool,
     /// Fuse cascaded static gates (nested static conditionals produce
     /// `TGate(s1) → TGate(s2)` chains that collapse into one gate with the
-    /// composed selection) and sweep the dead cells. On by default.
+    /// composed selection) and sweep the dead cells. Off in
+    /// `CompileOptions::default()`; on in [`CompileOptions::paper`].
     pub fuse_gates: bool,
 }
 

@@ -22,8 +22,8 @@
 //!   an input of `W_in` cannot beat `2·W_in / W_out`.
 //!
 //! [`predict_interval`] returns the max of the two bounds; the test suite
-//! and `exp_predict` verify it against measured intervals across the whole
-//! workload zoo.
+//! and `valpipe-exp predict` verify it against measured intervals across
+//! the whole workload zoo.
 
 use std::collections::HashMap;
 use valpipe_balance::problem::sccs;
@@ -281,7 +281,7 @@ output X;
     fn capacity_relaxes_the_bound() {
         // The same acyclic chain under capacity 4: the hole cycles hold 4
         // tokens over 2 transitions → bound 1 (interval 1), matching the
-        // detailed-machine measurements in exp_machine.
+        // detailed-machine measurements in `valpipe-exp machine`.
         use valpipe_ir::{Graph, Opcode};
         let mut g = Graph::new();
         let a = g.add_node(Opcode::Source("a".into()), "a");

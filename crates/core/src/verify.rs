@@ -188,11 +188,34 @@ pub fn check_against_oracle_with(
             report,
         });
     }
+    let got: Vec<(String, Vec<Value>)> = compiled
+        .program
+        .outputs
+        .iter()
+        .map(|name| (name.clone(), result.values(name)))
+        .collect();
+    let (max_rel_err, packets_checked) = compare_outputs(&got, &expected, waves, tol)?;
+    Ok(OracleReport {
+        max_rel_err,
+        packets_checked,
+        run: result,
+    })
+}
+
+/// Compare simulated output streams, `(output name, packets)`, against
+/// the oracle's one-wave values repeated `waves` times, element by
+/// element within relative tolerance `tol` (relative to `max(|want|,
+/// 1)`). Returns the largest relative error and the packets checked.
+pub fn compare_outputs(
+    got: &[(String, Vec<Value>)],
+    expected: &HashMap<String, ArrayVal>,
+    waves: usize,
+    tol: f64,
+) -> Result<(f64, usize), VerifyError> {
     let mut max_rel = 0.0f64;
     let mut checked = 0usize;
-    for name in &compiled.program.outputs {
+    for (name, got) in got {
         let want_wave = &expected[name];
-        let got = result.values(name);
         let want_len = want_wave.data.len() * waves;
         // Open-ended control generators let the pipeline pre-fire a prefix
         // of the (never-fed) next wave — e.g. a for-iter MERGE emits the
@@ -227,11 +250,7 @@ pub fn check_against_oracle_with(
             checked += 1;
         }
     }
-    Ok(OracleReport {
-        max_rel_err: max_rel,
-        packets_checked: checked,
-        run: result,
-    })
+    Ok((max_rel, checked))
 }
 
 fn value_as_real(v: Value) -> f64 {
@@ -246,11 +265,6 @@ fn value_as_real(v: Value) -> f64 {
             }
         }
     }
-}
-
-/// Steady-state initiation interval of a named output over a run.
-pub fn output_interval(run: &RunResult, name: &str) -> Option<f64> {
-    run.timing(name).interval()
 }
 
 /// Multi-phase driving (the paper's §2 array-memory story): run the

@@ -1,5 +1,5 @@
 //! Campaign driver: generate → differentiate → (optionally) shrink →
-//! record, shared by the `valpipe-fuzz` binary and the `exp_fuzz`
+//! record, shared by the `valpipe-fuzz` binary and the `valpipe-exp fuzz`
 //! reporter.
 //!
 //! Each trial runs one *valid* generated program through the full
@@ -98,14 +98,6 @@ pub struct CampaignReport {
 }
 
 impl CampaignReport {
-    /// Findings of a given kind prefix, for reporting.
-    pub fn count_lines_starting(&self, prefix: &str) -> usize {
-        self.findings
-            .iter()
-            .filter(|f| f.line.starts_with(prefix))
-            .count()
-    }
-
     /// Whether the compiler rejected no generated program at all. The
     /// generator emits only valid programs and the compiler accepts the
     /// whole class since the reconvergent-fanout fusion fix, so a single

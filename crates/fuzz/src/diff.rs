@@ -14,7 +14,7 @@
 use std::collections::HashMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
-use valpipe_core::verify::stream_inputs;
+use valpipe_core::verify::{compare_outputs, stream_inputs};
 use valpipe_core::{compile_source_limited, CompileError, CompileLimits, CompileOptions, Compiled};
 use valpipe_ir::value::Value;
 use valpipe_machine::{
@@ -265,48 +265,6 @@ fn run_leg(
     })
 }
 
-fn value_as_real(v: Value) -> f64 {
-    match v {
-        Value::Int(i) => i as f64,
-        Value::Real(r) => r,
-        Value::Bool(b) => b as i64 as f64,
-    }
-}
-
-/// Compare one leg against the oracle expectation (cyclic per wave, with
-/// the same legitimate-prefix tolerance as `check_against_oracle`).
-fn check_leg_against_oracle(
-    leg: &LegResult,
-    expected: &HashMap<String, ArrayVal>,
-    waves: usize,
-    tol: f64,
-) -> Result<usize, String> {
-    let mut packets = 0;
-    for (name, got) in &leg.outputs {
-        let want_wave = &expected[name];
-        let want_len = want_wave.data.len() * waves;
-        if got.len() < want_len || got.len() >= want_len + want_wave.data.len() {
-            return Err(format!(
-                "output '{name}': {} packets, expected {want_len}",
-                got.len()
-            ));
-        }
-        for (k, gv) in got.iter().enumerate() {
-            let pos = k % want_wave.data.len();
-            let want = value_as_real(want_wave.data[pos]);
-            let gotv = value_as_real(*gv);
-            let rel = (gotv - want).abs() / want.abs().max(1.0);
-            if rel > tol {
-                return Err(format!(
-                    "output '{name}' packet {k}: got {gotv}, want {want}"
-                ));
-            }
-            packets += 1;
-        }
-    }
-    Ok(packets)
-}
-
 /// What a typed compile error means for a case: an internal error is a
 /// compiler bug (a finding); every other error is a correct rejection.
 fn compile_outcome(e: CompileError) -> Outcome {
@@ -418,8 +376,8 @@ pub fn run_case(spec: &CaseSpec) -> Outcome {
                 ),
             };
         }
-        match check_leg_against_oracle(&leg, &expected, spec.waves, spec.tol) {
-            Ok(p) => packets = p,
+        match compare_outputs(&leg.outputs, &expected, spec.waves, spec.tol) {
+            Ok((_, p)) => packets = p,
             Err(e) => {
                 return Outcome::Failure {
                     kind: FailureKind::OracleDivergence,

@@ -13,7 +13,7 @@
 //!   byte-exactly by CI.
 //!
 //! [`campaign`] ties them together; the `valpipe-fuzz` binary and the
-//! `exp_fuzz` reporter are thin front-ends over it.
+//! `valpipe-exp fuzz` reporter are thin front-ends over it.
 
 pub mod campaign;
 pub mod corpus;

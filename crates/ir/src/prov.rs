@@ -138,14 +138,6 @@ impl Provenance {
             format!("{}:{}: in {} '{}'", self.file, e.span, e.role, e.snippet)
         }
     }
-
-    /// Render the provenance of a cell of `g`.
-    pub fn describe_node(&self, g: &crate::Graph, node: usize) -> String {
-        match g.nodes.get(node) {
-            Some(n) => self.describe(n.src),
-            None => format!("{}: in unknown cell {node}", self.file),
-        }
-    }
 }
 
 /// Collapse a (possibly multi-line) statement text to one trimmed line

@@ -113,19 +113,6 @@ pub fn validate(g: &Graph) -> Vec<Defect> {
     defects
 }
 
-/// Panic with a readable report if the program is not valid. Used by the
-/// compiler's own tests and the machine loader.
-pub fn assert_valid(g: &Graph) {
-    let defects = validate(g);
-    if !defects.is_empty() {
-        let mut msg = String::from("invalid data flow program:\n");
-        for d in &defects {
-            msg.push_str(&format!("  - {d}\n"));
-        }
-        panic!("{msg}");
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

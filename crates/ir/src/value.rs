@@ -117,21 +117,6 @@ pub enum BinOp {
 }
 
 impl BinOp {
-    /// `true` for operators producing a boolean packet.
-    pub fn is_predicate(self) -> bool {
-        matches!(
-            self,
-            BinOp::Lt
-                | BinOp::Le
-                | BinOp::Gt
-                | BinOp::Ge
-                | BinOp::Eq
-                | BinOp::Ne
-                | BinOp::And
-                | BinOp::Or
-        )
-    }
-
     /// Mnemonic used in machine-code listings (matching the paper's figures:
     /// `ADD`, `MULT`, `SUB`, ...).
     pub fn mnemonic(self) -> &'static str {

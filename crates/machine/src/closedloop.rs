@@ -1,7 +1,7 @@
 //! The closed-loop networked machine: Fig. 1 executed end to end.
 //!
 //! Unlike [`crate::sim`] (per-arc latencies) and the open-loop trace
-//! replay (`exp_network`), this model routes **every result packet and
+//! replay (`valpipe-exp network`), this model routes **every result packet and
 //! every acknowledge packet** of a running program through router-level
 //! omega networks (one plane each way), with one injection port per
 //! processing element. Cells stall when their destinations' acknowledges
@@ -9,18 +9,32 @@
 //! feeds back into instruction timing instead of being imposed as a
 //! static delay.
 //!
-//! Firing semantics are the same as the idealized simulator's (same
-//! enabling rule, gates discard, MERGE selects); the oracle tests check
-//! that values are bit-identical, so only timing differs between models.
+//! The machine state is the simulator's own ([`Simulator::with_config`]):
+//! cells are planned by [`plan_cell`] and fired through
+//! [`consume_token`]/[`note_fire_cell`]/[`emit_token`], so the enabling
+//! rule, gate discards and MERGE selection are the simulator's by
+//! construction. This module owns only *when* a packet lands: a token or
+//! acknowledge slot in the network carries the time [`IN_NETWORK`] until
+//! its packet is delivered.
 
 use crate::network::{OmegaNetwork, Packet};
 use std::collections::{HashMap, VecDeque};
-use valpipe_ir::graph::{Graph, PortBinding};
-use valpipe_ir::opcode::{Opcode, GATE_CTL, GATE_DATA, MERGE_CTL, MERGE_FALSE, MERGE_TRUE};
-use valpipe_ir::value::{apply_bin, apply_un, Value};
+use valpipe_ir::graph::Graph;
+use valpipe_ir::value::Value;
 use valpipe_ir::{ArcId, NodeId};
 
-use crate::sim::{ProgramInputs, SimError};
+use crate::fault::{AckFate, ResultFate};
+use crate::scheduler::Kernel;
+use crate::session::SimConfig;
+use crate::sim::{
+    consume_token, emit_token, note_fire_cell, plan_cell, ArcState, ProgramInputs, SimError,
+    Simulator,
+};
+
+/// Ready time of a result or acknowledge packet still in the network:
+/// never reached, so the token is not yet visible to its consumer and
+/// the acknowledge slot is not yet free.
+const IN_NETWORK: u64 = u64::MAX;
 
 /// Options for the closed-loop machine.
 #[derive(Debug, Clone)]
@@ -99,6 +113,17 @@ enum Payload {
     Ack(ArcId),
 }
 
+/// One network plane (results or acknowledges): its omega network, the
+/// per-PE egress queues feeding it, and the payloads of its packets in
+/// flight, keyed by sequence number.
+struct Plane {
+    net: OmegaNetwork,
+    egress: Vec<VecDeque<(usize, Payload)>>,
+    in_flight: HashMap<u64, Payload>,
+    /// Packets injected so far.
+    injected: u64,
+}
+
 /// Run a program closed-loop. `pe_of[cell]` assigns cells to PEs.
 pub fn run_closed_loop(
     g: &Graph,
@@ -125,72 +150,40 @@ pub fn run_closed_loop(
             opts.pes
         )));
     }
+    // Binds sources and rejects FIFO pseudo-cells / missing inputs.
+    let mut sim = Simulator::with_config(
+        g,
+        inputs,
+        SimConfig::new()
+            .kernel(Kernel::Scan)
+            .arc_capacity(opts.arc_capacity as usize),
+    )?;
     let n = g.node_count();
 
-    // Per-node bookkeeping (sources, generators, sinks).
-    let mut src_data: Vec<Option<Vec<Value>>> = vec![None; n];
-    let mut src_pos = vec![0usize; n];
-    let mut ctl_pos = vec![0u64; n];
-    let mut outputs: HashMap<String, Vec<(u64, Value)>> = HashMap::new();
-    for (i, node) in g.nodes.iter().enumerate() {
-        match &node.op {
-            Opcode::Fifo(_) => return Err(SimError::UnexpandedFifo(i)),
-            Opcode::Source(name) => {
-                let d = inputs
-                    .get(name)
-                    .ok_or_else(|| SimError::MissingInput(name.clone()))?;
-                src_data[i] = Some(d.to_vec());
-            }
-            Opcode::Sink(name) => {
-                outputs.insert(name.clone(), Vec::new());
-            }
-            _ => {}
-        }
-    }
-
-    // Arc state: tokens ready at the consumer + slots outstanding at the
-    // producer (freed when the acknowledge arrives back).
-    let mut ready: Vec<VecDeque<Value>> = vec![VecDeque::new(); g.arc_count()];
-    let mut outstanding: Vec<u32> = vec![0; g.arc_count()];
-    for a in g.arc_ids() {
-        if let Some(v) = g.arcs[a.idx()].initial {
-            ready[a.idx()].push_back(v);
-            // An initial token occupies a slot until consumed + acked.
-            outstanding[a.idx()] = 1;
-        }
-    }
-
-    // Two network planes + per-PE egress queues; local traffic bypasses
-    // the network with a one-cycle delay.
-    let mut result_net = OmegaNetwork::new(opts.pes, opts.net_queue);
-    let mut ack_net = OmegaNetwork::new(opts.pes, opts.net_queue);
+    // Two network planes, `[results, acknowledges]`, each with per-PE
+    // egress queues; local traffic bypasses the network with a
+    // one-cycle delay.
+    let mut planes = [(); 2].map(|_| Plane {
+        net: OmegaNetwork::new(opts.pes, opts.net_queue),
+        egress: vec![VecDeque::new(); opts.pes],
+        in_flight: HashMap::new(),
+        injected: 0,
+    });
     for lf in &opts.link_faults {
-        result_net
-            .fail_link(lf.stage, lf.port, lf.from, lf.until)
-            .map_err(SimError::InvalidConfig)?;
-        ack_net
-            .fail_link(lf.stage, lf.port, lf.from, lf.until)
-            .map_err(SimError::InvalidConfig)?;
+        for plane in &mut planes {
+            plane
+                .net
+                .fail_link(lf.stage, lf.port, lf.from, lf.until)
+                .map_err(SimError::InvalidConfig)?;
+        }
     }
-    let mut egress_res: Vec<VecDeque<(usize, Payload)>> = vec![VecDeque::new(); opts.pes];
-    let mut egress_ack: Vec<VecDeque<(usize, Payload)>> = vec![VecDeque::new(); opts.pes];
     let mut local: VecDeque<(u64, Payload)> = VecDeque::new();
-    let mut in_flight_res: HashMap<u64, Payload> = HashMap::new();
-    let mut in_flight_ack: HashMap<u64, Payload> = HashMap::new();
     let mut seq = 0u64;
 
     let mut now = 0u64;
     let mut idle = 0u64;
-    let (mut remote_results, mut remote_acks) = (0u64, 0u64);
     let mut res_latency_sum = 0u64;
-
-    let lit_or = |b: &PortBinding, ready: &[VecDeque<Value>]| -> Option<Value> {
-        match b {
-            PortBinding::Lit(v) => Some(*v),
-            PortBinding::Wired(a) => ready[a.idx()].front().copied(),
-            PortBinding::Unbound => None,
-        }
-    };
+    let mut plans = Vec::new();
 
     while now < opts.max_cycles {
         let mut activity = false;
@@ -198,236 +191,78 @@ pub fn run_closed_loop(
         // 1. Deliver local traffic and network arrivals.
         while local.front().is_some_and(|&(t, _)| t <= now) {
             let (_, p) = local.pop_front().unwrap();
-            apply_payload(p, &mut ready, &mut outstanding);
+            deliver(&mut sim.arcs, p, now);
             activity = true;
         }
         // 2. Fire enabled cells under PE issue budgets. (Network
         // deliveries are applied in step 4, right after the planes step.)
         let mut budget = vec![opts.pe_issue_width; opts.pes];
-        let mut plans: Vec<(NodeId, Vec<ArcId>, Option<Value>)> = Vec::new();
+        plans.clear();
         for i in 0..n {
             if budget[pe_of[i]] == 0 {
                 continue;
             }
-            let node = &g.nodes[i];
-            let outputs_free = |need: bool| {
-                !need
-                    || node
-                        .outputs
-                        .iter()
-                        .all(|a| outstanding[a.idx()] < opts.arc_capacity)
-            };
-            let plan: Option<(Vec<ArcId>, Option<Value>)> = match &node.op {
-                Opcode::Bin(op) => {
-                    match (
-                        lit_or(&node.inputs[0], &ready),
-                        lit_or(&node.inputs[1], &ready),
-                    ) {
-                        (Some(a), Some(b)) if outputs_free(true) => {
-                            let v = apply_bin(*op, a, b).map_err(|e| SimError::Eval {
-                                node: i,
-                                label: node.label.clone(),
-                                message: e.0,
-                            })?;
-                            Some((wired(node, &[0, 1]), Some(v)))
-                        }
-                        _ => None,
-                    }
-                }
-                Opcode::Un(op) => match lit_or(&node.inputs[0], &ready) {
-                    Some(a) if outputs_free(true) => {
-                        let v = apply_un(*op, a).map_err(|e| SimError::Eval {
-                            node: i,
-                            label: node.label.clone(),
-                            message: e.0,
-                        })?;
-                        Some((wired(node, &[0]), Some(v)))
-                    }
-                    _ => None,
-                },
-                Opcode::Id | Opcode::AmRead | Opcode::AmWrite => {
-                    match lit_or(&node.inputs[0], &ready) {
-                        Some(v) if outputs_free(true) => Some((wired(node, &[0]), Some(v))),
-                        _ => None,
-                    }
-                }
-                Opcode::TGate | Opcode::FGate => {
-                    match (
-                        lit_or(&node.inputs[GATE_CTL], &ready),
-                        lit_or(&node.inputs[GATE_DATA], &ready),
-                    ) {
-                        (Some(c), Some(d)) => {
-                            let ctl = c.as_bool().ok_or(SimError::NonBoolControl {
-                                node: i,
-                                label: node.label.clone(),
-                            })?;
-                            let pass = matches!(node.op, Opcode::TGate) == ctl;
-                            if pass && !outputs_free(true) {
-                                None
-                            } else {
-                                Some((wired(node, &[GATE_CTL, GATE_DATA]), pass.then_some(d)))
-                            }
-                        }
-                        _ => None,
-                    }
-                }
-                Opcode::Merge => match lit_or(&node.inputs[MERGE_CTL], &ready) {
-                    Some(c) => {
-                        let ctl = c.as_bool().ok_or(SimError::NonBoolControl {
-                            node: i,
-                            label: node.label.clone(),
-                        })?;
-                        let port = if ctl { MERGE_TRUE } else { MERGE_FALSE };
-                        match lit_or(&node.inputs[port], &ready) {
-                            Some(v) if outputs_free(true) => {
-                                Some((wired(node, &[MERGE_CTL, port]), Some(v)))
-                            }
-                            _ => None,
-                        }
-                    }
-                    None => None,
-                },
-                Opcode::CtlGen(s) => {
-                    if outputs_free(true) {
-                        Some((vec![], Some(Value::Bool(s.at(ctl_pos[i])))))
-                    } else {
-                        None
-                    }
-                }
-                Opcode::IdxGen { lo, hi } => {
-                    if outputs_free(true) {
-                        let len = (hi - lo + 1) as u64;
-                        Some((vec![], Some(Value::Int(lo + (ctl_pos[i] % len) as i64))))
-                    } else {
-                        None
-                    }
-                }
-                Opcode::Source(_) => {
-                    let d = src_data[i].as_ref().unwrap_or_else(|| {
-                        panic!(
-                            "cell {i} ({}): source data unbound at cycle {now} despite construction check",
-                            node.label
-                        )
-                    });
-                    if src_pos[i] < d.len() && outputs_free(true) {
-                        Some((vec![], Some(d[src_pos[i]])))
-                    } else {
-                        None
-                    }
-                }
-                Opcode::Sink(_) => {
-                    lit_or(&node.inputs[0], &ready).map(|v| (wired(node, &[0]), Some(v)))
-                }
-                Opcode::Fifo(_) => unreachable!(),
-            };
-            if let Some((consume, emit)) = plan {
+            if let Some(plan) = plan_cell(g, &sim, now, NodeId(i as u32))? {
                 budget[pe_of[i]] -= 1;
-                plans.push((NodeId(i as u32), consume, emit));
+                plans.push((NodeId(i as u32), plan));
             }
         }
 
-        for (nid, consume, emit) in plans {
+        for (nid, plan) in &plans {
             activity = true;
-            let i = nid.idx();
+            let pe = pe_of[nid.idx()];
             // Consume: pop tokens, send acknowledges toward the producers.
-            for a in consume {
-                ready[a.idx()].pop_front();
-                let producer = g.arcs[a.idx()].src.idx();
-                let (sp, dp) = (pe_of[i], pe_of[producer]);
-                if sp == dp {
-                    local.push_back((now + 1, Payload::Ack(a)));
-                } else {
-                    egress_ack[sp].push_back((dp, Payload::Ack(a)));
-                }
+            for a in plan.consumes() {
+                consume_token(&mut sim.arcs[a.idx()], IN_NETWORK, AckFate::Deliver);
+                let hop = (pe, pe_of[g.arcs[a.idx()].src.idx()]);
+                route(&mut local, &mut planes[1].egress, now, hop, Payload::Ack(a));
             }
-            match &g.nodes[i].op {
-                Opcode::Source(_) => src_pos[i] += 1,
-                Opcode::CtlGen(_) | Opcode::IdxGen { .. } => ctl_pos[i] += 1,
-                Opcode::Sink(name) => {
-                    let v = emit.unwrap_or_else(|| {
-                        panic!("cell {i} ({name}): sink fired without a value at cycle {now}")
-                    });
-                    outputs
-                        .get_mut(name)
-                        .unwrap_or_else(|| {
-                            panic!("cell {i} ({name}): sink port vanished at cycle {now}")
-                        })
-                        .push((now, v));
-                    continue;
-                }
-                _ => {}
-            }
-            if let Some(v) = emit {
-                for &a in &g.nodes[i].outputs {
-                    outstanding[a.idx()] += 1;
-                    let consumer = g.arcs[a.idx()].dst.idx();
-                    let (sp, dp) = (pe_of[i], pe_of[consumer]);
-                    if sp == dp {
-                        local.push_back((now + 1, Payload::Result(a, v)));
-                    } else {
-                        egress_res[sp].push_back((dp, Payload::Result(a, v)));
-                    }
+            if let Some(v) = note_fire_cell(g, &mut sim, now, *nid, plan) {
+                for &a in &g.nodes[nid.idx()].outputs {
+                    emit_token(&mut sim.arcs[a.idx()], v, IN_NETWORK, ResultFate::Deliver);
+                    let hop = (pe, pe_of[g.arcs[a.idx()].dst.idx()]);
+                    let p = Payload::Result(a, v);
+                    route(&mut local, &mut planes[0].egress, now, hop, p);
                 }
             }
         }
 
         // 3. Inject one packet per PE per plane per cycle.
         for pe in 0..opts.pes {
-            if let Some(&(dest, payload)) = egress_res[pe].front() {
+            for plane in &mut planes {
+                let Some(&(dest, payload)) = plane.egress[pe].front() else {
+                    continue;
+                };
                 let pkt = Packet {
                     dest,
                     injected_at: 0,
                     seq,
                 };
-                if result_net.inject(pe, pkt) {
-                    in_flight_res.insert(seq, payload);
+                if plane.net.inject(pe, pkt) {
+                    plane.in_flight.insert(seq, payload);
                     seq += 1;
-                    egress_res[pe].pop_front();
-                    remote_results += 1;
-                    activity = true;
-                }
-            }
-            if let Some(&(dest, payload)) = egress_ack[pe].front() {
-                let pkt = Packet {
-                    dest,
-                    injected_at: 0,
-                    seq,
-                };
-                if ack_net.inject(pe, pkt) {
-                    in_flight_ack.insert(seq, payload);
-                    seq += 1;
-                    egress_ack[pe].pop_front();
-                    remote_acks += 1;
+                    plane.egress[pe].pop_front();
+                    plane.injected += 1;
                     activity = true;
                 }
             }
         }
 
         // 4. Advance the networks and apply this cycle's deliveries.
-        let res_before = result_net.delivered().len();
-        let ack_before = ack_net.delivered().len();
-        result_net.step();
-        ack_net.step();
-        for &(t, pkt) in &result_net.delivered()[res_before..] {
-            let payload = in_flight_res.remove(&pkt.seq).unwrap_or_else(|| {
-                panic!(
-                    "result packet seq {} delivered at cycle {now} was never injected",
-                    pkt.seq
-                )
-            });
-            res_latency_sum += t - pkt.injected_at;
-            apply_payload(payload, &mut ready, &mut outstanding);
-            activity = true;
-        }
-        for &(_, pkt) in &ack_net.delivered()[ack_before..] {
-            let payload = in_flight_ack.remove(&pkt.seq).unwrap_or_else(|| {
-                panic!(
-                    "acknowledge packet seq {} delivered at cycle {now} was never injected",
-                    pkt.seq
-                )
-            });
-            apply_payload(payload, &mut ready, &mut outstanding);
-            activity = true;
+        for plane in &mut planes {
+            let before = plane.net.delivered().len();
+            plane.net.step();
+            for &(t, pkt) in &plane.net.delivered()[before..] {
+                let payload = plane
+                    .in_flight
+                    .remove(&pkt.seq)
+                    .expect("a delivered packet was injected");
+                if let Payload::Result(..) = payload {
+                    res_latency_sum += t - pkt.injected_at;
+                }
+                deliver(&mut sim.arcs, payload, now);
+                activity = true;
+            }
         }
 
         now += 1;
@@ -444,20 +279,21 @@ pub fn run_closed_loop(
                 .map(|lf| lf.until)
                 .max()
                 .unwrap_or(0);
-            if idle > 4 + 2 * result_net.stages() as u64
+            if idle > 4 + 2 * planes[0].net.stages() as u64
                 && now >= fault_end
-                && result_net.is_empty()
-                && ack_net.is_empty()
+                && planes.iter().all(|p| p.net.is_empty())
             {
                 break;
             }
         }
     }
 
-    let sources_exhausted = (0..n).all(|i| match &src_data[i] {
-        Some(d) => src_pos[i] >= d.len(),
+    let cells = sim.cells;
+    let sources_exhausted = (0..n).all(|i| match &cells.src_data[i] {
+        Some(d) => cells.src_pos[i] >= d.len(),
         None => true,
     });
+    let [remote_results, remote_acks] = planes.map(|p| p.injected);
     let mean_result_latency = if remote_results > 0 {
         res_latency_sum as f64 / remote_results as f64
     } else {
@@ -465,7 +301,7 @@ pub fn run_closed_loop(
     };
     Ok(ClosedLoopResult {
         steps: now,
-        outputs,
+        outputs: cells.outputs.into_iter().collect(),
         sources_exhausted,
         remote_results,
         remote_acks,
@@ -473,22 +309,42 @@ pub fn run_closed_loop(
     })
 }
 
-fn wired(node: &valpipe_ir::Node, ports: &[usize]) -> Vec<ArcId> {
-    ports
-        .iter()
-        .filter_map(|&p| match node.inputs[p] {
-            PortBinding::Wired(a) => Some(a),
-            _ => None,
-        })
-        .collect()
+/// Send `p` along `hop = (from PE, to PE)`: over a network plane via
+/// the sender's `egress` queue, or along the one-cycle local path when both
+/// ends are the same PE.
+fn route(
+    local: &mut VecDeque<(u64, Payload)>,
+    egress: &mut [VecDeque<(usize, Payload)>],
+    now: u64,
+    (from, to): (usize, usize),
+    p: Payload,
+) {
+    if from == to {
+        local.push_back((now + 1, p));
+    } else {
+        egress[from].push_back((to, p));
+    }
 }
 
-fn apply_payload(p: Payload, ready: &mut [VecDeque<Value>], outstanding: &mut [u32]) {
+/// Land a packet at cycle `now`. A result becomes visible in the arc's
+/// oldest entry still in the network, so the consumer reads tokens in
+/// arrival order; an acknowledge frees one slot whose acknowledge was
+/// in flight.
+fn deliver(arcs: &mut [ArcState], p: Payload, now: u64) {
     match p {
-        Payload::Result(a, v) => ready[a.idx()].push_back(v),
+        Payload::Result(a, v) => {
+            let slot = arcs[a.idx()]
+                .queue
+                .iter_mut()
+                .find(|(_, t)| *t == IN_NETWORK);
+            *slot.expect("a delivered result has a token in flight") = (v, now);
+        }
         Payload::Ack(a) => {
-            debug_assert!(outstanding[a.idx()] > 0);
-            outstanding[a.idx()] -= 1;
+            let st = &mut arcs[a.idx()];
+            st.freeing
+                .pop()
+                .expect("a delivered acknowledge has a slot in flight");
+            st.acked += 1;
         }
     }
 }
@@ -496,7 +352,9 @@ fn apply_payload(p: Payload, ready: &mut [VecDeque<Value>], outstanding: &mut [u
 #[cfg(test)]
 mod tests {
     use super::*;
+    use valpipe_ir::opcode::Opcode;
     use valpipe_ir::value::BinOp;
+    use valpipe_ir::In;
 
     fn chain_graph() -> Graph {
         let mut g = Graph::new();
@@ -507,27 +365,39 @@ mod tests {
         g
     }
 
+    /// `out = op(a, rest..)` over one source `a`.
+    fn one_cell(op: Opcode, rest: &[In]) -> Graph {
+        let mut g = Graph::new();
+        let a = g.add_node(Opcode::Source("a".into()), "a");
+        let x = g.cell(op, "x", &[&[a.into()], rest].concat());
+        let _ = g.cell(Opcode::Sink("out".into()), "out", &[x.into()]);
+        g
+    }
+
+    /// `a = 0, 1, .., len - 1`.
+    fn ramp(len: usize) -> ProgramInputs {
+        ProgramInputs::new().bind("a", (0..len).map(|i| Value::Real(i as f64)).collect())
+    }
+
+    /// Cell `i` on PE `i % pes`.
+    fn round_robin(g: &Graph, pes: usize) -> Vec<usize> {
+        (0..g.node_count()).map(|i| i % pes).collect()
+    }
+
+    fn on(pes: usize) -> ClosedLoopOptions {
+        ClosedLoopOptions {
+            pes,
+            ..Default::default()
+        }
+    }
+
     #[test]
     fn closed_loop_values_match_idealized() {
         let g = chain_graph();
-        let data: Vec<Value> = (0..40).map(|i| Value::Real(i as f64)).collect();
-        let inputs = ProgramInputs::new().bind("a", data.clone());
-        let ideal = crate::sim::Simulator::builder(&g)
-            .inputs(inputs.clone())
-            .run()
-            .unwrap();
+        let inputs = ramp(40);
+        let ideal = Simulator::builder(&g).inputs(inputs.clone()).run().unwrap();
         for pes in [2usize, 4, 8] {
-            let pe_of: Vec<usize> = (0..g.node_count()).map(|i| i % pes).collect();
-            let r = run_closed_loop(
-                &g,
-                &inputs,
-                &pe_of,
-                &ClosedLoopOptions {
-                    pes,
-                    ..Default::default()
-                },
-            )
-            .unwrap();
+            let r = run_closed_loop(&g, &inputs, &round_robin(&g, pes), &on(pes)).unwrap();
             assert!(r.sources_exhausted, "pes={pes}");
             assert_eq!(r.values("out"), ideal.values("out"), "pes={pes}");
         }
@@ -536,39 +406,19 @@ mod tests {
     #[test]
     fn network_latency_throttles_but_never_deadlocks() {
         let g = chain_graph();
-        let data: Vec<Value> = (0..120).map(|i| Value::Real(i as f64)).collect();
-        let inputs = ProgramInputs::new().bind("a", data);
-        let pe_of: Vec<usize> = (0..g.node_count()).map(|i| i % 4).collect();
-        let r = run_closed_loop(
-            &g,
-            &inputs,
-            &pe_of,
-            &ClosedLoopOptions {
-                pes: 4,
-                arc_capacity: 1,
-                ..Default::default()
-            },
-        )
-        .unwrap();
+        let pe_of = round_robin(&g, 4);
+        let r = run_closed_loop(&g, &ramp(120), &pe_of, &on(4)).unwrap();
         assert!(r.sources_exhausted);
         // Remote hop = 2 network cycles each way + fire → interval well
         // above the idealized 2.
         let iv = r.timing("out").interval().unwrap();
         assert!(iv > 3.0, "capacity-1 remote links must be slow: {iv}");
         // Deeper operand slots win rate back (the §2 buffering story).
-        let data: Vec<Value> = (0..120).map(|i| Value::Real(i as f64)).collect();
-        let inputs = ProgramInputs::new().bind("a", data);
-        let r4 = run_closed_loop(
-            &g,
-            &inputs,
-            &pe_of,
-            &ClosedLoopOptions {
-                pes: 4,
-                arc_capacity: 4,
-                ..Default::default()
-            },
-        )
-        .unwrap();
+        let deep = ClosedLoopOptions {
+            arc_capacity: 4,
+            ..on(4)
+        };
+        let r4 = run_closed_loop(&g, &ramp(120), &pe_of, &deep).unwrap();
         let iv4 = r4.timing("out").interval().unwrap();
         assert!(
             iv4 < iv - 0.5,
@@ -579,55 +429,60 @@ mod tests {
     #[test]
     fn bad_configurations_are_reported_not_panicked() {
         let g = chain_graph();
-        let inputs = ProgramInputs::new().bind("a", vec![Value::Real(1.0)]);
+        let inputs = ramp(1);
         let pe_of: Vec<usize> = vec![0; g.node_count()];
-        let err = run_closed_loop(
-            &g,
-            &inputs,
-            &pe_of,
-            &ClosedLoopOptions {
-                pes: 3,
-                ..Default::default()
-            },
-        )
-        .unwrap_err();
-        assert!(matches!(err, SimError::InvalidConfig(_)), "{err}");
-        let err =
-            run_closed_loop(&g, &inputs, &pe_of[1..], &ClosedLoopOptions::default()).unwrap_err();
-        assert!(matches!(err, SimError::InvalidConfig(_)), "{err}");
-        let err = run_closed_loop(
-            &g,
-            &inputs,
-            &vec![99; g.node_count()],
-            &ClosedLoopOptions {
-                pes: 4,
-                ..Default::default()
-            },
-        )
-        .unwrap_err();
-        assert!(matches!(err, SimError::InvalidConfig(_)), "{err}");
+        let bad = [
+            run_closed_loop(&g, &inputs, &pe_of, &on(3)),
+            run_closed_loop(&g, &inputs, &pe_of[1..], &ClosedLoopOptions::default()),
+            run_closed_loop(&g, &inputs, &vec![99; g.node_count()], &on(4)),
+        ];
+        for r in bad {
+            let err = r.unwrap_err();
+            assert!(matches!(err, SimError::InvalidConfig(_)), "{err}");
+        }
+    }
+
+    #[test]
+    fn errors_match_the_simulator() {
+        let cases = [
+            (
+                "type fault",
+                one_cell(Opcode::Bin(BinOp::And), &[true.into()]),
+                ramp(2),
+            ),
+            (
+                "non-bool gate control",
+                one_cell(Opcode::TGate, &[1.0.into()]),
+                ramp(2),
+            ),
+            ("unexpanded fifo", one_cell(Opcode::Fifo(2), &[]), ramp(2)),
+            ("missing input", chain_graph(), ProgramInputs::new()),
+        ];
+        for (case, g, inputs) in cases {
+            let closed = run_closed_loop(&g, &inputs, &round_robin(&g, 2), &on(2));
+            // `build` + `drive` is `SessionBuilder::run` without its FIFO
+            // expansion, which would hide the unexpanded-FIFO error.
+            let sim = Simulator::builder(&g)
+                .inputs(inputs)
+                .build()
+                .and_then(|s| s.drive(crate::RunSpec::new()).map(|d| d.result()));
+            let (Err(closed), Err(sim)) = (closed, sim) else {
+                panic!("{case}: both machines must fail");
+            };
+            assert_eq!(
+                std::mem::discriminant(&closed),
+                std::mem::discriminant(&sim),
+                "{case}: {closed} vs {sim}"
+            );
+        }
     }
 
     #[test]
     fn link_fault_slows_but_preserves_values() {
         let g = chain_graph();
-        let data: Vec<Value> = (0..60).map(|i| Value::Real(i as f64)).collect();
-        let inputs = ProgramInputs::new().bind("a", data);
-        let pe_of: Vec<usize> = (0..g.node_count()).map(|i| i % 4).collect();
-        let clean = run_closed_loop(
-            &g,
-            &inputs,
-            &pe_of,
-            &ClosedLoopOptions {
-                pes: 4,
-                ..Default::default()
-            },
-        )
-        .unwrap();
-        let mut faulty_opts = ClosedLoopOptions {
-            pes: 4,
-            ..Default::default()
-        };
+        let pe_of = round_robin(&g, 4);
+        let clean = run_closed_loop(&g, &ramp(60), &pe_of, &on(4)).unwrap();
+        let mut faulty_opts = on(4);
         for port in 0..4 {
             faulty_opts.link_faults.push(crate::fault::LinkFault {
                 stage: 0,
@@ -636,7 +491,7 @@ mod tests {
                 until: 60,
             });
         }
-        let faulty = run_closed_loop(&g, &inputs, &pe_of, &faulty_opts).unwrap();
+        let faulty = run_closed_loop(&g, &ramp(60), &pe_of, &faulty_opts).unwrap();
         assert!(faulty.sources_exhausted, "stalled links must recover");
         assert_eq!(faulty.values("out"), clean.values("out"));
         assert!(
@@ -650,19 +505,7 @@ mod tests {
     #[test]
     fn acks_are_conserved() {
         let g = chain_graph();
-        let data: Vec<Value> = (0..30).map(|i| Value::Real(i as f64)).collect();
-        let inputs = ProgramInputs::new().bind("a", data);
-        let pe_of: Vec<usize> = (0..g.node_count()).map(|i| i % 2).collect();
-        let r = run_closed_loop(
-            &g,
-            &inputs,
-            &pe_of,
-            &ClosedLoopOptions {
-                pes: 2,
-                ..Default::default()
-            },
-        )
-        .unwrap();
+        let r = run_closed_loop(&g, &ramp(30), &round_robin(&g, 2), &on(2)).unwrap();
         // Every remote result eventually produces a remote ack (same PE
         // split for every arc in this placement).
         assert_eq!(r.remote_results, r.remote_acks);

@@ -14,7 +14,7 @@
 //! traffic claim: at the packet rates a fully pipelined program actually
 //! generates (≤ 1/2 packet per cell per instruction time, spread across
 //! PEs), does the network deliver near its unloaded `log2 N` latency?
-//! `exp_network` measures the latency/load curve and replays real
+//! `valpipe-exp network` measures the latency/load curve and replays real
 //! program traffic traces through the network.
 
 use std::collections::VecDeque;

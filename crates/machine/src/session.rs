@@ -32,8 +32,8 @@
 //! * [`Session`] is a prepared machine: [`Session::step`] for manual
 //!   single-stepping (traces, closed-loop experiments) and
 //!   [`Session::drive`], the one run loop, for everything else —
-//!   completion, pause boundaries, step budgets, checkpoint cadences and
-//!   fast-forward, all described by a [`RunSpec`].
+//!   completion or a pause boundary, exactly or with fast-forward, as
+//!   described by a [`RunSpec`].
 
 use valpipe_ir::graph::Graph;
 use valpipe_ir::opcode::Opcode;
@@ -243,16 +243,6 @@ impl SimConfig {
         self
     }
 
-    /// The configured kernel.
-    pub fn kernel_choice(&self) -> Kernel {
-        self.kernel
-    }
-
-    /// The configured step limit.
-    pub fn max_steps_limit(&self) -> u64 {
-        self.max_steps
-    }
-
     /// The configured fault plan, if any.
     pub fn fault_plan_ref(&self) -> Option<&FaultPlan> {
         self.fault_plan.as_ref()
@@ -380,8 +370,7 @@ pub struct Session<'g> {
 /// Outcome of a driven run: the run either reached one of its stopping
 /// conditions (quiescence, step limit, output target, watchdog stall)
 /// and produced its [`RunResult`], or it hit the caller's pause boundary
-/// or step budget first and hands the live session back for later
-/// resumption.
+/// first and hands the live session back for later resumption.
 pub enum RunOutcome<'g> {
     /// The run stopped for one of the machine's own reasons. Boxed,
     /// like [`RunOutcome::Paused`], to keep the enum small.
@@ -415,10 +404,10 @@ pub enum ExecMode {
 }
 
 /// Everything that shapes one [`Session::drive`] call, as plain data:
-/// stop conditions (pause boundary, step budget), checkpoint cadence,
-/// stall policy, and execution mode. Defaults drive the run to
-/// completion in [`ExecMode::Exact`] with the session's configuration
-/// untouched.
+/// the execution mode and an optional pause boundary. Defaults drive
+/// the run to completion in [`ExecMode::Exact`]. Everything else that
+/// shapes a run (step limit, watchdog, checkpoint cadence and path) is
+/// the session's [`SimConfig`].
 ///
 /// ```
 /// use valpipe_machine::RunSpec;
@@ -428,14 +417,10 @@ pub enum ExecMode {
 pub struct RunSpec {
     mode: ExecMode,
     pause_at: Option<u64>,
-    step_budget: Option<u64>,
-    checkpoint_every: Option<u64>,
-    checkpoint_path: Option<String>,
-    watchdog: Option<WatchdogConfig>,
 }
 
 impl RunSpec {
-    /// The default spec: run to completion, exactly, no checkpoints.
+    /// The default spec: run to completion, exactly.
     pub fn new() -> Self {
         Self::default()
     }
@@ -456,36 +441,6 @@ impl RunSpec {
     /// reaches `at`, unless the run stops for its own reasons first.
     pub fn pause_at(mut self, at: u64) -> Self {
         self.pause_at = Some(at);
-        self
-    }
-
-    /// Pause after at most this many further instruction times — a
-    /// relative [`RunSpec::pause_at`]. The budget is a pause boundary,
-    /// not a change to the configured step limit, so it never alters the
-    /// machine state a later checkpoint serializes.
-    pub fn step_budget(mut self, steps: u64) -> Self {
-        self.step_budget = Some(steps);
-        self
-    }
-
-    /// Override the session's checkpoint cadence for this drive (see
-    /// [`SimConfig::checkpoint_every`]).
-    pub fn checkpoint_every(mut self, every: u64) -> Self {
-        self.checkpoint_every = Some(every);
-        self
-    }
-
-    /// Override where periodic checkpoints are written for this drive
-    /// (see [`SimConfig::checkpoint_path`]).
-    pub fn checkpoint_path(mut self, path: impl Into<String>) -> Self {
-        self.checkpoint_path = Some(path.into());
-        self
-    }
-
-    /// Install (or override) the watchdog for this drive (see
-    /// [`SimConfig::watchdog`]).
-    pub fn watchdog(mut self, watchdog: WatchdogConfig) -> Self {
-        self.watchdog = Some(watchdog);
         self
     }
 }
@@ -511,7 +466,7 @@ impl<'g> Driven<'g> {
     /// # Panics
     ///
     /// Panics if the run paused instead of completing — only call this
-    /// on drives without a pause boundary or step budget, or after
+    /// on drives without a pause boundary, or after
     /// matching on [`Driven::outcome`].
     pub fn result(self) -> RunResult {
         match self.outcome {
@@ -529,7 +484,7 @@ impl<'g> Session<'g> {
 
     /// Drive the run as described by `spec`: to quiescence, the step
     /// limit, the output-count target, or a watchdog stall — or to the
-    /// spec's pause boundary / step budget, whichever comes first.
+    /// spec's pause boundary, whichever comes first.
     /// Stopping wins ties: a pause boundary landing exactly on the final
     /// step still yields [`RunOutcome::Done`]. Because every stopping
     /// decision in the run loop is made from machine state at the top of
@@ -545,8 +500,7 @@ impl<'g> Session<'g> {
     }
 
     /// [`Session::drive`], handing every periodic checkpoint (see
-    /// [`RunSpec::checkpoint_every`] / [`SimConfig::checkpoint_every`])
-    /// to `sink` as it is taken.
+    /// [`SimConfig::checkpoint_every`]) to `sink` as it is taken.
     pub fn drive_with(
         self,
         spec: RunSpec,
@@ -556,28 +510,10 @@ impl<'g> Session<'g> {
     }
 
     fn drive_inner(
-        mut self,
+        self,
         spec: RunSpec,
         sink: Option<&mut dyn FnMut(Snapshot)>,
     ) -> Result<Driven<'g>, SimError> {
-        if let Some(every) = spec.checkpoint_every {
-            self.sim.cfg.checkpoint_every = every;
-        }
-        if let Some(path) = spec.checkpoint_path {
-            self.sim.cfg.checkpoint_path = Some(path);
-        }
-        if let Some(wd) = spec.watchdog {
-            self.sim.cfg.watchdog = Some(wd);
-        }
-        // A step budget is a *pause boundary*, not a config change: the
-        // config is serialized into checkpoints (format-pinned), so the
-        // budget must never leak into the machine state.
-        let pause = match (spec.pause_at, spec.step_budget) {
-            (Some(p), Some(b)) => Some(p.min(self.sim.now().saturating_add(b))),
-            (Some(p), None) => Some(p),
-            (None, Some(b)) => Some(self.sim.now().saturating_add(b)),
-            (None, None) => None,
-        };
         let mut stats = FastForwardStats::default();
         let mut ff = match spec.mode {
             ExecMode::Exact => None,
@@ -594,7 +530,7 @@ impl<'g> Session<'g> {
         let mut epoch_stats = EpochStats::default();
         let phase = self
             .sim
-            .run_inner(pause, sink, ff.as_mut(), Some(&mut epoch_stats))?;
+            .run_inner(spec.pause_at, sink, ff.as_mut(), Some(&mut epoch_stats))?;
         if let Some(f) = ff {
             stats = f.into_stats();
         }
@@ -643,21 +579,6 @@ impl<'g> Session<'g> {
         Ok(Session {
             sim: snap.rebuild(g, kernel)?,
         })
-    }
-
-    /// Resume directly from raw snapshot bytes (e.g. a hibernation file's
-    /// payload section or bytes received over the wire): validates the
-    /// header and checksums, then restores onto `g` under `kernel`. This
-    /// is [`Snapshot::from_bytes`] + [`Session::restore_with_kernel`] in
-    /// one step, so callers moving machine state between processes never
-    /// handle an unvalidated snapshot.
-    pub fn resume_from_bytes(
-        g: &'g Graph,
-        bytes: Vec<u8>,
-        kernel: Kernel,
-    ) -> Result<Session<'g>, SnapshotError> {
-        let snap = Snapshot::from_bytes(bytes)?;
-        Self::restore_with_kernel(g, &snap, kernel)
     }
 
     /// Current instruction time.

@@ -73,20 +73,6 @@ impl ProgramInputs {
         self.bind(name, values.iter().map(|&v| Value::Real(v)).collect())
     }
 
-    /// Bind a sequence of integers.
-    pub fn bind_ints(self, name: impl Into<String>, values: &[i64]) -> Self {
-        self.bind(name, values.iter().map(|&v| Value::Int(v)).collect())
-    }
-
-    /// Bind `waves` repetitions of one wave of reals.
-    pub fn bind_waves(self, name: impl Into<String>, wave: &[f64], waves: usize) -> Self {
-        let mut all = Vec::with_capacity(wave.len() * waves);
-        for _ in 0..waves {
-            all.extend(wave.iter().map(|&v| Value::Real(v)));
-        }
-        self.bind(name, all)
-    }
-
     /// Look up a bound sequence.
     pub fn get(&self, name: &str) -> Option<&[Value]> {
         self.map.get(name).map(|v| v.as_slice())
@@ -545,10 +531,12 @@ impl Operand {
 
 /// Read-only view of exactly the machine state cell planning touches:
 /// arc states and the source/control cursors. The `Simulator`
-/// implements it over its own storage; the epoch engine's per-shard
-/// views (`par.rs`) implement it over disjointly-aliased slices — so
-/// [`plan_cell`] is the *single* planning implementation shared by
-/// every kernel and the epoch engine, and cannot drift.
+/// implements it over its own storage (which the closed-loop networked
+/// machine, `closedloop.rs`, also plans over); the epoch engine's
+/// per-shard views (`par.rs`) implement it over disjointly-aliased
+/// slices — so [`plan_cell`] is the *single* planning implementation
+/// shared by every kernel, the epoch engine and the closed loop, and
+/// cannot drift.
 pub(crate) trait PlanView {
     /// State of arc `a`.
     fn arc(&self, a: usize) -> &ArcState;
@@ -583,7 +571,7 @@ fn view_outputs_free<V: PlanView + ?Sized>(g: &Graph, view: &V, n: NodeId) -> bo
 
 /// Determine whether `n` can fire at `now` and, if so, what it does.
 /// Pure over the view — shared verbatim by every kernel's planning
-/// phase and the epoch engine's shard workers.
+/// phase, the epoch engine's shard workers, and the closed loop.
 pub(crate) fn plan_cell<V: PlanView + ?Sized>(
     g: &Graph,
     view: &V,
@@ -748,7 +736,7 @@ pub(crate) fn may_refire<V: PlanView + ?Sized>(g: &Graph, view: &V, n: u32) -> b
 /// shard views implement it over disjointly-aliased slices plus local
 /// counters — so [`note_fire_cell`] is the single bookkeeping
 /// implementation shared by the sequential fire path, the parallel
-/// merge, and the epoch workers.
+/// merge, the epoch workers, and the closed-loop networked machine.
 pub(crate) trait NoteSink {
     /// Count a gate pass (`pass`) or discard (`!pass`) on gate cell `i`.
     fn bump_gate(&mut self, i: usize, pass: bool);

@@ -40,20 +40,6 @@ impl LinearForm {
     pub fn is_pure_sum(&self) -> bool {
         matches!(self.alpha, Expr::IntLit(1)) || matches!(self.alpha, Expr::RealLit(v) if v == 1.0)
     }
-
-    /// Reconstruct the body expression `α·acc[i-1] + β` (mostly for
-    /// debugging and tests).
-    pub fn to_expr(&self, acc: &str, index_var: &str) -> Expr {
-        let x = Expr::index(
-            acc,
-            Expr::bin(BinOp::Sub, Expr::var(index_var), Expr::IntLit(1)),
-        );
-        simplify(&Expr::bin(
-            BinOp::Add,
-            Expr::bin(BinOp::Mul, self.alpha.clone(), x),
-            self.beta.clone(),
-        ))
-    }
 }
 
 /// Extract the linear form of `expr` with respect to accumulator `acc`

@@ -8,7 +8,7 @@
 //!   the limited compile path; every answer is a typed error or a valid
 //!   compilation.
 //! * **Differential smoke** — the oracle-vs-matrix executor passes on a
-//!   spread of seeds (the deep campaign lives in `exp_fuzz`).
+//!   spread of seeds (the deep campaign lives in `valpipe-exp fuzz`).
 //! * **Shrinker contract** — reduction preserves the failure predicate
 //!   end-to-end through the real differential executor.
 
