@@ -6,7 +6,7 @@
 //!
 //! 1. editing one block of a 1000-block program re-executes fewer than
 //!    5% of the compile queries (parse, typecheck, analyze,
-//!    lower-region, balance, machine listing);
+//!    lower-region, balance);
 //! 2. the warm recompile after that edit is at least 10× faster than a
 //!    cold compile of the same source;
 //! 3. a warm engine's output is bit-identical to a fresh engine's — same

@@ -21,10 +21,8 @@ pub enum CompileError {
     /// Program is valid Val but outside what the chosen scheme supports
     /// (e.g. companion scheme on a nonlinear recurrence).
     Unsupported(String),
-    /// The generated machine program failed structural validation — a
-    /// compiler bug, reported with the defect list.
-    BadCode(String),
-    /// Internal invariant violation (a compiler bug).
+    /// Internal invariant violation (a compiler bug), including generated
+    /// machine code that fails structural validation.
     Internal(String),
 }
 
@@ -37,7 +35,6 @@ impl fmt::Display for CompileError {
             CompileError::Analyze(e) => write!(f, "{e}"),
             CompileError::Balance(e) => write!(f, "balancing failed: {e}"),
             CompileError::Unsupported(m) => write!(f, "unsupported: {m}"),
-            CompileError::BadCode(m) => write!(f, "generated invalid machine code: {m}"),
             CompileError::Internal(m) => write!(f, "internal compiler error: {m}"),
         }
     }

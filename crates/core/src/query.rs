@@ -8,27 +8,25 @@
 //! straight line (parse the whole file, check the whole program, lower
 //! every block, balance the whole graph), but each stage is posed as a
 //! set of **queries** — per-statement parses, per-block type checks,
-//! per-block lowered regions, whole-problem balance solutions, the
-//! machine listing — each memoized under a fingerprint of *everything
-//! that can influence its result*. Re-running a compile after an edit
-//! re-executes only the queries whose inputs changed; everything else is
-//! revalidated green-for-free because its key still matches (red–green
-//! with early cutoff: a downstream key embeds the upstream *value*
-//! fingerprints, so an upstream re-execution that reproduces the same
-//! value leaves the downstream keys untouched).
+//! per-block lowered regions, whole-problem balance solutions — each
+//! memoized under a key of *everything that can influence its result*.
+//! Re-running a compile after an edit re-executes only the queries whose
+//! inputs changed; everything else is revalidated green-for-free because
+//! its key still matches (red–green with early cutoff: a downstream key
+//! embeds the upstream *value* fingerprints, so an upstream re-execution
+//! that reproduces the same value leaves the downstream keys untouched).
 //!
 //! Memo hits are **exact-match**, not hash-match: every memo table is
 //! keyed by the full canonical key string, so a hit proves the inputs
 //! are byte-identical. No 64-bit fingerprint collision — accidental or
 //! adversarially constructed (the engine is shared across tenants in
 //! the serve registry) — can splice one compilation's artifact into
-//! another's. Hashing (`checksum64`) is used only to *name* disk-cache
-//! files, where a collision merely co-locates two files' entries; the
-//! entries themselves still verify by full key.
+//! another's.
 //!
-//! Memo tables are bounded: after each run, entries not touched within
-//! the retention cap are swept (generation-based LRU), so a long-lived
-//! shared engine fed arbitrary programs holds bounded memory.
+//! Memo tables live in memory only, for the engine's lifetime, and are
+//! bounded: after each run, entries not touched within the retention cap
+//! are swept (generation-based LRU), so a long-lived shared engine fed
+//! arbitrary programs holds bounded memory.
 //!
 //! **Bit-identity is the contract.** A warm [`QueryEngine::run_source`]
 //! must produce exactly the artifacts of a cold one: same graph
@@ -60,19 +58,15 @@
 //!   edit that adds or removes a statement re-keys the blocks after it);
 //! * balance solutions are keyed by the full constraint-problem
 //!   structure; the solvers are deterministic, so an equal problem has an
-//!   equal solution;
-//! * the machine listing is keyed by the full balanced listing.
+//!   equal solution.
 //!
 //! Building a block's keys therefore costs O(block), cold or warm;
 //! [`QueryStats::key_bytes`] counts the bytes built per table.
 //!
-//! Any irregularity (a statement the splitter cannot carve, a corrupt
-//! disk-cache file) falls back to the cold path — never a panic, never a
-//! stale answer.
-//!
-//! The optional on-disk cache (`.valpipe-cache/`) persists the expensive
-//! artifacts (regions and balance solutions) between processes in a
-//! versioned, checksummed envelope written atomically (tmp + rename).
+//! Any irregularity (a statement the splitter cannot carve or parse in
+//! isolation) falls back to the whole-program parser — never a panic,
+//! never a stale answer. The `--emit=machine` listing is not a query: it
+//! is rendered from the balanced graph whenever it is asked for.
 
 use crate::builder::{Compiler, Provider};
 use crate::error::CompileError;
@@ -87,7 +81,6 @@ use crate::program::{CompileStats, Compiled};
 use std::collections::HashMap;
 use std::convert::Infallible;
 use std::fmt::Write as _;
-use std::path::{Path, PathBuf};
 use std::time::Instant;
 use valpipe_balance::{problem, solve, BalanceMode, BalanceSolution};
 use valpipe_ir::opcode::Opcode;
@@ -96,7 +89,6 @@ use valpipe_ir::region::{Frame, GraphDelta, Mark};
 use valpipe_ir::validate::validate;
 use valpipe_ir::value::Value;
 use valpipe_ir::NodeId;
-use valpipe_util::{checksum64, Json};
 use valpipe_val::ast::{BlockDecl, Program};
 use valpipe_val::deps::{
     analyze_block, analyze_with, block_names, AnalyzeError, BlockNode, FlowGraph,
@@ -107,12 +99,6 @@ use valpipe_val::parser::{
 };
 use valpipe_val::srcmap::{SourceMap, StmtKey};
 use valpipe_val::typeck::{attach_loc, check_block, program_prelude_env, TypeError};
-
-/// Fingerprint of a string. Used only to *name* on-disk cache files,
-/// never to answer a memo lookup — memo tables key on the full string.
-fn fp(s: &str) -> u64 {
-    checksum64(s.as_bytes())
-}
 
 /// Per-run query accounting, by query kind: how many were posed and how
 /// many actually executed (the rest were memo hits).
@@ -128,15 +114,11 @@ pub struct QueryStats {
     pub region: (usize, usize),
     /// Balance-solution queries.
     pub balance: (usize, usize),
-    /// Machine-listing queries.
-    pub machine: (usize, usize),
     /// Memo-key bytes built this run, per table.
     pub key_bytes: KeyBytes,
     /// Whether this run abandoned statement splitting and re-parsed the
     /// whole file (malformed source, or a statement failed in isolation).
     pub full_parse_fallbacks: usize,
-    /// Artifacts revived from the on-disk cache at load time.
-    pub disk_entries_loaded: usize,
 }
 
 /// Bytes of memo keys built in one run, per query table.
@@ -152,26 +134,23 @@ pub struct KeyBytes {
     pub region: usize,
     /// Balance-problem keys.
     pub balance: usize,
-    /// Machine-listing keys.
-    pub machine: usize,
 }
 
 impl KeyBytes {
     /// All tables together.
     pub fn total(&self) -> usize {
-        self.parse + self.typed + self.analyze + self.region + self.balance + self.machine
+        self.parse + self.typed + self.analyze + self.region + self.balance
     }
 }
 
 impl QueryStats {
-    fn tables(&self) -> [(usize, usize); 6] {
+    fn tables(&self) -> [(usize, usize); 5] {
         [
             self.parse,
             self.typed,
             self.analyze,
             self.region,
             self.balance,
-            self.machine,
         ]
     }
 
@@ -190,13 +169,13 @@ impl QueryStats {
         self.total() - self.executed()
     }
 
-    /// One-line human rendering (for `--incremental` stderr reporting).
+    /// One-line human rendering (for test and experiment diagnostics).
     pub fn render(&self) -> String {
         let k = &self.key_bytes;
         format!(
             "queries: {} total, {} executed, {} cached \
-             (parse {}/{}, typed {}/{}, analyze {}/{}, region {}/{}, balance {}/{}, machine {}/{}); \
-             key bytes {} (parse {}, typed {}, analyze {}, region {}, balance {}, machine {}){}{}",
+             (parse {}/{}, typed {}/{}, analyze {}/{}, region {}/{}, balance {}/{}); \
+             key bytes {} (parse {}, typed {}, analyze {}, region {}, balance {}){}",
             self.total(),
             self.executed(),
             self.hits(),
@@ -210,24 +189,16 @@ impl QueryStats {
             self.region.0,
             self.balance.1,
             self.balance.0,
-            self.machine.1,
-            self.machine.0,
             k.total(),
             k.parse,
             k.typed,
             k.analyze,
             k.region,
             k.balance,
-            k.machine,
             if self.full_parse_fallbacks > 0 {
                 " [full-parse fallback]"
             } else {
                 ""
-            },
-            if self.disk_entries_loaded > 0 {
-                format!(" [{} from disk]", self.disk_entries_loaded)
-            } else {
-                String::new()
             },
         )
     }
@@ -290,9 +261,9 @@ type ParsedStmt = (TopStmt, Vec<(StmtKey, Span)>);
 /// long-lived shared engine fed arbitrary distinct programs.
 const DEFAULT_MEMO_CAP: usize = 16_384;
 
-/// The incremental compile engine: memo tables for every query kind plus
-/// an optional on-disk cache. One engine instance per logical compilation
-/// session; a fresh engine performs exactly the cold pipeline.
+/// The incremental compile engine: in-memory memo tables for every query
+/// kind. One engine instance per logical compilation session; a fresh
+/// engine performs exactly the cold pipeline.
 ///
 /// Every memo table is keyed by the full canonical key string — a hit
 /// requires byte-identical inputs, so no hash collision can cross-wire
@@ -304,16 +275,11 @@ pub struct QueryEngine {
     analyze_memo: HashMap<String, Memo<Result<BlockNode, AnalyzeError>>>,
     region_memo: HashMap<String, Memo<RegionEntry>>,
     balance_memo: HashMap<String, Memo<BalanceSolution>>,
-    machine_memo: HashMap<String, Memo<String>>,
     stats: QueryStats,
     /// Current run generation; bumped at every [`QueryEngine::run_source`].
     gen: u64,
     /// Per-table entry cap enforced after each run.
     memo_cap: usize,
-    /// Region/balance memos gained entries since the last disk save.
-    dirty: bool,
-    cache_dir: Option<PathBuf>,
-    cache_loaded: Option<u64>,
 }
 
 impl Default for QueryEngine {
@@ -324,19 +290,15 @@ impl Default for QueryEngine {
             analyze_memo: HashMap::new(),
             region_memo: HashMap::new(),
             balance_memo: HashMap::new(),
-            machine_memo: HashMap::new(),
             stats: QueryStats::default(),
             gen: 0,
             memo_cap: DEFAULT_MEMO_CAP,
-            dirty: false,
-            cache_dir: None,
-            cache_loaded: None,
         }
     }
 }
 
 impl QueryEngine {
-    /// Fresh engine with empty memos and no disk cache.
+    /// Fresh engine with empty memos.
     pub fn new() -> QueryEngine {
         QueryEngine::default()
     }
@@ -350,18 +312,6 @@ impl QueryEngine {
     /// distinct submissions.
     pub fn set_memo_cap(&mut self, cap: usize) {
         self.memo_cap = cap.max(1);
-    }
-
-    /// Fresh engine that persists regions and balance solutions under the
-    /// given directory (created on first save). Corrupt or mismatched
-    /// cache files are ignored silently — the engine falls back to a cold
-    /// compile, never panics, and never serves stale artifacts (every
-    /// lookup still goes through the full content key).
-    pub fn with_disk_cache(dir: impl Into<PathBuf>) -> QueryEngine {
-        QueryEngine {
-            cache_dir: Some(dir.into()),
-            ..QueryEngine::default()
-        }
     }
 
     /// Query accounting for the most recent [`QueryEngine::run_source`].
@@ -383,26 +333,10 @@ impl QueryEngine {
     ) -> Result<PipelineOutput, CompileError> {
         self.stats = QueryStats::default();
         self.gen += 1;
-        if let Some(dir) = self.cache_dir.clone() {
-            let key = cache_key(file, opts);
-            if self.cache_loaded != Some(key) {
-                self.stats.disk_entries_loaded = self.load_cache(&dir, key);
-                self.cache_loaded = Some(key);
-            }
-        }
         let out = self.run_source_inner(opts, limits, emit, src, file);
         // Sweep cold memo entries whether the compile succeeded or not —
         // failed compiles populate memos too.
         self.evict();
-        if out.is_ok() && self.dirty {
-            if let Some(dir) = self.cache_dir.clone() {
-                // Best-effort persistence; failure to write is not a
-                // compile failure (and leaves `dirty` set for a retry).
-                if self.save_cache(&dir, cache_key(file, opts)).is_ok() {
-                    self.dirty = false;
-                }
-            }
-        }
         out
     }
 
@@ -444,7 +378,6 @@ impl QueryEngine {
         trim(&mut self.analyze_memo, cap);
         trim(&mut self.region_memo, cap);
         trim(&mut self.balance_memo, cap);
-        trim(&mut self.machine_memo, cap);
     }
 
     // ---- parse queries ---------------------------------------------------
@@ -644,7 +577,9 @@ impl QueryEngine {
                     .map(|d| d.to_string())
                     .collect::<Vec<_>>()
                     .join("; ");
-                return Err(CompileError::BadCode(msg));
+                return Err(CompileError::Internal(format!(
+                    "generated invalid machine code: {msg}"
+                )));
             }
         });
 
@@ -699,17 +634,10 @@ impl QueryEngine {
 
         // ---- BalancedIr → MachineProgram -------------------------------
         if emit.contains(&Stage::Machine) {
-            let balanced_listing = dump_graph(&compiled.graph, &compiled.prov);
-            let key = format!("machine|{balanced_listing}");
-            self.stats.key_bytes.machine += key.len();
-            let Ok(listing) = answer(
-                &mut self.machine_memo,
-                self.gen,
-                &mut self.stats.machine,
-                &key,
-                || Ok::<_, Infallible>(dump_graph(&compiled.executable(), &compiled.prov)),
-            );
-            dumps.push((Stage::Machine, listing));
+            dumps.push((
+                Stage::Machine,
+                dump_graph(&compiled.executable(), &compiled.prov),
+            ));
         }
 
         // Dumps come back in the order requested, not pipeline order.
@@ -922,7 +850,6 @@ impl QueryEngine {
                 gen: self.gen,
             },
         );
-        self.dirty = true;
         Ok(())
     }
 
@@ -936,10 +863,10 @@ impl QueryEngine {
         p: &problem::BalanceProblem,
         mode: BalanceMode,
     ) -> Result<BalanceSolution, CompileError> {
-        let mut key_src = format!("balance|{mode:?}|n:{}", p.n);
+        let mut key = format!("balance|{mode:?}|n:{}", p.n);
         for a in &p.arcs {
             let _ = write!(
-                key_src,
+                key,
                 "|{}>{}w{}c{}a{:?}",
                 a.u,
                 a.v,
@@ -948,10 +875,8 @@ impl QueryEngine {
                 a.arc.map(|x| x.0)
             );
         }
-        let key = key_src;
         self.stats.key_bytes.balance += key.len();
-        let executed = self.stats.balance.1;
-        let sol = answer(
+        answer(
             &mut self.balance_memo,
             self.gen,
             &mut self.stats.balance,
@@ -963,105 +888,7 @@ impl QueryEngine {
                         CompileError::Internal("balance pass entered with BalanceMode::None".into())
                     })
             },
-        )?;
-        self.dirty |= self.stats.balance.1 > executed;
-        Ok(sol)
-    }
-
-    // ---- disk cache ------------------------------------------------------
-
-    /// Load persisted regions and balance solutions for the given cache
-    /// key. Returns the number of entries loaded; any anomaly — missing
-    /// file, bad magic, version skew, checksum mismatch, malformed JSON,
-    /// undecodable entry — loads nothing and reports zero.
-    fn load_cache(&mut self, dir: &Path, key: u64) -> usize {
-        let path = cache_file(dir, key);
-        let Ok(bytes) = std::fs::read(&path) else {
-            return 0;
-        };
-        let Some(payload) = open_envelope(&bytes) else {
-            return 0;
-        };
-        let Ok(text) = std::str::from_utf8(payload) else {
-            return 0;
-        };
-        let Ok(j) = Json::parse(text) else {
-            return 0;
-        };
-        // Decode everything before committing anything: a half-corrupt
-        // file must not leave half its entries behind.
-        let mut regions = Vec::new();
-        let mut solutions = Vec::new();
-        let Some(Json::Arr(rs)) = j.get("regions") else {
-            return 0;
-        };
-        for r in rs {
-            let Some(entry) = region_entry_from_json(r) else {
-                return 0;
-            };
-            regions.push(entry);
-        }
-        let Some(Json::Arr(bs)) = j.get("balance") else {
-            return 0;
-        };
-        for b in bs {
-            let Some(entry) = balance_entry_from_json(b) else {
-                return 0;
-            };
-            solutions.push(entry);
-        }
-        let n = regions.len() + solutions.len();
-        let gen = self.gen;
-        self.region_memo.extend(
-            regions
-                .into_iter()
-                .map(|(k, v)| (k, Memo { value: v, gen })),
-        );
-        self.balance_memo.extend(
-            solutions
-                .into_iter()
-                .map(|(k, v)| (k, Memo { value: v, gen })),
-        );
-        n
-    }
-
-    /// Persist regions and balance solutions atomically (tmp + rename).
-    /// Entries carry their full key string, so a reader verifies by
-    /// exact match — a corrupt or colliding entry can only miss, never
-    /// masquerade as another compilation's artifact.
-    fn save_cache(&self, dir: &Path, key: u64) -> std::io::Result<()> {
-        std::fs::create_dir_all(dir)?;
-        let mut regions: Vec<(&String, &Memo<RegionEntry>)> = self.region_memo.iter().collect();
-        regions.sort_by(|a, b| a.0.cmp(b.0));
-        let mut balance: Vec<(&String, &Memo<BalanceSolution>)> =
-            self.balance_memo.iter().collect();
-        balance.sort_by(|a, b| a.0.cmp(b.0));
-        let j = Json::obj([
-            (
-                "regions",
-                Json::Arr(
-                    regions
-                        .into_iter()
-                        .map(|(k, e)| region_entry_to_json(k, &e.value))
-                        .collect(),
-                ),
-            ),
-            (
-                "balance",
-                Json::Arr(
-                    balance
-                        .into_iter()
-                        .map(|(k, s)| balance_entry_to_json(k, &s.value))
-                        .collect(),
-                ),
-            ),
-        ]);
-        let payload = j.to_string().into_bytes();
-        let bytes = seal_envelope(&payload);
-        let path = cache_file(dir, key);
-        let tmp = path.with_extension("vpqc.tmp");
-        std::fs::write(&tmp, &bytes)?;
-        std::fs::rename(&tmp, &path)
+        )
     }
 }
 
@@ -1083,196 +910,10 @@ fn rebase(sp: Span, base_byte: u32, base_line: u32, base_col: u32) -> Span {
     )
 }
 
-/// One cache file per (source file, compile options) pair.
-fn cache_key(file: &str, opts: &CompileOptions) -> u64 {
-    fp(&format!("cache|{file}|{opts:?}"))
-}
-
-fn cache_file(dir: &Path, key: u64) -> PathBuf {
-    dir.join(format!("{key:016x}.vpqc"))
-}
-
-const CACHE_MAGIC: &[u8; 4] = b"VPQC";
-/// v3: position-independent region deltas (local cell ids, relative arc
-/// ids and label numbers) under per-block keys. v2 regions were
-/// positional; v1 keyed entries by a 64-bit fingerprint, which cannot be
-/// verified on hit.
-const CACHE_VERSION: u32 = 3;
-
-/// Envelope: magic, version, payload checksum, payload.
-fn seal_envelope(payload: &[u8]) -> Vec<u8> {
-    let mut out = Vec::with_capacity(16 + payload.len());
-    out.extend_from_slice(CACHE_MAGIC);
-    out.extend_from_slice(&CACHE_VERSION.to_le_bytes());
-    out.extend_from_slice(&checksum64(payload).to_le_bytes());
-    out.extend_from_slice(payload);
-    out
-}
-
-/// Open an envelope; `None` on any structural problem (too short, wrong
-/// magic, version skew, checksum mismatch).
-fn open_envelope(bytes: &[u8]) -> Option<&[u8]> {
-    if bytes.len() < 16 || &bytes[0..4] != CACHE_MAGIC {
-        return None;
-    }
-    let version = u32::from_le_bytes(bytes[4..8].try_into().ok()?);
-    if version != CACHE_VERSION {
-        return None;
-    }
-    let sum = u64::from_le_bytes(bytes[8..16].try_into().ok()?);
-    let payload = &bytes[16..];
-    if checksum64(payload) != sum {
-        return None;
-    }
-    Some(payload)
-}
-
-fn scheme_name(s: UsedScheme) -> &'static str {
-    match s {
-        UsedScheme::Todd => "todd",
-        UsedScheme::Companion => "companion",
-        UsedScheme::Straight => "straight",
-    }
-}
-
-fn scheme_from_name(s: &str) -> Option<UsedScheme> {
-    match s {
-        "todd" => Some(UsedScheme::Todd),
-        "companion" => Some(UsedScheme::Companion),
-        "straight" => Some(UsedScheme::Straight),
-        _ => None,
-    }
-}
-
-fn region_entry_to_json(key: &str, e: &RegionEntry) -> Json {
-    Json::obj([
-        ("key", Json::Str(key.to_string())),
-        ("delta", e.delta.to_json()),
-        (
-            "providers",
-            Json::Arr(
-                e.providers
-                    .iter()
-                    .map(|(name, p)| {
-                        Json::obj([
-                            ("name", Json::Str(name.clone())),
-                            ("node", Json::Int(p.node.0 as i64)),
-                            ("lo", Json::Int(p.lo)),
-                            ("hi", Json::Int(p.hi)),
-                        ])
-                    })
-                    .collect(),
-            ),
-        ),
-        (
-            "anchors",
-            Json::Arr(
-                e.anchors
-                    .iter()
-                    .flat_map(|&(n, w)| [Json::Int(n.0 as i64), Json::Int(w)])
-                    .collect(),
-            ),
-        ),
-        (
-            "scheme",
-            match e.scheme {
-                Some(s) => Json::Str(scheme_name(s).to_string()),
-                None => Json::Null,
-            },
-        ),
-    ])
-}
-
-fn region_entry_from_json(j: &Json) -> Option<(String, RegionEntry)> {
-    let key = j.get("key")?.as_str()?.to_string();
-    let delta = GraphDelta::from_json(j.get("delta")?).ok()?;
-    // Every cell the entry names must be one of the delta's local ids.
-    let cells = delta.ext as usize + delta.nodes.len();
-    let cell = |v: &Json| {
-        let n = usize::try_from(v.as_i64()?).ok().filter(|&n| n < cells)?;
-        Some(NodeId(n as u32))
-    };
-    let Json::Arr(ps) = j.get("providers")? else {
-        return None;
-    };
-    let mut providers = Vec::new();
-    for p in ps {
-        providers.push((
-            p.get("name")?.as_str()?.to_string(),
-            Provider {
-                node: cell(p.get("node")?)?,
-                lo: p.get("lo")?.as_i64()?,
-                hi: p.get("hi")?.as_i64()?,
-            },
-        ));
-    }
-    let Json::Arr(ans) = j.get("anchors")? else {
-        return None;
-    };
-    if ans.len() % 2 != 0 {
-        return None;
-    }
-    let anchors = ans
-        .chunks(2)
-        .map(|c| Some((cell(&c[0])?, c[1].as_i64()?)))
-        .collect::<Option<Vec<_>>>()?;
-    let scheme = match j.get("scheme")? {
-        Json::Null => None,
-        Json::Str(s) => Some(scheme_from_name(s)?),
-        _ => return None,
-    };
-    Some((
-        key,
-        RegionEntry {
-            delta,
-            providers,
-            anchors,
-            scheme,
-        },
-    ))
-}
-
-fn balance_entry_to_json(key: &str, s: &BalanceSolution) -> Json {
-    Json::obj([
-        ("key", Json::Str(key.to_string())),
-        (
-            "potential",
-            Json::Arr(s.potential.iter().map(|&v| Json::Int(v)).collect()),
-        ),
-        (
-            "depths",
-            Json::Arr(s.depths.iter().map(|&d| Json::Int(d as i64)).collect()),
-        ),
-        ("total_buffers", Json::Int(s.total_buffers as i64)),
-    ])
-}
-
-fn balance_entry_from_json(j: &Json) -> Option<(String, BalanceSolution)> {
-    let key = j.get("key")?.as_str()?.to_string();
-    let Json::Arr(pot) = j.get("potential")? else {
-        return None;
-    };
-    let potential = pot.iter().map(|v| v.as_i64()).collect::<Option<Vec<_>>>()?;
-    let Json::Arr(ds) = j.get("depths")? else {
-        return None;
-    };
-    let depths = ds
-        .iter()
-        .map(|v| Some(v.as_i64()? as u32))
-        .collect::<Option<Vec<_>>>()?;
-    Some((
-        key,
-        BalanceSolution {
-            potential,
-            depths,
-            total_buffers: j.get("total_buffers")?.as_i64()? as u64,
-        },
-    ))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::path::{Path, PathBuf};
     use valpipe_val::parser::FIG3_PROGRAM;
     use valpipe_val::typeck::check_program_mapped;
 
@@ -1327,12 +968,6 @@ mod tests {
         }
         assert_eq!(a.compiled.stats.schemes, b.compiled.stats.schemes);
         assert_eq!(a.compiled.stats.dead_blocks, b.compiled.stats.dead_blocks);
-    }
-
-    fn tmp_dir(tag: &str) -> PathBuf {
-        let d = std::env::temp_dir().join(format!("valpipe-qtest-{}-{tag}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&d);
-        d
     }
 
     #[test]
@@ -1427,64 +1062,6 @@ mod tests {
     }
 
     #[test]
-    fn disk_cache_revives_expensive_artifacts() {
-        let dir = tmp_dir("revive");
-        let a = {
-            let mut e = QueryEngine::with_disk_cache(&dir);
-            run(&mut e, FIG3_PROGRAM)
-        };
-        let mut e2 = QueryEngine::with_disk_cache(&dir);
-        let b = run(&mut e2, FIG3_PROGRAM);
-        assert_identical(&a, &b);
-        assert!(
-            e2.stats().disk_entries_loaded > 0,
-            "{}",
-            e2.stats().render()
-        );
-        assert_eq!(e2.stats().region.1, 0, "regions revived from disk");
-        assert_eq!(
-            e2.stats().balance.1,
-            0,
-            "balance solution revived from disk"
-        );
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn corrupt_cache_files_fall_back_to_cold_without_panicking() {
-        let dir = tmp_dir("corrupt");
-        let reference = {
-            let mut e = QueryEngine::with_disk_cache(&dir);
-            run(&mut e, FIG3_PROGRAM)
-        };
-        let path = std::fs::read_dir(&dir)
-            .unwrap()
-            .map(|f| f.unwrap().path())
-            .find(|p| p.extension().is_some_and(|x| x == "vpqc"))
-            .unwrap();
-        let pristine = std::fs::read(&path).unwrap();
-
-        let mut variants: Vec<Vec<u8>> = Vec::new();
-        let mut flipped = pristine.clone();
-        flipped[pristine.len() / 2] ^= 0x40; // payload bit flip
-        variants.push(flipped);
-        variants.push(pristine[..10.min(pristine.len())].to_vec()); // truncation
-        let mut skewed = pristine.clone();
-        skewed[4] = skewed[4].wrapping_add(1); // version skew
-        variants.push(skewed);
-        variants.push(b"not a cache file at all".to_vec());
-
-        for bytes in variants {
-            std::fs::write(&path, &bytes).unwrap();
-            let mut e = QueryEngine::with_disk_cache(&dir);
-            let out = run(&mut e, FIG3_PROGRAM);
-            assert_eq!(e.stats().disk_entries_loaded, 0);
-            assert_identical(&reference, &out);
-        }
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
     fn memo_cap_sweeps_entries_untouched_by_recent_runs() {
         let edited = FIG3_PROGRAM.replace("0.25", "0.75");
         let mut e = QueryEngine::new();
@@ -1518,31 +1095,6 @@ mod tests {
             e.stats().render()
         );
         assert_identical(&cold(FIG3_PROGRAM), &b);
-    }
-
-    #[test]
-    fn all_green_warm_run_skips_the_cache_rewrite() {
-        let dir = tmp_dir("noop-save");
-        let mut e = QueryEngine::with_disk_cache(&dir);
-        run(&mut e, FIG3_PROGRAM);
-        let path = std::fs::read_dir(&dir)
-            .unwrap()
-            .map(|f| f.unwrap().path())
-            .find(|p| p.extension().is_some_and(|x| x == "vpqc"))
-            .unwrap();
-        std::fs::remove_file(&path).unwrap();
-        // Nothing new to persist: every region/balance query hits the
-        // memo, so the engine must not rewrite the file.
-        run(&mut e, FIG3_PROGRAM);
-        assert!(
-            !path.exists(),
-            "a fully-memoized run must not rewrite the disk cache"
-        );
-        // An edit computes a new region and re-persists.
-        let edited = FIG3_PROGRAM.replace("0.25", "0.75");
-        run(&mut e, &edited);
-        assert!(path.exists(), "new artifacts must be persisted");
-        let _ = std::fs::remove_dir_all(&dir);
     }
 
     /// The 1-D stencil chain of the scaling workloads: `blocks` blocks,
@@ -1584,79 +1136,6 @@ mod tests {
             large <= 1.25 * small,
             "memo-key bytes per block grew from {small:.0} (50 blocks) to {large:.0} (200 blocks)"
         );
-    }
-
-    /// Seal `payload` the way [`seal_envelope`] does, but under `version`.
-    fn seal_as(version: u32, payload: &[u8]) -> Vec<u8> {
-        let mut out = seal_envelope(payload);
-        out[4..8].copy_from_slice(&version.to_le_bytes());
-        out
-    }
-
-    #[test]
-    fn cache_files_of_version_2_are_ignored() {
-        let dir = tmp_dir("v2");
-        let reference = {
-            let mut e = QueryEngine::with_disk_cache(&dir);
-            run(&mut e, FIG3_PROGRAM)
-        };
-        let path = std::fs::read_dir(&dir)
-            .unwrap()
-            .map(|f| f.unwrap().path())
-            .find(|p| p.extension().is_some_and(|x| x == "vpqc"))
-            .unwrap();
-        // Poison every cached region under its unchanged key: a loaded
-        // entry would now splice a wrong literal.
-        fn poison(j: &mut Json) {
-            match j {
-                Json::Float(v) if *v == 0.25 => *v = 0.75,
-                Json::Arr(xs) => xs.iter_mut().for_each(poison),
-                Json::Obj(ms) => ms.iter_mut().for_each(|(_, v)| poison(v)),
-                _ => {}
-            }
-        }
-        let pristine = std::fs::read(&path).unwrap();
-        let text = std::str::from_utf8(open_envelope(&pristine).unwrap()).unwrap();
-        let mut j = Json::parse(text).unwrap();
-        let Json::Obj(root) = &mut j else {
-            panic!("cache payload is not an object")
-        };
-        for (k, regions) in root.iter_mut() {
-            let (true, Json::Arr(regions)) = (k == "regions", regions) else {
-                continue;
-            };
-            for r in regions {
-                let Json::Obj(fields) = r else {
-                    panic!("region entry")
-                };
-                for (_, d) in fields.iter_mut().filter(|(k, _)| k == "delta") {
-                    poison(d);
-                }
-            }
-        }
-        let poisoned = j.to_string();
-        assert_ne!(poisoned, text, "the regions carry Example 1's literal");
-
-        // Under the current version the poison is loaded and shows: the
-        // check below can tell a loaded file from an ignored one.
-        std::fs::write(&path, seal_as(CACHE_VERSION, poisoned.as_bytes())).unwrap();
-        let mut e = QueryEngine::with_disk_cache(&dir);
-        let stale = run(&mut e, FIG3_PROGRAM);
-        assert!(e.stats().disk_entries_loaded > 0);
-        assert_ne!(stale.dumps, reference.dumps, "the poison must be visible");
-
-        // Written by version 2, the same file is ignored: cold fallback.
-        std::fs::write(&path, seal_as(2, poisoned.as_bytes())).unwrap();
-        let mut e = QueryEngine::with_disk_cache(&dir);
-        let out = run(&mut e, FIG3_PROGRAM);
-        assert_eq!(e.stats().disk_entries_loaded, 0, "{}", e.stats().render());
-        assert_eq!(
-            e.stats().region.1,
-            e.stats().region.0,
-            "every region lowered cold"
-        );
-        assert_identical(&reference, &out);
-        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

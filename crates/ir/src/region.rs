@@ -29,10 +29,6 @@
 //! replays those pushes in arc order, as the cold lowering made them.
 
 use crate::graph::{ArcId, Edge, Graph, Node, NodeId, PortBinding};
-use crate::serialize::{
-    as_arr, as_int, edge_from_json, edge_to_json, node_from_json, node_to_json, want,
-};
-use valpipe_util::Json;
 
 /// Where a unit began: the graph's cell and arc counts and the label
 /// counter's value.
@@ -264,63 +260,6 @@ impl GraphDelta {
         }
         Ok(())
     }
-
-    /// JSON encoding for the on-disk incremental cache. Unlike the
-    /// snapshot graph codec, cells keep their provenance (`src`) — the
-    /// whole point of a cached region is replaying compiler-side state.
-    pub fn to_json(&self) -> Json {
-        Json::obj([
-            ("ext", Json::Int(self.ext as i64)),
-            ("labels", Json::Int(self.labels as i64)),
-            (
-                "nodes",
-                Json::Arr(
-                    self.nodes
-                        .iter()
-                        .zip(&self.seqs)
-                        .map(|(n, &seq)| match node_to_json(n) {
-                            Json::Obj(mut m) => {
-                                m.push(("src".into(), Json::Int(n.src as i64)));
-                                m.push(("seq".into(), Json::Int(seq as i64)));
-                                Json::Obj(m)
-                            }
-                            other => other,
-                        })
-                        .collect(),
-                ),
-            ),
-            (
-                "arcs",
-                Json::Arr(self.arcs.iter().map(edge_to_json).collect()),
-            ),
-        ])
-    }
-
-    /// Decode a delta previously produced by [`GraphDelta::to_json`].
-    pub fn from_json(j: &Json) -> Result<GraphDelta, String> {
-        let u32_of = |v: &Json, what: &str| {
-            u32::try_from(as_int(v, what)?).map_err(|_| format!("{what}: out of range"))
-        };
-        let mut nodes = Vec::new();
-        let mut seqs = Vec::new();
-        for nj in as_arr(want(j, "nodes", "region")?, "region.nodes")? {
-            let mut n = node_from_json(nj)?;
-            n.src = u32_of(want(nj, "src", "region node")?, "region node.src")?;
-            seqs.push(u32_of(want(nj, "seq", "region node")?, "region node.seq")?);
-            nodes.push(n);
-        }
-        let arcs = as_arr(want(j, "arcs", "region")?, "region.arcs")?
-            .iter()
-            .map(edge_from_json)
-            .collect::<Result<Vec<_>, _>>()?;
-        Ok(GraphDelta {
-            ext: u32_of(want(j, "ext", "region")?, "region.ext")?,
-            labels: u32_of(want(j, "labels", "region")?, "region.labels")?,
-            nodes,
-            seqs,
-            arcs,
-        })
-    }
 }
 
 #[cfg(test)]
@@ -415,28 +354,5 @@ mod tests {
         h.add_node(Opcode::Source("in".into()), "in");
         assert!(bad.splice(&mut h, 0, &ext).is_err());
         assert_eq!(h.nodes.len(), 1, "failed splice must not mutate");
-    }
-
-    #[test]
-    fn json_round_trip_is_exact() {
-        let (g, mark, end, ext) = build(2, 9);
-        let delta = GraphDelta::capture(&g, mark, end, &ext).unwrap();
-        let j = delta.to_json();
-        let text = j.to_string();
-        let back = GraphDelta::from_json(&Json::parse(&text).unwrap()).unwrap();
-        assert_eq!(back, delta);
-    }
-
-    #[test]
-    fn from_json_rejects_malformed_payloads() {
-        for bad in [
-            "{}",
-            r#"{"ext":1,"labels":0,"nodes":[{"op":"bogus"}],"arcs":[]}"#,
-            r#"{"ext":-1,"labels":0,"nodes":[],"arcs":[]}"#,
-            r#"{"ext":0,"labels":0,"arcs":[]}"#,
-        ] {
-            let j = Json::parse(bad).unwrap();
-            assert!(GraphDelta::from_json(&j).is_err(), "accepted: {bad}");
-        }
     }
 }

@@ -26,7 +26,7 @@ pub(crate) fn graph_to_json(g: &Graph) -> Json {
     ])
 }
 
-pub(crate) fn node_to_json(n: &Node) -> Json {
+fn node_to_json(n: &Node) -> Json {
     Json::obj([
         ("op", opcode_to_json(&n.op)),
         ("label", Json::Str(n.label.clone())),
@@ -41,7 +41,7 @@ pub(crate) fn node_to_json(n: &Node) -> Json {
     ])
 }
 
-pub(crate) fn edge_to_json(e: &Edge) -> Json {
+fn edge_to_json(e: &Edge) -> Json {
     Json::obj([
         ("src", Json::Int(e.src.0 as i64)),
         ("dst", Json::Int(e.dst.0 as i64)),
@@ -112,12 +112,12 @@ fn opcode_to_json(op: &Opcode) -> Json {
 // Decoding
 // ---------------------------------------------------------------------------
 
-pub(crate) fn want<'a>(j: &'a Json, key: &str, what: &str) -> Result<&'a Json, String> {
+fn want<'a>(j: &'a Json, key: &str, what: &str) -> Result<&'a Json, String> {
     j.get(key)
         .ok_or_else(|| format!("{what}: missing field '{key}'"))
 }
 
-pub(crate) fn as_int(j: &Json, what: &str) -> Result<i64, String> {
+fn as_int(j: &Json, what: &str) -> Result<i64, String> {
     j.as_i64()
         .ok_or_else(|| format!("{what}: expected an integer, got {j}"))
 }
@@ -127,7 +127,7 @@ fn as_str<'a>(j: &'a Json, what: &str) -> Result<&'a str, String> {
         .ok_or_else(|| format!("{what}: expected a string, got {j}"))
 }
 
-pub(crate) fn as_arr<'a>(j: &'a Json, what: &str) -> Result<&'a [Json], String> {
+fn as_arr<'a>(j: &'a Json, what: &str) -> Result<&'a [Json], String> {
     j.as_arr()
         .ok_or_else(|| format!("{what}: expected an array"))
 }
@@ -164,7 +164,7 @@ pub(crate) fn graph_from_json(j: &Json) -> Result<Graph, String> {
     })
 }
 
-pub(crate) fn node_from_json(j: &Json) -> Result<Node, String> {
+fn node_from_json(j: &Json) -> Result<Node, String> {
     Ok(Node {
         op: opcode_from_json(want(j, "op", "node")?)?,
         label: as_str(want(j, "label", "node")?, "node.label")?.to_string(),
@@ -182,7 +182,7 @@ pub(crate) fn node_from_json(j: &Json) -> Result<Node, String> {
     })
 }
 
-pub(crate) fn edge_from_json(j: &Json) -> Result<Edge, String> {
+fn edge_from_json(j: &Json) -> Result<Edge, String> {
     let initial = match want(j, "initial", "arc")? {
         Json::Null => None,
         v => Some(value_from_json(v)?),

@@ -14,6 +14,9 @@
 //! Every subcommand accepts `--emit=ast,typed,ir,balanced,machine` (stage
 //! dumps on stdout, deterministic) and `--pass-stats` (per-pass wall time
 //! and growth table on stderr).
+//!
+//! Each invocation compiles once, on a fresh in-memory `QueryEngine`;
+//! nothing is cached between invocations.
 
 use std::collections::HashMap;
 use std::process::ExitCode;
@@ -30,7 +33,6 @@ fn usage() -> ExitCode {
          [--todd|--companion] [--synth] [--asap|--no-balance] \
          [--waves N] [--am] [--input NAME=v1,v2,...] \
          [--emit=ast,typed,ir,balanced,machine] [--pass-stats] \
-         [--incremental] \
          [--limits k=v,... (source-bytes,depth,cells,arcs,fifo,millis; 'none' lifts)]"
     );
     ExitCode::from(2)
@@ -48,7 +50,6 @@ fn main() -> ExitCode {
     let mut emit_json = false;
     let mut emit_stages: Vec<Stage> = Vec::new();
     let mut pass_stats = false;
-    let mut incremental = false;
     let mut user_inputs: HashMap<String, Vec<f64>> = HashMap::new();
     let mut limits = CompileLimits::default();
     let mut k = 2;
@@ -62,7 +63,6 @@ fn main() -> ExitCode {
             "--am" => opts.am_boundary = true,
             "--json" => emit_json = true,
             "--pass-stats" => pass_stats = true,
-            "--incremental" => incremental = true,
             s if s.starts_with("--emit=") => match Stage::parse_list(&s["--emit=".len()..]) {
                 Ok(v) => emit_stages = v,
                 Err(e) => {
@@ -122,20 +122,7 @@ fn main() -> ExitCode {
         }
     };
 
-    // `--incremental` compiles through a disk-backed query engine: per-block
-    // artifacts persist in `.valpipe-cache/` between invocations, so a
-    // recompile after a small edit re-executes only the touched queries.
-    // The output is bit-identical to a cold compile either way.
-    let mut engine = if incremental {
-        QueryEngine::with_disk_cache(".valpipe-cache")
-    } else {
-        QueryEngine::new()
-    };
-    let result = engine.run_source(&opts, &limits, &emit_stages, &src, path);
-    if incremental {
-        eprintln!("{}", engine.stats().render());
-    }
-    let out = match result {
+    let out = match QueryEngine::new().run_source(&opts, &limits, &emit_stages, &src, path) {
         Ok(o) => o,
         // Limit breaches get a distinct, machine-grepable line and exit
         // code so scripts can tell "program too big" from "won't compile".
