@@ -28,6 +28,14 @@ if grep -rn 'apply_bin(\|apply_un(' crates/machine/src | grep -v '^crates/machin
     exit 1
 fi
 
+# Firing code reads only the executable form (code.rs): the epoch
+# engine and the closed-loop machine never index the Graph's cells or
+# arcs, which stay behind for labels, provenance and reports.
+if grep -n 'g\.nodes\[\|g\.arcs\[' crates/machine/src/par.rs crates/machine/src/closedloop.rs; then
+    echo "ci: FAIL — firing code indexes the Graph instead of the executable form" >&2
+    exit 1
+fi
+
 # The compiler keeps its memos in memory only: the frontend, IR, balancer
 # and compiler-core crates write no files.
 if grep -rnE 'fs::(write|rename|create_dir|remove_)|File::create' \

@@ -2,9 +2,10 @@
 //!
 //! The scan kernel pays O(cells) every instruction time; the event-driven
 //! kernel pays O(fired + woken). On a dense, fully pipelined workload the
-//! two are close (most cells fire most steps): the fig6 and fig3 dense
-//! rows print the event/scan ratio of the fastest runs, so the event
-//! kernel's per-fire overhead stays visible. The separation shows on
+//! two are close (most cells fire most steps): the fig6, fig3 and
+//! 100-block chain dense rows print the event/scan ratio of the fastest
+//! runs and each kernel's wall time per fired cell, so the per-fire cost
+//! stays visible. The separation shows on
 //! *sparse-activity* workloads — a long pipeline carrying a handful of
 //! packets, where the scan kernel re-examines thousands of idle cells per
 //! step. That is the acceptance workload: the event kernel must beat the
@@ -24,7 +25,7 @@
 
 use std::time::Instant;
 use valpipe_bench::timing::{iters, json_mode, median_secs, smoke_mode, BenchLog};
-use valpipe_bench::workloads::{fig3_src, fig6_src, inputs_for_compiled};
+use valpipe_bench::workloads::{chain_src, fig3_src, fig6_src, inputs_for_compiled};
 use valpipe_core::verify::stream_inputs;
 use valpipe_core::{compile_source, CompileOptions};
 use valpipe_ir::value::Value;
@@ -152,15 +153,18 @@ fn dense_row(log: &mut BenchLog, name: &str, g: &Graph, inputs: &ProgramInputs, 
         ts.sort_by(|x, y| x.total_cmp(y));
         (ts[0], ts[ts.len() / 2])
     });
+    let ns_per_fire = |secs: f64| secs * 1e9 / reference.total_fires.max(1) as f64;
     println!(
-        "kernels/{name}/{}cells   scan {:>8.3}ms   event {:>8.3}ms   event/scan {:.2}   (min of {n})",
+        "kernels/{name}/{}cells   scan {:>8.3}ms ({:.1} ns/fire)   event {:>8.3}ms ({:.1} ns/fire)   event/scan {:.2}   (min of {n})",
         g.node_count(),
         scan.0 * 1e3,
+        ns_per_fire(scan.0),
         event.0 * 1e3,
+        ns_per_fire(event.0),
         event.0 / scan.0,
     );
     for (tag, (_, median)) in [("scan", scan), ("event", event)] {
-        log.record(
+        log.record_with(
             name,
             g.node_count(),
             g.arc_count(),
@@ -168,6 +172,7 @@ fn dense_row(log: &mut BenchLog, name: &str, g: &Graph, inputs: &ProgramInputs, 
             1,
             reference.steps,
             median,
+            [("ns_per_fire", Json::Float(ns_per_fire(median)))],
         );
     }
 }
@@ -287,10 +292,12 @@ fn main() {
 
     // 3. Dense paper workloads: both sequential kernels where almost
     // everything fires, for the honest "what does it cost when everything
-    // fires" number — fig6 and the fig3 program streamed 8 waves.
+    // fires" number — fig6, the fig3 program streamed 8 waves, and the
+    // 100-block chain (1002 cells: the layout-bound case).
     for (name, src, waves) in [
         ("fig6_dense", fig6_src(64), 10),
         ("fig3_dense", fig3_src(1024), 8),
+        ("chain100_dense", chain_src(216, 100), 1),
     ] {
         let compiled = compile_source(&src, &CompileOptions::paper()).unwrap();
         let exe = compiled.executable();

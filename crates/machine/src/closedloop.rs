@@ -19,9 +19,9 @@
 
 use crate::network::{OmegaNetwork, Packet};
 use std::collections::{HashMap, VecDeque};
+use std::sync::Arc;
 use valpipe_ir::graph::Graph;
 use valpipe_ir::value::Value;
-use valpipe_ir::{ArcId, NodeId};
 
 use crate::fault::{AckFate, ResultFate};
 use crate::scheduler::Kernel;
@@ -109,8 +109,8 @@ impl ClosedLoopResult {
 
 #[derive(Debug, Clone, Copy)]
 enum Payload {
-    Result(ArcId, Value),
-    Ack(ArcId),
+    Result(u32, Value),
+    Ack(u32),
 }
 
 /// One network plane (results or acknowledges): its omega network, the
@@ -158,7 +158,8 @@ pub fn run_closed_loop(
             .kernel(Kernel::Scan)
             .arc_capacity(opts.arc_capacity as usize),
     )?;
-    let n = g.node_count();
+    let code = Arc::clone(&sim.code);
+    let n = code.cell_count();
 
     // Two network planes, `[results, acknowledges]`, each with per-PE
     // egress queues; local traffic bypasses the network with a
@@ -202,25 +203,31 @@ pub fn run_closed_loop(
             if budget[pe_of[i]] == 0 {
                 continue;
             }
-            if let Some(plan) = plan_cell(g, &sim, now, NodeId(i as u32))? {
+            let nid = i as u32;
+            if let Some(plan) = plan_cell(&code, &sim, now, nid).map_err(|f| f.at(g, nid))? {
                 budget[pe_of[i]] -= 1;
-                plans.push((NodeId(i as u32), plan));
+                plans.push((nid, plan));
             }
         }
 
-        for (nid, plan) in &plans {
+        for &(nid, plan) in &plans {
             activity = true;
-            let pe = pe_of[nid.idx()];
+            let pe = pe_of[nid as usize];
             // Consume: pop tokens, send acknowledges toward the producers.
             for a in plan.consumes() {
-                consume_token(&mut sim.arcs[a.idx()], IN_NETWORK, AckFate::Deliver);
-                let hop = (pe, pe_of[g.arcs[a.idx()].src.idx()]);
+                consume_token(&mut sim.arcs[a as usize], IN_NETWORK, AckFate::Deliver);
+                let hop = (pe, pe_of[code.arc_src[a as usize] as usize]);
                 route(&mut local, &mut planes[1].egress, now, hop, Payload::Ack(a));
             }
-            if let Some(v) = note_fire_cell(g, &mut sim, now, *nid, plan) {
-                for &a in &g.nodes[nid.idx()].outputs {
-                    emit_token(&mut sim.arcs[a.idx()], v, IN_NETWORK, ResultFate::Deliver);
-                    let hop = (pe, pe_of[g.arcs[a.idx()].dst.idx()]);
+            if let Some(v) = note_fire_cell(&code, &mut sim, now, nid, &plan) {
+                for &a in code.outs(code.cell(nid)) {
+                    emit_token(
+                        &mut sim.arcs[a as usize],
+                        v,
+                        IN_NETWORK,
+                        ResultFate::Deliver,
+                    );
+                    let hop = (pe, pe_of[code.arc_dst[a as usize] as usize]);
                     let p = Payload::Result(a, v);
                     route(&mut local, &mut planes[0].egress, now, hop, p);
                 }
@@ -333,14 +340,14 @@ fn route(
 fn deliver(arcs: &mut [ArcState], p: Payload, now: u64) {
     match p {
         Payload::Result(a, v) => {
-            let slot = arcs[a.idx()]
+            let slot = arcs[a as usize]
                 .queue
                 .iter_mut()
                 .find(|(_, t)| *t == IN_NETWORK);
             *slot.expect("a delivered result has a token in flight") = (v, now);
         }
         Payload::Ack(a) => {
-            let st = &mut arcs[a.idx()];
+            let st = &mut arcs[a as usize];
             st.freeing
                 .pop()
                 .expect("a delivered acknowledge has a slot in flight");

@@ -74,10 +74,12 @@
 //!
 //! [`RunResult`]: crate::sim::RunResult
 
-use valpipe_ir::opcode::Opcode;
+use std::sync::Arc;
+
 use valpipe_ir::value::Value;
 use valpipe_util::checksum64;
 
+use crate::code::Op;
 use crate::error::SimError;
 use crate::scheduler::Scheduler;
 use crate::sim::{Simulator, StopSlots};
@@ -377,7 +379,7 @@ impl FastForward {
     ) -> Result<bool, SimError> {
         let now = sim.now;
         let pu = p as usize;
-        let n = sim.g.nodes.len();
+        let n = sim.code.cell_count();
 
         // The run loop stops at the top of the next iteration if the
         // output target is already met — a jump here would overshoot it.
@@ -425,27 +427,12 @@ impl FastForward {
         // Generator shift-invariance: the skipped windows read the
         // control streams one cursor-advance further each window; the
         // streams must be unchanged under that rotation.
-        for i in 0..n {
-            match &sim.g.nodes[i].op {
-                Opcode::CtlGen(stream) => {
-                    let d = sim.cells.ctl_pos[i] - b0.ctl_pos[i];
-                    if d == 0 {
-                        continue;
-                    }
-                    let len = stream.wave_len() as u64;
-                    if !d.is_multiple_of(len) && (0..len).any(|q| stream.at(q) != stream.at(q + d))
-                    {
-                        return Ok(false);
-                    }
+        for (i, cell) in sim.code.cells.iter().enumerate() {
+            if cell.op == Op::Gen {
+                let d = sim.cells.ctl_pos[i] - b0.ctl_pos[i];
+                if !sim.code.gens[cell.aux as usize].shift_invariant(d) {
+                    return Ok(false);
                 }
-                Opcode::IdxGen { lo, hi } => {
-                    let d = sim.cells.ctl_pos[i] - b0.ctl_pos[i];
-                    let len = (hi - lo + 1) as u64;
-                    if !d.is_multiple_of(len) {
-                        return Ok(false);
-                    }
-                }
-                _ => {}
             }
         }
 
@@ -498,7 +485,7 @@ impl FastForward {
             // machine to snapshot byte-identically.
             let v = self.verify_window.min(k);
             let snap = Snapshot::capture(sim);
-            let Ok(mut shadow) = snap.rebuild(sim.g, sim.cfg.kernel) else {
+            let Ok(mut shadow) = snap.rebuild(sim.g, Arc::clone(&sim.code), sim.cfg.kernel) else {
                 self.disabled = true;
                 self.stats.fallbacks += 1;
                 return Ok(false);
@@ -574,7 +561,7 @@ fn rebased_fingerprint(sim: &Simulator<'_>, p: u64) -> (Vec<u8>, u64) {
             w.u64(t);
         }
     }
-    for i in 0..sim.g.nodes.len() {
+    for i in 0..sim.code.cell_count() {
         if let Some(data) = &sim.cells.src_data[i] {
             w.byte((sim.cells.src_pos[i] < data.len()) as u8);
         }
@@ -618,7 +605,7 @@ fn max_circular_run<T>(win: &[T], pred: impl Fn(&T) -> bool) -> usize {
 /// Measure the window `[b0.at, sim.now)`: per-cell and per-arc counter
 /// deltas plus the history segments appended during the window.
 fn measure_window(sim: &Simulator<'_>, b0: &Boundary) -> WindowDelta {
-    let n = sim.g.nodes.len();
+    let n = sim.code.cell_count();
     WindowDelta {
         fires: (0..n).map(|i| sim.cells.fires[i] - b0.fires[i]).collect(),
         gate_passes: (0..n)
@@ -711,7 +698,7 @@ fn apply_jump(sim: &mut Simulator<'_>, d: &WindowDelta, p: u64, k: u64, base: u6
         st.lost_result += k * dc[3];
         st.lost_ack += k * dc[4];
     }
-    let n = sim.g.nodes.len();
+    let n = sim.code.cell_count();
     for i in 0..n {
         sim.cells.fires[i] += k * d.fires[i];
         sim.cells.gate_passes[i] += k * d.gate_passes[i];
@@ -763,8 +750,7 @@ fn apply_jump(sim: &mut Simulator<'_>, d: &WindowDelta, p: u64, k: u64, base: u6
     // future time" and inherits the kernel-neutral resume invariant.
     sim.sched = Scheduler::resume(sim.cfg.kernel, n, sim.now);
     for (i, st) in sim.arcs.iter().enumerate() {
-        let dst = sim.g.arcs[i].dst.idx() as u32;
-        let src = sim.g.arcs[i].src.idx() as u32;
+        let (src, dst) = (sim.code.arc_src[i], sim.code.arc_dst[i]);
         for &(_, ready) in &st.queue {
             if ready > sim.now {
                 sim.sched.wake(dst, ready);

@@ -9,6 +9,9 @@
 //! * [`sim`] is the cycle-level token/acknowledge simulator used for every
 //!   throughput claim (rate 1/2 fully pipelined, 1/3 for an unbalanced
 //!   3-cycle, …).
+//! * [`code`] is the executable form every kernel fires from: per-cell
+//!   opcode tags, operand ports and destination arcs, built once per
+//!   graph.
 //! * [`arch`] maps a program onto machine units and derives per-arc packet
 //!   latencies and per-unit contention budgets for the detailed model,
 //!   plus the operation-packet accounting behind the paper's "one eighth
@@ -18,6 +21,7 @@
 
 pub mod arch;
 pub mod closedloop;
+pub mod code;
 pub mod diag;
 pub mod error;
 pub mod fastforward;
@@ -34,6 +38,7 @@ pub mod watchdog;
 
 pub use arch::{MachineConfig, Placement};
 pub use closedloop::{run_closed_loop, ClosedLoopOptions, ClosedLoopResult};
+pub use code::MachineCode;
 pub use diag::{render_error, render_stall};
 pub use error::{MachineError, SimError};
 pub use fastforward::FastForwardStats;

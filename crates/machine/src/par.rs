@@ -24,15 +24,15 @@ use std::thread::JoinHandle;
 
 use valpipe_ir::graph::Graph;
 use valpipe_ir::value::Value;
-use valpipe_ir::NodeId;
 
+use crate::code::MachineCode;
 use crate::error::SimError;
 use crate::fault::{AckFate, ResultFate};
 use crate::scheduler::Wheel;
 use crate::shard::{EpochStats, ShardMap};
 use crate::sim::{
     consume_token, emit_token, may_refire, note_fire_cell, plan_cell, release_acks, ArcState,
-    Cells, FirePlan, NoteSink, PlanView, Simulator, StopSlots, NO_SLOT,
+    Cells, Fault, FirePlan, NoteSink, PlanView, Simulator, StopSlots, NO_SLOT,
 };
 
 /// Hard cap on `ParallelEvent(w)`; a worker beyond this adds only
@@ -241,7 +241,7 @@ type OutputLog = (String, Vec<(u64, Value)>);
 /// epoch, pre-split into disjointly-owned (`ShardCell`) and genuinely
 /// read-only slices.
 struct MachineShared<'a> {
-    g: &'a Graph,
+    code: &'a MachineCode,
     arcs: &'a [ShardCell<ArcState>],
     src_pos: &'a [ShardCell<usize>],
     ctl_pos: &'a [ShardCell<u64>],
@@ -356,8 +356,8 @@ struct ShardState {
     /// Per sub-step `(fired, progress delta)` — the canonical replay
     /// feed for tracker/idle bookkeeping on the merge side.
     log: Vec<(u32, u32)>,
-    /// First error this shard hit: `(sub-step, cell id, error)`.
-    err: Option<(u64, u32, SimError)>,
+    /// First fault this shard hit: `(sub-step, cell id, fault)`.
+    err: Option<(u64, u32, Fault)>,
     am: u64,
     fu: u64,
 }
@@ -487,6 +487,7 @@ fn run_shard(
         am: 0,
         fu: 0,
     };
+    let code = shared.code;
     for k in 0..h {
         let t = t0 + k;
         // Due cells come out distinct and ascending — the canonical
@@ -501,19 +502,19 @@ fn run_shard(
                 map.dist[nid as usize] > 0,
                 "boundary cell examined inside a proven horizon"
             );
-            for &a in &shared.g.nodes[nid as usize].outputs {
-                debug_assert!(!map.arc_cross[a.idx()]);
-                release_acks(unsafe { &mut *shared.arcs[a.idx()].get() }, t);
+            for &a in code.outs(code.cell(nid)) {
+                debug_assert!(!map.arc_cross[a as usize]);
+                release_acks(unsafe { &mut *shared.arcs[a as usize].get() }, t);
             }
         }
         // Phase 2: plan the due cells.
         st.plans.clear();
         for &nid in &st.due {
-            match plan_cell(shared.g, &exec, t, NodeId(nid)) {
+            match plan_cell(code, &exec, t, nid) {
                 Ok(Some(plan)) => st.plans.push((nid, plan)),
                 Ok(None) => {}
-                Err(e) => {
-                    st.err = Some((k, nid, e));
+                Err(f) => {
+                    st.err = Some((k, nid, f));
                     return;
                 }
             }
@@ -523,27 +524,25 @@ fn run_shard(
         for i in 0..st.plans.len() {
             let (nid, plan) = st.plans[i];
             for arc in plan.consumes() {
-                let a = arc.idx();
-                let src = shared.g.arcs[a].src.idx() as u32;
+                let a = arc as usize;
                 let ack_at = t + shared.ack[a];
                 let arc_st = unsafe { &mut *shared.arcs[a].get() };
                 if let Some(ft) = consume_token(arc_st, ack_at, AckFate::Deliver) {
-                    st.wheel.push(src, ft);
+                    st.wheel.push(code.arc_src[a], ft);
                 }
             }
-            if let Some(v) = note_fire_cell(shared.g, &mut exec, t, NodeId(nid), &plan) {
-                for &a in &shared.g.nodes[nid as usize].outputs {
-                    let ai = a.idx();
+            if let Some(v) = note_fire_cell(code, &mut exec, t, nid, &plan) {
+                for &a in code.outs(code.cell(nid)) {
+                    let ai = a as usize;
                     debug_assert!(!map.arc_cross[ai], "epoch emitted onto a cross arc");
-                    let dst = shared.g.arcs[ai].dst.idx() as u32;
                     let ready = t + shared.fwd[ai];
                     let arc_st = unsafe { &mut *shared.arcs[ai].get() };
                     if let Some(rt) = emit_token(arc_st, v, ready, ResultFate::Deliver) {
-                        st.wheel.push(dst, rt);
+                        st.wheel.push(code.arc_dst[ai], rt);
                     }
                 }
             }
-            if may_refire(shared.g, &exec, nid) {
+            if may_refire(code, &exec, nid) {
                 st.wheel.push(nid, t + 1);
             }
         }
@@ -664,7 +663,7 @@ impl Simulator<'_> {
                 emit_times,
             } = &mut self.cells;
             let shared = MachineShared {
-                g: self.g,
+                code: &self.code,
                 arcs: share(self.arcs.as_mut_slice()),
                 src_pos: share(src_pos.as_mut_slice()),
                 ctl_pos: share(ctl_pos.as_mut_slice()),
@@ -698,7 +697,7 @@ impl Simulator<'_> {
             .min_by_key(|&(k, nid, _)| (k, nid))
         {
             eng.pending = pending;
-            return Err(best.2);
+            return Err(best.2.at(self.g, best.1));
         }
 
         // Replay the per-sub-step bookkeeping exactly as `h` ordinary

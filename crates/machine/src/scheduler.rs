@@ -149,7 +149,7 @@ impl Wheel {
     }
 
     /// Post `id` at `at`; posting the same `(id, at)` twice is a no-op.
-    #[inline]
+    #[inline(always)]
     pub(crate) fn push(&mut self, id: u32, at: u64) {
         debug_assert!(at >= self.cursor, "wakeup posted into the past");
         debug_assert!((id as usize) < self.words * 64, "id beyond the wheel");
@@ -334,7 +334,7 @@ impl Scheduler {
     }
 
     /// Examine `node` at step `at`. No-op for the scan kernel.
-    #[inline]
+    #[inline(always)]
     pub(crate) fn wake(&mut self, node: u32, at: u64) {
         if self.enabled {
             self.wheel.push(node, at);

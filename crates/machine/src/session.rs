@@ -35,9 +35,12 @@
 //!   completion or a pause boundary, exactly or with fast-forward, as
 //!   described by a [`RunSpec`].
 
+use std::sync::Arc;
+
 use valpipe_ir::graph::Graph;
 use valpipe_ir::opcode::Opcode;
 
+use crate::code::MachineCode;
 use crate::fastforward::{FastForward, FastForwardStats};
 use crate::fault::FaultPlan;
 use crate::scheduler::Kernel;
@@ -576,9 +579,28 @@ impl<'g> Session<'g> {
         snap: &Snapshot,
         kernel: Kernel,
     ) -> Result<Session<'g>, SnapshotError> {
+        Self::restore_with_code(g, &Arc::new(MachineCode::new(g)), snap, kernel)
+    }
+
+    /// [`Session::restore_with_kernel`] over an executable form already
+    /// built from `g` (`MachineCode::new(g)`, or [`Session::code`] of a
+    /// session over `g`), so a caller restoring one program many times
+    /// builds its form once.
+    pub fn restore_with_code(
+        g: &'g Graph,
+        code: &Arc<MachineCode>,
+        snap: &Snapshot,
+        kernel: Kernel,
+    ) -> Result<Session<'g>, SnapshotError> {
         Ok(Session {
-            sim: snap.rebuild(g, kernel)?,
+            sim: snap.rebuild(g, Arc::clone(code), kernel)?,
         })
+    }
+
+    /// The executable form this session fires from, shareable with
+    /// [`Session::restore_with_code`].
+    pub fn code(&self) -> &Arc<MachineCode> {
+        &self.sim.code
     }
 
     /// Current instruction time.

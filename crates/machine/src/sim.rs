@@ -34,12 +34,13 @@
 
 use std::collections::{HashMap, VecDeque};
 use std::mem;
+use std::sync::Arc;
 
 use valpipe_ir::graph::{Graph, PortBinding};
 use valpipe_ir::opcode::{Opcode, GATE_CTL, GATE_DATA, MERGE_CTL, MERGE_FALSE, MERGE_TRUE};
 use valpipe_ir::value::{apply_bin, apply_un, Value};
-use valpipe_ir::{ArcId, NodeId};
 
+use crate::code::{CellCode, MachineCode, Op, Port};
 use crate::error::MachineError;
 pub use crate::error::SimError;
 use crate::fault::{AckFate, FaultPlan, ResultFate};
@@ -517,7 +518,7 @@ pub(crate) struct StepScratch {
 }
 
 enum Operand {
-    FromArc(ArcId, Value),
+    FromArc(u32, Value),
     Literal(Value),
 }
 
@@ -548,98 +549,103 @@ pub(crate) trait PlanView {
     fn src_data(&self, i: usize) -> Option<&[Value]>;
 }
 
-fn view_operand<V: PlanView + ?Sized>(
-    g: &Graph,
-    view: &V,
-    now: u64,
-    n: NodeId,
-    port: usize,
-) -> Option<Operand> {
-    match g.nodes[n.idx()].inputs[port] {
-        PortBinding::Lit(v) => Some(Operand::Literal(v)),
-        PortBinding::Wired(a) => view.arc(a.idx()).peek(now).map(|v| Operand::FromArc(a, v)),
-        PortBinding::Unbound => None,
+#[inline]
+fn view_operand<V: PlanView + ?Sized>(view: &V, now: u64, port: Port) -> Option<Operand> {
+    match port {
+        Port::Lit(v) => Some(Operand::Literal(v)),
+        Port::Arc(a) => view
+            .arc(a as usize)
+            .peek(now)
+            .map(|v| Operand::FromArc(a, v)),
+        Port::Unbound => None,
     }
 }
 
-fn view_outputs_free<V: PlanView + ?Sized>(g: &Graph, view: &V, n: NodeId) -> bool {
-    g.nodes[n.idx()].outputs.iter().all(|a| {
-        let st = view.arc(a.idx());
+#[inline]
+fn view_outputs_free<V: PlanView + ?Sized>(code: &MachineCode, view: &V, cell: &CellCode) -> bool {
+    code.outs(cell).iter().all(|&a| {
+        let st = view.arc(a as usize);
         st.occupied() < st.cap
     })
 }
 
-/// Determine whether `n` can fire at `now` and, if so, what it does.
-/// Pure over the view — shared verbatim by every kernel's planning
+/// A program fault found by [`plan_cell`]. The faulting cell's label
+/// lives in the [`Graph`], off the firing path; [`Fault::at`] attaches
+/// it where the error leaves the machine.
+#[derive(Debug, Clone, PartialEq)]
+pub(crate) enum Fault {
+    /// An operator rejected its operands (type error, division by zero).
+    Eval(String),
+    /// A gate or merge control operand was not a boolean packet.
+    NonBoolControl,
+}
+
+impl Fault {
+    /// The machine error for this fault at cell `node` of `g`.
+    pub(crate) fn at(self, g: &Graph, node: u32) -> SimError {
+        let label = g.nodes[node as usize].label.clone();
+        let node = node as usize;
+        match self {
+            Fault::Eval(message) => SimError::Eval {
+                node,
+                label,
+                message,
+            },
+            Fault::NonBoolControl => SimError::NonBoolControl { node, label },
+        }
+    }
+}
+
+/// Determine whether cell `n` can fire at `now` and, if so, what it
+/// does. Pure over the view — shared verbatim by every kernel's planning
 /// phase, the epoch engine's shard workers, and the closed loop.
+#[inline(always)]
 pub(crate) fn plan_cell<V: PlanView + ?Sized>(
-    g: &Graph,
+    code: &MachineCode,
     view: &V,
     now: u64,
-    n: NodeId,
-) -> Result<Option<FirePlan>, SimError> {
-    let node = &g.nodes[n.idx()];
-    let fault_ctl = || SimError::NonBoolControl {
-        node: n.idx(),
-        label: node.label.clone(),
-    };
-    let plan = match &node.op {
-        Opcode::Bin(op) => {
-            let (Some(a), Some(b)) = (
-                view_operand(g, view, now, n, 0),
-                view_operand(g, view, now, n, 1),
-            ) else {
+    n: u32,
+) -> Result<Option<FirePlan>, Fault> {
+    let cell = code.cell(n);
+    let operand = |port: usize| view_operand(view, now, cell.ports[port]);
+    let plan = match cell.op {
+        Op::Bin(op) => {
+            let (Some(a), Some(b)) = (operand(0), operand(1)) else {
                 return Ok(None);
             };
-            if !view_outputs_free(g, view, n) {
+            if !view_outputs_free(code, view, cell) {
                 return Ok(None);
             }
-            let v = apply_bin(*op, a.value(), b.value()).map_err(|e| SimError::Eval {
-                node: n.idx(),
-                label: node.label.clone(),
-                message: e.0,
-            })?;
+            let v = apply_bin(op, a.value(), b.value()).map_err(|e| Fault::Eval(e.0))?;
             Some(FirePlan::consume2(a, b).emit(v))
         }
-        Opcode::Un(op) => {
-            let Some(a) = view_operand(g, view, now, n, 0) else {
+        Op::Un(op) => {
+            let Some(a) = operand(0) else {
                 return Ok(None);
             };
-            if !view_outputs_free(g, view, n) {
+            if !view_outputs_free(code, view, cell) {
                 return Ok(None);
             }
-            let v = apply_un(*op, a.value()).map_err(|e| SimError::Eval {
-                node: n.idx(),
-                label: node.label.clone(),
-                message: e.0,
-            })?;
+            let v = apply_un(op, a.value()).map_err(|e| Fault::Eval(e.0))?;
             Some(FirePlan::consume1(a).emit(v))
         }
-        Opcode::Id | Opcode::AmWrite | Opcode::AmRead => {
-            let Some(a) = view_operand(g, view, now, n, 0) else {
+        Op::Id => {
+            let Some(a) = operand(0) else {
                 return Ok(None);
             };
-            if !view_outputs_free(g, view, n) {
+            if !view_outputs_free(code, view, cell) {
                 return Ok(None);
             }
             let v = a.value();
             Some(FirePlan::consume1(a).emit(v))
         }
-        Opcode::TGate | Opcode::FGate => {
-            let (Some(c), Some(d)) = (
-                view_operand(g, view, now, n, GATE_CTL),
-                view_operand(g, view, now, n, GATE_DATA),
-            ) else {
+        Op::TGate | Op::FGate => {
+            let (Some(c), Some(d)) = (operand(GATE_CTL), operand(GATE_DATA)) else {
                 return Ok(None);
             };
-            let ctl = c.value().as_bool().ok_or_else(fault_ctl)?;
-            let pass = if matches!(node.op, Opcode::TGate) {
-                ctl
-            } else {
-                !ctl
-            };
-            if pass {
-                if !view_outputs_free(g, view, n) {
+            let ctl = c.value().as_bool().ok_or(Fault::NonBoolControl)?;
+            if ctl == (cell.op == Op::TGate) {
+                if !view_outputs_free(code, view, cell) {
                     return Ok(None);
                 }
                 let v = d.value();
@@ -650,57 +656,45 @@ pub(crate) fn plan_cell<V: PlanView + ?Sized>(
                 Some(FirePlan::consume2(c, d))
             }
         }
-        Opcode::Merge => {
-            let Some(c) = view_operand(g, view, now, n, MERGE_CTL) else {
+        Op::Merge => {
+            let Some(c) = operand(MERGE_CTL) else {
                 return Ok(None);
             };
-            let ctl = c.value().as_bool().ok_or_else(fault_ctl)?;
-            let port = if ctl { MERGE_TRUE } else { MERGE_FALSE };
-            let Some(d) = view_operand(g, view, now, n, port) else {
+            let ctl = c.value().as_bool().ok_or(Fault::NonBoolControl)?;
+            let Some(d) = operand(if ctl { MERGE_TRUE } else { MERGE_FALSE }) else {
                 return Ok(None);
             };
-            if !view_outputs_free(g, view, n) {
+            if !view_outputs_free(code, view, cell) {
                 return Ok(None);
             }
             let v = d.value();
             Some(FirePlan::consume2(c, d).emit(v))
         }
-        Opcode::CtlGen(stream) => {
-            if !view_outputs_free(g, view, n) {
+        Op::Gen => {
+            if !view_outputs_free(code, view, cell) {
                 return Ok(None);
             }
-            Some(FirePlan::new().emit(Value::Bool(stream.at(view.ctl_pos(n.idx())))))
+            let v = code.gens[cell.aux as usize].at(view.ctl_pos(n as usize));
+            Some(FirePlan::new().emit(v))
         }
-        Opcode::IdxGen { lo, hi } => {
-            if !view_outputs_free(g, view, n) {
-                return Ok(None);
-            }
-            let len = (hi - lo + 1) as u64;
-            let v = lo + (view.ctl_pos(n.idx()) % len) as i64;
-            Some(FirePlan::new().emit(Value::Int(v)))
-        }
-        Opcode::Source(_) => {
-            let data = view.src_data(n.idx()).unwrap_or_else(|| {
-                panic!(
-                    "cell {} ({}): source data unbound at step {} despite construction check",
-                    n.idx(),
-                    node.label,
-                    now
-                )
+        Op::Source => {
+            let i = n as usize;
+            let data = view.src_data(i).unwrap_or_else(|| {
+                panic!("cell {i}: source data unbound at step {now} despite construction check")
             });
-            if view.src_pos(n.idx()) >= data.len() || !view_outputs_free(g, view, n) {
+            if view.src_pos(i) >= data.len() || !view_outputs_free(code, view, cell) {
                 return Ok(None);
             }
-            Some(FirePlan::new().emit(data[view.src_pos(n.idx())]))
+            Some(FirePlan::new().emit(data[view.src_pos(i)]))
         }
-        Opcode::Sink(_) => {
-            let Some(a) = view_operand(g, view, now, n, 0) else {
+        Op::Sink => {
+            let Some(a) = operand(0) else {
                 return Ok(None);
             };
             let v = a.value();
             Some(FirePlan::consume1(a).emit(v)) // "emit" records to the sink
         }
-        Opcode::Fifo(_) => unreachable!("rejected at construction"),
+        Op::Fifo => unreachable!("rejected at construction"),
     };
     Ok(plan)
 }
@@ -716,19 +710,24 @@ pub(crate) fn plan_cell<V: PlanView + ?Sized>(
 /// settled once the cell's own emits are applied, since a consume
 /// leaves it unchanged, so the answer does not depend on the order the
 /// step's other firings are applied in.
-pub(crate) fn may_refire<V: PlanView + ?Sized>(g: &Graph, view: &V, n: u32) -> bool {
-    let node = &g.nodes[n as usize];
-    if !matches!(node.op, Opcode::TGate | Opcode::FGate) && !view_outputs_free(g, view, NodeId(n)) {
+#[inline(always)]
+pub(crate) fn may_refire<V: PlanView + ?Sized>(code: &MachineCode, view: &V, n: u32) -> bool {
+    let cell = code.cell(n);
+    let gate = matches!(cell.op, Op::TGate | Op::FGate);
+    if !gate && !view_outputs_free(code, view, cell) {
         return false;
     }
-    node.inputs.iter().enumerate().all(|(port, b)| match b {
-        PortBinding::Wired(a) => {
-            (matches!(node.op, Opcode::Merge) && port != MERGE_CTL)
-                || !view.arc(a.idx()).queue.is_empty()
-        }
-        PortBinding::Lit(_) => true,
-        PortBinding::Unbound => false,
-    })
+    cell.ports[..cell.op.arity()]
+        .iter()
+        .enumerate()
+        .all(|(port, p)| match *p {
+            Port::Arc(a) => {
+                (cell.op == Op::Merge && port != MERGE_CTL)
+                    || !view.arc(a as usize).queue.is_empty()
+            }
+            Port::Lit(_) => true,
+            Port::Unbound => false,
+        })
 }
 
 /// Mutation sink for the per-cell effects of one firing. The
@@ -756,42 +755,38 @@ pub(crate) trait NoteSink {
 /// Returns the value to launch on the cell's output arcs, if any. Arc
 /// mutations stay with the caller: the sequential kernels post wakeups
 /// to the global wheel, an epoch shard to its private one.
+#[inline(always)]
 pub(crate) fn note_fire_cell<S: NoteSink + ?Sized>(
-    g: &Graph,
+    code: &MachineCode,
     sink: &mut S,
     now: u64,
-    n: NodeId,
+    n: u32,
     plan: &FirePlan,
 ) -> Option<Value> {
-    let i = n.idx();
-    let node = &g.nodes[i];
-    if matches!(node.op, Opcode::TGate | Opcode::FGate) {
+    let i = n as usize;
+    let cell = code.cell(n);
+    if matches!(cell.op, Op::TGate | Op::FGate) {
         sink.bump_gate(i, plan.emit.is_some());
     }
     let mut launch = None;
     if let Some(v) = plan.emit {
-        match &node.op {
-            Opcode::Sink(_) => {
+        match cell.op {
+            Op::Sink => {
                 // "emit" records to the sink; nothing is launched.
                 sink.record_output(i, now, v);
             }
-            Opcode::Source(_) => {
+            Op::Source => {
                 sink.advance_source(i, now);
                 launch = Some(v);
             }
-            Opcode::CtlGen(_) | Opcode::IdxGen { .. } => {
+            Op::Gen => {
                 sink.advance_ctl(i);
                 launch = Some(v);
             }
             _ => launch = Some(v),
         }
     }
-    sink.count_fire(
-        i,
-        now,
-        node.op.is_array_memory(),
-        node.op.is_function_unit(),
-    );
+    sink.count_fire(i, now, cell.am, cell.fu);
     launch
 }
 
@@ -812,7 +807,11 @@ pub(crate) enum RunPhase<'g> {
 /// yields a [`crate::session::Session`]; the session's `step` and `drive`
 /// delegate to the engine's `step` and its one run loop.
 pub struct Simulator<'g> {
+    /// The program as built: labels, port names and provenance for
+    /// errors, stall reports and snapshots. Never read on the firing path.
     pub(crate) g: &'g Graph,
+    /// The executable form every kernel plans and fires from.
+    pub(crate) code: Arc<MachineCode>,
     pub(crate) cfg: SimConfig,
     pub(crate) arcs: Vec<ArcState>,
     /// Per-cell state, struct-of-arrays by `u32` cell id.
@@ -998,6 +997,7 @@ impl<'g> Simulator<'g> {
         let stop_slots = StopSlots::compile(&cfg.stop_outputs, &cells);
         Ok(Simulator {
             g,
+            code: Arc::new(MachineCode::new(g)),
             cfg,
             arcs,
             cells,
@@ -1033,49 +1033,51 @@ impl<'g> Simulator<'g> {
     /// Determine whether `n` can fire now and, if so, what it does.
     /// Delegates to [`plan_cell`] — the single planning implementation
     /// shared with the epoch engine's shard workers.
-    fn plan(&self, n: NodeId) -> Result<Option<FirePlan>, SimError> {
-        plan_cell(self.g, self, self.now, n)
+    #[inline]
+    fn plan(&self, code: &MachineCode, n: u32) -> Result<Option<FirePlan>, SimError> {
+        plan_cell(code, self, self.now, n).map_err(|f| f.at(self.g, n))
     }
 
     /// Launch a result packet onto `a`, consulting the fault plan for
     /// its fate. Posts the destination's wakeup at the delivery time.
-    fn emit_on(&mut self, a: ArcId, v: Value) {
-        let ready = self.now + self.fwd_delay[a.idx()];
+    #[inline]
+    fn emit_on(&mut self, code: &MachineCode, a: u32, v: Value) {
+        let a = a as usize;
+        let ready = self.now + self.fwd_delay[a];
         let fate = match &self.fault {
-            Some(f) => f.result_fate(a.idx(), self.now),
+            Some(f) => f.result_fate(a, self.now),
             None => ResultFate::Deliver,
         };
-        let dst = self.g.arcs[a.idx()].dst.idx() as u32;
-        if let Some(t) = emit_token(&mut self.arcs[a.idx()], v, ready, fate) {
-            self.sched.wake(dst, t);
+        if let Some(t) = emit_token(&mut self.arcs[a], v, ready, fate) {
+            self.sched.wake(code.arc_dst[a], t);
         }
     }
 
-    fn fire(&mut self, n: NodeId, plan: FirePlan) {
+    #[inline]
+    fn fire(&mut self, code: &MachineCode, n: u32, plan: FirePlan) {
         let now = self.now;
         for arc in plan.consumes() {
+            let a = arc as usize;
             let fate = match &self.fault {
-                Some(f) => f.ack_fate(arc.idx(), now),
+                Some(f) => f.ack_fate(a, now),
                 None => AckFate::Deliver,
             };
-            let src = self.g.arcs[arc.idx()].src.idx() as u32;
-            let ack_at = now + self.ack_delay[arc.idx()];
-            if let Some(t) = consume_token(&mut self.arcs[arc.idx()], ack_at, fate) {
+            let ack_at = now + self.ack_delay[a];
+            if let Some(t) = consume_token(&mut self.arcs[a], ack_at, fate) {
                 // The freed slot re-enables the arc's producer; its
                 // wakeup also releases the slot (see `step_event`).
-                self.sched.wake(src, t);
+                self.sched.wake(code.arc_src[a], t);
             }
         }
-        let g = self.g;
-        if let Some(v) = note_fire_cell(g, self, now, n, &plan) {
-            for &a in &g.nodes[n.idx()].outputs {
-                self.emit_on(a, v);
+        if let Some(v) = note_fire_cell(code, self, now, n, &plan) {
+            for &a in code.outs(code.cell(n)) {
+                self.emit_on(code, a, v);
             }
         }
         // Re-examine a fired cell next step if it may be enabled again
         // with no new event (buffered output arcs, queued operands).
-        if self.sched.is_event_driven() && may_refire(self.g, self, n.idx() as u32) {
-            self.sched.wake(n.idx() as u32, now + 1);
+        if self.sched.is_event_driven() && may_refire(code, self, n) {
+            self.sched.wake(n, now + 1);
         }
     }
 
@@ -1144,6 +1146,7 @@ impl<'g> Simulator<'g> {
 
     /// The legacy O(cells) step: re-scan every cell.
     fn step_scan(&mut self) -> Result<usize, SimError> {
+        let code = Arc::clone(&self.code);
         let now = self.now;
         for st in &mut self.arcs {
             release_acks(st, now);
@@ -1152,20 +1155,20 @@ impl<'g> Simulator<'g> {
         // scan re-examines everything every step.
         let mut plans = mem::take(&mut self.scratch.plans);
         plans.clear();
-        for n in self.g.node_ids() {
+        for n in 0..code.cell_count() as u32 {
             if let Some(f) = &self.fault {
-                if f.frozen(n.idx(), now) {
+                if f.frozen(n as usize, now) {
                     continue;
                 }
             }
-            if let Some(p) = self.plan(n)? {
-                plans.push((n.idx() as u32, p));
+            if let Some(p) = self.plan(&code, n)? {
+                plans.push((n, p));
             }
         }
         self.apply_throttle(&mut plans);
         let count = plans.len();
         for &(nid, plan) in &plans {
-            self.fire(NodeId(nid), plan);
+            self.fire(&code, nid, plan);
         }
         self.scratch.plans = plans;
         self.now += 1;
@@ -1175,7 +1178,8 @@ impl<'g> Simulator<'g> {
     /// The event-driven O(fired + woken) step: examine only cells with a
     /// pending wakeup (see [`crate::scheduler`] for the invariant).
     fn step_event(&mut self) -> Result<usize, SimError> {
-        let (g, now) = (self.g, self.now);
+        let code = Arc::clone(&self.code);
+        let now = self.now;
         let mut due = mem::take(&mut self.scratch.due_nodes);
         self.sched.due_nodes(now, &mut due);
         // Release the acknowledge slots expiring now on the output arcs
@@ -1186,8 +1190,8 @@ impl<'g> Simulator<'g> {
         // leaves the same state the scan kernel's release over every arc
         // does.
         for &nid in &due {
-            for &a in &g.nodes[nid as usize].outputs {
-                release_acks(&mut self.arcs[a.idx()], now);
+            for &a in code.outs(code.cell(nid)) {
+                release_acks(&mut self.arcs[a as usize], now);
             }
         }
         // Examine woken cells in index order (the scan order, which the
@@ -1207,7 +1211,7 @@ impl<'g> Simulator<'g> {
                     continue;
                 }
             }
-            if let Some(p) = self.plan(NodeId(nid))? {
+            if let Some(p) = self.plan(&code, nid)? {
                 plans.push((nid, p));
             }
         }
@@ -1218,7 +1222,7 @@ impl<'g> Simulator<'g> {
         self.apply_throttle(&mut plans);
         let count = plans.len();
         for &(nid, plan) in &plans {
-            self.fire(NodeId(nid), plan);
+            self.fire(&code, nid, plan);
         }
         self.scratch.plans = plans;
         self.scratch.thawing = thaw;
@@ -1595,7 +1599,7 @@ impl<'g> Simulator<'g> {
 /// allocate.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct FirePlan {
-    pub(crate) consume: [Option<ArcId>; 2],
+    pub(crate) consume: [Option<u32>; 2],
     pub(crate) emit: Option<Value>,
 }
 
@@ -1635,7 +1639,7 @@ impl FirePlan {
         self
     }
     /// The consumed arcs, in operand-port order.
-    pub(crate) fn consumes(&self) -> impl Iterator<Item = ArcId> + '_ {
+    pub(crate) fn consumes(&self) -> impl Iterator<Item = u32> + '_ {
         self.consume.iter().flatten().copied()
     }
 }

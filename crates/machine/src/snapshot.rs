@@ -38,12 +38,14 @@
 
 use std::collections::{HashMap, VecDeque};
 use std::fmt;
+use std::sync::Arc;
 
 use valpipe_ir::graph::Graph;
 use valpipe_ir::opcode::Opcode;
 use valpipe_ir::value::Value;
 use valpipe_util::checksum64;
 
+use crate::code::MachineCode;
 use crate::fault::{CellFreeze, FaultPlan, LinkFault};
 use crate::scheduler::{Kernel, Scheduler};
 use crate::session::SimConfig;
@@ -312,7 +314,7 @@ impl Snapshot {
         let mut bytes = Vec::with_capacity(HEADER_LEN + payload.len());
         bytes.extend_from_slice(&SNAPSHOT_MAGIC);
         bytes.extend_from_slice(&SNAPSHOT_VERSION.to_le_bytes());
-        bytes.extend_from_slice(&sim.g.fingerprint().to_le_bytes());
+        bytes.extend_from_slice(&sim.code.fingerprint(sim.g).to_le_bytes());
         bytes.extend_from_slice(&sim.now.to_le_bytes());
         bytes.extend_from_slice(&(payload.len() as u64).to_le_bytes());
         bytes.extend_from_slice(&checksum64(&payload).to_le_bytes());
@@ -322,13 +324,20 @@ impl Snapshot {
         Snapshot { bytes }
     }
 
-    /// Rebuild a mid-run machine over `g`, resuming on `kernel`.
+    /// Rebuild a mid-run machine over `g` (whose executable form is
+    /// `code`), resuming on `kernel`.
     pub(crate) fn rebuild<'g>(
         &self,
         g: &'g Graph,
+        code: Arc<MachineCode>,
         kernel: Kernel,
     ) -> Result<Simulator<'g>, SnapshotError> {
-        let expected = g.fingerprint();
+        if code.cell_count() != g.nodes.len() || code.arc_count() != g.arcs.len() {
+            return Err(SnapshotError::ShapeMismatch(
+                "executable form was built from a different graph".into(),
+            ));
+        }
+        let expected = code.fingerprint(g);
         let found = self.fingerprint();
         if expected != found {
             return Err(SnapshotError::ProgramMismatch { expected, found });
@@ -462,8 +471,7 @@ impl Snapshot {
         // acknowledge-slot expiries still in flight.
         let mut sched = Scheduler::resume(kernel, n, now);
         for (i, st) in arcs.iter().enumerate() {
-            let dst = g.arcs[i].dst.idx() as u32;
-            let src = g.arcs[i].src.idx() as u32;
+            let (src, dst) = (code.arc_src[i], code.arc_dst[i]);
             for &(_, ready) in &st.queue {
                 if ready > now {
                     sched.wake(dst, ready);
@@ -510,6 +518,7 @@ impl Snapshot {
 
         Ok(Simulator {
             g,
+            code,
             cfg,
             arcs,
             cells,

@@ -11,14 +11,15 @@
 //! *is* the durable representation.
 
 use std::collections::HashMap;
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use valpipe_core::verify::stream_inputs;
 use valpipe_core::{CompileError, CompileLimits, CompileOptions, Compiled, QueryEngine};
 use valpipe_ir::graph::Graph;
 use valpipe_machine::{
-    render_error, ExecMode, Kernel, RunOutcome, RunSpec, Session, SimConfig, Simulator, Snapshot,
-    StallKind,
+    render_error, ExecMode, Kernel, MachineCode, RunOutcome, RunSpec, Session, SimConfig,
+    Simulator, Snapshot, StallKind,
 };
 use valpipe_util::Json;
 use valpipe_val::interp::ArrayVal;
@@ -134,6 +135,9 @@ pub struct SessionCore {
     pub compiled: Compiled,
     /// FIFO-expanded executable graph.
     pub exe: Graph,
+    /// `exe`'s executable form, built once at open and shared by the
+    /// session restored for every job.
+    pub code: Arc<MachineCode>,
     /// Latest machine state. Always consistent: jobs capture-after-advance.
     pub snapshot: Snapshot,
     /// Canonical compact-JSON run result, once the run has finished.
@@ -253,10 +257,13 @@ impl SessionCore {
                 )
             })?;
         let snapshot = session.checkpoint();
+        let code = Arc::clone(session.code());
+        drop(session);
         Ok(SessionCore {
             spec,
             compiled,
             exe,
+            code,
             snapshot,
             final_result: None,
         })
@@ -292,10 +299,11 @@ impl SessionCore {
         let deadline_hit =
             |started: &Instant| limits.deadline.is_some_and(|d| started.elapsed() >= d);
         let budget_at = limits.step_budget.map(|b| self.now().saturating_add(b));
-        let mut session = Session::restore_with_kernel(&self.exe, &self.snapshot, self.spec.kernel)
-            .map_err(|e| {
-                ErrorBody::new(ErrorKind::SnapshotCorrupt, format!("staged snapshot: {e}"))
-            })?;
+        let mut session =
+            Session::restore_with_code(&self.exe, &self.code, &self.snapshot, self.spec.kernel)
+                .map_err(|e| {
+                    ErrorBody::new(ErrorKind::SnapshotCorrupt, format!("staged snapshot: {e}"))
+                })?;
         let mut skipped = 0u64;
         loop {
             // Next pause boundary: the nearest of chunk end, the job's

@@ -8,6 +8,10 @@
 //!  * random layered DAGs over ADD/MUL/ID cells (arbitrary graph shape),
 //!  * random pipe-structured Val programs through the full compiler
 //!    (generators, gates, merges, FIFOs, feedback loops).
+//!
+//! Plus the compiled 100-block chain (1002 cells, the `chain_cold`
+//! benchmark machine): whole runs, and checkpoints restored across
+//! kernels.
 
 mod common;
 
@@ -15,8 +19,10 @@ use common::build_dag;
 use std::collections::HashMap;
 use valpipe::compiler::verify::stream_inputs;
 use valpipe::ir::{Graph, Value};
-use valpipe::machine::{ArcDelays, ProgramInputs, ResourceModel, Simulator, WatchdogConfig};
-use valpipe::{compile_source, ArrayVal, CompileOptions, Kernel, SimConfig};
+use valpipe::machine::{
+    ArcDelays, ProgramInputs, ResourceModel, RunOutcome, Simulator, WatchdogConfig,
+};
+use valpipe::{compile_source, ArrayVal, CompileOptions, Kernel, RunSpec, Session, SimConfig};
 use valpipe_machine::FaultPlan;
 use valpipe_util::Rng;
 
@@ -143,5 +149,62 @@ fn random_compiled_programs_identical_runs() {
         let inputs = stream_inputs(&compiled, &arrays, waves);
         let cfg = random_config(&mut r, &exe);
         assert_kernels_agree(&exe, &inputs, cfg, &format!("compiled case {case}"));
+    }
+}
+
+/// The compiled `chain_src(216, 100)` machine and one wave of inputs.
+fn chain_machine() -> (Graph, ProgramInputs) {
+    let src = valpipe_bench::workloads::chain_src(216, 100);
+    let compiled = compile_source(&src, &CompileOptions::paper()).expect("chain compiles");
+    let exe = compiled.executable();
+    let vals: Vec<f64> = (0..218).map(|i| (i as f64 * 0.37).cos()).collect();
+    let mut arrays = HashMap::new();
+    arrays.insert("S0".to_string(), ArrayVal::from_reals(0, &vals));
+    let inputs = stream_inputs(&compiled, &arrays, 1);
+    (exe, inputs)
+}
+
+#[test]
+fn hundred_block_chain_identical_runs() {
+    let (g, inputs) = chain_machine();
+    assert_eq!(g.node_count(), 1002);
+    let run = |kernel: Kernel| {
+        Simulator::builder(&g)
+            .inputs(inputs.clone())
+            .kernel(kernel)
+            .run()
+            .unwrap()
+    };
+    let scan = run(Kernel::Scan);
+    assert!(scan.sources_exhausted, "the chain must drain");
+    for kernel in [Kernel::EventDriven, Kernel::ParallelEvent(2)] {
+        assert_eq!(run(kernel), scan, "{kernel:?} disagrees with Scan");
+    }
+}
+
+#[test]
+fn hundred_block_chain_restores_across_kernels() {
+    let (g, inputs) = chain_machine();
+    let kernels = [Kernel::Scan, Kernel::EventDriven, Kernel::ParallelEvent(2)];
+    let reference = Simulator::builder(&g).inputs(inputs.clone()).run().unwrap();
+    for (i, &from) in kernels.iter().enumerate() {
+        let to = kernels[(i + 1) % kernels.len()];
+        let session = Simulator::builder(&g)
+            .inputs(inputs.clone())
+            .kernel(from)
+            .build()
+            .unwrap();
+        // Mid-fill: the pipe is partly occupied and acknowledges pending.
+        let RunOutcome::Paused(paused) =
+            session.drive(RunSpec::new().pause_at(301)).unwrap().outcome
+        else {
+            panic!("{from:?}: the chain must still be running at step 301");
+        };
+        let resumed = Session::restore_with_kernel(&g, &paused.checkpoint(), to)
+            .unwrap()
+            .drive(RunSpec::new())
+            .unwrap()
+            .result();
+        assert_eq!(resumed, reference, "{from:?} -> {to:?} restore differs");
     }
 }
