@@ -21,17 +21,17 @@ if grep -rn 'CLAIM \[' crates/bench/src | grep -v '^crates/bench/src/report.rs:'
 fi
 
 # The machine has one firing rule: operators are evaluated only by
-# sim.rs::plan_cell, which every kernel, the epoch engine and the
-# closed-loop machine share.
+# sim.rs::plan_cell, which both kernels and the closed-loop machine
+# share.
 if grep -rn 'apply_bin(\|apply_un(' crates/machine/src | grep -v '^crates/machine/src/sim.rs:'; then
     echo "ci: FAIL — an operator is evaluated outside crates/machine/src/sim.rs" >&2
     exit 1
 fi
 
-# Firing code reads only the executable form (code.rs): the epoch
-# engine and the closed-loop machine never index the Graph's cells or
-# arcs, which stay behind for labels, provenance and reports.
-if grep -n 'g\.nodes\[\|g\.arcs\[' crates/machine/src/par.rs crates/machine/src/closedloop.rs; then
+# Firing code reads only the executable form (code.rs): the closed-loop
+# machine never indexes the Graph's cells or arcs, which stay behind for
+# labels, provenance and reports.
+if grep -n 'g\.nodes\[\|g\.arcs\[' crates/machine/src/closedloop.rs; then
     echo "ci: FAIL — firing code indexes the Graph instead of the executable form" >&2
     exit 1
 fi
@@ -47,17 +47,13 @@ fi
 cargo build --release
 cargo test -q
 
-# The three step-loop kernels must agree bit-for-bit; run the dedicated
+# The two step-loop kernels must agree bit-for-bit; run the dedicated
 # equivalence and property suites explicitly so a regression names them.
-# The event kernels' bitmap wakeup wheel is checked against a plain
+# The event kernel's bitmap wakeup wheel is checked against a plain
 # sort-and-dedup reference model the same way.
 cargo test -q -p valpipe-machine --lib scheduler::tests::wheel_matches_reference_model
 cargo test -q -p valpipe-machine --test kernel_equivalence
 cargo test -q --test property_kernels
-
-# The epoch-batched parallel kernel must stay bit-identical under every
-# epoch cap and shard policy, forced fallbacks included (DESIGN.md §16).
-cargo test -q --test property_epochs
 
 # Every experiment runs through one driver, `valpipe-exp <name>`, which
 # exits 1 when any claim fails. run_exp writes one report to a file and
@@ -82,19 +78,6 @@ for name in am_traffic closedloop delay faults fig2 fig3 fig4 fig5 fig6 fig7_fig
     cmp -s "target/ci_exp_$name.txt" "results/$name.txt" \
         || { echo "ci: FAIL — valpipe-exp $name output differs from results/$name.txt" >&2; exit 1; }
 done
-
-# Smoke equivalence through the experiment CLI: the parallel kernel at
-# two workers must print the byte-identical experiment report, both with
-# epoch batching and with it disabled (every step then runs the
-# sequential event body).
-run_exp target/ci_fig2_par.txt fig2 --workers 2
-cmp -s target/ci_exp_fig2.txt target/ci_fig2_par.txt \
-    || { echo "ci: FAIL — exp_fig2 output differs under --workers 2" >&2; exit 1; }
-run_exp target/ci_fig2_cap1.txt fig2 --workers 2 --epoch-cap 1
-cmp -s target/ci_exp_fig2.txt target/ci_fig2_cap1.txt \
-    || { echo "ci: FAIL — exp_fig2 output differs under --workers 2 --epoch-cap 1" >&2; exit 1; }
-grep -q 'CLAIM \[HOLDS\]' target/ci_fig2_par.txt \
-    || { echo "ci: FAIL — exp_fig2 claims did not hold under --workers 2" >&2; exit 1; }
 
 # Program scale: per-wave throughput must not depend on the block count,
 # and concurrency (average and measured peak fires per instruction time)
@@ -198,8 +181,8 @@ test -s target/ci_bench_smoke.json \
 
 # Perf-regression gate: the smoke run's kernels trajectory must stay
 # within 15% steps/s of the newest comparable entries (same bench,
-# smoke flag, host_cores, graph, kernel, workers, epoch/shard config)
-# in the committed baseline. Unmatched tuples (new workloads, different
+# smoke flag, host_cores, graph, kernel, workers, steps) in the
+# committed baseline. Unmatched tuples (new workloads, different
 # host) and sub-noise-floor rows pass through uncompared.
 cargo run --release -q -p valpipe-bench --bin bench_gate -- \
     --baseline BENCH_machine.json --candidate target/ci_bench_smoke.json \

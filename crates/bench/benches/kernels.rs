@@ -1,4 +1,4 @@
-//! Bench: scan vs event-driven vs parallel step-loop kernels.
+//! Bench: scan vs event-driven step-loop kernels.
 //!
 //! The scan kernel pays O(cells) every instruction time; the event-driven
 //! kernel pays O(fired + woken). On a dense, fully pipelined workload the
@@ -11,13 +11,10 @@
 //! step. That is the acceptance workload: the event kernel must beat the
 //! scan kernel by at least 3× there (asserted, not just printed).
 //!
-//! The parallel kernel's acceptance workload is the opposite regime: a
-//! *wide* dense program (>4000 cells, hundreds fireable per tick) swept
-//! across worker counts. On a ≥4-core host, 4 workers must beat the
-//! event kernel by ≥2.5× and a single parallel worker must stay within
-//! 15% of it (asserted when the host has the cores; printed regardless).
+//! A *wide* dense program (>4000 cells, hundreds fireable per tick) gets
+//! the same scan-against-event row as the paper workloads.
 //!
-//! All kernels must agree bit-for-bit on every workload; the bench
+//! Both kernels must agree bit-for-bit on every workload; the bench
 //! asserts that too, so a timing win can never hide a semantics drift.
 //! With `--json`, every measurement is also written to
 //! `BENCH_machine.json` (or `$BENCH_JSON_PATH`) as the machine-readable
@@ -30,10 +27,7 @@ use valpipe_core::verify::stream_inputs;
 use valpipe_core::{compile_source, CompileOptions};
 use valpipe_ir::value::Value;
 use valpipe_ir::{Graph, Opcode};
-use valpipe_machine::{
-    EpochStats, Kernel, ProgramInputs, RunOutcome, RunResult, RunSpec, ShardPolicy, SimConfig,
-    Simulator, DEFAULT_EPOCH_CAP,
-};
+use valpipe_machine::{Kernel, ProgramInputs, RunResult, Simulator};
 use valpipe_util::{Json, Rng};
 
 /// An identity chain of `stages` cells: with only a few packets in
@@ -49,10 +43,10 @@ fn sparse_chain(stages: usize) -> Graph {
     g
 }
 
-/// A wide dense program — `chains` parallel arithmetic pipelines — so
-/// hundreds of cells are fireable every tick: the regime the parallel
-/// kernel is built for. Each chain's input stream splits off the one
-/// root generator, so the workload is fully determined by the seed.
+/// A wide dense program — `chains` side-by-side arithmetic pipelines —
+/// so hundreds of cells are fireable every tick. Each chain's input
+/// stream splits off the one root generator, so the workload is fully
+/// determined by the seed.
 fn wide_grid(chains: usize, stages: usize, packets: usize) -> (Graph, ProgramInputs) {
     let mut g = Graph::new();
     let mut inputs = ProgramInputs::new();
@@ -92,54 +86,16 @@ fn run_kernel(g: &Graph, inputs: &ProgramInputs, kernel: Kernel) -> RunResult {
         .unwrap()
 }
 
-/// Run under an explicit config through `Session::drive`, returning the
-/// result plus what the epoch engine accomplished.
-fn drive_config(g: &Graph, inputs: &ProgramInputs, cfg: SimConfig) -> (RunResult, EpochStats) {
-    let driven = Simulator::builder(g)
-        .inputs(inputs.clone())
-        .config(cfg)
-        .build()
-        .unwrap()
-        .drive(RunSpec::new())
-        .unwrap();
-    let RunOutcome::Done(result) = driven.outcome else {
-        panic!("bench run must complete");
-    };
-    (*result, driven.epochs)
-}
-
-/// Epoch/shard record fields shared by every parallel-kernel bench row.
-fn epoch_extras(cap: u64, policy: ShardPolicy, stats: &EpochStats) -> Vec<(&'static str, Json)> {
-    vec![
-        ("epoch_cap", Json::Int(cap as i64)),
-        ("shard_policy", Json::Str(policy.as_str().to_string())),
-        ("epochs", Json::Int(stats.epochs as i64)),
-        ("batched_steps", Json::Int(stats.batched_steps as i64)),
-        ("mean_horizon", Json::Float(stats.mean_horizon())),
-        (
-            "horizon_fallbacks",
-            Json::Int(stats.horizon_fallbacks as i64),
-        ),
-        (
-            "cross_wakes_deferred",
-            Json::Int(stats.cross_wakes_deferred as i64),
-        ),
-        ("cross_arcs", Json::Int(stats.cross_arcs as i64)),
-    ]
-}
-
-/// One dense workload under both sequential kernels: assert that every
-/// kernel agrees bit-for-bit, then time scan and event interleaved and
-/// print the event/scan ratio of their fastest runs.
+/// One dense workload under both kernels: assert that they agree
+/// bit-for-bit, then time scan and event interleaved and print the
+/// event/scan ratio of their fastest runs.
 fn dense_row(log: &mut BenchLog, name: &str, g: &Graph, inputs: &ProgramInputs, n: usize) {
     let reference = run_kernel(g, inputs, Kernel::Scan);
-    for kernel in [Kernel::EventDriven, Kernel::ParallelEvent(2)] {
-        assert_eq!(
-            reference,
-            run_kernel(g, inputs, kernel),
-            "{kernel:?} disagrees with Scan on {name}"
-        );
-    }
+    assert_eq!(
+        reference,
+        run_kernel(g, inputs, Kernel::EventDriven),
+        "EventDriven disagrees with Scan on {name}"
+    );
     let kernels = [Kernel::Scan, Kernel::EventDriven];
     let mut times = [Vec::new(), Vec::new()];
     for _ in 0..n {
@@ -174,14 +130,6 @@ fn dense_row(log: &mut BenchLog, name: &str, g: &Graph, inputs: &ProgramInputs, 
             median,
             [("ns_per_fire", Json::Float(ns_per_fire(median)))],
         );
-    }
-}
-
-fn kernel_tag(kernel: Kernel) -> (&'static str, usize) {
-    match kernel {
-        Kernel::Scan => ("scan", 1),
-        Kernel::EventDriven => ("event", 1),
-        Kernel::ParallelEvent(w) => ("parallel-event", w),
     }
 }
 
@@ -306,126 +254,14 @@ fn main() {
         dense_row(&mut log, name, &exe, &inputs, n);
     }
 
-    // 4. Worker sweep on the wide dense grid — the parallel kernel's
-    // acceptance workload (>4000 cells, hundreds fireable per tick).
+    // 4. The wide dense grid (>4000 cells, hundreds fireable per tick).
     let (chains, stages, pkts) = if smoke_mode() {
         (48, 8, 12)
     } else {
         (80, 50, 64)
     };
     let (wg, winputs) = wide_grid(chains, stages, pkts);
-    if !smoke_mode() {
-        assert!(
-            wg.node_count() >= 4000,
-            "acceptance grid must exceed 4000 cells"
-        );
-    }
-    let reference = run_kernel(&wg, &winputs, Kernel::EventDriven);
-    let mut t_of: Vec<(Kernel, f64)> = Vec::new();
-    for kernel in [
-        Kernel::Scan,
-        Kernel::EventDriven,
-        Kernel::ParallelEvent(1),
-        Kernel::ParallelEvent(2),
-        Kernel::ParallelEvent(4),
-    ] {
-        let (r, stats) = drive_config(&wg, &winputs, SimConfig::new().kernel(kernel));
-        assert_eq!(r, reference, "{kernel:?} disagrees on the wide grid");
-        let t = median_secs(n, || {
-            let _ = run_kernel(&wg, &winputs, kernel);
-        });
-        let (tag, workers) = kernel_tag(kernel);
-        println!(
-            "kernels/wide_grid/{}cells/{tag}{workers}   {:>10.3}ms   {:>12.0} steps/s",
-            wg.node_count(),
-            t * 1e3,
-            reference.steps as f64 / t,
-        );
-        let extras = if matches!(kernel, Kernel::ParallelEvent(_)) {
-            epoch_extras(DEFAULT_EPOCH_CAP, ShardPolicy::Topology, &stats)
-        } else {
-            Vec::new()
-        };
-        log.record_with(
-            "wide_grid",
-            wg.node_count(),
-            wg.arc_count(),
-            tag,
-            workers,
-            reference.steps,
-            t,
-            extras,
-        );
-        t_of.push((kernel, t));
-    }
-    let t = |k: Kernel| t_of.iter().find(|(kk, _)| *kk == k).unwrap().1;
-    let cores = std::thread::available_parallelism().map_or(1, |p| p.get());
-    let par_speedup = t(Kernel::EventDriven) / t(Kernel::ParallelEvent(4));
-    let par1_overhead = t(Kernel::ParallelEvent(1)) / t(Kernel::EventDriven);
-    println!(
-        "kernels/wide_grid summary: event/parallel4 {par_speedup:.2}x, parallel1 overhead {:.1}% ({cores} host cores)",
-        (par1_overhead - 1.0) * 100.0,
-    );
-    if !smoke_mode() {
-        assert!(
-            par1_overhead <= 1.15,
-            "single-worker parallel kernel must stay within 15% of the event kernel, got {:.1}% over",
-            (par1_overhead - 1.0) * 100.0
-        );
-        if cores >= 4 {
-            assert!(
-                par_speedup >= 2.5,
-                "parallel kernel at 4 workers must be >= 2.5x the event kernel on a {cores}-core host, got {par_speedup:.2}x"
-            );
-        } else {
-            println!(
-                "kernels/wide_grid: host has {cores} core(s); 4-worker speedup target needs >= 4 — recorded, not asserted"
-            );
-        }
-    }
-
-    // 5. Epoch/shard sweep on the same grid: how the barrier-amortizing
-    // horizon cap and the sharding policy shape the 4-worker kernel.
-    // cap=1 disables batching, so every step runs the sequential event
-    // body (the row prices the parallel kernel's epoch gate against
-    // `event1`), and the striped policy cuts chains across shards —
-    // both honest baselines.
-    for policy in [ShardPolicy::Topology, ShardPolicy::Striped] {
-        for cap in [1u64, 4, 16, 64] {
-            let cfg = SimConfig::new()
-                .kernel(Kernel::ParallelEvent(4))
-                .epoch_cap(cap)
-                .shard_policy(policy);
-            let (r, stats) = drive_config(&wg, &winputs, cfg.clone());
-            assert_eq!(
-                r, reference,
-                "epoch sweep (cap {cap}, {policy:?}) disagrees on the wide grid"
-            );
-            let t = median_secs(n, || {
-                let _ = drive_config(&wg, &winputs, cfg.clone());
-            });
-            let sequential = if cap < 2 { "-sequential" } else { "" };
-            println!(
-                "kernels/wide_grid/epoch_sweep/{}/cap{cap}{sequential}   {:>10.3}ms   {:>12.0} steps/s   epochs {} (mean horizon {:.1}, {} fallbacks)",
-                policy.as_str(),
-                t * 1e3,
-                reference.steps as f64 / t,
-                stats.epochs,
-                stats.mean_horizon(),
-                stats.horizon_fallbacks,
-            );
-            log.record_with(
-                "wide_grid",
-                wg.node_count(),
-                wg.arc_count(),
-                "parallel-event",
-                4,
-                reference.steps,
-                t,
-                epoch_extras(cap, policy, &stats),
-            );
-        }
-    }
+    dense_row(&mut log, "wide_grid", &wg, &winputs, n);
 
     if json_mode() {
         let path = log

@@ -7,8 +7,7 @@
 //!
 //! Two rows are comparable only when their whole identity tuple matches:
 //! bench name, smoke flag, `host_cores`, graph, cell count, kernel,
-//! workers, step count, and (when present) the epoch/shard sweep
-//! dimensions `epoch_cap`/`shard_policy`. Changing the workload or the
+//! workers and step count. Changing the workload or the
 //! host therefore never produces a false regression — the row simply has
 //! no baseline and is reported as uncompared. Rows faster than the noise
 //! floor (`wall_s < 0.01`) are skipped: sub-10ms medians on a shared CI
@@ -38,7 +37,7 @@ fn row_key(doc: &Json, row: &Json) -> Option<String> {
     let s = |j: &Json, k: &str| j.get(k).and_then(|v| v.as_str()).map(str::to_string);
     let i = |j: &Json, k: &str| j.get(k).and_then(|v| v.as_i64());
     let b = |j: &Json, k: &str| j.get(k).and_then(|v| v.as_bool());
-    let mut key = format!(
+    Some(format!(
         "{}/{}/{}cores {} {}cells {} w{} {}steps",
         s(doc, "bench")?,
         if b(doc, "smoke")? { "smoke" } else { "full" },
@@ -48,14 +47,7 @@ fn row_key(doc: &Json, row: &Json) -> Option<String> {
         s(row, "kernel")?,
         i(row, "workers")?,
         i(row, "steps")?,
-    );
-    if let Some(cap) = i(row, "epoch_cap") {
-        key.push_str(&format!(" cap{cap}"));
-    }
-    if let Some(policy) = s(row, "shard_policy") {
-        key.push_str(&format!(" {policy}"));
-    }
-    Some(key)
+    ))
 }
 
 fn rows_of(doc: &Json) -> Vec<Row> {
@@ -134,8 +126,7 @@ fn main() {
 
     // Newest comparable row per identity tuple, oldest-to-newest so later
     // docs override earlier ones. Within one doc, keep the best rate (a
-    // tuple measured twice — e.g. the default config appearing in both
-    // the worker sweep and the epoch sweep — is represented by its best).
+    // tuple measured twice is represented by its best).
     let mut baseline: std::collections::HashMap<String, f64> = std::collections::HashMap::new();
     for doc in &baseline_docs {
         let mut doc_best: std::collections::HashMap<String, f64> = std::collections::HashMap::new();

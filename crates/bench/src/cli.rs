@@ -9,7 +9,7 @@
 use std::str::FromStr;
 
 use valpipe_core::Stage;
-use valpipe_machine::{FaultPlan, Kernel, ShardPolicy, SimConfig, WatchdogConfig};
+use valpipe_machine::{FaultPlan, SimConfig, WatchdogConfig};
 
 /// The flags of one `valpipe-exp` run; each is `None`/`false` unless given.
 #[derive(Debug, Clone, Default)]
@@ -39,17 +39,6 @@ pub struct FaultArgs {
     pub shrink: bool,
     /// `--corpus <dir>`: where `fuzz --shrink` writes reduced repros.
     pub corpus: Option<String>,
-    /// `--workers <n>`: run on the parallel kernel, batching epochs
-    /// across `n` worker threads (1 keeps the sequential event kernel;
-    /// steps that cannot batch run the sequential event body at any `n`).
-    pub workers: Option<usize>,
-    /// `--epoch-cap <k>`: at most `k` steps per epoch barrier of the
-    /// parallel kernel (DESIGN.md §16; `1` disables epoch batching, so
-    /// every step runs the sequential event body).
-    pub epoch_cap: Option<u64>,
-    /// `--shard-policy <topology|striped>`: how the parallel kernel
-    /// assigns cells to worker shards.
-    pub shard_policy: Option<ShardPolicy>,
     /// `--blocks <n>`: how many chained stencil blocks `incremental`
     /// compiles.
     pub blocks: Option<usize>,
@@ -78,9 +67,6 @@ pub const MACHINE_FLAGS: &[&str] = &[
     "--step-budget",
     "--checkpoint-every",
     "--checkpoint-path",
-    "--workers",
-    "--epoch-cap",
-    "--shard-policy",
 ];
 
 /// Flags that dump or time each compile of `Report::measure`.
@@ -124,13 +110,6 @@ impl FaultArgs {
                 }
                 "--shrink" => out.shrink = true,
                 "--corpus" => out.corpus = Some(value()?),
-                "--workers" => out.workers = Some(positive(value()?, "worker count")?),
-                "--epoch-cap" => out.epoch_cap = Some(positive(value()?, "epoch cap")?),
-                "--shard-policy" => {
-                    let v = value()?;
-                    let p = ShardPolicy::parse(&v).ok_or_else(|| format!("bad shard policy '{v}'"));
-                    out.shard_policy = Some(p?);
-                }
                 "--blocks" => out.blocks = Some(positive(value()?, "block count")?),
                 "--smoke" => out.smoke = true,
                 "--waves" => out.waves = Some(positive(value()?, "wave count")?),
@@ -177,17 +156,6 @@ impl FaultArgs {
         if let Some(path) = &self.checkpoint_path {
             cfg = cfg.checkpoint_path(path.clone());
         }
-        if let Some(w) = self.workers {
-            if w >= 2 {
-                cfg = cfg.kernel(Kernel::ParallelEvent(w));
-            }
-        }
-        if let Some(k) = self.epoch_cap {
-            cfg = cfg.epoch_cap(k);
-        }
-        if let Some(p) = self.shard_policy {
-            cfg = cfg.shard_policy(p);
-        }
         cfg
     }
 
@@ -202,8 +170,7 @@ pub fn usage(message: &str) -> ! {
     eprintln!("error: {message}");
     eprintln!("usage: valpipe-exp <name> [flags]");
     eprintln!("  machine flags: --fault-plan <spec> --step-budget <n> --checkpoint-every <n>");
-    eprintln!("                 --checkpoint-path <file> --workers <n> --epoch-cap <k>");
-    eprintln!("                 --shard-policy <topology|striped>");
+    eprintln!("                 --checkpoint-path <file>");
     eprintln!("  compile flags: --emit=ast,typed,ir,balanced,machine --pass-stats");
     eprintln!("  spec: comma-separated key=value, e.g. seed=42,drop_ack=0.001,\\");
     eprintln!("        delay_result=0.05:4,freeze=7@100..200,link=1.3@50..60");
@@ -244,8 +211,8 @@ mod tests {
         assert!(a.smoke && !a.active());
         let a = parse("fastforward", "--waves 50 --smoke").expect("valid flags");
         assert_eq!(a.waves, Some(50));
-        let a = parse("fig2", "--workers 2 --emit=ir").expect("valid flags");
-        assert_eq!(a.workers, Some(2));
+        let a = parse("fig2", "--step-budget 9 --emit=ir").expect("valid flags");
+        assert_eq!(a.step_budget, Some(9));
         assert_eq!(a.emit, vec![Stage::Ir]);
     }
 
@@ -259,7 +226,7 @@ mod tests {
             ("fuzz", "--seed 0xZZ", "bad seed '0xZZ'"),
             ("fastforward", "--waves x", "bad wave count 'x'"),
             ("fastforward", "--waves 0", "bad wave count '0'"),
-            ("fig2", "--workers 0", "bad worker count '0'"),
+            ("fig2", "--step-budget 0", "bad step budget '0'"),
             ("fastforward", "--waves", "--waves needs a value"),
             ("fig2", "--bogus", "unknown flag '--bogus'"),
         ] {
@@ -275,7 +242,7 @@ mod tests {
                 "--fault-plan seed=1,drop_ack=0.5",
                 "--fault-plan",
             ),
-            ("service", "--workers 4", "--workers"),
+            ("service", "--step-budget 4", "--step-budget"),
             ("fig2", "--kills 3", "--kills"),
             ("fig2", "--smoke", "--smoke"),
             ("delay", "--emit=ir", "--emit"),
@@ -283,6 +250,17 @@ mod tests {
         ] {
             let want = format!("this experiment does not take {flag}");
             assert_eq!(parse(name, args).unwrap_err(), want, "{name} {args}");
+        }
+    }
+
+    #[test]
+    fn parallel_kernel_flags_are_unknown() {
+        // The epoch-batched kernel and its knobs are gone; their flags
+        // are usage errors (exit 2), not silently ignored.
+        for flag in ["--workers 2", "--epoch-cap 4", "--shard-policy striped"] {
+            let name = flag.split_whitespace().next().unwrap();
+            let want = format!("unknown flag '{name}'");
+            assert_eq!(parse("fig2", flag).unwrap_err(), want, "{flag}");
         }
     }
 

@@ -72,7 +72,7 @@ pub(super) fn run(args: &FaultArgs) -> Report {
     // Claim 1: bit-identical RunResult on every kernel.
     let mut identical = true;
     let mut reference: Option<(RunResult, valpipe_machine::FastForwardStats, f64, f64)> = None;
-    for kernel in [Kernel::Scan, Kernel::EventDriven, Kernel::ParallelEvent(2)] {
+    for kernel in [Kernel::Scan, Kernel::EventDriven] {
         let t0 = Instant::now();
         let exact = session(&exe, &inputs, kernel, max_steps)
             .drive(RunSpec::new())

@@ -299,7 +299,7 @@ pub(super) fn run(args: &FaultArgs) -> Report {
     std::fs::create_dir_all(&dir).expect("chaos dir");
 
     // Oracles first: the ground truth each client must reproduce.
-    let kernels = [Kernel::EventDriven, Kernel::Scan, Kernel::ParallelEvent(2)];
+    let kernels = [Kernel::EventDriven, Kernel::Scan];
     let specs: Vec<SessionSpec> = (0..clients)
         .map(|i| client_spec(i, 300 + 120 * i, kernels[i % kernels.len()]))
         .collect();

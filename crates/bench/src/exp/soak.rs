@@ -32,21 +32,17 @@ use valpipe_machine::{
 };
 use valpipe_util::Rng;
 
-const KERNEL_PAIRS: [(Kernel, Kernel); 7] = [
+const KERNEL_PAIRS: [(Kernel, Kernel); 4] = [
     (Kernel::EventDriven, Kernel::EventDriven),
     (Kernel::EventDriven, Kernel::Scan),
     (Kernel::Scan, Kernel::EventDriven),
     (Kernel::Scan, Kernel::Scan),
-    (Kernel::EventDriven, Kernel::ParallelEvent(2)),
-    (Kernel::ParallelEvent(2), Kernel::Scan),
-    (Kernel::ParallelEvent(2), Kernel::ParallelEvent(2)),
 ];
 
 fn kernel_name(k: Kernel) -> &'static str {
     match k {
         Kernel::Scan => "scan",
         Kernel::EventDriven => "event",
-        Kernel::ParallelEvent(_) => "parallel-event",
     }
 }
 
@@ -136,7 +132,7 @@ pub(super) fn run(args: &FaultArgs) -> Report {
             ..Default::default()
         });
         let cfg = SimConfig::new().max_steps(3_000_000).fault_plan(plan);
-        let (run_kernel, resume_kernel) = KERNEL_PAIRS[(trial % 4) as usize];
+        let (run_kernel, resume_kernel) = KERNEL_PAIRS[trial as usize % KERNEL_PAIRS.len()];
         cross_kernel_seen |= run_kernel != resume_kernel;
 
         let reference = straight_run(&exe, &inputs, &cfg, resume_kernel);

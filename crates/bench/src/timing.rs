@@ -157,9 +157,7 @@ impl BenchLog {
     }
 
     /// [`BenchLog::record`] with extra key/value fields appended to the
-    /// record — the kernels bench uses it to attach epoch/shard
-    /// dimensions (`epoch_cap`, `shard_policy`) and the engine's
-    /// per-run counters (`epochs`, `mean_horizon`, …).
+    /// record (e.g. per-run counters such as `ns_per_fire`).
     #[allow(clippy::too_many_arguments)]
     pub fn record_with(
         &mut self,

@@ -1,10 +1,8 @@
 //! The differential executor: one program, every execution path.
 //!
 //! A case runs through the interpreter oracle and then across the full
-//! machine matrix — all three kernels exact, plus the sequential kernels
-//! under fast-forward (which never batches epochs, so a parallel
-//! fast-forward leg would rerun the event leg's code) — plus a
-//! kill-and-restore leg that pauses mid-run, round-trips the snapshot
+//! machine matrix — both kernels exact and both under fast-forward —
+//! plus a kill-and-restore leg that pauses mid-run, round-trips the snapshot
 //! through bytes, resumes on a *different* kernel, and drives to
 //! completion. Every leg must agree with the oracle within tolerance and
 //! with every other leg bit-exactly; every phase runs under
@@ -173,14 +171,11 @@ pub fn standard_arrays(compiled: &Compiled) -> HashMap<String, ArrayVal> {
     arrays
 }
 
-/// The machine matrix: every kernel exact, and the sequential kernels
-/// under fast-forward.
+/// The machine matrix: both kernels exact and under fast-forward.
 pub fn matrix() -> Vec<(&'static str, Kernel, ExecMode)> {
     vec![
         ("scan/exact", Kernel::Scan, ExecMode::Exact),
         ("event/exact", Kernel::EventDriven, ExecMode::Exact),
-        ("parallel2/exact", Kernel::ParallelEvent(2), ExecMode::Exact),
-        ("parallel4/exact", Kernel::ParallelEvent(4), ExecMode::Exact),
         (
             "scan/ff",
             Kernel::Scan,

@@ -18,6 +18,7 @@
 //!   or less to the array memories" claim.
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 pub mod arch;
 pub mod closedloop;
@@ -27,10 +28,8 @@ pub mod error;
 pub mod fastforward;
 pub mod fault;
 pub mod network;
-pub(crate) mod par;
 pub mod scheduler;
 pub mod session;
-pub mod shard;
 pub mod sim;
 pub mod snapshot;
 pub mod trace;
@@ -45,10 +44,7 @@ pub use fastforward::FastForwardStats;
 pub use fault::{CellFreeze, FaultPlan, LinkFault};
 pub use network::{OmegaNetwork, Packet};
 pub use scheduler::Kernel;
-pub use session::{
-    Driven, ExecMode, RunOutcome, RunSpec, Session, SessionBuilder, SimConfig, DEFAULT_EPOCH_CAP,
-};
-pub use shard::{EpochStats, ShardPolicy};
+pub use session::{Driven, ExecMode, RunOutcome, RunSpec, Session, SessionBuilder, SimConfig};
 pub use sim::{ArcDelays, ProgramInputs, ResourceModel, RunResult, Simulator, StopReason, Timing};
 pub use snapshot::{Snapshot, SnapshotError, SNAPSHOT_MAGIC, SNAPSHOT_VERSION};
 pub use trace::{chrome_trace, occupancy_chart};

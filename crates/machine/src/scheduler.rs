@@ -4,7 +4,7 @@
 //! instruction time, which costs O(cells) per step even when only a
 //! handful of cells hold deliverable operands — the transient fill and
 //! drain phases of a pipe, gated conditional arms, and every throttled
-//! or fault-injected run. The event-driven kernels instead maintain the
+//! or fault-injected run. The event-driven kernel instead maintains the
 //! **wakeup invariant**:
 //!
 //! > a cell is (re-)examined at step `t` iff some event at `t` could
@@ -48,12 +48,11 @@ use std::collections::BTreeSet;
 
 /// Which step-loop implementation a simulation uses.
 ///
-/// All kernels implement the identical machine semantics and produce
+/// Both kernels implement the identical machine semantics and produce
 /// bit-identical [`crate::sim::RunResult`]s — asserted by the
 /// `kernel_equivalence` test suite across the paper workloads, fault
 /// plans, resource throttling, and watchdog stalls. They differ only in
-/// how the set of enabled cells is discovered each instruction time and
-/// in how the firing work of one instruction time is executed.
+/// how the set of enabled cells is discovered each instruction time.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum Kernel {
     /// Re-scan every cell each instruction time. O(cells) per step; the
@@ -63,22 +62,12 @@ pub enum Kernel {
     /// events. O(fired + woken) per step.
     #[default]
     EventDriven,
-    /// The event-driven kernel with epoch batching: inside an eligible
-    /// run, whole epochs of instruction times execute on worker shards
-    /// across the given number of threads (DESIGN.md §16); every step
-    /// that cannot batch runs the event-driven step body. Bit-identical
-    /// to the sequential kernels for any worker count;
-    /// `ParallelEvent(0)` and `ParallelEvent(1)` never batch and spawn
-    /// no threads.
-    ParallelEvent(usize),
 }
 
 /// One time-indexed wakeup wheel: a power-of-two ring of bitmap slots
-/// plus a far-overflow set for wakeups beyond the horizon. `pub(crate)`
-/// so the epoch engine (`par.rs`) can run one private wheel per shard
-/// with identical drain semantics.
+/// plus a far-overflow set for wakeups beyond the horizon.
 #[derive(Debug, Clone)]
-pub(crate) struct Wheel {
+struct Wheel {
     /// Next instruction time to be drained; every live ring entry `at`
     /// satisfies `cursor <= at < cursor + WHEEL_SLOTS`.
     cursor: u64,
@@ -116,7 +105,7 @@ fn for_each_bit(mut word: u64, base: usize, mut f: impl FnMut(usize)) {
 
 impl Wheel {
     /// An empty wheel for ids `0..ids` whose first drain is at `cursor`.
-    pub(crate) fn new(cursor: u64, ids: usize) -> Self {
+    fn new(cursor: u64, ids: usize) -> Self {
         let words = ids.div_ceil(64);
         let sums = words.div_ceil(64);
         Wheel {
@@ -150,7 +139,7 @@ impl Wheel {
 
     /// Post `id` at `at`; posting the same `(id, at)` twice is a no-op.
     #[inline(always)]
-    pub(crate) fn push(&mut self, id: u32, at: u64) {
+    fn push(&mut self, id: u32, at: u64) {
         debug_assert!(at >= self.cursor, "wakeup posted into the past");
         debug_assert!((id as usize) < self.words * 64, "id beyond the wheel");
         if at - self.cursor < WHEEL_SLOTS as u64 {
@@ -177,23 +166,10 @@ impl Wheel {
         }
     }
 
-    /// Visit slot `s`'s ids in ascending order without draining them.
-    fn peek_slot(&self, s: usize, mut f: impl FnMut(u32)) {
-        let bits = &self.bits[s * self.words..(s + 1) * self.words];
-        for (k, &sum) in self.touched[s * self.sums..(s + 1) * self.sums]
-            .iter()
-            .enumerate()
-        {
-            for_each_bit(sum, k * 64, |w| {
-                for_each_bit(bits[w], w * 64, |id| f(id as u32));
-            });
-        }
-    }
-
     /// Drain every id due at or before `now` into `out` (cleared
     /// first), ascending and distinct. Draining a time earlier than the
     /// cursor finds nothing: taking is destructive.
-    pub(crate) fn drain(&mut self, now: u64, out: &mut Vec<u32>) {
+    fn drain(&mut self, now: u64, out: &mut Vec<u32>) {
         out.clear();
         if now < self.cursor {
             return;
@@ -231,62 +207,9 @@ impl Wheel {
             self.push(id, t);
         }
     }
-
-    /// Time of the live entries of ring slot `s`.
-    #[inline]
-    fn slot_time(&self, s: usize) -> u64 {
-        self.cursor + ((s as u64).wrapping_sub(self.cursor) & SLOT_MASK)
-    }
-
-    /// Visit every distinct pending `(id, at)` entry exactly once without
-    /// draining it — the epoch-horizon probe. Entries are visited in no
-    /// particular order.
-    pub(crate) fn for_each_pending(&self, mut f: impl FnMut(u32, u64)) {
-        for s in 0..WHEEL_SLOTS {
-            let t = self.slot_time(s);
-            self.peek_slot(s, |id| f(id, t));
-        }
-        for &(t, id) in &self.far {
-            f(id, t);
-        }
-    }
-
-    /// Destructively extract every distinct pending `(id, at)` entry into
-    /// `out` (appended, arbitrary order) — the epoch setup step that
-    /// routes the global wheel's contents onto per-shard wheels.
-    pub(crate) fn take_all(&mut self, out: &mut Vec<(u32, u64)>) {
-        for s in 0..WHEEL_SLOTS {
-            let t = self.slot_time(s);
-            self.take_slot(s, &mut |id| out.push((id, t)));
-        }
-        while let Some((t, id)) = self.far.pop_first() {
-            out.push((id, t));
-        }
-    }
-
-    /// Jump an *empty* wheel's cursor forward to `now` so re-posted
-    /// entries land within the ring horizon again after an epoch.
-    pub(crate) fn rebase(&mut self, now: u64) {
-        debug_assert!(
-            self.far.is_empty() && self.touched.iter().all(|&w| w == 0),
-            "rebase requires a fully drained wheel"
-        );
-        debug_assert!(now >= self.cursor, "rebase never rewinds");
-        self.cursor = now;
-    }
-
-    /// Reset a wheel for reuse at a new start time (per-shard wheels
-    /// between epochs). Clears any leftovers defensively.
-    pub(crate) fn reset(&mut self, cursor: u64) {
-        for s in 0..WHEEL_SLOTS {
-            self.take_slot(s, &mut |_| {});
-        }
-        self.far.clear();
-        self.cursor = cursor;
-    }
 }
 
-/// The time-indexed wakeup wheel for the event-driven kernels.
+/// The time-indexed wakeup wheel for the event-driven kernel.
 ///
 /// A disabled scheduler (scan kernel) accepts and discards every wakeup,
 /// so the firing paths can post events unconditionally.
@@ -319,7 +242,7 @@ impl Scheduler {
     /// snapshot kernel-neutral: a checkpoint taken under any kernel
     /// resumes under any other bit-identically.
     pub(crate) fn resume(kernel: Kernel, cells: usize, now: u64) -> Self {
-        let enabled = matches!(kernel, Kernel::EventDriven | Kernel::ParallelEvent(_));
+        let enabled = kernel == Kernel::EventDriven;
         let mut wheel = Wheel::new(now, if enabled { cells } else { 0 });
         if enabled {
             wheel.fill_current(cells);
@@ -327,7 +250,7 @@ impl Scheduler {
         Scheduler { enabled, wheel }
     }
 
-    /// Whether an event-driven kernel drives the step loop.
+    /// Whether the event-driven kernel drives the step loop.
     #[inline]
     pub(crate) fn is_event_driven(&self) -> bool {
         self.enabled
@@ -347,25 +270,6 @@ impl Scheduler {
     /// on that order.
     pub(crate) fn due_nodes(&mut self, now: u64, out: &mut Vec<u32>) {
         self.wheel.drain(now, out);
-    }
-
-    /// Visit every distinct pending cell wakeup `(cell, at)` once,
-    /// without draining it.
-    pub(crate) fn for_each_pending(&self, f: impl FnMut(u32, u64)) {
-        self.wheel.for_each_pending(f);
-    }
-
-    /// Destructively extract every pending wakeup into `out` (appended,
-    /// arbitrary order). The epoch engine routes them onto per-shard
-    /// wheels and pushes the untriggered remainder back after the epoch.
-    pub(crate) fn take_all(&mut self, out: &mut Vec<(u32, u64)>) {
-        self.wheel.take_all(out);
-    }
-
-    /// Jump the (fully drained) wheel's cursor to `now` after an epoch
-    /// advanced the machine several steps at once.
-    pub(crate) fn rebase(&mut self, now: u64) {
-        self.wheel.rebase(now);
     }
 }
 
@@ -408,13 +312,6 @@ mod tests {
     }
 
     #[test]
-    fn parallel_kernel_enables_the_wheels() {
-        let mut s = Scheduler::new(Kernel::ParallelEvent(4), 2);
-        assert!(s.is_event_driven());
-        assert_eq!(nodes_at(&mut s, 0), vec![0, 1]);
-    }
-
-    #[test]
     fn wakeups_are_sorted_and_deduplicated() {
         let mut s = Scheduler::new(Kernel::EventDriven, 200);
         nodes_at(&mut s, 0);
@@ -449,7 +346,7 @@ mod tests {
 
     #[test]
     fn resume_seeds_at_the_restore_step() {
-        let mut s = Scheduler::resume(Kernel::ParallelEvent(2), 3, 100);
+        let mut s = Scheduler::resume(Kernel::EventDriven, 3, 100);
         s.wake(2, 101);
         assert_eq!(nodes_at(&mut s, 100), vec![0, 1, 2]);
         assert_eq!(nodes_at(&mut s, 101), vec![2]);
@@ -479,22 +376,6 @@ mod tests {
             self.cursor = now + 1;
             due
         }
-
-        fn distinct(&self) -> Vec<(u32, u64)> {
-            let mut all = self.pending.clone();
-            all.sort_unstable();
-            all.dedup();
-            all
-        }
-    }
-
-    /// Visited entries, sorted, asserting no `(id, at)` was visited twice.
-    fn distinct_visits(mut seen: Vec<(u32, u64)>, what: &str) -> Vec<(u32, u64)> {
-        seen.sort_unstable();
-        let n = seen.len();
-        seen.dedup();
-        assert_eq!(seen.len(), n, "{what} visited an entry twice");
-        seen
     }
 
     #[test]
@@ -528,7 +409,7 @@ mod tests {
                         }
                         // Drains: the next step, a stale time, or a
                         // cursor jump across slots and the far set.
-                        55..=84 => {
+                        _ => {
                             let now = match rng.below(10) {
                                 0..=6 => c,
                                 7 => c.saturating_sub(1 + rng.below(3) as u64),
@@ -537,39 +418,6 @@ mod tests {
                             };
                             wheel.drain(now, &mut out);
                             assert_eq!(out, model.drain(now), "drain({now}): {ctx}");
-                        }
-                        85..=92 => {
-                            let mut seen = Vec::new();
-                            wheel.for_each_pending(|id, t| seen.push((id, t)));
-                            let seen = distinct_visits(seen, "for_each_pending");
-                            assert_eq!(seen, model.distinct(), "for_each_pending: {ctx}");
-                        }
-                        // The epoch round trip: take everything, rebase,
-                        // and post the remainder back.
-                        93..=96 => {
-                            let mut taken = Vec::new();
-                            wheel.take_all(&mut taken);
-                            let taken = distinct_visits(taken, "take_all");
-                            assert_eq!(taken, model.distinct(), "take_all: {ctx}");
-                            let now = taken
-                                .iter()
-                                .map(|&(_, t)| t)
-                                .min()
-                                .unwrap_or(c)
-                                .min(c + rng.below(5) as u64);
-                            wheel.rebase(now);
-                            model.cursor = now;
-                            model.pending.clear();
-                            for &(id, t) in &taken {
-                                wheel.push(id, t);
-                                model.pending.push((id, t));
-                            }
-                        }
-                        _ => {
-                            let cursor = rng.below(5000) as u64;
-                            wheel.reset(cursor);
-                            model.cursor = cursor;
-                            model.pending.clear();
                         }
                     }
                 }

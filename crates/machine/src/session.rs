@@ -44,7 +44,6 @@ use crate::code::MachineCode;
 use crate::fastforward::{FastForward, FastForwardStats};
 use crate::fault::FaultPlan;
 use crate::scheduler::Kernel;
-use crate::shard::{EpochStats, ShardPolicy};
 use crate::sim::{
     ArcDelays, ProgramInputs, ResourceModel, RunPhase, RunResult, SimError, Simulator,
 };
@@ -91,18 +90,7 @@ pub struct SimConfig {
     /// Where `drive` writes the latest periodic checkpoint (atomically,
     /// via a temporary file and rename).
     pub(crate) checkpoint_path: Option<String>,
-    /// Most steps the parallel kernel batches per epoch barrier (the
-    /// proven horizon may be shorter; < 2 disables epoch batching).
-    /// Not machine state — never serialized into checkpoints.
-    pub(crate) epoch_cap: u64,
-    /// How the parallel kernel assigns cells to worker shards.
-    pub(crate) shard_policy: ShardPolicy,
 }
-
-/// Default [`SimConfig::epoch_cap`]: long enough to amortize the epoch
-/// setup over wide phased workloads, short enough that the horizon
-/// probe stays a small scan of the pending-wakeup set.
-pub const DEFAULT_EPOCH_CAP: u64 = 16;
 
 impl Default for SimConfig {
     fn default() -> Self {
@@ -119,8 +107,6 @@ impl Default for SimConfig {
             kernel: Kernel::default(),
             checkpoint_every: 0,
             checkpoint_path: None,
-            epoch_cap: DEFAULT_EPOCH_CAP,
-            shard_policy: ShardPolicy::default(),
         }
     }
 }
@@ -227,25 +213,6 @@ impl SimConfig {
         self
     }
 
-    /// Most steps the parallel kernel batches per epoch barrier (the
-    /// provable horizon may shorten any given epoch; values below 2
-    /// disable epoch batching, so every step runs the sequential event
-    /// body).
-    /// Results are bit-identical for every cap. Ignored by the
-    /// sequential kernels.
-    pub fn epoch_cap(mut self, cap: u64) -> Self {
-        self.epoch_cap = cap;
-        self
-    }
-
-    /// How the parallel kernel assigns cells to worker shards (defaults
-    /// to [`ShardPolicy::Topology`]). Results are bit-identical under
-    /// every policy; only the provable epoch horizon changes.
-    pub fn shard_policy(mut self, policy: ShardPolicy) -> Self {
-        self.shard_policy = policy;
-        self
-    }
-
     /// The configured fault plan, if any.
     pub fn fault_plan_ref(&self) -> Option<&FaultPlan> {
         self.fault_plan.as_ref()
@@ -323,10 +290,6 @@ impl<'g> SessionBuilder<'g> {
         checkpoint_every(every: u64),
         /// Write the latest periodic checkpoint to this path during `drive`.
         checkpoint_path(path: String),
-        /// Most steps the parallel kernel batches per epoch barrier.
-        epoch_cap(cap: u64),
-        /// How the parallel kernel assigns cells to worker shards.
-        shard_policy(policy: ShardPolicy),
     }
 
     /// Prepare a [`Session`] for manual stepping. The graph must already
@@ -456,11 +419,6 @@ pub struct Driven<'g> {
     /// What fast-forward accomplished (steps skipped, windows verified,
     /// fallbacks taken).
     pub fast_forward: FastForwardStats,
-    /// What the parallel kernel's epoch engine accomplished (epochs
-    /// run, steps batched, horizon fallbacks, shard map shape) — all
-    /// zeros for sequential kernels and for runs whose configuration
-    /// forced per-step execution.
-    pub epochs: EpochStats,
 }
 
 impl<'g> Driven<'g> {
@@ -530,10 +488,7 @@ impl<'g> Session<'g> {
                 f
             }
         };
-        let mut epoch_stats = EpochStats::default();
-        let phase = self
-            .sim
-            .run_inner(spec.pause_at, sink, ff.as_mut(), Some(&mut epoch_stats))?;
+        let phase = self.sim.run_inner(spec.pause_at, sink, ff.as_mut())?;
         if let Some(f) = ff {
             stats = f.into_stats();
         }
@@ -543,7 +498,6 @@ impl<'g> Session<'g> {
                 RunPhase::Paused(sim) => RunOutcome::Paused(Box::new(Session { sim: *sim })),
             },
             fast_forward: stats,
-            epochs: epoch_stats,
         })
     }
 

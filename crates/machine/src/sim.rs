@@ -21,14 +21,12 @@
 //! each step (optionally throttled by a [`ResourceModel`]), and ties are
 //! broken by cell index.
 //!
-//! Three step-loop kernels implement these semantics (see
-//! [`crate::scheduler`]): the legacy [`Kernel::Scan`] loop re-examines
+//! Two step-loop kernels implement these semantics (see
+//! [`crate::scheduler`]): the reference [`Kernel::Scan`] loop re-examines
 //! every cell each instruction time; the default [`Kernel::EventDriven`]
 //! loop examines only cells woken by token, acknowledge, thaw, or firing
-//! events — O(fired + woken) per step instead of O(cells); and
-//! [`Kernel::ParallelEvent`] runs the event-driven loop but, inside an
-//! eligible `run`, batches whole epochs of steps across worker threads
-//! (`par.rs`). All three produce bit-identical [`RunResult`]s.
+//! events — O(fired + woken) per step instead of O(cells). Both produce
+//! bit-identical [`RunResult`]s.
 //!
 //! Construct runs with [`Simulator::builder`] (see [`crate::session`]).
 
@@ -530,31 +528,11 @@ impl Operand {
     }
 }
 
-/// Read-only view of exactly the machine state cell planning touches:
-/// arc states and the source/control cursors. The `Simulator`
-/// implements it over its own storage (which the closed-loop networked
-/// machine, `closedloop.rs`, also plans over); the epoch engine's
-/// per-shard views (`par.rs`) implement it over disjointly-aliased
-/// slices — so [`plan_cell`] is the *single* planning implementation
-/// shared by every kernel, the epoch engine and the closed loop, and
-/// cannot drift.
-pub(crate) trait PlanView {
-    /// State of arc `a`.
-    fn arc(&self, a: usize) -> &ArcState;
-    /// Control-generator cursor of cell `i`.
-    fn ctl_pos(&self, i: usize) -> u64;
-    /// Source cursor of cell `i`.
-    fn src_pos(&self, i: usize) -> usize;
-    /// Bound source data of cell `i`.
-    fn src_data(&self, i: usize) -> Option<&[Value]>;
-}
-
 #[inline]
-fn view_operand<V: PlanView + ?Sized>(view: &V, now: u64, port: Port) -> Option<Operand> {
+fn port_operand(sim: &Simulator<'_>, now: u64, port: Port) -> Option<Operand> {
     match port {
         Port::Lit(v) => Some(Operand::Literal(v)),
-        Port::Arc(a) => view
-            .arc(a as usize)
+        Port::Arc(a) => sim.arcs[a as usize]
             .peek(now)
             .map(|v| Operand::FromArc(a, v)),
         Port::Unbound => None,
@@ -562,9 +540,9 @@ fn view_operand<V: PlanView + ?Sized>(view: &V, now: u64, port: Port) -> Option<
 }
 
 #[inline]
-fn view_outputs_free<V: PlanView + ?Sized>(code: &MachineCode, view: &V, cell: &CellCode) -> bool {
+fn outputs_free(code: &MachineCode, sim: &Simulator<'_>, cell: &CellCode) -> bool {
     code.outs(cell).iter().all(|&a| {
-        let st = view.arc(a as usize);
+        let st = &sim.arcs[a as usize];
         st.occupied() < st.cap
     })
 }
@@ -597,23 +575,25 @@ impl Fault {
 }
 
 /// Determine whether cell `n` can fire at `now` and, if so, what it
-/// does. Pure over the view — shared verbatim by every kernel's planning
-/// phase, the epoch engine's shard workers, and the closed loop.
+/// does. Reads the machine without changing it — the single planning
+/// implementation, shared verbatim by both kernels' planning phase and
+/// the closed-loop networked machine (`closedloop.rs`), so they cannot
+/// drift.
 #[inline(always)]
-pub(crate) fn plan_cell<V: PlanView + ?Sized>(
+pub(crate) fn plan_cell(
     code: &MachineCode,
-    view: &V,
+    sim: &Simulator<'_>,
     now: u64,
     n: u32,
 ) -> Result<Option<FirePlan>, Fault> {
     let cell = code.cell(n);
-    let operand = |port: usize| view_operand(view, now, cell.ports[port]);
+    let operand = |port: usize| port_operand(sim, now, cell.ports[port]);
     let plan = match cell.op {
         Op::Bin(op) => {
             let (Some(a), Some(b)) = (operand(0), operand(1)) else {
                 return Ok(None);
             };
-            if !view_outputs_free(code, view, cell) {
+            if !outputs_free(code, sim, cell) {
                 return Ok(None);
             }
             let v = apply_bin(op, a.value(), b.value()).map_err(|e| Fault::Eval(e.0))?;
@@ -623,7 +603,7 @@ pub(crate) fn plan_cell<V: PlanView + ?Sized>(
             let Some(a) = operand(0) else {
                 return Ok(None);
             };
-            if !view_outputs_free(code, view, cell) {
+            if !outputs_free(code, sim, cell) {
                 return Ok(None);
             }
             let v = apply_un(op, a.value()).map_err(|e| Fault::Eval(e.0))?;
@@ -633,7 +613,7 @@ pub(crate) fn plan_cell<V: PlanView + ?Sized>(
             let Some(a) = operand(0) else {
                 return Ok(None);
             };
-            if !view_outputs_free(code, view, cell) {
+            if !outputs_free(code, sim, cell) {
                 return Ok(None);
             }
             let v = a.value();
@@ -645,7 +625,7 @@ pub(crate) fn plan_cell<V: PlanView + ?Sized>(
             };
             let ctl = c.value().as_bool().ok_or(Fault::NonBoolControl)?;
             if ctl == (cell.op == Op::TGate) {
-                if !view_outputs_free(code, view, cell) {
+                if !outputs_free(code, sim, cell) {
                     return Ok(None);
                 }
                 let v = d.value();
@@ -664,28 +644,29 @@ pub(crate) fn plan_cell<V: PlanView + ?Sized>(
             let Some(d) = operand(if ctl { MERGE_TRUE } else { MERGE_FALSE }) else {
                 return Ok(None);
             };
-            if !view_outputs_free(code, view, cell) {
+            if !outputs_free(code, sim, cell) {
                 return Ok(None);
             }
             let v = d.value();
             Some(FirePlan::consume2(c, d).emit(v))
         }
         Op::Gen => {
-            if !view_outputs_free(code, view, cell) {
+            if !outputs_free(code, sim, cell) {
                 return Ok(None);
             }
-            let v = code.gens[cell.aux as usize].at(view.ctl_pos(n as usize));
+            let v = code.gens[cell.aux as usize].at(sim.cells.ctl_pos[n as usize]);
             Some(FirePlan::new().emit(v))
         }
         Op::Source => {
             let i = n as usize;
-            let data = view.src_data(i).unwrap_or_else(|| {
+            let data = sim.cells.src_data[i].as_deref().unwrap_or_else(|| {
                 panic!("cell {i}: source data unbound at step {now} despite construction check")
             });
-            if view.src_pos(i) >= data.len() || !view_outputs_free(code, view, cell) {
+            let pos = sim.cells.src_pos[i];
+            if pos >= data.len() || !outputs_free(code, sim, cell) {
                 return Ok(None);
             }
-            Some(FirePlan::new().emit(data[view.src_pos(i)]))
+            Some(FirePlan::new().emit(data[pos]))
         }
         Op::Sink => {
             let Some(a) = operand(0) else {
@@ -711,10 +692,10 @@ pub(crate) fn plan_cell<V: PlanView + ?Sized>(
 /// leaves it unchanged, so the answer does not depend on the order the
 /// step's other firings are applied in.
 #[inline(always)]
-pub(crate) fn may_refire<V: PlanView + ?Sized>(code: &MachineCode, view: &V, n: u32) -> bool {
+pub(crate) fn may_refire(code: &MachineCode, sim: &Simulator<'_>, n: u32) -> bool {
     let cell = code.cell(n);
     let gate = matches!(cell.op, Op::TGate | Op::FGate);
-    if !gate && !view_outputs_free(code, view, cell) {
+    if !gate && !outputs_free(code, sim, cell) {
         return false;
     }
     cell.ports[..cell.op.arity()]
@@ -723,70 +704,68 @@ pub(crate) fn may_refire<V: PlanView + ?Sized>(code: &MachineCode, view: &V, n: 
         .all(|(port, p)| match *p {
             Port::Arc(a) => {
                 (cell.op == Op::Merge && port != MERGE_CTL)
-                    || !view.arc(a as usize).queue.is_empty()
+                    || !sim.arcs[a as usize].queue.is_empty()
             }
             Port::Lit(_) => true,
             Port::Unbound => false,
         })
 }
 
-/// Mutation sink for the per-cell effects of one firing. The
-/// `Simulator` implements it over its own storage; the epoch engine's
-/// shard views implement it over disjointly-aliased slices plus local
-/// counters — so [`note_fire_cell`] is the single bookkeeping
-/// implementation shared by the sequential fire path, the parallel
-/// merge, the epoch workers, and the closed-loop networked machine.
-pub(crate) trait NoteSink {
-    /// Count a gate pass (`pass`) or discard (`!pass`) on gate cell `i`.
-    fn bump_gate(&mut self, i: usize, pass: bool);
-    /// Record `v` arriving at sink cell `i` at time `t`.
-    fn record_output(&mut self, i: usize, t: u64, v: Value);
-    /// Advance source cell `i`'s cursor and record its emission at `t`.
-    fn advance_source(&mut self, i: usize, t: u64);
-    /// Advance generator cell `i`'s control cursor.
-    fn advance_ctl(&mut self, i: usize);
-    /// Count the firing of cell `i` at time `t` (`am`/`fu`: whether the
-    /// cell is an array-memory / function-unit instruction).
-    fn count_fire(&mut self, i: usize, t: u64, am: bool, fu: bool);
-}
-
 /// Per-cell effects of one firing: gate accounting, sink/source/
 /// control-generator cursors, fire counters, and fire-time recording.
 /// Returns the value to launch on the cell's output arcs, if any. Arc
-/// mutations stay with the caller: the sequential kernels post wakeups
-/// to the global wheel, an epoch shard to its private one.
+/// mutations stay with the caller: the kernels post wakeups to the
+/// wheel, the closed loop routes packets through its network. Shared by
+/// both kernels' fire path and the closed loop.
 #[inline(always)]
-pub(crate) fn note_fire_cell<S: NoteSink + ?Sized>(
+pub(crate) fn note_fire_cell(
     code: &MachineCode,
-    sink: &mut S,
+    sim: &mut Simulator<'_>,
     now: u64,
     n: u32,
     plan: &FirePlan,
 ) -> Option<Value> {
     let i = n as usize;
     let cell = code.cell(n);
+    let cells = &mut sim.cells;
     if matches!(cell.op, Op::TGate | Op::FGate) {
-        sink.bump_gate(i, plan.emit.is_some());
+        if plan.emit.is_some() {
+            cells.gate_passes[i] += 1;
+        } else {
+            cells.gate_discards[i] += 1;
+        }
     }
     let mut launch = None;
     if let Some(v) = plan.emit {
         match cell.op {
             Op::Sink => {
                 // "emit" records to the sink; nothing is launched.
-                sink.record_output(i, now, v);
+                cells.outputs[cells.sink_slot[i] as usize].1.push((now, v));
+                sim.progress += 1;
             }
             Op::Source => {
-                sink.advance_source(i, now);
+                cells.src_pos[i] += 1;
+                cells.emit_times[cells.src_slot[i] as usize].1.push(now);
+                sim.progress += 1;
                 launch = Some(v);
             }
             Op::Gen => {
-                sink.advance_ctl(i);
+                cells.ctl_pos[i] += 1;
                 launch = Some(v);
             }
             _ => launch = Some(v),
         }
     }
-    sink.count_fire(i, now, cell.am, cell.fu);
+    cells.fires[i] += 1;
+    if cell.am {
+        sim.am_fires += 1;
+    }
+    if cell.fu {
+        sim.fu_fires += 1;
+    }
+    if let Some(ft) = &mut cells.fire_times {
+        ft[i].push(now);
+    }
     launch
 }
 
@@ -841,74 +820,6 @@ pub struct Simulator<'g> {
     pub(crate) tracker: ProgressTracker,
     /// Reusable per-step buffers (not machine state, never snapshotted).
     pub(crate) scratch: StepScratch,
-    /// Lazily created worker pool for [`Kernel::ParallelEvent`]; `None`
-    /// until the first epoch.
-    pub(crate) pool: Option<crate::par::Pool>,
-    /// Whether `run_inner` proved the whole run free of the features
-    /// (faults, throttles, watchdogs, fast-forward, invariant checking,
-    /// periodic checkpoints) that make the epoch horizon unprovable —
-    /// set at run entry, cleared on pause, always false for manual
-    /// stepping. See DESIGN.md §16.
-    pub(crate) allow_epochs: bool,
-    /// The step the current `run_inner` call must not run past (pause
-    /// boundary / step limit); epochs clamp their horizon to it.
-    pub(crate) epoch_stop_cap: u64,
-    /// Lazily built epoch engine (shard map + per-shard wheels); like
-    /// `scratch`, an optimization artifact, never snapshotted.
-    pub(crate) epoch: Option<Box<crate::par::EpochEngine>>,
-}
-
-impl PlanView for Simulator<'_> {
-    fn arc(&self, a: usize) -> &ArcState {
-        &self.arcs[a]
-    }
-    fn ctl_pos(&self, i: usize) -> u64 {
-        self.cells.ctl_pos[i]
-    }
-    fn src_pos(&self, i: usize) -> usize {
-        self.cells.src_pos[i]
-    }
-    fn src_data(&self, i: usize) -> Option<&[Value]> {
-        self.cells.src_data[i].as_deref()
-    }
-}
-
-impl NoteSink for Simulator<'_> {
-    fn bump_gate(&mut self, i: usize, pass: bool) {
-        if pass {
-            self.cells.gate_passes[i] += 1;
-        } else {
-            self.cells.gate_discards[i] += 1;
-        }
-    }
-    fn record_output(&mut self, i: usize, t: u64, v: Value) {
-        self.cells.outputs[self.cells.sink_slot[i] as usize]
-            .1
-            .push((t, v));
-        self.progress += 1;
-    }
-    fn advance_source(&mut self, i: usize, t: u64) {
-        self.cells.src_pos[i] += 1;
-        self.cells.emit_times[self.cells.src_slot[i] as usize]
-            .1
-            .push(t);
-        self.progress += 1;
-    }
-    fn advance_ctl(&mut self, i: usize) {
-        self.cells.ctl_pos[i] += 1;
-    }
-    fn count_fire(&mut self, i: usize, t: u64, am: bool, fu: bool) {
-        self.cells.fires[i] += 1;
-        if am {
-            self.am_fires += 1;
-        }
-        if fu {
-            self.fu_fires += 1;
-        }
-        if let Some(ft) = &mut self.cells.fire_times {
-            ft[i].push(t);
-        }
-    }
 }
 
 impl<'g> Simulator<'g> {
@@ -1013,10 +924,6 @@ impl<'g> Simulator<'g> {
             idle: 0,
             tracker: ProgressTracker::new(0),
             scratch: StepScratch::default(),
-            pool: None,
-            allow_epochs: false,
-            epoch_stop_cap: 0,
-            epoch: None,
         })
     }
 
@@ -1031,8 +938,7 @@ impl<'g> Simulator<'g> {
     }
 
     /// Determine whether `n` can fire now and, if so, what it does.
-    /// Delegates to [`plan_cell`] — the single planning implementation
-    /// shared with the epoch engine's shard workers.
+    /// Delegates to [`plan_cell`] — the single planning implementation.
     #[inline]
     fn plan(&self, code: &MachineCode, n: u32) -> Result<Option<FirePlan>, SimError> {
         plan_cell(code, self, self.now, n).map_err(|f| f.at(self.g, n))
@@ -1082,24 +988,10 @@ impl<'g> Simulator<'g> {
     }
 
     /// Advance one instruction time. Returns how many cells fired.
-    ///
-    /// Inside an eligible `run` (see [`Self::run_inner`]'s gate) the
-    /// parallel kernel may instead execute a whole multi-step *epoch*
-    /// and advance `now` by the proven horizon; the epoch path does its
-    /// own per-sub-step tracker/idle bookkeeping, so it returns before
-    /// the shared observation below. Every other parallel-kernel step
-    /// is the sequential event step.
     pub fn step(&mut self) -> Result<usize, SimError> {
-        if self.allow_epochs {
-            if let Kernel::ParallelEvent(w) = self.cfg.kernel {
-                if let Some(fired) = self.try_step_epoch(w)? {
-                    return Ok(fired);
-                }
-            }
-        }
         let fired = match self.cfg.kernel {
             Kernel::Scan => self.step_scan()?,
-            Kernel::EventDriven | Kernel::ParallelEvent(_) => self.step_event()?,
+            Kernel::EventDriven => self.step_event()?,
         };
         // Progress/idle bookkeeping happens here — not in `run` — so
         // manual stepping, `run`, and a checkpoint-restored machine all
@@ -1252,37 +1144,17 @@ impl<'g> Simulator<'g> {
     /// place. Every stopping decision still happens at the top of the
     /// loop from machine state alone, so a jump is indistinguishable
     /// from having stepped the same window exactly.
-    /// `epochs_out`, when present, receives the epoch engine's
-    /// cumulative [`crate::shard::EpochStats`] before the call returns
-    /// (both on completion and on pause).
     pub(crate) fn run_inner(
         mut self,
         pause_at: Option<u64>,
         mut sink: Option<&mut dyn FnMut(crate::snapshot::Snapshot)>,
         mut ff: Option<&mut crate::fastforward::FastForward>,
-        epochs_out: Option<&mut crate::shard::EpochStats>,
     ) -> Result<RunPhase<'g>, SimError> {
         let wd = self.cfg.watchdog;
         let step_limit = match wd {
             Some(w) => self.cfg.max_steps.min(w.step_budget),
             None => self.cfg.max_steps,
         };
-        // Epoch batching is legal only when every per-step decision the
-        // run loop makes between epoch boundaries is provably inert:
-        // no faults (freezes/fates), no resource throttle, no watchdog
-        // straddle, no fast-forward observer, no per-step invariant
-        // audit, no periodic checkpoint. Anything else falls back to
-        // the sequential event step (H=1 behavior). See DESIGN.md §16.
-        self.epoch_stop_cap = pause_at.map_or(step_limit, |p| step_limit.min(p));
-        self.allow_epochs = matches!(self.cfg.kernel, Kernel::ParallelEvent(w) if w >= 2)
-            && self.cfg.epoch_cap >= 2
-            && ff.is_none()
-            && self.fault.is_none()
-            && self.cfg.resources.is_none()
-            && wd.is_none()
-            && !self.cfg.check_invariants
-            && !(self.cfg.checkpoint_every != 0
-                && (self.cfg.checkpoint_path.is_some() || sink.is_some()));
         // Injected delays and freeze windows extend how long a token can
         // legitimately stay in flight; widen the quiescence test to match.
         let (delay_slack, freeze_end) = match &self.fault {
@@ -1337,15 +1209,6 @@ impl<'g> Simulator<'g> {
                 break;
             }
             if pause_at.is_some_and(|p| self.now >= p) {
-                // Manual stepping of a paused machine must not epoch
-                // (no run-scope legality proof covers it); the next
-                // `run_inner` re-derives the gate.
-                self.allow_epochs = false;
-                if let Some(out) = epochs_out {
-                    if let Some(eng) = &self.epoch {
-                        *out = eng.stats.clone();
-                    }
-                }
                 return Ok(RunPhase::Paused(Box::new(self)));
             }
             let fired = self.step()?;
@@ -1370,11 +1233,6 @@ impl<'g> Simulator<'g> {
                 if let Some(sink) = sink.as_mut() {
                     sink(snap);
                 }
-            }
-        }
-        if let Some(out) = epochs_out {
-            if let Some(eng) = &self.epoch {
-                *out = eng.stats.clone();
             }
         }
         if stop == StopReason::Quiescent && self.now >= step_limit {

@@ -536,10 +536,6 @@ impl Snapshot {
             idle,
             tracker,
             scratch: StepScratch::default(),
-            pool: None,
-            allow_epochs: false,
-            epoch_stop_cap: 0,
-            epoch: None,
         }
         .with_derived_progress())
     }
@@ -812,11 +808,6 @@ fn decode_config(r: &mut Reader<'_>) -> Result<SimConfig, SnapshotError> {
         kernel: Kernel::default(),
         checkpoint_every,
         checkpoint_path,
-        // Like the kernel, the epoch knobs are execution strategy, not
-        // machine state: never serialized, restored to defaults (the
-        // restoring session overrides them as it likes).
-        epoch_cap: crate::session::DEFAULT_EPOCH_CAP,
-        shard_policy: crate::shard::ShardPolicy::default(),
     })
 }
 

@@ -87,7 +87,7 @@ fn mixed() -> Vec<Opcode> {
 fn generators_emit_their_streams_on_every_kernel() {
     let ops = mixed();
     let g = generators(&ops);
-    for kernel in [Kernel::Scan, Kernel::EventDriven, Kernel::ParallelEvent(2)] {
+    for kernel in [Kernel::Scan, Kernel::EventDriven] {
         let r = Simulator::builder(&g)
             .stop_outputs(stops(&ops, 3))
             .kernel(kernel)

@@ -1,14 +1,12 @@
-//! Kernel equivalence: the event-driven and parallel kernels must
-//! reproduce the scan kernel's `RunResult` *bit for bit* — same step
-//! count, same stop reason, same output packets at the same instruction
-//! times, same per-cell fire counts — on every regime the simulator
+//! Kernel equivalence: the event-driven kernel must reproduce the scan
+//! kernel's `RunResult` *bit for bit* — same step count, same stop
+//! reason, same output packets at the same instruction times, same
+//! per-cell fire counts — on every regime the simulator
 //! supports: clean pipelines, feedback loops, gates and merges, fault
 //! plans (drops, duplicates, delays, freezes, link faults), resource
 //! throttling, watchdog stalls, arc capacities, link latencies, and
-//! early stop conditions. `ParallelEvent` is exercised at 1, 2, and 4
-//! workers; wide-graph tests push hundreds of cells per tick through
-//! it, so clean runs batch epochs across shards and every other run
-//! takes its sequential event-step fallback.
+//! early stop conditions. Wide-graph tests push hundreds of cells per
+//! tick through both kernels.
 //!
 //! `RunResult` derives `PartialEq`, so each test is a single whole-run
 //! comparison — nothing is projected out, nothing can drift silently.
@@ -30,13 +28,7 @@ fn ramp(n: usize) -> Vec<f64> {
 }
 
 /// Every kernel the simulator ships, in one sweep.
-const ALL_KERNELS: [Kernel; 5] = [
-    Kernel::Scan,
-    Kernel::EventDriven,
-    Kernel::ParallelEvent(1),
-    Kernel::ParallelEvent(2),
-    Kernel::ParallelEvent(4),
-];
+const ALL_KERNELS: [Kernel; 2] = [Kernel::Scan, Kernel::EventDriven];
 
 /// Run the same program under every kernel and assert whole-run equality.
 fn assert_equivalent(g: &Graph, inputs: &ProgramInputs, cfg: SimConfig) -> RunResult {
@@ -423,8 +415,7 @@ fn stop_outputs_and_max_steps_match() {
 }
 
 /// A wide program — `chains` independent pipelines side by side — so a
-/// steady-state tick has hundreds of cells due and a clean parallel run
-/// batches epochs across several populated shards.
+/// steady-state tick has hundreds of cells due.
 fn wide(chains: usize, stages: usize) -> (Graph, ProgramInputs) {
     let mut g = Graph::new();
     let mut inputs = ProgramInputs::new();
@@ -451,18 +442,6 @@ fn wide(chains: usize, stages: usize) -> (Graph, ProgramInputs) {
         inputs = inputs.bind(&name, reals(&ramp(24)));
     }
     (g, inputs)
-}
-
-#[test]
-fn wide_clean_pipeline_matches_across_workers() {
-    let (g, inputs) = wide(128, 6);
-    assert!(
-        g.node_count() >= 1000,
-        "must be wide enough to populate every shard"
-    );
-    let r = assert_equivalent(&g, &inputs, SimConfig::new().check_invariants(true));
-    assert!(r.sources_exhausted);
-    assert_eq!(r.values("y17").len(), 24);
 }
 
 #[test]
@@ -520,29 +499,24 @@ fn wide_watchdog_stall_matches() {
 
 #[test]
 fn wide_planning_error_surfaces_identically() {
-    // Adding a boolean is a planning-time Eval error; the parallel
-    // kernel must surface the same first error the sequential plan
-    // order would, from the same step, with no partial firing.
+    // Adding a boolean is a planning-time Eval error; the event kernel
+    // must surface the same first error the scan's plan order would,
+    // from the same step, with no partial firing.
     let (mut g, inputs) = wide(110, 3);
     let ctl = g.add_node(Opcode::CtlGen(CtlStream::from_runs([(true, 1)])), "badctl");
     let bad = g.cell(Opcode::Bin(BinOp::Add), "bad", &[ctl.into(), 1.0.into()]);
     let _ = g.cell(Opcode::Sink("z".into()), "z", &[bad.into()]);
-    let errs: Vec<String> = [
-        Kernel::Scan,
-        Kernel::EventDriven,
-        Kernel::ParallelEvent(2),
-        Kernel::ParallelEvent(4),
-    ]
-    .into_iter()
-    .map(|kernel| {
-        Simulator::builder(&g)
-            .inputs(inputs.clone())
-            .config(SimConfig::new().kernel(kernel))
-            .run()
-            .unwrap_err()
-            .to_string()
-    })
-    .collect();
+    let errs: Vec<String> = ALL_KERNELS
+        .into_iter()
+        .map(|kernel| {
+            Simulator::builder(&g)
+                .inputs(inputs.clone())
+                .config(SimConfig::new().kernel(kernel))
+                .run()
+                .unwrap_err()
+                .to_string()
+        })
+        .collect();
     for e in &errs[1..] {
         assert_eq!(&errs[0], e, "kernels must report the same first error");
     }

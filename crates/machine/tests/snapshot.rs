@@ -115,11 +115,6 @@ fn recovery_is_bit_identical_across_kernel_pairs() {
         (Kernel::Scan, Kernel::EventDriven),
         (Kernel::EventDriven, Kernel::Scan),
         (Kernel::EventDriven, Kernel::EventDriven),
-        (Kernel::Scan, Kernel::ParallelEvent(2)),
-        (Kernel::EventDriven, Kernel::ParallelEvent(4)),
-        (Kernel::ParallelEvent(2), Kernel::Scan),
-        (Kernel::ParallelEvent(2), Kernel::EventDriven),
-        (Kernel::ParallelEvent(2), Kernel::ParallelEvent(2)),
     ];
     for (run_k, resume_k) in pairs {
         let reference = straight_run(&g, &inputs, &cfg, resume_k);
@@ -330,7 +325,7 @@ fn golden_fixture_restores_and_finishes() {
     assert_eq!(snap.fingerprint(), g.fingerprint());
     let reference = straight_run(&g, &inputs, &cfg, Kernel::EventDriven);
     assert_eq!(reference.stop, valpipe_machine::StopReason::OutputsReached);
-    for kernel in [Kernel::Scan, Kernel::EventDriven, Kernel::ParallelEvent(2)] {
+    for kernel in [Kernel::Scan, Kernel::EventDriven] {
         let recovered = Session::restore_with_kernel(&g, &snap, kernel)
             .unwrap()
             .drive(RunSpec::new())

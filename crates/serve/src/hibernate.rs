@@ -27,7 +27,7 @@
 
 use std::path::{Path, PathBuf};
 
-use valpipe_machine::{Snapshot, SnapshotError};
+use valpipe_machine::{Kernel, Snapshot, SnapshotError};
 use valpipe_util::{checksum64, Json, Rng};
 
 use crate::proto::{kernel_from_str, kernel_to_str};
@@ -155,6 +155,14 @@ pub fn decode(bytes: &[u8]) -> Result<SessionCore, HibernateError> {
             .ok_or_else(|| corrupt(&format!("meta missing '{k}'")))
     };
     let kernel_str = str_field("kernel")?;
+    // Containers written while the epoch-batched `parallel:N` kernel
+    // existed still name it. Snapshots are kernel-neutral and every
+    // kernel's results are bit-identical, so such a session resumes on
+    // the event kernel, the one that kernel's steps fell back to.
+    let kernel = match kernel_str.strip_prefix("parallel:") {
+        Some(w) if w.parse::<usize>().is_ok() => Some(Kernel::EventDriven),
+        _ => kernel_from_str(&kernel_str),
+    };
     let spec = SessionSpec {
         name: str_field("name")?,
         source: str_field("source")?,
@@ -163,8 +171,7 @@ pub fn decode(bytes: &[u8]) -> Result<SessionCore, HibernateError> {
             .cloned()
             .ok_or_else(|| corrupt("meta missing 'arrays'"))?,
         waves: int_field("waves")? as usize,
-        kernel: kernel_from_str(&kernel_str)
-            .ok_or_else(|| corrupt(&format!("unknown kernel '{kernel_str}'")))?,
+        kernel: kernel.ok_or_else(|| corrupt(&format!("unknown kernel '{kernel_str}'")))?,
         max_steps: int_field("max_steps")? as u64,
     };
     let final_result = match meta.get("final") {

@@ -29,19 +29,15 @@ pub fn kernel_to_str(k: Kernel) -> String {
     match k {
         Kernel::Scan => "scan".to_string(),
         Kernel::EventDriven => "event".to_string(),
-        Kernel::ParallelEvent(w) => format!("parallel:{w}"),
     }
 }
 
-/// Parse a kernel selection (`"scan"`, `"event"`, `"parallel:N"`).
+/// Parse a kernel selection (`"scan"`, `"event"`).
 pub fn kernel_from_str(s: &str) -> Option<Kernel> {
     match s {
         "scan" => Some(Kernel::Scan),
         "event" => Some(Kernel::EventDriven),
-        _ => {
-            let w = s.strip_prefix("parallel:")?.parse::<usize>().ok()?;
-            Some(Kernel::ParallelEvent(w))
-        }
+        _ => None,
     }
 }
 
@@ -365,10 +361,10 @@ mod tests {
 
     #[test]
     fn kernel_strings_round_trip() {
-        for k in [Kernel::Scan, Kernel::EventDriven, Kernel::ParallelEvent(3)] {
+        for k in [Kernel::Scan, Kernel::EventDriven] {
             assert_eq!(kernel_from_str(&kernel_to_str(k)), Some(k));
         }
-        assert_eq!(kernel_from_str("parallel:x"), None);
+        assert_eq!(kernel_from_str("parallel:2"), None);
         assert_eq!(kernel_from_str("turbo"), None);
     }
 

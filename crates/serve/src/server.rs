@@ -532,7 +532,7 @@ fn execute(
                     Some(s) => kernel_from_str(s).ok_or_else(|| {
                         ErrorBody::new(
                             ErrorKind::BadRequest,
-                            format!("unknown kernel '{s}' (scan | event | parallel:N)"),
+                            format!("unknown kernel '{s}' (scan | event)"),
                         )
                     })?,
                 },

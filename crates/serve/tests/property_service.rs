@@ -1,6 +1,6 @@
 //! Property test (satellite 3): hibernate → evict → resume at *every*
 //! idle boundary of a random job sequence yields a final result
-//! bit-identical to an uninterrupted session — across all three kernels.
+//! bit-identical to an uninterrupted session — on both kernels.
 //!
 //! The hibernation cycle is exercised through the real container codec
 //! (`hibernate::encode`/`decode`), i.e. exactly the bytes that land on
@@ -8,18 +8,11 @@
 
 use valpipe_machine::Kernel;
 use valpipe_serve::hibernate;
+use valpipe_serve::proto::kernel_to_str;
 use valpipe_serve::{Advance, JobLimits, SessionCore, SessionSpec};
 use valpipe_util::{Json, Rng};
 
-const KERNELS: [Kernel; 3] = [Kernel::Scan, Kernel::EventDriven, Kernel::ParallelEvent(2)];
-
-fn kernel_tag(k: Kernel) -> String {
-    match k {
-        Kernel::Scan => "scan".into(),
-        Kernel::EventDriven => "event".into(),
-        Kernel::ParallelEvent(w) => format!("parallel{w}"),
-    }
-}
+const KERNELS: [Kernel; 2] = [Kernel::Scan, Kernel::EventDriven];
 
 /// The paper's Fig. 6 stencil (conditional + window selection), small
 /// enough to run many randomized trials in a test.
@@ -68,12 +61,12 @@ fn hibernation_at_every_idle_boundary_is_bit_identical_across_kernels() {
             oracle,
             event_oracle,
             "kernel {} diverges from event kernel",
-            kernel_tag(kernel)
+            kernel_to_str(kernel)
         );
 
         let mut rng = Rng::seed(0xB0DA + waves as u64);
         for trial in 0..8 {
-            let name = format!("p-{}-{trial}", kernel_tag(kernel));
+            let name = format!("p-{}-{trial}", kernel_to_str(kernel));
             let mut core = SessionCore::open(spec(&name, kernel, waves)).unwrap();
             let mut boundaries = 0u32;
             loop {
@@ -102,7 +95,7 @@ fn hibernation_at_every_idle_boundary_is_bit_identical_across_kernels() {
                 core.final_result.as_deref().unwrap(),
                 oracle.as_str(),
                 "kernel {} trial {trial}: hibernated run diverged after {boundaries} boundaries",
-                kernel_tag(kernel)
+                kernel_to_str(kernel)
             );
         }
     }

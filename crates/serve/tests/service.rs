@@ -398,6 +398,85 @@ fn recovery_sweeps_torn_tmp_and_skips_corrupt_containers_without_panicking() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// Rewrite a container's metadata `kernel` field and reframe it with a
+/// fresh checksum, as a container written under another kernel name.
+fn with_kernel_name(container: &[u8], kernel: &str) -> Vec<u8> {
+    let meta_len = u64::from_le_bytes(container[8..16].try_into().unwrap()) as usize;
+    let meta = std::str::from_utf8(&container[16..16 + meta_len]).unwrap();
+    let meta = meta.replace(r#""kernel":"event""#, &format!(r#""kernel":"{kernel}""#));
+    let rest = &container[16 + meta_len..container.len() - 8];
+    let mut out = valpipe_serve::HIBERNATE_MAGIC.to_vec();
+    out.extend_from_slice(&(meta.len() as u64).to_le_bytes());
+    out.extend_from_slice(meta.as_bytes());
+    out.extend_from_slice(rest);
+    let sum = valpipe_util::checksum64(&out);
+    out.extend_from_slice(&sum.to_le_bytes());
+    out
+}
+
+#[test]
+fn parallel_kernel_containers_recover_on_the_event_kernel() {
+    // The epoch-batched `parallel:N` kernel is gone, but containers
+    // hibernated under it name it in their metadata. Such a session
+    // must recover, resume on `event`, and finish with the result an
+    // uninterrupted event run gives.
+    let dir = temp_dir("legacy_kernel");
+    let mut core = SessionCore::open(core_spec("legacy", 5, Kernel::EventDriven)).unwrap();
+    let limits = valpipe_serve::JobLimits {
+        until: Some(37),
+        ..Default::default()
+    };
+    core.advance(&limits, 1 << 40).unwrap();
+    assert_eq!(core.now(), 37);
+    let container = with_kernel_name(&valpipe_serve::hibernate::encode(&core), "parallel:2");
+    std::fs::write(dir.join("legacy.vph"), container).unwrap();
+
+    let loaded = valpipe_serve::hibernate::load(&dir, "legacy").unwrap();
+    assert_eq!(loaded.spec.kernel, Kernel::EventDriven);
+    assert_eq!(loaded.now(), 37);
+
+    let (server, recovery) = Server::bind(cfg_with(dir.clone())).unwrap();
+    assert_eq!(recovery.recovered, vec!["legacy".to_string()]);
+    assert!(recovery.skipped.is_empty(), "{:?}", recovery.skipped);
+    let addr = server.local_addr().unwrap().to_string();
+    let thread = std::thread::spawn(move || server.run());
+    let mut c = connect(&addr);
+    let resp = c
+        .request(&Json::parse(r#"{"op":"run","session":"legacy"}"#).unwrap())
+        .unwrap();
+    assert_eq!(resp.get("done").and_then(|v| v.as_bool()), Some(true));
+    let served = resp.get("result").unwrap().to_compact();
+
+    let mut oracle = SessionCore::open(core_spec("oracle", 5, Kernel::EventDriven)).unwrap();
+    oracle
+        .advance(&valpipe_serve::JobLimits::default(), 1 << 40)
+        .unwrap();
+    assert_eq!(
+        served,
+        Json::parse(&oracle.final_result.unwrap())
+            .unwrap()
+            .to_compact()
+    );
+
+    // A new request naming the deleted kernel is a typed bad request.
+    let open = spec_json("fresh", 2)
+        .to_compact()
+        .replace(r#""kernel":"event""#, r#""kernel":"parallel:2""#);
+    let resp = c.request(&Json::parse(&open).unwrap()).unwrap();
+    let err = resp.get("error").unwrap();
+    assert_eq!(
+        err.get("kind").and_then(|v| v.as_str()),
+        Some("bad_request")
+    );
+    assert_eq!(
+        err.get("message").and_then(|v| v.as_str()),
+        Some("unknown kernel 'parallel:2' (scan | event)")
+    );
+
+    shut_down(Running { addr, thread });
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 #[test]
 fn budget_and_deadline_surface_as_retryable_stalls_with_reports() {
     let dir = temp_dir("budget");

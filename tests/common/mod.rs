@@ -1,5 +1,5 @@
 //! Helpers shared by the machine property suites (`property_kernels`,
-//! `property_epochs`, `property_snapshot`, `property_fastforward`).
+//! `property_snapshot`, `property_fastforward`).
 
 use valpipe::ir::{BinOp, Graph, Opcode};
 use valpipe_util::Rng;

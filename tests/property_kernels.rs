@@ -1,8 +1,7 @@
-//! Property test: the scan, event-driven, and parallel kernels are
-//! observationally identical — for random programs under random
-//! simulator configurations, the entire `RunResult` (packets, times,
-//! fire counts, step count, stop reason, stall report) must be equal
-//! bit for bit, with `ParallelEvent` swept at 1, 2, and 4 workers.
+//! Property test: the scan and event-driven kernels are observationally
+//! identical — for random programs under random simulator
+//! configurations, the entire `RunResult` (packets, times, fire counts,
+//! step count, stop reason, stall report) must be equal bit for bit.
 //!
 //! Two program families:
 //!  * random layered DAGs over ADD/MUL/ID cells (arbitrary graph shape),
@@ -76,16 +75,11 @@ fn assert_kernels_agree(g: &Graph, inputs: &ProgramInputs, cfg: SimConfig, ctx: 
             .run()
             .unwrap()
     };
-    let scan = run(Kernel::Scan);
-    for kernel in [
-        Kernel::EventDriven,
-        Kernel::ParallelEvent(1),
-        Kernel::ParallelEvent(2),
-        Kernel::ParallelEvent(4),
-    ] {
-        let other = run(kernel);
-        assert_eq!(scan, other, "{kernel:?} disagrees with Scan: {ctx}");
-    }
+    assert_eq!(
+        run(Kernel::Scan),
+        run(Kernel::EventDriven),
+        "EventDriven disagrees with Scan: {ctx}"
+    );
 }
 
 #[test]
@@ -177,15 +171,17 @@ fn hundred_block_chain_identical_runs() {
     };
     let scan = run(Kernel::Scan);
     assert!(scan.sources_exhausted, "the chain must drain");
-    for kernel in [Kernel::EventDriven, Kernel::ParallelEvent(2)] {
-        assert_eq!(run(kernel), scan, "{kernel:?} disagrees with Scan");
-    }
+    assert_eq!(
+        run(Kernel::EventDriven),
+        scan,
+        "EventDriven disagrees with Scan"
+    );
 }
 
 #[test]
 fn hundred_block_chain_restores_across_kernels() {
     let (g, inputs) = chain_machine();
-    let kernels = [Kernel::Scan, Kernel::EventDriven, Kernel::ParallelEvent(2)];
+    let kernels = [Kernel::Scan, Kernel::EventDriven];
     let reference = Simulator::builder(&g).inputs(inputs.clone()).run().unwrap();
     for (i, &from) in kernels.iter().enumerate() {
         let to = kernels[(i + 1) % kernels.len()];

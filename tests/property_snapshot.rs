@@ -3,9 +3,8 @@
 //! For random programs under random configurations (delays, contention,
 //! seeded faults, watchdogs), a run is driven with a checkpoint taken
 //! every instruction time; each snapshot is then restored — on the same
-//! kernel and across a kernel switch, including the parallel kernel in
-//! both roles — and run to completion. Every recovered `RunResult` must
-//! equal the uninterrupted run bit for bit.
+//! kernel and across a kernel switch — and run to completion. Every
+//! recovered `RunResult` must equal the uninterrupted run bit for bit.
 //!
 //! Two program families, as in `property_kernels`: random layered DAGs,
 //! and pipe-structured Val programs through the full compiler (gates,
@@ -96,7 +95,7 @@ fn assert_recoverable_at_every_step(
         if i % stride != 0 && i != last {
             continue;
         }
-        for resume_kernel in [Kernel::Scan, Kernel::EventDriven, Kernel::ParallelEvent(2)] {
+        for resume_kernel in [Kernel::Scan, Kernel::EventDriven] {
             let recovered = Session::restore_with_kernel(g, snap, resume_kernel)
                 .unwrap_or_else(|e| panic!("{ctx}: restore at {} failed: {e}", snap.step()))
                 .drive(RunSpec::new())
@@ -125,10 +124,9 @@ fn random_dags_recover_exactly_at_every_step() {
                 (0..n).map(|k| Value::Real(1.0 + k as f64 * 0.25)).collect(),
             );
         let cfg = random_config(&mut r, &g);
-        let capture = match case % 3 {
+        let capture = match case % 2 {
             0 => Kernel::Scan,
-            1 => Kernel::EventDriven,
-            _ => Kernel::ParallelEvent(2),
+            _ => Kernel::EventDriven,
         };
         assert_recoverable_at_every_step(&g, &inputs, &cfg, capture, &format!("dag case {case}"));
     }
@@ -248,10 +246,9 @@ fn compiled_programs_recover_exactly_at_every_step() {
         let waves = r.range(2, 5);
         let inputs = stream_inputs(&compiled, &arrays, waves);
         let cfg = random_config(&mut r, &exe);
-        let capture = match case % 3 {
+        let capture = match case % 2 {
             0 => Kernel::EventDriven,
-            1 => Kernel::Scan,
-            _ => Kernel::ParallelEvent(2),
+            _ => Kernel::Scan,
         };
         assert_recoverable_at_every_step(
             &exe,
