@@ -44,6 +44,17 @@ if grep -rnE 'fs::(write|rename|create_dir|remove_)|File::create' \
     exit 1
 fi
 
+# The machine's run path writes no files: a periodic checkpoint leaves a
+# run only through Session::drive_with's sink, and the caller decides
+# where it goes (Snapshot::write_to, in snapshot.rs).
+if grep -nE 'fs::|File::|write_to\(' crates/machine/src/sim.rs \
+    crates/machine/src/session.rs crates/machine/src/fastforward.rs \
+    crates/machine/src/scheduler.rs crates/machine/src/code.rs \
+    crates/machine/src/closedloop.rs; then
+    echo "ci: FAIL — the machine's run path touches the filesystem" >&2
+    exit 1
+fi
+
 cargo build --release
 cargo test -q
 

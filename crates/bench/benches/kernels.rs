@@ -27,7 +27,7 @@ use valpipe_core::verify::stream_inputs;
 use valpipe_core::{compile_source, CompileOptions};
 use valpipe_ir::value::Value;
 use valpipe_ir::{Graph, Opcode};
-use valpipe_machine::{Kernel, ProgramInputs, RunResult, Simulator};
+use valpipe_machine::{Kernel, ProgramInputs, RunResult, SimConfig, Simulator};
 use valpipe_util::{Json, Rng};
 
 /// An identity chain of `stages` cells: with only a few packets in
@@ -81,7 +81,7 @@ fn wide_grid(chains: usize, stages: usize, packets: usize) -> (Graph, ProgramInp
 fn run_kernel(g: &Graph, inputs: &ProgramInputs, kernel: Kernel) -> RunResult {
     Simulator::builder(g)
         .inputs(inputs.clone())
-        .kernel(kernel)
+        .config(SimConfig::new().kernel(kernel))
         .run()
         .unwrap()
 }
@@ -196,8 +196,11 @@ fn main() {
     let _ = rg.cell(Opcode::Sink("out".into()), "out", &[prev.into()]);
     let ring_run = |kernel: Kernel| {
         Simulator::builder(&rg)
-            .max_steps(if smoke_mode() { 20_000 } else { 200_000 })
-            .kernel(kernel)
+            .config(
+                SimConfig::new()
+                    .max_steps(if smoke_mode() { 20_000 } else { 200_000 })
+                    .kernel(kernel),
+            )
             .run()
             .unwrap()
     };

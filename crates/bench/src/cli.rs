@@ -22,10 +22,10 @@ pub struct FaultArgs {
     /// into a structured stall report instead of letting it spin to the
     /// hard step limit.
     pub step_budget: Option<u64>,
-    /// `--checkpoint-every <n>`: write a crash-recovery checkpoint every
-    /// `n` steps (see `valpipe_machine::snapshot`).
+    /// `--checkpoint-every <n>`: `soak`'s crash-recovery checkpoint
+    /// interval, in steps (see `valpipe_machine::snapshot`).
     pub checkpoint_every: Option<u64>,
-    /// `--checkpoint-path <file>`: where the checkpoint goes.
+    /// `--checkpoint-path <file>`: where `soak` writes its checkpoint.
     pub checkpoint_path: Option<String>,
     /// `--restore-from <file>`: resume a `soak` run from a checkpoint.
     pub restore_from: Option<String>,
@@ -62,12 +62,7 @@ pub struct FaultArgs {
 
 /// Flags that configure the simulated machine, applied by
 /// [`FaultArgs::apply`].
-pub const MACHINE_FLAGS: &[&str] = &[
-    "--fault-plan",
-    "--step-budget",
-    "--checkpoint-every",
-    "--checkpoint-path",
-];
+pub const MACHINE_FLAGS: &[&str] = &["--fault-plan", "--step-budget"];
 
 /// Flags that dump or time each compile of `Report::measure`.
 pub const COMPILE_FLAGS: &[&str] = &["--emit", "--pass-stats"];
@@ -137,8 +132,7 @@ impl FaultArgs {
     }
 
     /// Apply the flags to a simulator config: install the fault plan,
-    /// a watchdog if a budget was given, and periodic checkpointing if
-    /// requested.
+    /// and a watchdog if a budget was given.
     pub fn apply(&self, cfg: SimConfig) -> SimConfig {
         let mut cfg = match &self.fault_plan {
             Some(p) => cfg.fault_plan(p.clone()),
@@ -149,12 +143,6 @@ impl FaultArgs {
                 step_budget: budget,
                 ..Default::default()
             });
-        }
-        if let Some(every) = self.checkpoint_every {
-            cfg = cfg.checkpoint_every(every);
-        }
-        if let Some(path) = &self.checkpoint_path {
-            cfg = cfg.checkpoint_path(path.clone());
         }
         cfg
     }
@@ -169,8 +157,7 @@ impl FaultArgs {
 pub fn usage(message: &str) -> ! {
     eprintln!("error: {message}");
     eprintln!("usage: valpipe-exp <name> [flags]");
-    eprintln!("  machine flags: --fault-plan <spec> --step-budget <n> --checkpoint-every <n>");
-    eprintln!("                 --checkpoint-path <file>");
+    eprintln!("  machine flags: --fault-plan <spec> --step-budget <n>");
     eprintln!("  compile flags: --emit=ast,typed,ir,balanced,machine --pass-stats");
     eprintln!("  spec: comma-separated key=value, e.g. seed=42,drop_ack=0.001,\\");
     eprintln!("        delay_result=0.05:4,freeze=7@100..200,link=1.3@50..60");
@@ -247,6 +234,9 @@ mod tests {
             ("fig2", "--smoke", "--smoke"),
             ("delay", "--emit=ir", "--emit"),
             ("incremental", "--trials 2", "--trials"),
+            // Periodic checkpoints are soak's own flags, not machine flags.
+            ("fig2", "--checkpoint-every 10", "--checkpoint-every"),
+            ("fig6", "--checkpoint-path x.snap", "--checkpoint-path"),
         ] {
             let want = format!("this experiment does not take {flag}");
             assert_eq!(parse(name, args).unwrap_err(), want, "{name} {args}");

@@ -30,14 +30,16 @@ use valpipe_machine::{
 };
 
 fn run_plan(exe: &Graph, inputs: &ProgramInputs, plan: Option<FaultPlan>) -> RunResult {
-    let cfg = SimConfig::new()
+    let mut cfg = SimConfig::new()
         .max_steps(3_000_000)
-        .fault_plan_opt(plan)
         .watchdog(WatchdogConfig {
             step_budget: 2_000_000,
             ..Default::default()
         })
         .check_invariants(true);
+    if let Some(plan) = plan {
+        cfg = cfg.fault_plan(plan);
+    }
     Simulator::builder(exe)
         .inputs(inputs.clone())
         .config(cfg)

@@ -33,8 +33,6 @@ pub type Experiment = fn(&FaultArgs) -> Report;
 
 /// Flags of the experiments that compile through [`Report::measure`].
 const MEASURED: &[&[&str]] = &[MACHINE_FLAGS, COMPILE_FLAGS];
-/// Fault flags alone, for experiments that do not run the event machine.
-const FAULTS: &[&[&str]] = &[&["--fault-plan", "--step-budget"]];
 
 /// Every experiment, by the name `valpipe-exp` takes, with the flags it
 /// honours (in groups). Any other flag is a usage error, so no run
@@ -44,9 +42,9 @@ pub const EXPERIMENTS: &[(&str, Experiment, &[&[&str]])] = &[
     ("am_traffic", am_traffic::run, MEASURED),
     // Purely analytic: a fault plan or budget prints a note saying it
     // has no effect.
-    ("balance", balance::run, FAULTS),
+    ("balance", balance::run, &[MACHINE_FLAGS]),
     // Models only `link=` faults, and notes any other knob.
-    ("closedloop", closedloop::run, FAULTS),
+    ("closedloop", closedloop::run, &[MACHINE_FLAGS]),
     ("delay", delay::run, &[MACHINE_FLAGS]),
     ("fastforward", fastforward::run, &[&["--smoke", "--waves"]]),
     ("faults", faults::run, &[MACHINE_FLAGS]),

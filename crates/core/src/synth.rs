@@ -180,10 +180,13 @@ pub fn synthesize_generators(g: &mut Graph) -> SynthStats {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use valpipe_machine::Simulator;
+    use valpipe_machine::{SimConfig, Simulator};
 
     fn run_to_sink(g: &Graph, steps: u64) -> valpipe_machine::RunResult {
-        Simulator::builder(g).max_steps(steps).run().unwrap()
+        Simulator::builder(g)
+            .config(SimConfig::new().max_steps(steps))
+            .run()
+            .unwrap()
     }
 
     #[test]

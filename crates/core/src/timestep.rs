@@ -84,7 +84,7 @@ pub fn reference_timestep(initial: &[f64], a: f64, b: f64, steps: usize) -> Vec<
 #[cfg(test)]
 mod tests {
     use super::*;
-    use valpipe_machine::Simulator;
+    use valpipe_machine::{SimConfig, Simulator};
 
     fn run_loop(
         n: usize,
@@ -94,7 +94,10 @@ mod tests {
     ) -> valpipe_machine::RunResult {
         let initial: Vec<Value> = (0..n).map(|i| Value::Real(i as f64)).collect();
         let g = build_timestep_loop(&initial, 0.5, 1.0, extra_ops, delay);
-        Simulator::builder(&g).max_steps(max_steps).run().unwrap()
+        Simulator::builder(&g)
+            .config(SimConfig::new().max_steps(max_steps))
+            .run()
+            .unwrap()
     }
 
     #[test]

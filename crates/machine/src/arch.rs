@@ -10,7 +10,6 @@
 //! accesses shipped to array memories, the unit's service latency.
 
 use crate::sim::{ArcDelays, ResourceModel};
-use std::sync::Mutex;
 use valpipe_ir::graph::Graph;
 
 /// Which unit class executes a cell.
@@ -170,56 +169,6 @@ impl Placement {
     }
 }
 
-/// Thread-safe accumulator for aggregating packet statistics across
-/// parallel experiment sweeps.
-#[derive(Debug, Default)]
-pub struct TrafficTally {
-    inner: Mutex<TrafficCounts>,
-}
-
-/// Aggregated operation-packet counts.
-#[derive(Debug, Default, Clone, Copy)]
-pub struct TrafficCounts {
-    /// Total operation packets (instruction firings).
-    pub total: u64,
-    /// Operation packets sent to array memories.
-    pub am: u64,
-    /// Operation packets sent to function units.
-    pub fu: u64,
-}
-
-impl TrafficTally {
-    /// Fresh tally.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Add one run's counts.
-    pub fn add(&self, total: u64, am: u64, fu: u64) {
-        // A poisoned lock only means another sweep thread panicked; the
-        // counters themselves are always in a consistent state.
-        let mut c = self.inner.lock().unwrap_or_else(|e| e.into_inner());
-        c.total += total;
-        c.am += am;
-        c.fu += fu;
-    }
-
-    /// Snapshot the aggregate.
-    pub fn snapshot(&self) -> TrafficCounts {
-        *self.inner.lock().unwrap_or_else(|e| e.into_inner())
-    }
-
-    /// Aggregate AM fraction of operation packets.
-    pub fn am_fraction(&self) -> f64 {
-        let c = self.snapshot();
-        if c.total == 0 {
-            0.0
-        } else {
-            c.am as f64 / c.total as f64
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -332,14 +281,5 @@ mod tests {
         );
         assert_eq!(serial.reals("o3"), wave);
         assert_eq!(wide.reals("o3"), wave);
-    }
-
-    #[test]
-    fn traffic_tally_aggregates() {
-        let t = TrafficTally::new();
-        t.add(100, 10, 40);
-        t.add(100, 15, 40);
-        assert!((t.am_fraction() - 0.125).abs() < 1e-9);
-        assert_eq!(t.snapshot().fu, 80);
     }
 }

@@ -45,8 +45,9 @@ pub enum MachineError {
     /// The program contains a symbolic FIFO (call `expand_fifos` first).
     UnexpandedFifo(usize),
     /// A simulator/machine configuration parameter is unusable (e.g. a
-    /// closed-loop machine with a non-power-of-two PE count, or a
-    /// placement table whose length does not match the graph).
+    /// zero packet latency, a resource model that does not cover the
+    /// graph, a non-finite fault probability, or a closed-loop machine
+    /// with a non-power-of-two PE count).
     InvalidConfig(String),
     /// A supplied [`crate::sim::ArcDelays`] table does not cover every arc.
     DelayTableMismatch {
@@ -62,15 +63,6 @@ pub enum MachineError {
         /// Instruction time at which the violation was detected.
         step: u64,
         /// What was violated, naming the cell/arc involved.
-        detail: String,
-    },
-    /// Writing a periodic checkpoint (see `SimConfig::checkpoint_path`)
-    /// failed; the run is aborted rather than continuing with a stale
-    /// recovery point.
-    CheckpointIo {
-        /// Destination path of the failed write.
-        path: String,
-        /// Underlying I/O error.
         detail: String,
     },
 }
@@ -108,9 +100,6 @@ impl fmt::Display for MachineError {
             }
             MachineError::InvariantViolation { step, detail } => {
                 write!(f, "machine invariant violated at step {step}: {detail}")
-            }
-            MachineError::CheckpointIo { path, detail } => {
-                write!(f, "checkpoint write to '{path}' failed: {detail}")
             }
         }
     }

@@ -53,11 +53,11 @@
 //!
 //! With (1)–(4) established, a `K`-window jump is semantically a
 //! *snapshot restore at a future time*: the canonical state is
-//! materialized directly and the scheduler wheel is rebuilt with the
-//! same `Scheduler::resume` + wakeup-repost sequence the snapshot
-//! subsystem uses — so the post-jump machine inherits the proven
-//! kernel-neutral resume invariant, and both the final [`RunResult`]
-//! and any later snapshot are bit-identical to exact replay.
+//! materialized directly and the scheduler wheel is rebuilt by the
+//! same `sim::reseed_wheel` every machine construction uses — so the
+//! post-jump machine inherits the proven kernel-neutral resume
+//! invariant, and both the final [`RunResult`] and any later snapshot
+//! are bit-identical to exact replay.
 //!
 //! # Stop conditions inside a window
 //!
@@ -81,8 +81,7 @@ use valpipe_util::checksum64;
 
 use crate::code::Op;
 use crate::error::SimError;
-use crate::scheduler::Scheduler;
-use crate::sim::{Simulator, StopSlots};
+use crate::sim::{reseed_wheel, Simulator, StopSlots};
 use crate::snapshot::{Snapshot, Writer};
 use crate::watchdog::ProgressTracker;
 
@@ -210,7 +209,7 @@ impl FastForward {
         if sim.fault.is_some() || sim.cfg.resources.is_some() {
             return None;
         }
-        if sim.cfg.checkpoint_every != 0 && (sim.cfg.checkpoint_path.is_some() || sink_present) {
+        if sim.cfg.checkpoint_every != 0 && sink_present {
             return None;
         }
         Some(FastForward {
@@ -744,24 +743,10 @@ fn apply_jump(sim: &mut Simulator<'_>, d: &WindowDelta, p: u64, k: u64, base: u6
     // boundary of a periodic state, so it carries over unchanged.
     sim.now += shift;
 
-    // Rebuild the wakeup wheel exactly as a snapshot restore does: seed
-    // every cell at `now`, then repost the future wakeups implied by
-    // canonical state. This is what makes the jump a "restore at a
-    // future time" and inherits the kernel-neutral resume invariant.
-    sim.sched = Scheduler::resume(sim.cfg.kernel, n, sim.now);
-    for (i, st) in sim.arcs.iter().enumerate() {
-        let (src, dst) = (sim.code.arc_src[i], sim.code.arc_dst[i]);
-        for &(_, ready) in &st.queue {
-            if ready > sim.now {
-                sim.sched.wake(dst, ready);
-            }
-        }
-        for &t in &st.freeing {
-            if t >= sim.now {
-                sim.sched.wake(src, t);
-            }
-        }
-    }
+    // Reseed the wakeup wheel exactly as a snapshot restore does: this
+    // is what makes the jump a "restore at a future time" and inherits
+    // the kernel-neutral resume invariant.
+    sim.sched = reseed_wheel(sim.cfg.kernel, &sim.code, &sim.arcs, sim.now);
 }
 
 #[cfg(test)]

@@ -13,9 +13,7 @@
 //!   opcode tags, operand ports and destination arcs, built once per
 //!   graph.
 //! * [`arch`] maps a program onto machine units and derives per-arc packet
-//!   latencies and per-unit contention budgets for the detailed model,
-//!   plus the operation-packet accounting behind the paper's "one eighth
-//!   or less to the array memories" claim.
+//!   latencies and per-unit contention budgets for the detailed model.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]

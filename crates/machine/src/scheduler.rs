@@ -221,26 +221,20 @@ pub(crate) struct Scheduler {
 }
 
 impl Scheduler {
-    /// A scheduler for the given kernel. The event-driven wheel is
-    /// seeded with every cell at step 0 (matching the scan kernel's
-    /// first examination); after that, only events schedule work.
-    pub(crate) fn new(kernel: Kernel, cells: usize) -> Self {
-        Self::resume(kernel, cells, 0)
-    }
-
-    /// A scheduler resuming mid-run at step `now` (snapshot restore).
+    /// A scheduler for the given kernel whose first step is `now`.
     ///
     /// The wheel is not serialized — it is an optimization artifact, not
-    /// canonical machine state. Instead the event-driven wheel is seeded
-    /// with every cell at the resume step, exactly like the step-0
-    /// seeding of a fresh run: any cell enabled at `now` is examined, and
-    /// spurious examinations of disabled cells are harmless under the
-    /// wakeup invariant. The restore path then re-posts the *future*
-    /// wakeups implied by canonical state (in-flight tokens reaching
-    /// consumers, pending acknowledges reaching producers), which is
-    /// everything the wheel could have held. This is what makes a
-    /// snapshot kernel-neutral: a checkpoint taken under any kernel
-    /// resumes under any other bit-identically.
+    /// canonical machine state. The event-driven wheel is seeded with
+    /// every cell at `now` (a fresh run's first step, a restore's resume
+    /// step, a fast-forward jump's landing step): any cell enabled at
+    /// `now` is examined, and spurious examinations of disabled cells
+    /// are harmless under the wakeup invariant. `sim::reseed_wheel`, the
+    /// one caller, then re-posts the *future* wakeups implied by
+    /// canonical state (in-flight tokens reaching consumers, pending
+    /// acknowledges reaching producers), which is everything the wheel
+    /// could have held. This is what makes a snapshot kernel-neutral: a
+    /// checkpoint taken under any kernel resumes under any other
+    /// bit-identically.
     pub(crate) fn resume(kernel: Kernel, cells: usize, now: u64) -> Self {
         let enabled = kernel == Kernel::EventDriven;
         let mut wheel = Wheel::new(now, if enabled { cells } else { 0 });
@@ -286,7 +280,7 @@ mod tests {
 
     #[test]
     fn disabled_scheduler_discards_wakeups() {
-        let mut s = Scheduler::new(Kernel::Scan, 4);
+        let mut s = Scheduler::resume(Kernel::Scan, 4, 0);
         assert!(!s.is_event_driven());
         s.wake(1, 5);
         assert!(nodes_at(&mut s, 5).is_empty());
@@ -294,7 +288,7 @@ mod tests {
 
     #[test]
     fn event_scheduler_seeds_all_cells_at_step_zero() {
-        let mut s = Scheduler::new(Kernel::EventDriven, 3);
+        let mut s = Scheduler::resume(Kernel::EventDriven, 3, 0);
         assert_eq!(nodes_at(&mut s, 0), vec![0, 1, 2]);
         assert!(nodes_at(&mut s, 0).is_empty(), "taking is destructive");
     }
@@ -313,7 +307,7 @@ mod tests {
 
     #[test]
     fn wakeups_are_sorted_and_deduplicated() {
-        let mut s = Scheduler::new(Kernel::EventDriven, 200);
+        let mut s = Scheduler::resume(Kernel::EventDriven, 200, 0);
         nodes_at(&mut s, 0);
         s.wake(7, 3);
         s.wake(130, 3);
@@ -328,7 +322,7 @@ mod tests {
 
     #[test]
     fn far_wakeups_survive_the_ring_horizon() {
-        let mut s = Scheduler::new(Kernel::EventDriven, 10);
+        let mut s = Scheduler::resume(Kernel::EventDriven, 10, 0);
         nodes_at(&mut s, 0);
         // Beyond the ring: a freeze-window thaw and a permanent freeze.
         s.wake(9, WHEEL_SLOTS as u64 + 5);

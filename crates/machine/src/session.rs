@@ -6,7 +6,7 @@
 //! crate). This module replaces all of them with one surface:
 //!
 //! ```
-//! use valpipe_machine::{ProgramInputs, Simulator};
+//! use valpipe_machine::{ProgramInputs, SimConfig, Simulator};
 //! # use valpipe_ir::graph::Graph;
 //! # use valpipe_ir::opcode::Opcode;
 //! # let mut g = Graph::new();
@@ -15,25 +15,30 @@
 //! # let _ = g.cell(Opcode::Sink("out".into()), "out", &[id.into()]);
 //! let result = Simulator::builder(&g)
 //!     .inputs(ProgramInputs::new().bind_reals("a", &[1.0, 2.0, 3.0]))
-//!     .max_steps(100_000)
+//!     .config(SimConfig::new().max_steps(100_000))
 //!     .run()
 //!     .unwrap();
 //! assert_eq!(result.reals("out"), vec![1.0, 2.0, 3.0]);
 //! ```
 //!
-//! * [`SimConfig`] carries every run-shaping knob (step limits, arc
-//!   capacity, per-arc delays, contention, fault plan, watchdog,
-//!   invariant checking, kernel selection) with fluent setters, and is
-//!   reusable across graphs — the verification harness and experiment
-//!   reporters thread one through compile-run-compare pipelines.
-//! * [`SessionBuilder`] binds a config to a graph and its inputs;
+//! * [`SimConfig`] is the one configuration surface: every run-shaping
+//!   knob (step limits, arc capacity, per-arc delays, contention, fault
+//!   plan, watchdog, invariant checking, kernel selection, checkpoint
+//!   cadence) with fluent setters. It is reusable across graphs — the
+//!   verification harness and experiment reporters thread one through
+//!   compile-run-compare pipelines.
+//! * [`SessionBuilder`] binds a config ([`SessionBuilder::config`]) and
+//!   inputs to a graph; [`SessionBuilder::build`] checks the config
+//!   against the graph once and assembles the machine, and
 //!   [`SessionBuilder::run`] is the one-call convenience (it also
 //!   transparently expands FIFO pseudo-cells).
 //! * [`Session`] is a prepared machine: [`Session::step`] for manual
 //!   single-stepping (traces, closed-loop experiments) and
 //!   [`Session::drive`], the one run loop, for everything else —
 //!   completion or a pause boundary, exactly or with fast-forward, as
-//!   described by a [`RunSpec`].
+//!   described by a [`RunSpec`]. Periodic checkpoints leave the run only
+//!   through [`Session::drive_with`]'s sink; the caller decides where
+//!   they go (e.g. [`Snapshot::write_to`]).
 
 use std::sync::Arc;
 
@@ -84,12 +89,9 @@ pub struct SimConfig {
     pub(crate) check_invariants: bool,
     /// Step-loop implementation.
     pub(crate) kernel: Kernel,
-    /// Emit a checkpoint every this many instruction times during
-    /// [`Session::drive`] (0 = never).
+    /// Hand a checkpoint to [`Session::drive_with`]'s sink every this
+    /// many instruction times (0 = never).
     pub(crate) checkpoint_every: u64,
-    /// Where `drive` writes the latest periodic checkpoint (atomically,
-    /// via a temporary file and rename).
-    pub(crate) checkpoint_path: Option<String>,
 }
 
 impl Default for SimConfig {
@@ -106,7 +108,6 @@ impl Default for SimConfig {
             check_invariants: false,
             kernel: Kernel::default(),
             checkpoint_every: 0,
-            checkpoint_path: None,
         }
     }
 }
@@ -166,13 +167,6 @@ impl SimConfig {
         self
     }
 
-    /// Install a fault plan if one is given (convenience for optional
-    /// command-line plans).
-    pub fn fault_plan_opt(mut self, plan: Option<FaultPlan>) -> Self {
-        self.fault_plan = plan;
-        self
-    }
-
     /// Bound the run with a watchdog: a step budget plus livelock
     /// detection producing a structured stall report.
     pub fn watchdog(mut self, watchdog: WatchdogConfig) -> Self {
@@ -194,51 +188,22 @@ impl SimConfig {
         self
     }
 
-    /// Emit a checkpoint every `every` instruction times during
-    /// [`Session::drive`] (0 disables periodic checkpointing). Checkpoints
-    /// are written to [`SimConfig::checkpoint_path`] and/or handed to the
-    /// sink of [`Session::drive_with`].
+    /// Hand a checkpoint to the sink of [`Session::drive_with`] every
+    /// `every` instruction times (0 disables periodic checkpointing).
     pub fn checkpoint_every(mut self, every: u64) -> Self {
         self.checkpoint_every = every;
         self
     }
-
-    /// Write the latest periodic checkpoint to this path during
-    /// [`Session::drive`]. Writes go through a temporary file and an atomic
-    /// rename, so a crash mid-write leaves the previous checkpoint
-    /// intact. A failed write surfaces as
-    /// `MachineError::CheckpointIo`.
-    pub fn checkpoint_path(mut self, path: String) -> Self {
-        self.checkpoint_path = Some(path);
-        self
-    }
-
-    /// The configured fault plan, if any.
-    pub fn fault_plan_ref(&self) -> Option<&FaultPlan> {
-        self.fault_plan.as_ref()
-    }
 }
 
-/// Fluent builder binding a [`SimConfig`] to a graph and its inputs.
-/// Constructed by [`Simulator::builder`]; every [`SimConfig`] setter is
-/// mirrored here so simple runs never name the config type.
+/// Fluent builder binding a [`SimConfig`] and inputs to a graph.
+/// Constructed by [`Simulator::builder`]; options are set on the
+/// [`SimConfig`] and bound with [`SessionBuilder::config`].
 #[derive(Debug, Clone)]
 pub struct SessionBuilder<'g> {
     g: &'g Graph,
     inputs: ProgramInputs,
     cfg: SimConfig,
-}
-
-macro_rules! forward_setters {
-    ($($(#[$doc:meta])* $name:ident ( $($arg:ident : $ty:ty),* )),* $(,)?) => {
-        $(
-            $(#[$doc])*
-            pub fn $name(mut self, $($arg: $ty),*) -> Self {
-                self.cfg = self.cfg.$name($($arg),*);
-                self
-            }
-        )*
-    };
 }
 
 impl<'g> SessionBuilder<'g> {
@@ -256,45 +221,16 @@ impl<'g> SessionBuilder<'g> {
         self
     }
 
-    /// Replace the whole configuration (e.g. one threaded through a
-    /// verification harness).
+    /// Bind the run-shaping configuration (the default config if never
+    /// called).
     pub fn config(mut self, cfg: SimConfig) -> Self {
         self.cfg = cfg;
         self
     }
 
-    forward_setters! {
-        /// Hard step limit (guards against livelock in buggy programs).
-        max_steps(steps: u64),
-        /// Arc capacity: tokens simultaneously buffered per link.
-        arc_capacity(capacity: usize),
-        /// Per-arc result/acknowledge latencies (defaults to uniform 1/1).
-        delays(delays: ArcDelays),
-        /// Per-unit instruction-initiation budgets (contention modeling).
-        resources(resources: ResourceModel),
-        /// Record the firing time of every firing of every cell.
-        record_fire_times(record: bool),
-        /// Stop once every listed sink has received its packet count.
-        stop_outputs(outputs: Vec<(String, usize)>),
-        /// Install a fault-injection plan.
-        fault_plan(plan: FaultPlan),
-        /// Install a fault plan if one is given.
-        fault_plan_opt(plan: Option<FaultPlan>),
-        /// Bound the run with a watchdog.
-        watchdog(watchdog: WatchdogConfig),
-        /// Verify conservation invariants after every step.
-        check_invariants(check: bool),
-        /// Select the step-loop kernel.
-        kernel(kernel: Kernel),
-        /// Emit a checkpoint every `every` instruction times during `drive`.
-        checkpoint_every(every: u64),
-        /// Write the latest periodic checkpoint to this path during `drive`.
-        checkpoint_path(path: String),
-    }
-
     /// Prepare a [`Session`] for manual stepping. The graph must already
-    /// be FIFO-expanded (a `Fifo` pseudo-cell is rejected, exactly like
-    /// the legacy constructor).
+    /// be FIFO-expanded, and the config must fit it (`sim::check_config`):
+    /// an unusable one is a typed [`SimError`], never a later panic.
     pub fn build(self) -> Result<Session<'g>, SimError> {
         Ok(Session {
             sim: Simulator::with_config(self.g, &self.inputs, self.cfg)?,
@@ -372,8 +308,8 @@ pub enum ExecMode {
 /// Everything that shapes one [`Session::drive`] call, as plain data:
 /// the execution mode and an optional pause boundary. Defaults drive
 /// the run to completion in [`ExecMode::Exact`]. Everything else that
-/// shapes a run (step limit, watchdog, checkpoint cadence and path) is
-/// the session's [`SimConfig`].
+/// shapes a run (step limit, watchdog, checkpoint cadence) is the
+/// session's [`SimConfig`].
 ///
 /// ```
 /// use valpipe_machine::RunSpec;

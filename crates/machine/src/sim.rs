@@ -283,7 +283,7 @@ impl Timing {
     }
 }
 
-#[derive(Debug)]
+#[derive(Debug, Default)]
 pub(crate) struct ArcState {
     /// In-flight and deliverable tokens: `(value, ready_at)`.
     pub(crate) queue: VecDeque<(Value, u64)>,
@@ -450,12 +450,17 @@ impl Cells {
     }
 
     /// Slot index for a port name in a slot vector, creating it on
-    /// first sight (cells sharing a name share the slot).
-    pub(crate) fn name_slot<T: Default>(slots: &mut Vec<(String, T)>, name: &str) -> u32 {
+    /// first sight (cells sharing a name share the slot) with the
+    /// history `named` holds for the port, if any.
+    pub(crate) fn name_slot<T: Default>(
+        slots: &mut Vec<(String, T)>,
+        named: &mut HashMap<String, T>,
+        name: &str,
+    ) -> u32 {
         match slots.iter().position(|(p, _)| p == name) {
             Some(s) => s as u32,
             None => {
-                slots.push((name.to_string(), T::default()));
+                slots.push((name.to_string(), named.remove(name).unwrap_or_default()));
                 (slots.len() - 1) as u32
             }
         }
@@ -500,6 +505,164 @@ impl StopSlots {
         }
         StopSlots::Watch(watch)
     }
+}
+
+/// The canonical state a machine is assembled around: the zeroed state
+/// of a fresh build, or everything a snapshot holds. Port histories
+/// are keyed by name; [`Simulator::assemble`] lays them out in slots.
+#[derive(Debug)]
+pub(crate) struct MachineState {
+    /// Per-cell cursors, counters and source data. The port slot fields
+    /// are left empty for [`Simulator::assemble`] to fill.
+    pub(crate) cells: Cells,
+    /// Per sink port: `(arrival time, value)` packets so far.
+    pub(crate) outputs: HashMap<String, Vec<(u64, Value)>>,
+    /// Per source port: the emission time of each packet so far.
+    pub(crate) emit_times: HashMap<String, Vec<u64>>,
+    /// Per-arc tokens, acknowledge slots and counters (capacity is the
+    /// config's, set on assembly).
+    pub(crate) arcs: Vec<ArcState>,
+    pub(crate) now: u64,
+    pub(crate) idle: u64,
+    pub(crate) tracker: ProgressTracker,
+    pub(crate) am_fires: u64,
+    pub(crate) fu_fires: u64,
+}
+
+impl MachineState {
+    /// The state of a machine that has not run yet: every source bound
+    /// to its input sequence, every arc holding only its initial token.
+    fn fresh(g: &Graph, inputs: &ProgramInputs, record_fire_times: bool) -> Result<Self, SimError> {
+        let mut cells = Cells::empty(g.nodes.len(), record_fire_times);
+        for (i, node) in g.nodes.iter().enumerate() {
+            if let Opcode::Source(name) = &node.op {
+                let data = inputs
+                    .get(name)
+                    .ok_or_else(|| SimError::MissingInput(name.clone()))?;
+                cells.src_data[i] = Some(data.to_vec());
+            }
+        }
+        let arcs = g
+            .arcs
+            .iter()
+            .map(|e| {
+                let mut st = ArcState::default();
+                if let Some(v) = e.initial {
+                    st.queue.push_back((v, 0));
+                    st.sent += 1;
+                }
+                st
+            })
+            .collect();
+        Ok(MachineState {
+            cells,
+            outputs: HashMap::new(),
+            emit_times: HashMap::new(),
+            arcs,
+            now: 0,
+            idle: 0,
+            tracker: ProgressTracker::new(0),
+            am_fires: 0,
+            fu_fires: 0,
+        })
+    }
+}
+
+/// Whether `cfg` describes a machine that can run `g` — decided here
+/// and nowhere else, so every config that builds also restores. The
+/// machine's physical limits (§2, Fig. 1): every cell is a real
+/// instruction (no symbolic FIFO), every result and acknowledge packet
+/// takes at least one instruction time to cross the network, every cell
+/// issues on a unit that exists, and injected faults name real cells
+/// with finite probabilities.
+pub(crate) fn check_config(g: &Graph, cfg: &SimConfig) -> Result<(), SimError> {
+    let (cells, arcs) = (g.nodes.len(), g.arcs.len());
+    if let Some(i) = g.nodes.iter().position(|n| matches!(n.op, Opcode::Fifo(_))) {
+        return Err(MachineError::UnexpandedFifo(i));
+    }
+    if let Some(d) = &cfg.delays {
+        for table in [&d.forward, &d.ack] {
+            if table.len() != arcs {
+                return Err(MachineError::DelayTableMismatch {
+                    expected: arcs,
+                    got: table.len(),
+                });
+            }
+        }
+        for (kind, table) in [("result", &d.forward), ("acknowledge", &d.ack)] {
+            if let Some(a) = table.iter().position(|&t| t == 0) {
+                return Err(MachineError::InvalidConfig(format!(
+                    "arc {a} has a zero {kind} latency; every packet takes at least one instruction time"
+                )));
+            }
+        }
+    }
+    if let Some(res) = &cfg.resources {
+        if res.unit_of.len() != cells {
+            return Err(MachineError::InvalidConfig(format!(
+                "resource model covers {} cells but the graph has {cells}",
+                res.unit_of.len()
+            )));
+        }
+        let units = res.capacity.len();
+        if let Some(i) = res.unit_of.iter().position(|&u| u as usize >= units) {
+            return Err(MachineError::InvalidConfig(format!(
+                "resource model puts cell {i} on unit {} but has {units} units",
+                res.unit_of[i]
+            )));
+        }
+    }
+    if let Some(plan) = &cfg.fault_plan {
+        if let Some(fz) = plan.freezes.iter().find(|fz| fz.node >= cells) {
+            return Err(MachineError::InvalidConfig(format!(
+                "fault plan freezes cell {} but the graph has {cells} cells",
+                fz.node
+            )));
+        }
+        for (name, p) in [
+            ("drop_result", plan.drop_result),
+            ("dup_result", plan.dup_result),
+            ("delay_result", plan.delay_result),
+            ("drop_ack", plan.drop_ack),
+            ("delay_ack", plan.delay_ack),
+        ] {
+            if !p.is_finite() {
+                return Err(MachineError::InvalidConfig(format!(
+                    "fault plan probability {name} is {p}, not finite"
+                )));
+            }
+        }
+    }
+    Ok(())
+}
+
+/// The wakeup wheel of a machine at `now` over `arcs`, rebuilt from
+/// canonical state alone: every cell seeded at `now` (anything enabled
+/// fires exactly as a scan would), then the future wakeups the state
+/// implies — token deliveries and acknowledge expiries still in flight.
+/// Every construction and every fast-forward jump seeds the wheel here,
+/// which is what makes a snapshot kernel-neutral and a jump a restore at
+/// a future time (see [`crate::scheduler`]).
+pub(crate) fn reseed_wheel(
+    kernel: Kernel,
+    code: &MachineCode,
+    arcs: &[ArcState],
+    now: u64,
+) -> Scheduler {
+    let mut sched = Scheduler::resume(kernel, code.cell_count(), now);
+    for (i, st) in arcs.iter().enumerate() {
+        for &(_, ready) in &st.queue {
+            if ready > now {
+                sched.wake(code.arc_dst[i], ready);
+            }
+        }
+        for &t in &st.freeing {
+            if t >= now {
+                sched.wake(code.arc_src[i], t);
+            }
+        }
+    }
+    sched
 }
 
 /// Per-step buffers reused across the whole run so the hot loop never
@@ -823,106 +986,92 @@ pub struct Simulator<'g> {
 }
 
 impl<'g> Simulator<'g> {
-    /// Fluent entry point for every simulation: bind inputs, set options,
-    /// then [`crate::session::SessionBuilder::build`] a steppable session
+    /// Fluent entry point for every simulation: bind inputs and a
+    /// [`SimConfig`], then [`crate::session::SessionBuilder::build`] a steppable session
     /// or [`crate::session::SessionBuilder::run`] to completion.
     pub fn builder(g: &'g Graph) -> SessionBuilder<'g> {
         SessionBuilder::new(g)
     }
 
+    /// A fresh machine over `g`: the zeroed state with `inputs` bound,
+    /// assembled by [`Simulator::assemble`].
     pub(crate) fn with_config(
         g: &'g Graph,
         inputs: &ProgramInputs,
         cfg: SimConfig,
     ) -> Result<Self, SimError> {
-        let n = g.nodes.len();
-        let mut cells = Cells::empty(n, cfg.record_fire_times);
+        let state = MachineState::fresh(g, inputs, cfg.record_fire_times)?;
+        Self::assemble(g, Arc::new(MachineCode::new(g)), cfg, state)
+    }
+
+    /// The one machine constructor, shared by fresh builds and snapshot
+    /// restores: check `cfg` against `g` ([`check_config`]), lay the
+    /// port histories out in slots, fix the arc capacities and delay
+    /// tables, normalize the fault plan, compile the output target and
+    /// seed the wakeup wheel ([`reseed_wheel`]). The state's vectors are
+    /// moved in, never copied.
+    pub(crate) fn assemble(
+        g: &'g Graph,
+        code: Arc<MachineCode>,
+        cfg: SimConfig,
+        state: MachineState,
+    ) -> Result<Self, SimError> {
+        check_config(g, &cfg)?;
+        let MachineState {
+            mut cells,
+            mut outputs,
+            mut emit_times,
+            mut arcs,
+            now,
+            idle,
+            tracker,
+            am_fires,
+            fu_fires,
+        } = state;
+        // Slots are numbered by one walk in cell order; cells sharing a
+        // port name share a slot.
         for (i, node) in g.nodes.iter().enumerate() {
             match &node.op {
-                Opcode::Fifo(_) => return Err(SimError::UnexpandedFifo(i)),
                 Opcode::Source(name) => {
-                    let data = inputs
-                        .get(name)
-                        .ok_or_else(|| SimError::MissingInput(name.clone()))?;
-                    cells.src_data[i] = Some(data.to_vec());
-                    cells.src_slot[i] = Cells::name_slot(&mut cells.emit_times, name);
+                    cells.src_slot[i] =
+                        Cells::name_slot(&mut cells.emit_times, &mut emit_times, name);
                 }
                 Opcode::Sink(name) => {
-                    cells.sink_slot[i] = Cells::name_slot(&mut cells.outputs, name);
+                    cells.sink_slot[i] = Cells::name_slot(&mut cells.outputs, &mut outputs, name);
                 }
                 _ => {}
             }
         }
-        let (fwd_delay, ack_delay) = match &cfg.delays {
-            Some(d) => {
-                if d.forward.len() != g.arcs.len() {
-                    return Err(MachineError::DelayTableMismatch {
-                        expected: g.arcs.len(),
-                        got: d.forward.len(),
-                    });
-                }
-                if d.ack.len() != g.arcs.len() {
-                    return Err(MachineError::DelayTableMismatch {
-                        expected: g.arcs.len(),
-                        got: d.ack.len(),
-                    });
-                }
-                (d.forward.clone(), d.ack.clone())
-            }
-            None => (vec![1; g.arcs.len()], vec![1; g.arcs.len()]),
-        };
-        let arcs = g
-            .arcs
-            .iter()
-            .map(|e| {
-                let mut st = ArcState {
-                    queue: VecDeque::new(),
-                    freeing: Vec::new(),
-                    cap: cfg.arc_capacity,
-                    sent: 0,
-                    consumed: 0,
-                    acked: 0,
-                    lost_result: 0,
-                    lost_ack: 0,
-                };
-                if let Some(v) = e.initial {
-                    st.queue.push_back((v, 0));
-                    st.sent += 1;
-                }
-                st
-            })
-            .collect();
-        if let Some(fz) = cfg
-            .fault_plan
-            .iter()
-            .flat_map(|p| p.freezes.iter())
-            .find(|fz| fz.node >= n)
-        {
-            return Err(MachineError::InvalidConfig(format!(
-                "fault plan freezes cell {} but the graph has {} cells",
-                fz.node, n
-            )));
+        for st in &mut arcs {
+            st.cap = cfg.arc_capacity;
         }
+        let (fwd_delay, ack_delay) = match &cfg.delays {
+            Some(d) => (d.forward.clone(), d.ack.clone()),
+            None => (vec![1; arcs.len()], vec![1; arcs.len()]),
+        };
         let fault = cfg.fault_plan.clone().filter(|p| !p.is_empty());
-        let sched = Scheduler::new(cfg.kernel, n);
         let stop_slots = StopSlots::compile(&cfg.stop_outputs, &cells);
+        let sched = reseed_wheel(cfg.kernel, &code, &arcs, now);
+        // Progress is the packets that visibly moved: derived from the
+        // histories, never stored.
+        let progress = cells.derived_progress();
         Ok(Simulator {
             g,
-            code: Arc::new(MachineCode::new(g)),
+            code,
             cfg,
             arcs,
             cells,
-            now: 0,
+            now,
             fwd_delay,
             ack_delay,
-            am_fires: 0,
-            fu_fires: 0,
+            am_fires,
+            fu_fires,
             fault,
             sched,
             stop_slots,
-            progress: 0,
-            idle: 0,
-            tracker: ProgressTracker::new(0),
+            progress,
+            idle,
+            tracker,
             scratch: StepScratch::default(),
         })
     }
@@ -1218,20 +1367,10 @@ impl<'g> Simulator<'g> {
             if let Some(f) = ff.as_deref_mut() {
                 f.after_step(&mut self, fired as u64, pause_at, step_limit)?;
             }
-            if self.cfg.checkpoint_every != 0
-                && self.now.is_multiple_of(self.cfg.checkpoint_every)
-                && (self.cfg.checkpoint_path.is_some() || sink.is_some())
-            {
-                let snap = crate::snapshot::Snapshot::capture(&self);
-                if let Some(path) = &self.cfg.checkpoint_path {
-                    snap.write_to(path)
-                        .map_err(|e| MachineError::CheckpointIo {
-                            path: path.clone(),
-                            detail: e.to_string(),
-                        })?;
-                }
-                if let Some(sink) = sink.as_mut() {
-                    sink(snap);
+            if let Some(sink) = sink.as_mut() {
+                let every = self.cfg.checkpoint_every;
+                if every != 0 && self.now.is_multiple_of(every) {
+                    sink(crate::snapshot::Snapshot::capture(&self));
                 }
             }
         }
@@ -1553,12 +1692,12 @@ mod tests {
             .bind("b", reals(&[4.0, 5.0, 6.0]));
         let scan = Simulator::builder(&g)
             .inputs(inputs.clone())
-            .kernel(Kernel::Scan)
+            .config(SimConfig::new().kernel(Kernel::Scan))
             .run()
             .unwrap();
         let event = Simulator::builder(&g)
             .inputs(inputs)
-            .kernel(Kernel::EventDriven)
+            .config(SimConfig::new().kernel(Kernel::EventDriven))
             .run()
             .unwrap();
         assert_eq!(scan, event);
@@ -1607,7 +1746,10 @@ mod tests {
         let i2 = g.cell(Opcode::Id, "i2", &[i1.into()]);
         g.connect_init(i2, add, 0, Value::Int(0));
         let _ = g.cell(Opcode::Sink("out".into()), "out", &[i2.into()]);
-        let r = Simulator::builder(&g).max_steps(2000).run().unwrap();
+        let r = Simulator::builder(&g)
+            .config(SimConfig::new().max_steps(2000))
+            .run()
+            .unwrap();
         // Runs forever (no sources), so we hit the step limit.
         assert_eq!(r.stop, StopReason::MaxSteps);
         let iv = r.timing("out").interval().unwrap();
@@ -1631,7 +1773,10 @@ mod tests {
         let d = g.cell(Opcode::Id, "d", &[c.into()]);
         g.connect_init(d, a, 0, Value::Int(0));
         let _ = g.cell(Opcode::Sink("out".into()), "out", &[d.into()]);
-        let r = Simulator::builder(&g).max_steps(2000).run().unwrap();
+        let r = Simulator::builder(&g)
+            .config(SimConfig::new().max_steps(2000))
+            .run()
+            .unwrap();
         let iv = r.timing("out").interval().unwrap();
         assert!((iv - 2.0).abs() < 0.05, "4-cycle/2-token interval {iv} ≉ 2");
     }

@@ -46,10 +46,11 @@ use valpipe_ir::value::Value;
 use valpipe_util::checksum64;
 
 use crate::code::MachineCode;
+use crate::error::MachineError;
 use crate::fault::{CellFreeze, FaultPlan, LinkFault};
-use crate::scheduler::{Kernel, Scheduler};
+use crate::scheduler::Kernel;
 use crate::session::SimConfig;
-use crate::sim::{ArcDelays, ArcState, Cells, ResourceModel, Simulator, StepScratch, StopSlots};
+use crate::sim::{ArcDelays, ArcState, Cells, MachineState, ResourceModel, Simulator};
 use crate::watchdog::{ProgressTracker, WatchdogConfig};
 
 /// Leading bytes of every snapshot file.
@@ -363,14 +364,17 @@ impl Snapshot {
                 "snapshot has {node_count} cells, graph has {n}"
             )));
         }
-        let src_pos: Vec<usize> = r.u64_vec(n)?.into_iter().map(|x| x as usize).collect();
-        let ctl_pos = r.u64_vec(n)?;
-        let fires = r.u64_vec(n)?;
-        let gate_passes = r.u64_vec(n)?;
-        let gate_discards = r.u64_vec(n)?;
-        let mut src_data: Vec<Option<Vec<Value>>> = Vec::with_capacity(n);
+        // Per-cell state decodes straight into the machine's layout; the
+        // port slots are the constructor's to fill.
+        let mut cells = Cells::empty(n, false);
+        cells.src_pos = r.u64_vec(n)?.into_iter().map(|x| x as usize).collect();
+        cells.ctl_pos = r.u64_vec(n)?;
+        cells.fires = r.u64_vec(n)?;
+        cells.gate_passes = r.u64_vec(n)?;
+        cells.gate_discards = r.u64_vec(n)?;
+        cells.src_data = Vec::with_capacity(n);
         for _ in 0..n {
-            src_data.push(r.opt(|r| {
+            cells.src_data.push(r.opt(|r| {
                 let len = r.count(1)?;
                 let mut data = Vec::with_capacity(len);
                 for _ in 0..len {
@@ -379,7 +383,7 @@ impl Snapshot {
                 Ok(data)
             })?);
         }
-        let fire_times = r.opt(|r| {
+        cells.fire_times = r.opt(|r| {
             let mut ft = Vec::with_capacity(n);
             for _ in 0..n {
                 ft.push(r.counted_u64_vec()?);
@@ -401,12 +405,12 @@ impl Snapshot {
                 return Err(SnapshotError::Malformed("duplicate sink port".into()));
             }
         }
-        let mut source_emit_times = HashMap::new();
+        let mut emit_times = HashMap::new();
         let source_count = r.count(1)?;
         for _ in 0..source_count {
             let name = r.string()?;
             let times = r.counted_u64_vec()?;
-            if source_emit_times.insert(name, times).is_some() {
+            if emit_times.insert(name, times).is_some() {
                 return Err(SnapshotError::Malformed("duplicate source port".into()));
             }
         }
@@ -426,10 +430,9 @@ impl Snapshot {
                 let v = r.value()?;
                 queue.push_back((v, r.u64()?));
             }
-            let freeing = r.counted_u64_vec()?;
             let st = ArcState {
                 queue,
-                freeing,
+                freeing: r.counted_u64_vec()?,
                 cap: cfg.arc_capacity,
                 sent: r.u64()?,
                 consumed: r.u64()?,
@@ -448,117 +451,50 @@ impl Snapshot {
         }
         r.finish()?;
 
-        validate_against_graph(g, &cfg, &src_data, &outputs, &source_emit_times, &src_pos)?;
-        if let Some(ft) = &fire_times {
-            if !cfg.record_fire_times || ft.len() != n {
-                return Err(SnapshotError::Malformed("fire-time table mismatch".into()));
+        validate_against_graph(g, cfg.record_fire_times, &cells, &outputs, &emit_times)?;
+        let state = MachineState {
+            cells,
+            outputs,
+            emit_times,
+            arcs,
+            now,
+            idle,
+            tracker,
+            am_fires,
+            fu_fires,
+        };
+        Simulator::assemble(g, code, cfg, state).map_err(|e| match e {
+            MachineError::UnexpandedFifo(_) | MachineError::DelayTableMismatch { .. } => {
+                SnapshotError::ShapeMismatch(e.to_string())
             }
-        } else if cfg.record_fire_times {
+            e => SnapshotError::Malformed(e.to_string()),
+        })
+    }
+}
+
+/// Structural checks beyond the fingerprint: the payload's port maps,
+/// cursors and fire-time table must line up with the graph. The
+/// embedded config is checked by the machine constructor, exactly as
+/// for a fresh build.
+fn validate_against_graph(
+    g: &Graph,
+    record_fire_times: bool,
+    cells: &Cells,
+    outputs: &HashMap<String, Vec<(u64, Value)>>,
+    source_emit_times: &HashMap<String, Vec<u64>>,
+) -> Result<(), SnapshotError> {
+    let (src_data, src_pos) = (&cells.src_data, &cells.src_pos);
+    match &cells.fire_times {
+        Some(ft) if !record_fire_times || ft.len() != g.nodes.len() => {
+            return Err(SnapshotError::Malformed("fire-time table mismatch".into()));
+        }
+        None if record_fire_times => {
             return Err(SnapshotError::Malformed(
                 "record_fire_times set but no fire-time table".into(),
             ));
         }
-
-        let (fwd_delay, ack_delay) = match &cfg.delays {
-            Some(d) => (d.forward.clone(), d.ack.clone()),
-            None => (vec![1; g.arcs.len()], vec![1; g.arcs.len()]),
-        };
-        let fault = cfg.fault_plan.clone().filter(|p| !p.is_empty());
-
-        // Kernel-neutral resume: seed every cell at `now` (anything
-        // enabled fires exactly as a scan would), then re-post the future
-        // wakeups implied by canonical state — token deliveries and
-        // acknowledge-slot expiries still in flight.
-        let mut sched = Scheduler::resume(kernel, n, now);
-        for (i, st) in arcs.iter().enumerate() {
-            let (src, dst) = (code.arc_src[i], code.arc_dst[i]);
-            for &(_, ready) in &st.queue {
-                if ready > now {
-                    sched.wake(dst, ready);
-                }
-            }
-            for &t in &st.freeing {
-                if t >= now {
-                    sched.wake(src, t);
-                }
-            }
-        }
-
-        // Scatter the name-keyed payload maps into the dense slot
-        // layout, assigning slots by the same graph walk `with_config`
-        // uses so slot numbering matches a from-scratch build.
-        let mut cells = Cells::empty(n, cfg.record_fire_times);
-        cells.src_pos = src_pos;
-        cells.src_data = src_data;
-        cells.ctl_pos = ctl_pos;
-        cells.fires = fires;
-        cells.gate_passes = gate_passes;
-        cells.gate_discards = gate_discards;
-        cells.fire_times = fire_times;
-        for (i, node) in g.nodes.iter().enumerate() {
-            match &node.op {
-                Opcode::Source(name) => {
-                    let s = Cells::name_slot(&mut cells.emit_times, name);
-                    cells.src_slot[i] = s;
-                    if let Some(times) = source_emit_times.remove(name) {
-                        cells.emit_times[s as usize].1 = times;
-                    }
-                }
-                Opcode::Sink(name) => {
-                    let s = Cells::name_slot(&mut cells.outputs, name);
-                    cells.sink_slot[i] = s;
-                    if let Some(packets) = outputs.remove(name) {
-                        cells.outputs[s as usize].1 = packets;
-                    }
-                }
-                _ => {}
-            }
-        }
-        let stop_slots = StopSlots::compile(&cfg.stop_outputs, &cells);
-
-        Ok(Simulator {
-            g,
-            code,
-            cfg,
-            arcs,
-            cells,
-            now,
-            fwd_delay,
-            ack_delay,
-            am_fires,
-            fu_fires,
-            fault,
-            sched,
-            stop_slots,
-            // Progress is definitionally the packets that visibly moved:
-            // derived from the serialized histories, never stored.
-            progress: 0,
-            idle,
-            tracker,
-            scratch: StepScratch::default(),
-        }
-        .with_derived_progress())
+        _ => {}
     }
-}
-
-impl<'g> Simulator<'g> {
-    fn with_derived_progress(mut self) -> Self {
-        self.progress = self.cells.derived_progress();
-        self
-    }
-}
-
-/// Structural checks beyond the fingerprint: the payload's port maps and
-/// tables must line up with the graph and with the embedded config.
-fn validate_against_graph(
-    g: &Graph,
-    cfg: &SimConfig,
-    src_data: &[Option<Vec<Value>>],
-    outputs: &HashMap<String, Vec<(u64, Value)>>,
-    source_emit_times: &HashMap<String, Vec<u64>>,
-    src_pos: &[usize],
-) -> Result<(), SnapshotError> {
-    let n = g.nodes.len();
     let mut sink_names = 0usize;
     let mut source_names = 0usize;
     for (i, node) in g.nodes.iter().enumerate() {
@@ -589,11 +525,6 @@ fn validate_against_graph(
                     )));
                 }
             }
-            Opcode::Fifo(_) => {
-                return Err(SnapshotError::ShapeMismatch(format!(
-                    "graph cell {i} is an unexpanded FIFO"
-                )))
-            }
             _ => {
                 if src_data[i].is_some() {
                     return Err(SnapshotError::Malformed(format!(
@@ -608,46 +539,6 @@ fn validate_against_graph(
             "snapshot port maps do not match the graph's sources/sinks".into(),
         ));
     }
-    if let Some(d) = &cfg.delays {
-        if d.forward.len() != g.arcs.len() || d.ack.len() != g.arcs.len() {
-            return Err(SnapshotError::ShapeMismatch(
-                "arc delay tables do not cover the graph".into(),
-            ));
-        }
-    }
-    if let Some(res) = &cfg.resources {
-        if res.unit_of.len() != n {
-            return Err(SnapshotError::ShapeMismatch(
-                "resource unit table does not cover the graph".into(),
-            ));
-        }
-        if res
-            .unit_of
-            .iter()
-            .any(|&u| u as usize >= res.capacity.len())
-        {
-            return Err(SnapshotError::Malformed(
-                "resource unit index out of range".into(),
-            ));
-        }
-    }
-    if let Some(plan) = &cfg.fault_plan {
-        if plan.freezes.iter().any(|fz| fz.node >= n) {
-            return Err(SnapshotError::ShapeMismatch(
-                "fault plan freezes a cell beyond the graph".into(),
-            ));
-        }
-        if !(plan.drop_result.is_finite()
-            && plan.dup_result.is_finite()
-            && plan.delay_result.is_finite()
-            && plan.drop_ack.is_finite()
-            && plan.delay_ack.is_finite())
-        {
-            return Err(SnapshotError::Malformed(
-                "fault plan probability is not finite".into(),
-            ));
-        }
-    }
     Ok(())
 }
 
@@ -657,7 +548,8 @@ fn encode_config(w: &mut Writer, cfg: &SimConfig) {
     w.byte(cfg.record_fire_times as u8);
     w.byte(cfg.check_invariants as u8);
     w.u64(cfg.checkpoint_every);
-    w.opt(cfg.checkpoint_path.as_ref(), |w, p| w.string(p));
+    // Format v1 slot of the retired checkpoint file path: always absent.
+    w.byte(0);
     w.opt(cfg.delays.as_ref(), |w, d| {
         w.u64(d.forward.len() as u64);
         for &x in &d.forward {
@@ -720,7 +612,8 @@ fn decode_config(r: &mut Reader<'_>) -> Result<SimConfig, SnapshotError> {
     let record_fire_times = r.bool()?;
     let check_invariants = r.bool()?;
     let checkpoint_every = r.u64()?;
-    let checkpoint_path = r.opt(|r| r.string())?;
+    // Format v1 slot of the retired checkpoint file path: read and dropped.
+    r.opt(|r| r.string())?;
     let delays = r.opt(|r| {
         let forward = r.counted_u64_vec()?;
         let ack = r.counted_u64_vec()?;
@@ -807,7 +700,6 @@ fn decode_config(r: &mut Reader<'_>) -> Result<SimConfig, SnapshotError> {
         check_invariants,
         kernel: Kernel::default(),
         checkpoint_every,
-        checkpoint_path,
     })
 }
 

@@ -82,6 +82,7 @@ pub fn occupancy_chart(run: &RunResult, width: usize) -> String {
 mod tests {
     use super::*;
     use crate::sim::{ProgramInputs, Simulator};
+    use crate::SimConfig;
     use valpipe_ir::value::Value;
     use valpipe_ir::Opcode;
 
@@ -93,7 +94,7 @@ mod tests {
         let data: Vec<Value> = (0..20).map(|i| Value::Real(i as f64)).collect();
         let r = Simulator::builder(&g)
             .inputs(ProgramInputs::new().bind("a", data))
-            .record_fire_times(true)
+            .config(SimConfig::new().record_fire_times(true))
             .run()
             .unwrap();
         (g, r)

@@ -7,7 +7,9 @@ use valpipe_ir::graph::Graph;
 use valpipe_ir::opcode::Opcode;
 use valpipe_ir::value::Value;
 use valpipe_ir::CtlStream;
-use valpipe_machine::{Driven, Kernel, RunOutcome, RunResult, RunSpec, Session, Simulator};
+use valpipe_machine::{
+    Driven, Kernel, RunOutcome, RunResult, RunSpec, Session, SimConfig, Simulator,
+};
 
 /// The session a drive paused with.
 fn paused(driven: Driven<'_>) -> Box<Session<'_>> {
@@ -89,8 +91,7 @@ fn generators_emit_their_streams_on_every_kernel() {
     let g = generators(&ops);
     for kernel in [Kernel::Scan, Kernel::EventDriven] {
         let r = Simulator::builder(&g)
-            .stop_outputs(stops(&ops, 3))
-            .kernel(kernel)
+            .config(SimConfig::new().stop_outputs(stops(&ops, 3)).kernel(kernel))
             .run()
             .unwrap();
         assert_streams(&ops, &r, &format!("{kernel:?}"));
@@ -102,13 +103,13 @@ fn generators_resume_mid_wave_after_checkpoint_and_restore() {
     let ops = mixed();
     let g = generators(&ops);
     let reference = Simulator::builder(&g)
-        .stop_outputs(stops(&ops, 3))
+        .config(SimConfig::new().stop_outputs(stops(&ops, 3)))
         .run()
         .unwrap();
     // Step 101 is mid-wave for every generator above (each fires every
     // second instruction time).
     let session = Simulator::builder(&g)
-        .stop_outputs(stops(&ops, 3))
+        .config(SimConfig::new().stop_outputs(stops(&ops, 3)))
         .build()
         .unwrap();
     let snap = paused(session.drive(RunSpec::new().pause_at(101)).unwrap()).checkpoint();
@@ -136,7 +137,7 @@ fn generators_survive_a_fast_forward_jump() {
     let g = generators(&ops);
     let build = || {
         Simulator::builder(&g)
-            .stop_outputs(stops(&ops, 40))
+            .config(SimConfig::new().stop_outputs(stops(&ops, 40)))
             .build()
             .unwrap()
     };

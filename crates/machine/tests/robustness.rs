@@ -6,8 +6,8 @@ use valpipe_ir::opcode::Opcode;
 use valpipe_ir::value::{BinOp, Value};
 use valpipe_ir::{CtlStream, Graph};
 use valpipe_machine::{
-    CellFreeze, FaultPlan, ProgramInputs, RunResult, Simulator, StallKind, StopReason,
-    WatchdogConfig,
+    ArcDelays, CellFreeze, FaultPlan, Kernel, MachineError, ProgramInputs, ResourceModel,
+    RunResult, RunSpec, Session, SimConfig, Simulator, StallKind, StopReason, WatchdogConfig,
 };
 
 fn reals(v: &[f64]) -> Vec<Value> {
@@ -20,10 +20,13 @@ fn ramp(n: usize) -> Vec<f64> {
 
 /// Run with invariant checking on and an optional fault plan.
 fn run_checked(g: &Graph, inputs: &ProgramInputs, plan: Option<FaultPlan>) -> RunResult {
+    let mut cfg = SimConfig::new().check_invariants(true);
+    if let Some(plan) = plan {
+        cfg = cfg.fault_plan(plan);
+    }
     Simulator::builder(g)
         .inputs(inputs.clone())
-        .fault_plan_opt(plan)
-        .check_invariants(true)
+        .config(cfg)
         .run()
         .unwrap()
 }
@@ -56,19 +59,22 @@ fn wedged_graph_terminates_within_budget_with_diagnosis() {
                 .bind("a", reals(&ramp(8)))
                 .bind("b", reals(&ramp(8))),
         )
-        .fault_plan(FaultPlan {
-            freezes: vec![CellFreeze {
-                node: left.idx(),
-                from: 0,
-                until: 1 << 40,
-            }],
-            ..Default::default()
-        })
-        .watchdog(WatchdogConfig {
-            step_budget: budget,
-            ..Default::default()
-        })
-        .check_invariants(true)
+        .config(
+            SimConfig::new()
+                .fault_plan(FaultPlan {
+                    freezes: vec![CellFreeze {
+                        node: left.idx(),
+                        from: 0,
+                        until: 1 << 40,
+                    }],
+                    ..Default::default()
+                })
+                .watchdog(WatchdogConfig {
+                    step_budget: budget,
+                    ..Default::default()
+                })
+                .check_invariants(true),
+        )
         .run()
         .unwrap();
 
@@ -310,11 +316,14 @@ fn spinning_token_loop_is_reported_as_livelock() {
     g.connect_init(n2, n1, 0, Value::Real(1.0));
 
     let r = Simulator::builder(&g)
-        .watchdog(WatchdogConfig {
-            step_budget: 100_000,
-            progress_window: 64,
-        })
-        .check_invariants(true)
+        .config(
+            SimConfig::new()
+                .watchdog(WatchdogConfig {
+                    step_budget: 100_000,
+                    progress_window: 64,
+                })
+                .check_invariants(true),
+        )
         .run()
         .unwrap();
     assert_eq!(r.stop, StopReason::Stalled);
@@ -341,10 +350,10 @@ fn productive_run_out_of_budget_is_reported_as_such() {
     let _ = g.cell(Opcode::Sink("y".into()), "y", &[id.into()]);
     let r = Simulator::builder(&g)
         .inputs(ProgramInputs::new().bind("a", reals(&ramp(200))))
-        .watchdog(WatchdogConfig {
+        .config(SimConfig::new().watchdog(WatchdogConfig {
             step_budget: 40,
             ..Default::default()
-        })
+        }))
         .run()
         .unwrap();
     assert_eq!(r.stop, StopReason::Stalled);
@@ -372,12 +381,15 @@ fn invariant_checker_is_silent_on_healthy_runs() {
     for cap in [1usize, 2, 4] {
         let r = Simulator::builder(&g)
             .inputs(inputs.clone())
-            .arc_capacity(cap)
-            .delays(valpipe_machine::ArcDelays {
-                forward: vec![2; g.arc_count()],
-                ack: vec![2; g.arc_count()],
-            })
-            .check_invariants(true)
+            .config(
+                SimConfig::new()
+                    .arc_capacity(cap)
+                    .delays(valpipe_machine::ArcDelays {
+                        forward: vec![2; g.arc_count()],
+                        ack: vec![2; g.arc_count()],
+                    })
+                    .check_invariants(true),
+            )
             .run()
             .unwrap();
         assert!(r.sources_exhausted, "cap {cap}");
@@ -403,4 +415,118 @@ fn sessions_and_snapshot_state_are_send() {
     // must also be shareable.
     fn assert_sync<T: Sync>() {}
     assert_sync::<Graph>();
+}
+
+// ---------------------------------------------------------------------
+// One validator: a config the machine cannot realize is a typed error
+// at build, on both kernels, never a panic or a silently wrong run; and
+// the nearest config that does build also checkpoints and restores.
+// ---------------------------------------------------------------------
+
+/// Source → `stages` identity cells → sink.
+fn chain(stages: usize) -> Graph {
+    let mut g = Graph::new();
+    let mut prev = g.add_node(Opcode::Source("a".into()), "a");
+    for k in 0..stages {
+        prev = g.cell(Opcode::Id, format!("s{k}"), &[prev.into()]);
+    }
+    let _ = g.cell(Opcode::Sink("y".into()), "y", &[prev.into()]);
+    g
+}
+
+fn chain_inputs() -> ProgramInputs {
+    ProgramInputs::new().bind("a", reals(&ramp(20)))
+}
+
+/// Building `cfg` over `g` fails with `InvalidConfig` on both kernels.
+fn assert_invalid(g: &Graph, cfg: &SimConfig, what: &str) {
+    for kernel in [Kernel::Scan, Kernel::EventDriven] {
+        let built = Simulator::builder(g)
+            .inputs(chain_inputs())
+            .config(cfg.clone().kernel(kernel))
+            .build();
+        match built {
+            Err(MachineError::InvalidConfig(_)) => {}
+            Err(e) => panic!("{what} on {kernel:?}: unexpected error {e}"),
+            Ok(_) => panic!("{what} on {kernel:?}: built"),
+        }
+    }
+}
+
+/// `cfg` checkpoints at step 5 and resumes on both kernels to the
+/// uninterrupted run.
+fn assert_checkpoint_restores(g: &Graph, cfg: &SimConfig) {
+    let reference = Simulator::builder(g)
+        .inputs(chain_inputs())
+        .config(cfg.clone())
+        .run()
+        .unwrap();
+    assert_eq!(reference.reals("y"), ramp(20));
+    let mut session = Simulator::builder(g)
+        .inputs(chain_inputs())
+        .config(cfg.clone())
+        .build()
+        .unwrap();
+    for _ in 0..5 {
+        session.step().unwrap();
+    }
+    let snap = session.checkpoint();
+    for kernel in [Kernel::Scan, Kernel::EventDriven] {
+        let resumed = Session::restore_with_kernel(g, &snap, kernel)
+            .unwrap()
+            .drive(RunSpec::new())
+            .unwrap()
+            .result();
+        assert_eq!(resumed, reference, "resumed on {kernel:?}");
+    }
+}
+
+#[test]
+fn short_or_out_of_range_resource_model_is_invalid_config() {
+    let g = chain(4);
+    let n = g.node_count();
+    let model = |unit_of: Vec<u32>, units: usize| {
+        SimConfig::new().resources(ResourceModel {
+            unit_of,
+            capacity: vec![1; units],
+        })
+    };
+    assert_invalid(&g, &model(vec![0; n - 1], 1), "a table one cell short");
+    assert_invalid(
+        &g,
+        &model(vec![1; n], 1),
+        "a unit beyond the capacity table",
+    );
+    assert_checkpoint_restores(&g, &model(vec![0; n], 1));
+}
+
+#[test]
+fn zero_latency_delays_are_invalid_config() {
+    let g = chain(4);
+    let arcs = g.arc_count();
+    let delays = |forward: u64, ack: u64| {
+        let mut d = ArcDelays::uniform(arcs);
+        d.forward[2] = forward;
+        d.ack[2] = ack;
+        SimConfig::new().delays(d)
+    };
+    assert_invalid(&g, &delays(0, 1), "a zero result latency");
+    assert_invalid(&g, &delays(1, 0), "a zero acknowledge latency");
+    assert_checkpoint_restores(&g, &delays(1, 1));
+}
+
+#[test]
+fn non_finite_fault_probability_is_invalid_config() {
+    let g = chain(4);
+    let plan = |p: f64| {
+        SimConfig::new().fault_plan(FaultPlan {
+            seed: 9,
+            delay_result: p,
+            delay_result_max: 2,
+            ..Default::default()
+        })
+    };
+    assert_invalid(&g, &plan(f64::NAN), "a NaN probability");
+    assert_invalid(&g, &plan(f64::INFINITY), "an infinite probability");
+    assert_checkpoint_restores(&g, &plan(0.25));
 }

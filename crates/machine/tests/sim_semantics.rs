@@ -5,7 +5,7 @@
 use valpipe_ir::opcode::Opcode;
 use valpipe_ir::value::{BinOp, Value};
 use valpipe_ir::{CtlStream, Graph};
-use valpipe_machine::{ProgramInputs, Simulator, StopReason, Timing};
+use valpipe_machine::{ProgramInputs, SimConfig, Simulator, StopReason, Timing};
 
 fn reals(v: &[f64]) -> Vec<Value> {
     v.iter().map(|&x| Value::Real(x)).collect()
@@ -46,7 +46,7 @@ fn merge_with_two_literal_operands_paced_by_control() {
     g.set_lit(m, 2, Value::Real(2.0));
     let _ = g.cell(Opcode::Sink("y".into()), "y", &[m.into()]);
     let r = Simulator::builder(&g)
-        .stop_outputs(vec![("y".into(), 9)])
+        .config(SimConfig::new().stop_outputs(vec![("y".into(), 9)]))
         .run()
         .unwrap();
     assert_eq!(r.stop, StopReason::OutputsReached);
@@ -98,11 +98,14 @@ fn capacity_two_links_halve_the_interval_under_latency() {
         let g = build();
         let r = Simulator::builder(&g)
             .inputs(ProgramInputs::new().bind("a", reals(&data)))
-            .arc_capacity(cap)
-            .delays(valpipe_machine::ArcDelays {
-                forward: vec![2; g.arc_count()],
-                ack: vec![2; g.arc_count()],
-            })
+            .config(
+                SimConfig::new()
+                    .arc_capacity(cap)
+                    .delays(valpipe_machine::ArcDelays {
+                        forward: vec![2; g.arc_count()],
+                        ack: vec![2; g.arc_count()],
+                    }),
+            )
             .run()
             .unwrap();
         let t: Vec<u64> = r.outputs["y"].iter().map(|&(t, _)| t).collect();
@@ -120,7 +123,7 @@ fn fire_counts_and_times_recorded() {
     let _ = g.cell(Opcode::Sink("y".into()), "y", &[id.into()]);
     let r = Simulator::builder(&g)
         .inputs(ProgramInputs::new().bind("a", reals(&[1., 2., 3.])))
-        .record_fire_times(true)
+        .config(SimConfig::new().record_fire_times(true))
         .run()
         .unwrap();
     assert_eq!(r.fires, vec![3, 3, 3]);
@@ -203,10 +206,10 @@ fn values_independent_of_issue_order() {
     let throttled_g = build();
     let throttled = Simulator::builder(&throttled_g)
         .inputs(inputs)
-        .resources(valpipe_machine::ResourceModel {
+        .config(SimConfig::new().resources(valpipe_machine::ResourceModel {
             unit_of: vec![0; 5],
             capacity: vec![1],
-        })
+        }))
         .run()
         .unwrap();
     assert_eq!(free.values("y"), throttled.values("y"));

@@ -187,15 +187,15 @@ fn checkpoint_file_survives_crash_and_restores() {
     let g = workload_graph();
     let inputs = workload_inputs(32);
     let path = std::env::temp_dir().join(format!("valpipe_ckpt_{}.snap", std::process::id()));
-    let path_str = path.to_str().unwrap().to_string();
-    let cfg = faulted_config(g.arcs.len())
-        .checkpoint_every(40)
-        .checkpoint_path(path_str.clone());
+    let cfg = faulted_config(g.arcs.len()).checkpoint_every(40);
     let reference = Simulator::builder(&g)
         .inputs(inputs.clone())
         .config(cfg.clone())
-        .run()
-        .unwrap();
+        .build()
+        .unwrap()
+        .drive_with(RunSpec::new(), |s| s.write_to(&path).unwrap())
+        .unwrap()
+        .result();
     // The file holds the latest periodic checkpoint of the finished run;
     // pretend the process died right after it was written.
     let snap = Snapshot::read_from(&path).unwrap();

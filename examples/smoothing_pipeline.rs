@@ -67,7 +67,7 @@ fn main() {
     let sim_inputs = valpipe::compiler::verify::stream_inputs(&compiled, &inputs, 6);
     let traced = valpipe::Simulator::builder(&exe)
         .inputs(sim_inputs)
-        .record_fire_times(true)
+        .config(valpipe::SimConfig::new().record_fire_times(true))
         .run()
         .expect("run");
     println!("\n== occupancy (6 waves) ==");

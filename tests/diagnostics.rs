@@ -121,7 +121,7 @@ fn machine_error_names_the_faulting_statement() {
     let b_vals: Vec<Value> = (0..m + 2).map(|k| Value::Real(1.0 + k as f64)).collect();
     let err = Simulator::builder(&exe)
         .inputs(ProgramInputs::new().bind("C", c_vals).bind("B", b_vals))
-        .max_steps(100_000)
+        .config(SimConfig::new().max_steps(100_000))
         .run()
         .expect_err("boolean in real arithmetic must fault");
     let rendered = render_error(&err, &exe, &compiled.prov);

@@ -165,7 +165,7 @@ fn hundred_block_chain_identical_runs() {
     let run = |kernel: Kernel| {
         Simulator::builder(&g)
             .inputs(inputs.clone())
-            .kernel(kernel)
+            .config(SimConfig::new().kernel(kernel))
             .run()
             .unwrap()
     };
@@ -187,7 +187,7 @@ fn hundred_block_chain_restores_across_kernels() {
         let to = kernels[(i + 1) % kernels.len()];
         let session = Simulator::builder(&g)
             .inputs(inputs.clone())
-            .kernel(from)
+            .config(SimConfig::new().kernel(from))
             .build()
             .unwrap();
         // Mid-fill: the pipe is partly occupied and acknowledges pending.

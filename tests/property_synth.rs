@@ -3,7 +3,7 @@
 
 use valpipe::compiler::synth::synthesize_generators;
 use valpipe::ir::{CtlStream, Graph, Opcode};
-use valpipe::machine::Simulator;
+use valpipe::machine::{SimConfig, Simulator};
 use valpipe_util::Rng;
 
 fn random_pattern(r: &mut Rng) -> CtlStream {
@@ -24,8 +24,11 @@ fn synthesized_ctl_matches_primitive() {
                 synthesize_generators(&mut g);
             }
             Simulator::builder(&g)
-                .stop_outputs(vec![("y".into(), 3 * stream.wave_len() as usize + 2)])
-                .max_steps(50_000)
+                .config(
+                    SimConfig::new()
+                        .stop_outputs(vec![("y".into(), 3 * stream.wave_len() as usize + 2)])
+                        .max_steps(50_000),
+                )
                 .run()
                 .unwrap()
                 .values("y")
@@ -53,8 +56,11 @@ fn synthesized_idx_matches_primitive() {
                 synthesize_generators(&mut g);
             }
             Simulator::builder(&g)
-                .stop_outputs(vec![("y".into(), 3 * len as usize + 2)])
-                .max_steps(50_000)
+                .config(
+                    SimConfig::new()
+                        .stop_outputs(vec![("y".into(), 3 * len as usize + 2)])
+                        .max_steps(50_000),
+                )
                 .run()
                 .unwrap()
                 .values("y")
