@@ -55,6 +55,13 @@ if grep -nE 'fs::|File::|write_to\(' crates/machine/src/sim.rs \
     exit 1
 fi
 
+# The service persists a session by rewriting one of its two slot files
+# in place (crates/serve/src/hibernate.rs): no temporary file, no rename.
+if grep -rnE 'fs::rename|fs::write\(|\.tmp"' crates/serve/src; then
+    echo "ci: FAIL — the service writes through a temporary file or a rename" >&2
+    exit 1
+fi
+
 cargo build --release
 cargo test -q
 

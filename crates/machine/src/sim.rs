@@ -954,13 +954,20 @@ pub struct Simulator<'g> {
     pub(crate) g: &'g Graph,
     /// The executable form every kernel plans and fires from.
     pub(crate) code: Arc<MachineCode>,
+    /// The config as given, less its delay tables, which move into
+    /// `fwd_delay`/`ack_delay`.
     pub(crate) cfg: SimConfig,
     pub(crate) arcs: Vec<ArcState>,
     /// Per-cell state, struct-of-arrays by `u32` cell id.
     pub(crate) cells: Cells,
     pub(crate) now: u64,
+    /// Per-arc result and acknowledge latencies: the config's tables,
+    /// moved out of it, or uniform 1/1 when it named none.
     pub(crate) fwd_delay: Vec<u64>,
     pub(crate) ack_delay: Vec<u64>,
+    /// Whether the config named the delay tables (a snapshot records
+    /// them) rather than leaving the uniform default.
+    pub(crate) delays_given: bool,
     pub(crate) am_fires: u64,
     pub(crate) fu_fires: u64,
     /// Normalized fault plan: `None` when no plan was given *or* the
@@ -1008,12 +1015,12 @@ impl<'g> Simulator<'g> {
     /// restores: check `cfg` against `g` ([`check_config`]), lay the
     /// port histories out in slots, fix the arc capacities and delay
     /// tables, normalize the fault plan, compile the output target and
-    /// seed the wakeup wheel ([`reseed_wheel`]). The state's vectors are
-    /// moved in, never copied.
+    /// seed the wakeup wheel ([`reseed_wheel`]). The state's vectors and
+    /// the config's delay tables are moved in, never copied.
     pub(crate) fn assemble(
         g: &'g Graph,
         code: Arc<MachineCode>,
-        cfg: SimConfig,
+        mut cfg: SimConfig,
         state: MachineState,
     ) -> Result<Self, SimError> {
         check_config(g, &cfg)?;
@@ -1045,10 +1052,14 @@ impl<'g> Simulator<'g> {
         for st in &mut arcs {
             st.cap = cfg.arc_capacity;
         }
-        let (fwd_delay, ack_delay) = match &cfg.delays {
-            Some(d) => (d.forward.clone(), d.ack.clone()),
-            None => (vec![1; arcs.len()], vec![1; arcs.len()]),
-        };
+        let delays_given = cfg.delays.is_some();
+        let ArcDelays {
+            forward: fwd_delay,
+            ack: ack_delay,
+        } = cfg
+            .delays
+            .take()
+            .unwrap_or_else(|| ArcDelays::uniform(arcs.len()));
         let fault = cfg.fault_plan.clone().filter(|p| !p.is_empty());
         let stop_slots = StopSlots::compile(&cfg.stop_outputs, &cells);
         let sched = reseed_wheel(cfg.kernel, &code, &arcs, now);
@@ -1064,6 +1075,7 @@ impl<'g> Simulator<'g> {
             now,
             fwd_delay,
             ack_delay,
+            delays_given,
             am_fires,
             fu_fires,
             fault,

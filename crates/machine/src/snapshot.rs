@@ -223,7 +223,10 @@ impl Snapshot {
     /// Serialize the complete state of a mid-run machine.
     pub(crate) fn capture(sim: &Simulator<'_>) -> Snapshot {
         let mut w = Writer::default();
-        encode_config(&mut w, &sim.cfg);
+        let delays = sim
+            .delays_given
+            .then_some((&sim.fwd_delay[..], &sim.ack_delay[..]));
+        encode_config(&mut w, &sim.cfg, delays);
         w.u64(sim.now);
         w.u64(sim.idle);
         let (a, b, c) = sim.tracker.state();
@@ -542,7 +545,9 @@ fn validate_against_graph(
     Ok(())
 }
 
-fn encode_config(w: &mut Writer, cfg: &SimConfig) {
+/// Encode `cfg` with the delay tables the simulator took out of it
+/// (`None` when the config named none).
+fn encode_config(w: &mut Writer, cfg: &SimConfig, delays: Option<(&[u64], &[u64])>) {
     w.u64(cfg.max_steps);
     w.u64(cfg.arc_capacity as u64);
     w.byte(cfg.record_fire_times as u8);
@@ -550,13 +555,13 @@ fn encode_config(w: &mut Writer, cfg: &SimConfig) {
     w.u64(cfg.checkpoint_every);
     // Format v1 slot of the retired checkpoint file path: always absent.
     w.byte(0);
-    w.opt(cfg.delays.as_ref(), |w, d| {
-        w.u64(d.forward.len() as u64);
-        for &x in &d.forward {
+    w.opt(delays, |w, (forward, ack)| {
+        w.u64(forward.len() as u64);
+        for &x in forward {
             w.u64(x);
         }
-        w.u64(d.ack.len() as u64);
-        for &x in &d.ack {
+        w.u64(ack.len() as u64);
+        for &x in ack {
             w.u64(x);
         }
     });

@@ -129,6 +129,52 @@ fn recovery_is_bit_identical_across_kernel_pairs() {
     }
 }
 
+/// The simulator takes the config's delay tables over instead of
+/// copying them, and the snapshot encoder reads them back from it: a
+/// session whose only option is non-uniform delays, checkpointed and
+/// restored on either kernel, re-captures the same bytes and finishes
+/// with the uninterrupted run's result.
+#[test]
+fn non_uniform_delays_survive_checkpoint_and_restore() {
+    let g = workload_graph();
+    let inputs = workload_inputs(32);
+    let arcs = g.arcs.len();
+    let cfg = SimConfig::new().delays(ArcDelays {
+        forward: (0..arcs).map(|i| 1 + (i as u64 * 7) % 4).collect(),
+        ack: (0..arcs).map(|i| 1 + (i as u64 * 5) % 3).collect(),
+    });
+    let kernels = [Kernel::Scan, Kernel::EventDriven];
+    for run_k in kernels {
+        let reference = straight_run(&g, &inputs, &cfg, run_k);
+        let uniform = straight_run(&g, &inputs, &SimConfig::new(), run_k);
+        assert_ne!(reference.steps, uniform.steps, "the delays must matter");
+        for k in [1, reference.steps / 3, reference.steps / 2] {
+            let mut session = Simulator::builder(&g)
+                .inputs(inputs.clone())
+                .config(cfg.clone().kernel(run_k))
+                .build()
+                .unwrap();
+            while session.now() < k {
+                session.step().unwrap();
+            }
+            let snap = session.checkpoint();
+            for resume_k in kernels {
+                let restored = Session::restore_with_kernel(&g, &snap, resume_k).unwrap();
+                assert_eq!(
+                    restored.checkpoint().as_bytes(),
+                    snap.as_bytes(),
+                    "restore at {k} ({run_k:?} -> {resume_k:?}) lost the delay tables"
+                );
+                assert_eq!(
+                    restored.drive(RunSpec::new()).unwrap().result(),
+                    straight_run(&g, &inputs, &cfg, resume_k),
+                    "restored run diverged: checkpoint at {k}, {run_k:?} -> {resume_k:?}"
+                );
+            }
+        }
+    }
+}
+
 #[test]
 fn default_restore_resumes_on_default_kernel() {
     let g = workload_graph();

@@ -5,10 +5,10 @@
 //! each slot serializes its own jobs behind a per-slot state mutex, so
 //! jobs for *different* sessions run fully in parallel while two jobs
 //! for the *same* session never interleave. The registry persists the
-//! session container after every job (write-through), so a `kill -9` at
-//! any instant loses at most the jobs in flight — and those are safe to
-//! retry, because jobs address absolute instruction-time targets on a
-//! deterministic machine.
+//! session into its next container slot after every job that changed it
+//! (write-through), so a `kill -9` at any instant loses at most the jobs
+//! in flight — and those are safe to retry, because jobs address
+//! absolute instruction-time targets on a deterministic machine.
 
 use std::collections::HashMap;
 use std::path::PathBuf;
@@ -43,7 +43,8 @@ struct Slot {
 /// Counters exposed through the `stats` op.
 #[derive(Debug, Default)]
 pub struct RegistryStats {
-    /// Sessions written to their container (cap eviction + shutdown).
+    /// Sessions demoted to their container (cap eviction, the
+    /// `hibernate` op, shutdown).
     pub hibernations: AtomicU64,
     /// Sessions reloaded from their container.
     pub resumes: AtomicU64,
@@ -62,13 +63,28 @@ pub struct Registry {
     /// Shared incremental compile cache: sessions submitting overlapping
     /// programs recompile only the blocks that differ. Sharing across
     /// tenants is safe because the engine's memos verify by full key
-    /// (exact-match, collision-proof) and are capped (bounded memory).
+    /// (exact-match, collision-proof) and are capped at
+    /// [`SHARED_MEMO_CAP`] (bounded memory).
     /// The engine is *swapped out* of the mutex for the duration of a
     /// compile — the lock is only ever held for the swap itself, so one
     /// slow compile never serializes other tenants' opens; a contended
     /// open falls back to a private cold engine (bit-identical output,
     /// just no warm hits).
     compile_cache: Mutex<Option<QueryEngine>>,
+}
+
+/// Entries each memo table of the shared compile engine keeps between
+/// compiles, besides the current compile's own, which always stay. Edits
+/// of one program share every entry but the edited blocks', so a few
+/// dozen keep a fleet of near-identical jobs warm; the engine's default
+/// of 16,384 let a busy server's memory grow with every distinct program
+/// it compiled.
+const SHARED_MEMO_CAP: usize = 64;
+
+fn shared_engine() -> QueryEngine {
+    let mut engine = QueryEngine::new();
+    engine.set_memo_cap(SHARED_MEMO_CAP);
+    engine
 }
 
 impl Registry {
@@ -82,7 +98,7 @@ impl Registry {
             rng: Mutex::new(Rng::seed(seed ^ 0x005e_5510_4e61)),
             stats: RegistryStats::default(),
             slots: Mutex::new(HashMap::new()),
-            compile_cache: Mutex::new(Some(QueryEngine::new())),
+            compile_cache: Mutex::new(Some(shared_engine())),
         }
     }
 
@@ -171,7 +187,7 @@ impl Registry {
         // if another open holds it, compile on a private cold engine —
         // the output is bit-identical either way.
         let taken = self.compile_cache.lock().unwrap().take();
-        let mut engine = taken.unwrap_or_default();
+        let mut engine = taken.unwrap_or_else(shared_engine);
         let compiled = SessionCore::open_with_engine(spec.clone(), &mut engine);
         {
             // Restore the engine (first finisher wins; a later finisher's
@@ -202,8 +218,7 @@ impl Registry {
         {
             let guard = slot.state.lock().unwrap();
             if let SlotState::Hot(core) = &*guard {
-                let mut rng = self.rng.lock().unwrap();
-                hibernate::save(&self.dir, core, &mut rng)
+                self.persist(core)
                     .map_err(|e| hibernate::to_error_body(&e))?;
             }
         }
@@ -214,6 +229,19 @@ impl Registry {
             ("now", Json::Int(now as i64)),
             ("done", Json::Bool(false)),
         ]))
+    }
+
+    /// Write `core` through to its next slot, unless its newest slot
+    /// already holds this state (a `status`, a `run` on a finished
+    /// session, a demotion after a successful write). The shared `rng`
+    /// is held only to split off this write's retry jitter, so the
+    /// workers' writes never wait on each other.
+    fn persist(&self, core: &SessionCore) -> Result<(), hibernate::HibernateError> {
+        if hibernate::is_saved(core) {
+            return Ok(());
+        }
+        let mut rng = self.rng.lock().unwrap().split();
+        hibernate::save(&self.dir, core, &mut rng)
     }
 
     /// Look up a slot by name.
@@ -233,10 +261,11 @@ impl Registry {
 
     /// Run `f` against a session's core with the slot lock held,
     /// reloading from the container if the slot is hibernated, and
-    /// persisting write-through afterwards. The write-through happens
-    /// even when `f` fails: a failed job may still have advanced the
-    /// machine (e.g. a deadline hit mid-run), and that progress must
-    /// survive a crash. `f`'s error takes precedence over a save error.
+    /// persisting write-through afterwards if `f` changed the core. The
+    /// write-through happens even when `f` fails: a failed job may still
+    /// have advanced the machine (e.g. a deadline hit mid-run), and that
+    /// progress must survive a crash. `f`'s error takes precedence over a
+    /// save error.
     fn with_core<T>(
         &self,
         slot: &Slot,
@@ -261,10 +290,7 @@ impl Registry {
             SlotState::Hibernated => unreachable!("reloaded above"),
         };
         let result = f(core);
-        let save = {
-            let mut rng = self.rng.lock().unwrap();
-            hibernate::save(&self.dir, core, &mut rng)
-        };
+        let save = self.persist(core);
         drop(guard);
         self.enforce_cap(&slot.name);
         match (result, save) {
@@ -325,13 +351,9 @@ impl Registry {
                 };
                 if let SlotState::Hot(core) = &*guard {
                     // State is already persisted write-through; demotion
-                    // just re-saves (cheap, and correct even if a crash
-                    // interleaved) and drops the in-memory core.
-                    let saved = {
-                        let mut rng = self.rng.lock().unwrap();
-                        hibernate::save(&self.dir, core, &mut rng)
-                    };
-                    if saved.is_ok() {
+                    // writes only if the last write failed, and drops the
+                    // in-memory core.
+                    if self.persist(core).is_ok() {
                         *guard = SlotState::Hibernated;
                         self.stats.hibernations.fetch_add(1, Ordering::Relaxed);
                         demoted_any = true;
@@ -350,11 +372,8 @@ impl Registry {
         let mut guard = slot.state.lock().unwrap();
         match &*guard {
             SlotState::Hot(core) => {
-                let saved = {
-                    let mut rng = self.rng.lock().unwrap();
-                    hibernate::save(&self.dir, core, &mut rng)
-                };
-                saved.map_err(|e| hibernate::to_error_body(&e))?;
+                self.persist(core)
+                    .map_err(|e| hibernate::to_error_body(&e))?;
                 *guard = SlotState::Hibernated;
                 self.stats.hibernations.fetch_add(1, Ordering::Relaxed);
                 Ok(Json::obj([("hibernated", Json::Bool(true))]))
@@ -375,11 +394,7 @@ impl Registry {
         for slot in all {
             let mut guard = slot.state.lock().unwrap();
             if let SlotState::Hot(core) = &*guard {
-                let saved = {
-                    let mut rng = self.rng.lock().unwrap();
-                    hibernate::save(&self.dir, core, &mut rng)
-                };
-                if saved.is_ok() {
+                if self.persist(core).is_ok() {
                     *guard = SlotState::Hibernated;
                     self.stats.hibernations.fetch_add(1, Ordering::Relaxed);
                     n += 1;
@@ -418,6 +433,8 @@ impl Registry {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::session::JobLimits;
+    use std::path::Path;
     use valpipe_machine::Kernel;
 
     fn temp_dir(tag: &str) -> PathBuf {
@@ -437,6 +454,55 @@ mod tests {
             kernel: Kernel::EventDriven,
             max_steps: 100_000,
         }
+    }
+
+    /// Newest sequence number among a session's slots on disk.
+    fn newest_seq(dir: &Path, name: &str) -> Option<u64> {
+        (0..2)
+            .filter_map(|slot| std::fs::read(hibernate::slot_path(dir, name, slot)).ok())
+            .filter_map(|bytes| hibernate::verify(&bytes).ok())
+            .max()
+    }
+
+    #[test]
+    fn only_jobs_that_change_a_session_write_it() {
+        let dir = temp_dir("changed");
+        let reg = Registry::new(dir.clone(), 1, 1);
+        let seq = |name| newest_seq(&dir, name);
+        let run = |name, until| {
+            let limits = JobLimits {
+                until,
+                ..JobLimits::default()
+            };
+            reg.with_session(name, |core| core.advance(&limits, 1 << 20).map(|_| ()))
+                .unwrap()
+        };
+        reg.open(spec("a")).unwrap();
+        assert_eq!(seq("a"), Some(1));
+        // A status request, an idempotent re-open and an explicit
+        // hibernate change nothing, so they write nothing.
+        reg.with_session("a", |core| Ok(core.now())).unwrap();
+        reg.open(spec("a")).unwrap();
+        reg.hibernate("a").unwrap();
+        assert_eq!(seq("a"), Some(1));
+        // An advancing run (here on the reloaded session) writes the
+        // next slot.
+        run("a", Some(3));
+        assert_eq!(seq("a"), Some(2));
+        // Opening "b" under a cap of one demotes "a", unchanged since its
+        // write; shutdown's hibernate_all then finds nothing changed.
+        reg.open(spec("b")).unwrap();
+        assert_eq!(reg.live_count(), 1);
+        assert_eq!(reg.stats.hibernations.load(Ordering::Relaxed), 2);
+        assert_eq!(reg.hibernate_all(), 1);
+        assert_eq!((seq("a"), seq("b")), (Some(2), Some(1)));
+        // Finishing caches the result, which is written once; a run on
+        // the finished session writes nothing.
+        run("a", None);
+        assert_eq!(seq("a"), Some(3));
+        run("a", None);
+        assert_eq!(seq("a"), Some(3));
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

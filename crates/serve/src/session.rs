@@ -11,7 +11,7 @@
 //! *is* the durable representation.
 
 use std::collections::HashMap;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 use valpipe_core::verify::stream_inputs;
@@ -24,6 +24,7 @@ use valpipe_machine::{
 use valpipe_util::Json;
 use valpipe_val::interp::ArrayVal;
 
+use crate::hibernate::DiskState;
 use crate::proto::{
     run_result_to_json, stall_report_to_json, valid_session_name, ErrorBody, ErrorKind,
 };
@@ -142,6 +143,9 @@ pub struct SessionCore {
     pub snapshot: Snapshot,
     /// Canonical compact-JSON run result, once the run has finished.
     pub final_result: Option<String>,
+    /// Write-through bookkeeping ([`crate::hibernate`]): the sequence
+    /// number and state of the newest slot on disk, and the rendered meta.
+    pub(crate) disk: Mutex<DiskState>,
 }
 
 fn bad_request(msg: impl Into<String>) -> ErrorBody {
@@ -266,6 +270,7 @@ impl SessionCore {
             code,
             snapshot,
             final_result: None,
+            disk: Mutex::default(),
         })
     }
 

@@ -1,10 +1,11 @@
 //! In-process integration tests for the service: admission control,
 //! hibernation, graceful shutdown, and crash-recovery hygiene.
 
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::time::Duration;
 
 use valpipe_machine::Kernel;
+use valpipe_serve::hibernate::{self, slot_path};
 use valpipe_serve::{Client, ServeConfig, Server, SessionCore, SessionSpec};
 use valpipe_util::Json;
 
@@ -128,6 +129,12 @@ fn smoke_open_run_status_close() {
         .request(&Json::parse(r#"{"op":"close","session":"s1"}"#).unwrap())
         .unwrap();
     assert_eq!(resp.get("ok").and_then(|v| v.as_bool()), Some(true));
+    // Close deleted both slots.
+    let left: Vec<_> = std::fs::read_dir(&dir)
+        .unwrap()
+        .map(|e| e.unwrap().file_name())
+        .collect();
+    assert!(left.is_empty(), "close left {left:?}");
     let resp = c
         .request(&Json::parse(r#"{"op":"status","session":"s1"}"#).unwrap())
         .unwrap();
@@ -363,15 +370,16 @@ fn recovery_sweeps_torn_tmp_and_skips_corrupt_containers_without_panicking() {
     // Garbage that was never a container.
     std::fs::write(dir.join("noise.vph"), b"not a container at all").unwrap();
     // A truncated copy of the valid container (checksum cannot match).
-    let good = std::fs::read(dir.join("good.vph")).unwrap();
-    std::fs::write(dir.join("trunc.vph"), &good[..good.len() / 2]).unwrap();
+    // A fresh session's first write is sequence 1, in slot 1.
+    let good = std::fs::read(dir.join("good.1.vph")).unwrap();
+    std::fs::write(dir.join("trunc.1.vph"), &good[..good.len() / 2]).unwrap();
 
     let (server, recovery) = Server::bind(cfg_with(dir.clone())).unwrap();
     assert_eq!(recovery.recovered, vec!["good".to_string()]);
     assert_eq!(recovery.swept_tmp, vec!["torn.vph.tmp".to_string()]);
     assert!(!dir.join("torn.vph.tmp").exists());
     let skipped: Vec<&str> = recovery.skipped.iter().map(|(f, _)| f.as_str()).collect();
-    assert_eq!(skipped, vec!["noise.vph", "trunc.vph"]);
+    assert_eq!(skipped, vec!["noise.vph", "trunc.1.vph"]);
     for (_, why) in &recovery.skipped {
         assert!(
             why.contains("magic") || why.contains("checksum") || why.contains("truncat"),
@@ -380,7 +388,7 @@ fn recovery_sweeps_torn_tmp_and_skips_corrupt_containers_without_panicking() {
     }
     // Invalid containers are left on disk for post-mortem.
     assert!(dir.join("noise.vph").exists());
-    assert!(dir.join("trunc.vph").exists());
+    assert!(dir.join("trunc.1.vph").exists());
 
     // The recovered session is actually usable.
     let addr = server.local_addr().unwrap().to_string();
@@ -474,6 +482,143 @@ fn parallel_kernel_containers_recover_on_the_event_kernel() {
     );
 
     shut_down(Running { addr, thread });
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// The canonical result of an uninterrupted in-process 5-wave run.
+fn oracle_result() -> String {
+    let mut oracle = SessionCore::open(core_spec("oracle", 5, Kernel::EventDriven)).unwrap();
+    oracle
+        .advance(&valpipe_serve::JobLimits::default(), 1 << 40)
+        .unwrap();
+    Json::parse(&oracle.final_result.unwrap())
+        .unwrap()
+        .to_compact()
+}
+
+/// Open `name` on a server over `dir`, run it to 23 and then to 37, and
+/// shut down: slot 0 holds sequence 2 (at 23), slot 1 sequence 3 (at 37).
+fn two_slot_session(dir: &Path, name: &str) {
+    let r = start(cfg_with(dir.to_path_buf()));
+    let mut c = connect(&r.addr);
+    c.request(&spec_json(name, 5)).unwrap();
+    for until in [23, 37] {
+        let run = format!(r#"{{"op":"run","session":"{name}","until":{until}}}"#);
+        let resp = c.request(&Json::parse(&run).unwrap()).unwrap();
+        assert_eq!(resp.get("now").and_then(|v| v.as_i64()), Some(until));
+    }
+    shut_down(r);
+    for (slot, seq) in [(0, 2), (1, 3)] {
+        let bytes = std::fs::read(slot_path(dir, name, slot)).unwrap();
+        assert_eq!(hibernate::verify(&bytes).unwrap(), seq);
+    }
+}
+
+/// Restart a server over `dir`, re-open `name` and check it resumed at
+/// `now`, then finish it: the result must equal the uninterrupted run.
+fn resume_and_finish(dir: &Path, name: &str, now: i64) {
+    let r = start(cfg_with(dir.to_path_buf()));
+    let mut c = connect(&r.addr);
+    let resp = c.request(&spec_json(name, 5)).unwrap();
+    assert_eq!(
+        resp.get("resumed").and_then(|v| v.as_bool()),
+        Some(true),
+        "{resp:?}"
+    );
+    assert_eq!(resp.get("now").and_then(|v| v.as_i64()), Some(now));
+    let run = format!(r#"{{"op":"run","session":"{name}"}}"#);
+    let resp = c.request(&Json::parse(&run).unwrap()).unwrap();
+    assert_eq!(resp.get("done").and_then(|v| v.as_bool()), Some(true));
+    assert_eq!(resp.get("result").unwrap().to_compact(), oracle_result());
+    shut_down(r);
+}
+
+/// Offset of the snapshot inside a slot container.
+fn snapshot_at(slot: &[u8]) -> usize {
+    24 + u64::from_le_bytes(slot[16..24].try_into().unwrap()) as usize + 8
+}
+
+#[test]
+fn torn_newer_slot_resumes_from_the_older_slot() {
+    // A kill mid-write leaves the slot being written short, or with a
+    // payload that no longer matches its checksum; the other slot still
+    // holds the state after the last completed job.
+    for tear in ["truncate", "flip"] {
+        let dir = temp_dir(&format!("torn_{tear}"));
+        two_slot_session(&dir, "t");
+        let newer = slot_path(&dir, "t", 1);
+        let mut bytes = std::fs::read(&newer).unwrap();
+        let snap_at = snapshot_at(&bytes);
+        if tear == "truncate" {
+            bytes.truncate(snap_at + (bytes.len() - 8 - snap_at) / 2);
+        } else {
+            // The last payload byte: outside the frame checksum, inside
+            // the snapshot's own payload checksum.
+            let last = bytes.len() - 9;
+            bytes[last] ^= 0x40;
+        }
+        std::fs::write(&newer, &bytes).unwrap();
+        let (_, recovery) = Server::bind(cfg_with(dir.clone())).unwrap();
+        assert_eq!(recovery.recovered, vec!["t".to_string()]);
+        assert!(recovery.skipped.is_empty(), "{:?}", recovery.skipped);
+        resume_and_finish(&dir, "t", 23);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+}
+
+#[test]
+fn close_cut_short_after_the_older_slot_resumes_at_the_newest_state() {
+    let dir = temp_dir("close_cut");
+    two_slot_session(&dir, "c");
+    // `close` deletes the older slot first; a kill right after that
+    // leaves only the newer one.
+    std::fs::remove_file(slot_path(&dir, "c", 0)).unwrap();
+    resume_and_finish(&dir, "c", 37);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A slot container with `edit` applied to its meta JSON, reframed with
+/// a valid checksum.
+fn with_meta(slot: &[u8], edit: impl Fn(&str) -> String) -> Vec<u8> {
+    let snap_at = snapshot_at(slot);
+    let meta = edit(std::str::from_utf8(&slot[24..snap_at - 8]).unwrap());
+    let mut out = slot[..16].to_vec();
+    out.extend_from_slice(&(meta.len() as u64).to_le_bytes());
+    out.extend_from_slice(meta.as_bytes());
+    let covered = out.len() + 8 + 52;
+    out.extend_from_slice(&slot[snap_at - 8..slot.len() - 8]);
+    let sum = valpipe_util::checksum64(&out[..covered]);
+    out.extend_from_slice(&sum.to_le_bytes());
+    out
+}
+
+#[test]
+fn stale_slots_of_an_earlier_session_do_not_shadow_a_fresh_open() {
+    let dir = temp_dir("stale_slots");
+    // An earlier session named "s" left slot 0 at sequence 8 with a
+    // valid frame but a source that no longer compiles, so recovery
+    // skips it and leaves it on disk.
+    let old = SessionCore::open(core_spec("s", 5, Kernel::EventDriven)).unwrap();
+    let stale = with_meta(&hibernate::encode_slot(&old, 8), |meta| {
+        meta.replace("output Y;", "output Gone;")
+    });
+    assert_eq!(hibernate::verify(&stale).unwrap(), 8);
+    std::fs::write(slot_path(&dir, "s", 0), &stale).unwrap();
+
+    let (server, recovery) = Server::bind(cfg_with(dir.clone())).unwrap();
+    assert!(recovery.recovered.is_empty());
+    let skipped: Vec<&str> = recovery.skipped.iter().map(|(f, _)| f.as_str()).collect();
+    assert_eq!(skipped, vec!["s.0.vph"]);
+    let addr = server.local_addr().unwrap().to_string();
+    let thread = std::thread::spawn(move || server.run());
+    let mut c = connect(&addr);
+    let resp = c.request(&spec_json("s", 5)).unwrap();
+    assert_eq!(resp.get("resumed").and_then(|v| v.as_bool()), Some(false));
+    // The fresh session's first write removed the stale slot, so after a
+    // restart its own sequence 1 is the newest container.
+    assert!(!slot_path(&dir, "s", 0).exists());
+    shut_down(Running { addr, thread });
+    resume_and_finish(&dir, "s", 0);
     let _ = std::fs::remove_dir_all(&dir);
 }
 
