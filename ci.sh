@@ -48,8 +48,9 @@ fi
 # run only through Session::drive_with's sink, and the caller decides
 # where it goes (Snapshot::write_to, in snapshot.rs).
 if grep -nE 'fs::|File::|write_to\(' crates/machine/src/sim.rs \
-    crates/machine/src/session.rs crates/machine/src/fastforward.rs \
-    crates/machine/src/scheduler.rs crates/machine/src/code.rs \
+    crates/machine/src/arc.rs crates/machine/src/session.rs \
+    crates/machine/src/fastforward.rs crates/machine/src/scheduler.rs \
+    crates/machine/src/code.rs \
     crates/machine/src/closedloop.rs; then
     echo "ci: FAIL — the machine's run path touches the filesystem" >&2
     exit 1

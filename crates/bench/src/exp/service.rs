@@ -9,6 +9,9 @@
 //!    oracle run of the same session spec, despite crashes, retries,
 //!    hibernation/eviction, and budget-bounded jobs along the way;
 //! 2. a restarted server recovers every hibernated session from disk;
+//!    read back through `--max-live` (half the clients) hot slots, the
+//!    sessions resume lazily from their containers, are demoted LRU
+//!    past the cap, and still serve bit-identical results;
 //! 3. a pipelined burst against a tiny queue is answered with structured
 //!    `overloaded` rejections, not blocking or collapse;
 //! 4. graceful shutdown drains and acknowledges; and
@@ -95,7 +98,7 @@ struct Generation {
     drain: std::thread::JoinHandle<()>,
 }
 
-fn start_server(bin: &PathBuf, dir: &Path, seed: u64) -> Generation {
+fn start_server(bin: &PathBuf, dir: &Path, seed: u64, max_live: usize) -> Generation {
     let mut child = Command::new(bin)
         .args([
             "--addr",
@@ -107,7 +110,7 @@ fn start_server(bin: &PathBuf, dir: &Path, seed: u64) -> Generation {
             "--queue",
             "3",
             "--max-live",
-            "2",
+            &max_live.to_string(),
             "--seed",
             &seed.to_string(),
         ])
@@ -286,12 +289,14 @@ pub(super) fn run(args: &FaultArgs) -> Report {
     let kills = args.kills.unwrap_or(if args.smoke { 1 } else { 3 });
     let clients = args.clients.unwrap_or(if args.smoke { 2 } else { 4 });
     let seed = args.seed.unwrap_or(0xC8A05);
+    // Fewer hot slots than sessions, so sessions are demoted and resumed.
+    let max_live = (clients / 2).max(1);
     let mut rep = Report::new(
         "SERVICE: chaos soak — kill -9, restart, retry, compare bitwise",
         None,
     );
     println!();
-    println!("{clients} clients, {kills} random server kills");
+    println!("{clients} clients, {kills} random server kills, {max_live} live session(s) at most");
 
     let bin = server_bin();
     let dir = std::env::temp_dir().join(format!("valpipe_service_{}", std::process::id()));
@@ -305,7 +310,7 @@ pub(super) fn run(args: &FaultArgs) -> Report {
         .collect();
     let oracles: Vec<String> = specs.iter().map(oracle).collect();
 
-    let gen0 = start_server(&bin, &dir, seed);
+    let gen0 = start_server(&bin, &dir, seed, max_live);
     let addr: AddrCell = Arc::new(Mutex::new(gen0.addr.clone()));
     let mut generations = vec![gen0];
     let stop_chaos = Arc::new(AtomicBool::new(false));
@@ -335,7 +340,7 @@ pub(super) fn run(args: &FaultArgs) -> Report {
         let pid = old.child.id();
         old.child.kill().expect("kill -9 server"); // SIGKILL on unix
         stderr_logs.push(reap(old));
-        let next = start_server(&bin, &dir, seed + 1 + kill_no as u64);
+        let next = start_server(&bin, &dir, seed + 1 + kill_no as u64, max_live);
         *addr.lock().unwrap() = next.addr.clone();
         println!(
             "kill {kill_no}: SIGKILL pid {pid}, restarted at {}",
@@ -370,13 +375,35 @@ pub(super) fn run(args: &FaultArgs) -> Report {
         let mut old = generations.pop().unwrap();
         old.child.kill().expect("final kill");
         stderr_logs.push(reap(old));
-        let next = start_server(&bin, &dir, seed + 0x9999);
+        let next = start_server(&bin, &dir, seed + 0x9999, max_live);
         *addr.lock().unwrap() = next.addr.clone();
         generations.push(next);
     }
     let sessions_after = stat(&addr, "sessions", &mut rng2);
     let recovered_ok = sessions_after == clients as i64;
     println!("sessions recovered from disk after final kill: {sessions_after}/{clients}");
+
+    // Claim 2, continued: every recovered session starts hibernated.
+    // Reading each result back resumes it lazily from its container,
+    // and with more sessions than live slots the registry demotes the
+    // least recently used ones on the way. This generation's counters
+    // start at zero, so they count exactly this phase.
+    let mut resumed_identical = true;
+    for (spec, want) in specs.iter().zip(oracles.iter()) {
+        let req = Json::obj([
+            ("op", Json::Str("status".to_string())),
+            ("session", Json::Str(spec.name.clone())),
+        ]);
+        let resp = request_retry(&addr, &req, &mut rng2, "status");
+        resumed_identical &= resp.get("result").map(|r| r.to_compact()).as_ref() == Some(want);
+    }
+    let hibernations = stat(&addr, "hibernations", &mut rng2);
+    let resumes = stat(&addr, "resumes", &mut rng2);
+    println!(
+        "read back through {max_live} live slot(s): hibernations: {hibernations}, resumes: {resumes}, results {}",
+        if resumed_identical { "identical" } else { "DIFFER" }
+    );
+    let lru_ok = hibernations >= 1 && resumes >= 1 && resumed_identical;
 
     // Claim 3: a pipelined burst against the 3-deep queue is rejected
     // with structured overload responses.
@@ -413,9 +440,6 @@ pub(super) fn run(args: &FaultArgs) -> Report {
     let rejected_after = stat(&addr, "rejected_overload", &mut rng2);
     let overload_ok = rejected_after > rejected_before;
     println!("overload rejections: {rejected_before} -> {rejected_after}");
-    let hibernations = stat(&addr, "hibernations", &mut rng2);
-    let resumes = stat(&addr, "resumes", &mut rng2);
-    println!("hibernations: {hibernations}, resumes: {resumes}");
 
     // Claim 4: graceful shutdown drains and acknowledges.
     let addr_now = addr.lock().unwrap().clone();
@@ -455,6 +479,11 @@ pub(super) fn run(args: &FaultArgs) -> Report {
         "a restarted server recovers every hibernated session \
          from its container directory",
         recovered_ok,
+    );
+    rep.claim(
+        "sessions past the live cap are demoted and resumed lazily \
+         (at least one hibernation and one resume) with bit-identical results",
+        lru_ok,
     );
     rep.claim(
         "a burst beyond the bounded queue is rejected with \

@@ -23,13 +23,11 @@ use std::sync::Arc;
 use valpipe_ir::graph::Graph;
 use valpipe_ir::value::Value;
 
+use crate::arc::{consume_token, emit_token, ArcState};
 use crate::fault::{AckFate, ResultFate};
 use crate::scheduler::Kernel;
 use crate::session::SimConfig;
-use crate::sim::{
-    consume_token, emit_token, note_fire_cell, plan_cell, ArcState, ProgramInputs, SimError,
-    Simulator,
-};
+use crate::sim::{note_fire_cell, plan_cell, ProgramInputs, SimError, Simulator};
 
 /// Ready time of a result or acknowledge packet still in the network:
 /// never reached, so the token is not yet visible to its consumer and
@@ -349,7 +347,7 @@ fn deliver(arcs: &mut [ArcState], p: Payload, now: u64) {
         Payload::Ack(a) => {
             let st = &mut arcs[a as usize];
             st.freeing
-                .pop()
+                .pop_back()
                 .expect("a delivered acknowledge has a slot in flight");
             st.acked += 1;
         }

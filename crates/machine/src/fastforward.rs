@@ -399,13 +399,7 @@ impl FastForward {
         // consecutive zero-fire steps; a window containing (circularly,
         // to cover the wrap between adjacent windows) a zero-fire run
         // that long would stop mid-jump.
-        let max_lat = sim
-            .fwd_delay
-            .iter()
-            .chain(sim.ack_delay.iter())
-            .copied()
-            .max()
-            .unwrap_or(1);
+        let max_lat = sim.max_latency();
         if max_circular_run(&win_fired, |&f| f == 0) > max_lat as usize {
             return Ok(false);
         }
@@ -533,7 +527,7 @@ fn rebased_fingerprint(sim: &Simulator<'_>, p: u64) -> (Vec<u8>, u64) {
     let now = sim.now as i128;
     for st in &sim.arcs {
         w.u64(st.queue.len() as u64);
-        for &(v, ready) in &st.queue {
+        for &(v, ready) in st.queue.iter() {
             w.value(v);
             let off = ready as i128 - now;
             if off < -(p as i128) {

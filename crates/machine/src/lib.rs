@@ -18,6 +18,7 @@
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
+mod arc;
 pub mod arch;
 pub mod closedloop;
 pub mod code;

@@ -375,6 +375,15 @@ impl<'g> Driven<'g> {
 
 impl<'g> Session<'g> {
     /// Advance one instruction time. Returns how many cells fired.
+    ///
+    /// Each kernel visits its cells once, in ascending id order, and
+    /// fires each enabled cell as it visits it. A step that returns a
+    /// program fault ([`SimError::Eval`], [`SimError::NonBoolControl`])
+    /// therefore stops mid-step: the enabled cells before the faulting
+    /// one have fired at [`Session::now`], the cells after it have not,
+    /// and the clock has not advanced. Both kernels leave the identical
+    /// state, which serves diagnosis ([`Session::checkpoint`],
+    /// [`Session::stall_report`]); do not step on from it.
     pub fn step(&mut self) -> Result<usize, SimError> {
         self.sim.step()
     }

@@ -30,7 +30,7 @@
 //!
 //! Construct runs with [`Simulator::builder`] (see [`crate::session`]).
 
-use std::collections::{HashMap, VecDeque};
+use std::collections::HashMap;
 use std::mem;
 use std::sync::Arc;
 
@@ -38,6 +38,7 @@ use valpipe_ir::graph::{Graph, PortBinding};
 use valpipe_ir::opcode::{Opcode, GATE_CTL, GATE_DATA, MERGE_CTL, MERGE_FALSE, MERGE_TRUE};
 use valpipe_ir::value::{apply_bin, apply_un, Value};
 
+use crate::arc::{consume_token, emit_token, release_acks, ArcState};
 use crate::code::{CellCode, MachineCode, Op, Port};
 use crate::error::MachineError;
 pub use crate::error::SimError;
@@ -280,124 +281,6 @@ impl Timing {
     /// Instruction times from machine start to the first event.
     pub fn fill_latency(&self) -> Option<u64> {
         self.times.first().copied()
-    }
-}
-
-#[derive(Debug, Default)]
-pub(crate) struct ArcState {
-    /// In-flight and deliverable tokens: `(value, ready_at)`.
-    pub(crate) queue: VecDeque<(Value, u64)>,
-    /// Times at which consumed-token slots become free again (acks).
-    /// Kept as an unordered list: injected acknowledge delays break the
-    /// monotonicity a front-pop queue would rely on.
-    pub(crate) freeing: Vec<u64>,
-    pub(crate) cap: usize,
-    /// Tokens that entered the arc (queued or lost in transit).
-    pub(crate) sent: u64,
-    /// Tokens consumed off the queue by the destination cell.
-    pub(crate) consumed: u64,
-    /// Consumed-token slots whose acknowledge completed.
-    pub(crate) acked: u64,
-    /// Result packets lost to injected faults. The producer's slot is
-    /// never acknowledged, so each loss permanently occupies capacity —
-    /// the realistic wedge a lost packet causes on this architecture.
-    pub(crate) lost_result: u64,
-    /// Acknowledge packets lost to injected faults; each permanently
-    /// occupies the slot it should have freed.
-    pub(crate) lost_ack: u64,
-}
-
-impl ArcState {
-    fn occupied(&self) -> usize {
-        self.queue.len() + self.freeing.len() + (self.lost_result + self.lost_ack) as usize
-    }
-    fn peek(&self, now: u64) -> Option<Value> {
-        self.queue
-            .front()
-            .and_then(|&(v, t)| (t <= now).then_some(v))
-    }
-}
-
-/// Release the acknowledge slots of `st` that expire at or before
-/// `now`. The list is unordered (injected acknowledge delays can
-/// overtake each other), so filter rather than front-pop.
-#[inline]
-pub(crate) fn release_acks(st: &mut ArcState, now: u64) {
-    match st.freeing[..] {
-        [] => return,
-        // A unit-capacity arc holds at most one slot: skip `retain`.
-        [t] => {
-            if t <= now {
-                st.freeing.clear();
-                st.acked += 1;
-            }
-            return;
-        }
-        _ => {}
-    }
-    let before = st.freeing.len();
-    st.freeing.retain(|&t| t > now);
-    st.acked += (before - st.freeing.len()) as u64;
-}
-
-/// Consume the head token of `st` and start its acknowledge with the
-/// given fault fate. Returns the slot-free time to post wakeups at, if
-/// the acknowledge survives.
-#[inline]
-pub(crate) fn consume_token(st: &mut ArcState, ack_at: u64, fate: AckFate) -> Option<u64> {
-    st.queue.pop_front();
-    st.consumed += 1;
-    match fate {
-        AckFate::Deliver => {
-            st.freeing.push(ack_at);
-            Some(ack_at)
-        }
-        AckFate::Delay(extra) => {
-            st.freeing.push(ack_at + extra);
-            Some(ack_at + extra)
-        }
-        // A lost acknowledge never frees the producer's slot.
-        AckFate::Drop => {
-            st.lost_ack += 1;
-            None
-        }
-    }
-}
-
-/// Launch a result packet onto `st` with the given fault fate. Returns
-/// the delivery time to post the destination's wakeup at, if the packet
-/// survives.
-#[inline]
-pub(crate) fn emit_token(st: &mut ArcState, v: Value, ready: u64, fate: ResultFate) -> Option<u64> {
-    st.sent += 1;
-    match fate {
-        ResultFate::Deliver => {
-            st.queue.push_back((v, ready));
-            Some(ready)
-        }
-        // A dropped result leaves its slot permanently occupied: the
-        // destination never consumes it, so it is never acknowledged.
-        ResultFate::Drop => {
-            st.lost_result += 1;
-            None
-        }
-        // A delayed packet still holds its place in FIFO order, so a
-        // slow packet blocks the ones behind it (head-of-line).
-        ResultFate::Delay(extra) => {
-            st.queue.push_back((v, ready + extra));
-            Some(ready + extra)
-        }
-        ResultFate::Duplicate => {
-            st.queue.push_back((v, ready));
-            // The duplicate is delivered only if the link has a free
-            // slot; capacity is a physical property of the arc and
-            // must hold even under faults.
-            if st.occupied() < st.cap {
-                st.queue.push_back((v, ready));
-                st.sent += 1;
-            }
-            Some(ready)
-        }
     }
 }
 
@@ -651,12 +534,12 @@ pub(crate) fn reseed_wheel(
 ) -> Scheduler {
     let mut sched = Scheduler::resume(kernel, code.cell_count(), now);
     for (i, st) in arcs.iter().enumerate() {
-        for &(_, ready) in &st.queue {
+        for &(_, ready) in st.queue.iter() {
             if ready > now {
                 sched.wake(code.arc_dst[i], ready);
             }
         }
-        for &t in &st.freeing {
+        for &t in st.freeing.iter() {
             if t >= now {
                 sched.wake(code.arc_src[i], t);
             }
@@ -666,15 +549,11 @@ pub(crate) fn reseed_wheel(
 }
 
 /// Per-step buffers reused across the whole run so the hot loop never
-/// reallocates: due lists, fire plans, thaw/throttle lists, and the
-/// resource budget. Not part of canonical machine state (never
-/// snapshotted).
+/// reallocates: the due list and the resource budget. Not part of
+/// canonical machine state (never snapshotted).
 #[derive(Debug, Default)]
 pub(crate) struct StepScratch {
     pub(crate) due_nodes: Vec<u32>,
-    pub(crate) plans: Vec<(u32, FirePlan)>,
-    pub(crate) thawing: Vec<(u32, u64)>,
-    pub(crate) throttled: Vec<u32>,
     pub(crate) budget: Vec<u32>,
 }
 
@@ -739,7 +618,7 @@ impl Fault {
 
 /// Determine whether cell `n` can fire at `now` and, if so, what it
 /// does. Reads the machine without changing it — the single planning
-/// implementation, shared verbatim by both kernels' planning phase and
+/// implementation, shared verbatim by both kernels' cell visits and
 /// the closed-loop networked machine (`closedloop.rs`), so they cannot
 /// drift.
 #[inline(always)]
@@ -875,11 +754,12 @@ pub(crate) fn may_refire(code: &MachineCode, sim: &Simulator<'_>, n: u32) -> boo
 }
 
 /// Per-cell effects of one firing: gate accounting, sink/source/
-/// control-generator cursors, fire counters, and fire-time recording.
-/// Returns the value to launch on the cell's output arcs, if any. Arc
-/// mutations stay with the caller: the kernels post wakeups to the
-/// wheel, the closed loop routes packets through its network. Shared by
-/// both kernels' fire path and the closed loop.
+/// control-generator cursors and fire counters (fire times are the
+/// kernels' to record, when asked to). Returns the value to launch on
+/// the cell's output arcs, if any. Arc mutations stay with the caller:
+/// the kernels post wakeups to the wheel, the closed loop routes packets
+/// through its network. Shared by both kernels' fire path and the
+/// closed loop.
 #[inline(always)]
 pub(crate) fn note_fire_cell(
     code: &MachineCode,
@@ -926,9 +806,6 @@ pub(crate) fn note_fire_cell(
     if cell.fu {
         sim.fu_fires += 1;
     }
-    if let Some(ft) = &mut cells.fire_times {
-        ft[i].push(now);
-    }
     launch
 }
 
@@ -954,20 +831,13 @@ pub struct Simulator<'g> {
     pub(crate) g: &'g Graph,
     /// The executable form every kernel plans and fires from.
     pub(crate) code: Arc<MachineCode>,
-    /// The config as given, less its delay tables, which move into
-    /// `fwd_delay`/`ack_delay`.
+    /// The config as given; its delay tables, when it names any, are
+    /// the per-arc latencies (absent means every latency is 1).
     pub(crate) cfg: SimConfig,
     pub(crate) arcs: Vec<ArcState>,
     /// Per-cell state, struct-of-arrays by `u32` cell id.
     pub(crate) cells: Cells,
     pub(crate) now: u64,
-    /// Per-arc result and acknowledge latencies: the config's tables,
-    /// moved out of it, or uniform 1/1 when it named none.
-    pub(crate) fwd_delay: Vec<u64>,
-    pub(crate) ack_delay: Vec<u64>,
-    /// Whether the config named the delay tables (a snapshot records
-    /// them) rather than leaving the uniform default.
-    pub(crate) delays_given: bool,
     pub(crate) am_fires: u64,
     pub(crate) fu_fires: u64,
     /// Normalized fault plan: `None` when no plan was given *or* the
@@ -1013,14 +883,15 @@ impl<'g> Simulator<'g> {
 
     /// The one machine constructor, shared by fresh builds and snapshot
     /// restores: check `cfg` against `g` ([`check_config`]), lay the
-    /// port histories out in slots, fix the arc capacities and delay
-    /// tables, normalize the fault plan, compile the output target and
-    /// seed the wakeup wheel ([`reseed_wheel`]). The state's vectors and
-    /// the config's delay tables are moved in, never copied.
+    /// port histories out in slots, fix the arc capacities, normalize
+    /// the fault plan, compile the output target and seed the wakeup
+    /// wheel ([`reseed_wheel`]). The state's vectors and the config are
+    /// moved in, never copied; a config without delay tables allocates
+    /// none.
     pub(crate) fn assemble(
         g: &'g Graph,
         code: Arc<MachineCode>,
-        mut cfg: SimConfig,
+        cfg: SimConfig,
         state: MachineState,
     ) -> Result<Self, SimError> {
         check_config(g, &cfg)?;
@@ -1052,14 +923,6 @@ impl<'g> Simulator<'g> {
         for st in &mut arcs {
             st.cap = cfg.arc_capacity;
         }
-        let delays_given = cfg.delays.is_some();
-        let ArcDelays {
-            forward: fwd_delay,
-            ack: ack_delay,
-        } = cfg
-            .delays
-            .take()
-            .unwrap_or_else(|| ArcDelays::uniform(arcs.len()));
         let fault = cfg.fault_plan.clone().filter(|p| !p.is_empty());
         let stop_slots = StopSlots::compile(&cfg.stop_outputs, &cells);
         let sched = reseed_wheel(cfg.kernel, &code, &arcs, now);
@@ -1073,9 +936,6 @@ impl<'g> Simulator<'g> {
             arcs,
             cells,
             now,
-            fwd_delay,
-            ack_delay,
-            delays_given,
             am_fires,
             fu_fires,
             fault,
@@ -1100,45 +960,56 @@ impl<'g> Simulator<'g> {
 
     /// Determine whether `n` can fire now and, if so, what it does.
     /// Delegates to [`plan_cell`] — the single planning implementation.
-    #[inline]
+    #[inline(always)]
     fn plan(&self, code: &MachineCode, n: u32) -> Result<Option<FirePlan>, SimError> {
         plan_cell(code, self, self.now, n).map_err(|f| f.at(self.g, n))
     }
 
-    /// Launch a result packet onto `a`, consulting the fault plan for
-    /// its fate. Posts the destination's wakeup at the delivery time.
-    #[inline]
-    fn emit_on(&mut self, code: &MachineCode, a: u32, v: Value) {
-        let a = a as usize;
-        let ready = self.now + self.fwd_delay[a];
-        let fate = match &self.fault {
-            Some(f) => f.result_fate(a, self.now),
-            None => ResultFate::Deliver,
-        };
-        if let Some(t) = emit_token(&mut self.arcs[a], v, ready, fate) {
-            self.sched.wake(code.arc_dst[a], t);
-        }
-    }
-
-    #[inline]
-    fn fire(&mut self, code: &MachineCode, n: u32, plan: FirePlan) {
+    /// Fire cell `n` by `plan`: consume its operands and start their
+    /// acknowledges, launch its result (each packet's fate drawn from
+    /// the fault plan), and post the wakeups these events imply.
+    #[inline(always)]
+    fn fire<const CLEAN: bool>(&mut self, code: &MachineCode, n: u32, plan: FirePlan) {
         let now = self.now;
         for arc in plan.consumes() {
             let a = arc as usize;
-            let fate = match &self.fault {
-                Some(f) => f.ack_fate(a, now),
-                None => AckFate::Deliver,
+            let (ack_at, fate) = if CLEAN {
+                (now + 1, AckFate::Deliver)
+            } else {
+                (
+                    now + self.cfg.delays.as_ref().map_or(1, |d| d.ack[a]),
+                    self.fault
+                        .as_ref()
+                        .map_or(AckFate::Deliver, |f| f.ack_fate(a, now)),
+                )
             };
-            let ack_at = now + self.ack_delay[a];
             if let Some(t) = consume_token(&mut self.arcs[a], ack_at, fate) {
                 // The freed slot re-enables the arc's producer; its
-                // wakeup also releases the slot (see `step_event`).
+                // wakeup also releases the slot (see `visit`).
                 self.sched.wake(code.arc_src[a], t);
             }
         }
         if let Some(v) = note_fire_cell(code, self, now, n, &plan) {
-            for &a in code.outs(code.cell(n)) {
-                self.emit_on(code, a, v);
+            for &arc in code.outs(code.cell(n)) {
+                let a = arc as usize;
+                let (ready, fate) = if CLEAN {
+                    (now + 1, ResultFate::Deliver)
+                } else {
+                    (
+                        now + self.cfg.delays.as_ref().map_or(1, |d| d.forward[a]),
+                        self.fault
+                            .as_ref()
+                            .map_or(ResultFate::Deliver, |f| f.result_fate(a, now)),
+                    )
+                };
+                if let Some(t) = emit_token(&mut self.arcs[a], v, ready, fate) {
+                    self.sched.wake(code.arc_dst[a], t);
+                }
+            }
+        }
+        if !CLEAN {
+            if let Some(ft) = &mut self.cells.fire_times {
+                ft[n as usize].push(now);
             }
         }
         // Re-examine a fired cell next step if it may be enabled again
@@ -1148,11 +1019,120 @@ impl<'g> Simulator<'g> {
         }
     }
 
-    /// Advance one instruction time. Returns how many cells fired.
-    pub fn step(&mut self) -> Result<usize, SimError> {
+    /// Visit cell `n` in the one-pass step: release the acknowledges
+    /// expiring now on its output arcs, then plan it, charge its unit's
+    /// budget and fire it at once. Returns whether it fired.
+    ///
+    /// Firing a cell before the cells after it are planned selects the
+    /// same firings as planning them all first: a firing changes only
+    /// the heads of its own input arcs (which no other cell reads) and
+    /// the occupancy of its own output arcs (which only it tests), and
+    /// every token or acknowledge it creates lands at `now + 1` or later
+    /// (every latency is at least 1, see [`check_config`]), so no cell
+    /// visited after it this step can see one. Fault fates hash
+    /// `(arc, step)` alone, so the order draws nothing different.
+    #[inline(always)]
+    fn visit<const CLEAN: bool>(
+        &mut self,
+        code: &MachineCode,
+        n: u32,
+        budget: &mut [u32],
+    ) -> Result<bool, SimError> {
+        let now = self.now;
+        for &a in code.outs(code.cell(n)) {
+            release_acks(&mut self.arcs[a as usize], now);
+        }
+        if !CLEAN {
+            if let Some(f) = &self.fault {
+                if f.frozen(n as usize, now) {
+                    // The scan re-examines every cell every step; the
+                    // event kernel defers a frozen cell to its thaw.
+                    if self.sched.is_event_driven() {
+                        let at = f.thaw_time(n as usize, now);
+                        self.sched.wake(n, at);
+                    }
+                    return Ok(false);
+                }
+            }
+        }
+        let Some(plan) = self.plan(code, n)? else {
+            return Ok(false);
+        };
+        if !CLEAN {
+            if let Some(res) = &self.cfg.resources {
+                let u = res.unit_of[n as usize] as usize;
+                if budget[u] == 0 {
+                    // Throttled: still enabled, so examined again next
+                    // step.
+                    self.sched.wake(n, now + 1);
+                    return Ok(false);
+                }
+                budget[u] -= 1;
+            }
+        }
+        self.fire::<CLEAN>(code, n, plan);
+        Ok(true)
+    }
+
+    /// Visit `cells` (ascending) in one pass; returns how many fired.
+    fn visit_all<const CLEAN: bool>(
+        &mut self,
+        code: &MachineCode,
+        cells: impl Iterator<Item = u32>,
+        budget: &mut [u32],
+    ) -> Result<usize, SimError> {
+        let mut fired = 0;
+        for n in cells {
+            fired += self.visit::<CLEAN>(code, n, budget)? as usize;
+        }
+        Ok(fired)
+    }
+
+    /// One instruction time. `CLEAN` (decided once per step, see
+    /// [`Simulator::step`]) compiles the one body for the idealized
+    /// machine of the paper's §2–3, with no fault, throttle, fire-time
+    /// or latency-table test in its consumes and emits. The scan kernel
+    /// visits every cell; the event kernel visits only the cells with a
+    /// wakeup due now (see [`crate::scheduler`] for the invariant).
+    /// Both visit in ascending id order, which the resource throttle
+    /// and first-error selection depend on.
+    fn step_with<const CLEAN: bool>(&mut self, code: &MachineCode) -> Result<usize, SimError> {
+        let mut budget = mem::take(&mut self.scratch.budget);
+        budget.clear();
+        if let Some(res) = &self.cfg.resources {
+            budget.extend_from_slice(&res.capacity);
+        }
         let fired = match self.cfg.kernel {
-            Kernel::Scan => self.step_scan()?,
-            Kernel::EventDriven => self.step_event()?,
+            Kernel::Scan => self.visit_all::<CLEAN>(code, 0..code.cell_count() as u32, &mut budget),
+            Kernel::EventDriven => {
+                let mut due = mem::take(&mut self.scratch.due_nodes);
+                self.sched.due_nodes(self.now, &mut due);
+                let fired = self.visit_all::<CLEAN>(code, due.iter().copied(), &mut budget);
+                self.scratch.due_nodes = due;
+                fired
+            }
+        };
+        self.scratch.budget = budget;
+        let fired = fired?;
+        self.now += 1;
+        Ok(fired)
+    }
+
+    /// Advance one instruction time. Returns how many cells fired. See
+    /// [`crate::session::Session::step`] for the state a step that
+    /// returns a program fault leaves.
+    pub fn step(&mut self) -> Result<usize, SimError> {
+        let code = Arc::clone(&self.code);
+        // Clean: no fault plan, no resource model, no latency tables
+        // (every packet takes one instruction time), no fire times.
+        let clean = self.fault.is_none()
+            && self.cfg.resources.is_none()
+            && self.cfg.delays.is_none()
+            && self.cells.fire_times.is_none();
+        let fired = if clean {
+            self.step_with::<true>(&code)?
+        } else {
+            self.step_with::<false>(&code)?
         };
         // Progress/idle bookkeeping happens here — not in `run` — so
         // manual stepping, `run`, and a checkpoint-restored machine all
@@ -1166,121 +1146,16 @@ impl<'g> Simulator<'g> {
         Ok(fired)
     }
 
-    /// Contention throttling over the planned firings (in cell order).
-    /// A throttled cell is still enabled and must be re-examined next
-    /// step; the wakeup is a no-op for the scan kernel, which re-scans
-    /// everything anyway.
-    fn apply_throttle(&mut self, plans: &mut Vec<(u32, FirePlan)>) {
-        let Some(res) = &self.cfg.resources else {
-            return;
-        };
-        let mut budget = mem::take(&mut self.scratch.budget);
-        budget.clear();
-        budget.extend_from_slice(&res.capacity);
-        let mut throttled = mem::take(&mut self.scratch.throttled);
-        throttled.clear();
-        plans.retain(|&(nid, _)| {
-            let u = res.unit_of[nid as usize] as usize;
-            if budget[u] > 0 {
-                budget[u] -= 1;
-                true
-            } else {
-                throttled.push(nid);
-                false
-            }
-        });
-        let now = self.now;
-        for &nid in &throttled {
-            self.sched.wake(nid, now + 1);
-        }
-        self.scratch.budget = budget;
-        self.scratch.throttled = throttled;
-    }
-
-    /// The legacy O(cells) step: re-scan every cell.
-    fn step_scan(&mut self) -> Result<usize, SimError> {
-        let code = Arc::clone(&self.code);
-        let now = self.now;
-        for st in &mut self.arcs {
-            release_acks(st, now);
-        }
-        // Snapshot-enabled cells. Frozen cells need no thaw wakeup: the
-        // scan re-examines everything every step.
-        let mut plans = mem::take(&mut self.scratch.plans);
-        plans.clear();
-        for n in 0..code.cell_count() as u32 {
-            if let Some(f) = &self.fault {
-                if f.frozen(n as usize, now) {
-                    continue;
-                }
-            }
-            if let Some(p) = self.plan(&code, n)? {
-                plans.push((n, p));
-            }
-        }
-        self.apply_throttle(&mut plans);
-        let count = plans.len();
-        for &(nid, plan) in &plans {
-            self.fire(&code, nid, plan);
-        }
-        self.scratch.plans = plans;
-        self.now += 1;
-        Ok(count)
-    }
-
-    /// The event-driven O(fired + woken) step: examine only cells with a
-    /// pending wakeup (see [`crate::scheduler`] for the invariant).
-    fn step_event(&mut self) -> Result<usize, SimError> {
-        let code = Arc::clone(&self.code);
-        let now = self.now;
-        let mut due = mem::take(&mut self.scratch.due_nodes);
-        self.sched.due_nodes(now, &mut due);
-        // Release the acknowledge slots expiring now on the output arcs
-        // of every due cell, frozen ones included. Every acknowledge
-        // wakes its producer at the instant its slot frees, so the
-        // producers of all slots expiring now are due, and every slot of
-        // an arc expired before now was released at its own expiry: this
-        // leaves the same state the scan kernel's release over every arc
-        // does.
-        for &nid in &due {
-            for &a in code.outs(code.cell(nid)) {
-                release_acks(&mut self.arcs[a as usize], now);
-            }
-        }
-        // Examine woken cells in index order (the scan order, which the
-        // resource throttle and first-error selection depend on). A plan
-        // error propagates before the thaw wakeups are posted and before
-        // anything fires — planning has no side effects, so the machine
-        // state is exactly the sequential error state. Frozen cells are
-        // deferred to their thaw time.
-        let mut plans = mem::take(&mut self.scratch.plans);
-        let mut thaw = mem::take(&mut self.scratch.thawing);
-        plans.clear();
-        thaw.clear();
-        for &nid in &due {
-            if let Some(f) = &self.fault {
-                if f.frozen(nid as usize, now) {
-                    thaw.push((nid, f.thaw_time(nid as usize, now)));
-                    continue;
-                }
-            }
-            if let Some(p) = self.plan(&code, nid)? {
-                plans.push((nid, p));
-            }
-        }
-        self.scratch.due_nodes = due;
-        for &(nid, at) in &thaw {
-            self.sched.wake(nid, at);
-        }
-        self.apply_throttle(&mut plans);
-        let count = plans.len();
-        for &(nid, plan) in &plans {
-            self.fire(&code, nid, plan);
-        }
-        self.scratch.plans = plans;
-        self.scratch.thawing = thaw;
-        self.now += 1;
-        Ok(count)
+    /// The longest result or acknowledge latency of any arc.
+    pub(crate) fn max_latency(&self) -> u64 {
+        self.cfg.delays.as_ref().map_or(1, |d| {
+            d.forward
+                .iter()
+                .chain(d.ack.iter())
+                .copied()
+                .max()
+                .unwrap_or(1)
+        })
     }
 
     pub(crate) fn outputs_reached(&self) -> bool {
@@ -1331,14 +1206,7 @@ impl<'g> Simulator<'g> {
             }
             None => (0, 0),
         };
-        let max_lat = self
-            .fwd_delay
-            .iter()
-            .chain(self.ack_delay.iter())
-            .copied()
-            .max()
-            .unwrap_or(1)
-            + delay_slack;
+        let max_lat = self.max_latency() + delay_slack;
         let mut stop = StopReason::Quiescent;
         let mut stall_kind: Option<StallKind> = None;
         // Every stopping decision is made at the *top* of the loop from
@@ -1540,16 +1408,6 @@ impl<'g> Simulator<'g> {
         for (i, st) in self.arcs.iter().enumerate() {
             let e = &self.g.arcs[i];
             let loc = format!("arc {i} (cell {} -> cell {})", e.src.idx(), e.dst.idx());
-            if st.occupied() > st.cap {
-                return Err(MachineError::InvariantViolation {
-                    step,
-                    detail: format!(
-                        "{loc} holds {} token slot(s), capacity {}",
-                        st.occupied(),
-                        st.cap
-                    ),
-                });
-            }
             if st.sent != st.queue.len() as u64 + st.consumed + st.lost_result {
                 return Err(MachineError::InvariantViolation {
                     step,
@@ -1571,6 +1429,18 @@ impl<'g> Simulator<'g> {
                         st.acked,
                         st.freeing.len(),
                         st.lost_ack
+                    ),
+                });
+            }
+            // Occupancy is read off the counters, so it is checked once
+            // they are known to agree with the queues.
+            if st.occupied() > st.cap {
+                return Err(MachineError::InvariantViolation {
+                    step,
+                    detail: format!(
+                        "{loc} holds {} token slot(s), capacity {}",
+                        st.occupied(),
+                        st.cap
                     ),
                 });
             }
@@ -1604,8 +1474,7 @@ impl<'g> Simulator<'g> {
 /// What a planned firing does: which input arcs it consumes (at most
 /// two — the widest opcode arity that consumes, `Merge`, takes control
 /// plus one selected data operand) and the value it emits, if any.
-/// `Copy` with inline consume slots, so the per-step plan buffers never
-/// allocate.
+/// `Copy` with inline consume slots, so a plan never allocates.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct FirePlan {
     pub(crate) consume: [Option<u32>; 2],

@@ -36,7 +36,7 @@
 //! acknowledge-slot lists sorted by expiry, so the same machine state
 //! always produces the same bytes, whichever kernel produced it.
 
-use std::collections::{HashMap, VecDeque};
+use std::collections::HashMap;
 use std::fmt;
 use std::sync::Arc;
 
@@ -45,12 +45,13 @@ use valpipe_ir::opcode::Opcode;
 use valpipe_ir::value::Value;
 use valpipe_util::checksum64;
 
+use crate::arc::{ArcState, InlineFifo};
 use crate::code::MachineCode;
 use crate::error::MachineError;
 use crate::fault::{CellFreeze, FaultPlan, LinkFault};
 use crate::scheduler::Kernel;
 use crate::session::SimConfig;
-use crate::sim::{ArcDelays, ArcState, Cells, MachineState, ResourceModel, Simulator};
+use crate::sim::{ArcDelays, Cells, MachineState, ResourceModel, Simulator};
 use crate::watchdog::{ProgressTracker, WatchdogConfig};
 
 /// Leading bytes of every snapshot file.
@@ -223,10 +224,7 @@ impl Snapshot {
     /// Serialize the complete state of a mid-run machine.
     pub(crate) fn capture(sim: &Simulator<'_>) -> Snapshot {
         let mut w = Writer::default();
-        let delays = sim
-            .delays_given
-            .then_some((&sim.fwd_delay[..], &sim.ack_delay[..]));
-        encode_config(&mut w, &sim.cfg, delays);
+        encode_config(&mut w, &sim.cfg);
         w.u64(sim.now);
         w.u64(sim.idle);
         let (a, b, c) = sim.tracker.state();
@@ -295,13 +293,13 @@ impl Snapshot {
         w.u64(sim.arcs.len() as u64);
         for st in &sim.arcs {
             w.u64(st.queue.len() as u64);
-            for &(v, t) in &st.queue {
+            for &(v, t) in st.queue.iter() {
                 w.value(v);
                 w.u64(t);
             }
             // Expiry order is semantically irrelevant (the release filter
             // is elementwise); sort so equal states give equal bytes.
-            let mut freeing = st.freeing.clone();
+            let mut freeing: Vec<u64> = st.freeing.iter().copied().collect();
             freeing.sort_unstable();
             w.u64(freeing.len() as u64);
             for t in freeing {
@@ -428,14 +426,14 @@ impl Snapshot {
         let mut arcs = Vec::with_capacity(arc_count);
         for i in 0..arc_count {
             let qlen = r.count(9)?;
-            let mut queue = VecDeque::with_capacity(qlen);
+            let mut queue = InlineFifo::default();
             for _ in 0..qlen {
                 let v = r.value()?;
                 queue.push_back((v, r.u64()?));
             }
             let st = ArcState {
                 queue,
-                freeing: r.counted_u64_vec()?,
+                freeing: r.counted_u64_vec()?.into_iter().collect(),
                 cap: cfg.arc_capacity,
                 sent: r.u64()?,
                 consumed: r.u64()?,
@@ -443,8 +441,12 @@ impl Snapshot {
                 lost_result: r.u64()?,
                 lost_ack: r.u64()?,
             };
-            if st.queue.len() + st.freeing.len() + (st.lost_result + st.lost_ack) as usize > st.cap
-            {
+            if !st.conserves() {
+                return Err(SnapshotError::Malformed(format!(
+                    "arc {i} counters disagree with its tokens and acknowledge slots"
+                )));
+            }
+            if st.occupied() > st.cap {
                 return Err(SnapshotError::Malformed(format!(
                     "arc {i} holds more token slots than its capacity {}",
                     st.cap
@@ -545,9 +547,8 @@ fn validate_against_graph(
     Ok(())
 }
 
-/// Encode `cfg` with the delay tables the simulator took out of it
-/// (`None` when the config named none).
-fn encode_config(w: &mut Writer, cfg: &SimConfig, delays: Option<(&[u64], &[u64])>) {
+/// Encode `cfg`, its delay tables included when it names any.
+fn encode_config(w: &mut Writer, cfg: &SimConfig) {
     w.u64(cfg.max_steps);
     w.u64(cfg.arc_capacity as u64);
     w.byte(cfg.record_fire_times as u8);
@@ -555,13 +556,13 @@ fn encode_config(w: &mut Writer, cfg: &SimConfig, delays: Option<(&[u64], &[u64]
     w.u64(cfg.checkpoint_every);
     // Format v1 slot of the retired checkpoint file path: always absent.
     w.byte(0);
-    w.opt(delays, |w, (forward, ack)| {
-        w.u64(forward.len() as u64);
-        for &x in forward {
+    w.opt(cfg.delays.as_ref(), |w, d| {
+        w.u64(d.forward.len() as u64);
+        for &x in &d.forward {
             w.u64(x);
         }
-        w.u64(ack.len() as u64);
-        for &x in ack {
+        w.u64(d.ack.len() as u64);
+        for &x in &d.ack {
             w.u64(x);
         }
     });
@@ -980,6 +981,29 @@ mod tests {
             Snapshot::from_bytes(bytes),
             Err(SnapshotError::UnsupportedVersion(99))
         );
+    }
+
+    #[test]
+    fn restore_refuses_counters_that_break_conservation() {
+        let g = pipeline_graph();
+        let mut bytes = mid_run_snapshot(&g).as_bytes().to_vec();
+        // The payload ends with the last arc's counters: sent, consumed,
+        // acked, lost results, lost acknowledges. One extra consume
+        // leaves the queues as they are, so only the conservation check
+        // can see it. Re-seal both checksums.
+        let n = bytes.len();
+        let consumed = u64::from_le_bytes(bytes[n - 32..n - 24].try_into().unwrap());
+        bytes[n - 32..n - 24].copy_from_slice(&(consumed + 1).to_le_bytes());
+        let payload_sum = checksum64(&bytes[HEADER_LEN..]).to_le_bytes();
+        bytes[36..44].copy_from_slice(&payload_sum);
+        let header_sum = checksum64(&bytes[..44]).to_le_bytes();
+        bytes[44..52].copy_from_slice(&header_sum);
+        let snap = Snapshot::from_bytes(bytes).unwrap();
+        match crate::session::Session::restore(&g, &snap) {
+            Err(SnapshotError::Malformed(m)) => assert!(m.contains("counters disagree"), "{m}"),
+            Err(e) => panic!("unexpected error {e:?}"),
+            Ok(_) => panic!("restore accepted counters that break conservation"),
+        }
     }
 
     #[test]

@@ -16,7 +16,7 @@ use valpipe_ir::value::{BinOp, Value};
 use valpipe_ir::{CtlStream, Graph};
 use valpipe_machine::{
     CellFreeze, FaultPlan, Kernel, LinkFault, ProgramInputs, RunResult, RunSpec, SimConfig,
-    Simulator, StopReason, WatchdogConfig,
+    Simulator, StallKind, StopReason, WatchdogConfig,
 };
 
 fn reals(v: &[f64]) -> Vec<Value> {
@@ -500,8 +500,8 @@ fn wide_watchdog_stall_matches() {
 #[test]
 fn wide_planning_error_surfaces_identically() {
     // Adding a boolean is a planning-time Eval error; the event kernel
-    // must surface the same first error the scan's plan order would,
-    // from the same step, with no partial firing.
+    // must surface the same first error the scan's visit order would,
+    // from the same step.
     let (mut g, inputs) = wide(110, 3);
     let ctl = g.add_node(Opcode::CtlGen(CtlStream::from_runs([(true, 1)])), "badctl");
     let bad = g.cell(Opcode::Bin(BinOp::Add), "bad", &[ctl.into(), 1.0.into()]);
@@ -520,6 +520,45 @@ fn wide_planning_error_surfaces_identically() {
     for e in &errs[1..] {
         assert_eq!(&errs[0], e, "kernels must report the same first error");
     }
+}
+
+#[test]
+fn a_faulting_step_leaves_the_earlier_cells_fired() {
+    // The one-pass step fires each cell as it visits it, so a step that
+    // stops at a program fault has already fired the enabled cells
+    // before the faulting one, and has not advanced the clock. Both
+    // kernels leave the identical state.
+    let mut g = Graph::new();
+    let a = g.add_node(Opcode::Source("a".into()), "a");
+    let early = g.cell(Opcode::Sink("early".into()), "early", &[a.into()]);
+    let bad = g.cell(Opcode::Bin(BinOp::And), "bad", &[a.into(), true.into()]);
+    let _ = g.cell(Opcode::Sink("out".into()), "out", &[bad.into()]);
+    let inputs = ProgramInputs::new().bind("a", reals(&[1.0, 2.0]));
+    let states: Vec<Vec<u8>> = ALL_KERNELS
+        .into_iter()
+        .map(|kernel| {
+            let mut session = Simulator::builder(&g)
+                .inputs(inputs.clone())
+                .config(SimConfig::new().kernel(kernel))
+                .build()
+                .unwrap();
+            assert_eq!(session.step().unwrap(), 1, "{kernel:?}: the source fires");
+            let err = session.step().unwrap_err();
+            assert!(err.to_string().contains("bad"), "{kernel:?}: {err}");
+            assert_eq!(session.now(), 1, "{kernel:?}: the faulting step");
+            let held = session.stall_report(StallKind::Deadlock).held_arcs;
+            let arc = |dst: usize| held.iter().find(|h| h.dst == dst).unwrap();
+            // The sink before the faulting cell consumed its token and
+            // started its acknowledge; the faulting cell's stays queued.
+            assert_eq!((arc(early.idx()).tokens, arc(early.idx()).unacked), (0, 1));
+            assert_eq!((arc(bad.idx()).tokens, arc(bad.idx()).unacked), (1, 0));
+            session.checkpoint().as_bytes().to_vec()
+        })
+        .collect();
+    assert_eq!(
+        states[0], states[1],
+        "kernels leave different faulted states"
+    );
 }
 
 #[test]
