@@ -69,9 +69,12 @@ cargo test -q
 # The two step-loop kernels must agree bit-for-bit; run the dedicated
 # equivalence and property suites explicitly so a regression names them.
 # The event kernel's bitmap wakeup wheel is checked against a plain
-# sort-and-dedup reference model the same way.
+# sort-and-dedup reference model the same way. The golden runs pin both
+# kernels' whole results and final states against recorded digests (the
+# root `cargo test` does not run the machine crate's integration tests).
 cargo test -q -p valpipe-machine --lib scheduler::tests::wheel_matches_reference_model
 cargo test -q -p valpipe-machine --test kernel_equivalence
+cargo test -q -p valpipe-machine --test golden_runs
 cargo test -q --test property_kernels
 
 # Every experiment runs through one driver, `valpipe-exp <name>`, which

@@ -3,11 +3,13 @@
 //! The scan kernel pays O(cells) every instruction time; the event-driven
 //! kernel pays O(fired + woken). On a dense, fully pipelined workload the
 //! two are close (most cells fire most steps): the fig6, fig3 and
-//! 100-block chain dense rows print the event/scan ratio of the fastest
-//! runs (recorded as `event_over_scan` in both of the row's JSON
-//! entries) and each kernel's wall time per fired cell, so the per-fire
-//! cost stays visible. The separation shows on
-//! *sparse-activity* workloads — a long pipeline carrying a handful of
+//! 100-block chain dense rows time `Session::drive` alone (each run's
+//! session is built before its timer starts), interleave scan and event
+//! runs for about a second per kernel, and print the event/scan ratio of
+//! the fastest runs (recorded as `event_over_scan` in both of the row's
+//! JSON entries, next to the run count `runs`) and each kernel's wall
+//! time per fired cell, so the per-fire cost stays visible. The
+//! separation shows on *sparse-activity* workloads — a long pipeline carrying a handful of
 //! packets, where the scan kernel re-examines thousands of idle cells per
 //! step. That is the acceptance workload: the event kernel must beat the
 //! scan kernel by at least 3× there (asserted, not just printed).
@@ -28,7 +30,7 @@ use valpipe_core::verify::stream_inputs;
 use valpipe_core::{compile_source, CompileOptions};
 use valpipe_ir::value::Value;
 use valpipe_ir::{Graph, Opcode};
-use valpipe_machine::{Kernel, ProgramInputs, RunResult, SimConfig, Simulator};
+use valpipe_machine::{Kernel, ProgramInputs, RunResult, RunSpec, SimConfig, Simulator};
 use valpipe_util::{Json, Rng};
 
 /// An identity chain of `stages` cells: with only a few packets in
@@ -87,10 +89,26 @@ fn run_kernel(g: &Graph, inputs: &ProgramInputs, kernel: Kernel) -> RunResult {
         .unwrap()
 }
 
+/// Wall seconds of one `drive` of a fresh session on `kernel`; the
+/// session is built, and the result dropped, outside the timer.
+fn drive_secs(g: &Graph, inputs: &ProgramInputs, kernel: Kernel) -> f64 {
+    let session = Simulator::builder(g)
+        .inputs(inputs.clone())
+        .config(SimConfig::new().kernel(kernel))
+        .build()
+        .unwrap();
+    let t0 = Instant::now();
+    let driven = session.drive(RunSpec::new());
+    let secs = t0.elapsed().as_secs_f64();
+    driven.unwrap();
+    secs
+}
+
 /// One dense workload under both kernels: assert that they agree
-/// bit-for-bit, then time scan and event interleaved and print the
-/// event/scan ratio of their fastest runs.
-fn dense_row(log: &mut BenchLog, name: &str, g: &Graph, inputs: &ProgramInputs, n: usize) {
+/// bit-for-bit, then time scan and event drives interleaved — one run
+/// each in smoke mode, else as many as take about a second per kernel —
+/// and print the event/scan ratio of their fastest runs.
+fn dense_row(log: &mut BenchLog, name: &str, g: &Graph, inputs: &ProgramInputs) {
     let reference = run_kernel(g, inputs, Kernel::Scan);
     assert_eq!(
         reference,
@@ -98,12 +116,19 @@ fn dense_row(log: &mut BenchLog, name: &str, g: &Graph, inputs: &ProgramInputs, 
         "EventDriven disagrees with Scan on {name}"
     );
     let kernels = [Kernel::Scan, Kernel::EventDriven];
+    let n = if smoke_mode() {
+        1
+    } else {
+        let slowest = kernels
+            .iter()
+            .map(|&k| drive_secs(g, inputs, k))
+            .fold(0.0, f64::max);
+        (1.0 / slowest).ceil().clamp(10.0, 100_000.0) as usize
+    };
     let mut times = [Vec::new(), Vec::new()];
     for _ in 0..n {
         for (k, &kernel) in kernels.iter().enumerate() {
-            let t0 = Instant::now();
-            let _ = run_kernel(g, inputs, kernel);
-            times[k].push(t0.elapsed().as_secs_f64());
+            times[k].push(drive_secs(g, inputs, kernel));
         }
     }
     let [scan, event] = times.map(|mut ts| {
@@ -132,6 +157,7 @@ fn dense_row(log: &mut BenchLog, name: &str, g: &Graph, inputs: &ProgramInputs, 
             [
                 ("ns_per_fire", Json::Float(ns_per_fire(median))),
                 ("event_over_scan", Json::Float(event_over_scan)),
+                ("runs", Json::Int(n as i64)),
             ],
         );
     }
@@ -258,7 +284,7 @@ fn main() {
         let exe = compiled.executable();
         let arrays = inputs_for_compiled(&compiled);
         let inputs = stream_inputs(&compiled, &arrays, waves);
-        dense_row(&mut log, name, &exe, &inputs, n);
+        dense_row(&mut log, name, &exe, &inputs);
     }
 
     // 4. The wide dense grid (>4000 cells, hundreds fireable per tick).
@@ -268,7 +294,7 @@ fn main() {
         (80, 50, 64)
     };
     let (wg, winputs) = wide_grid(chains, stages, pkts);
-    dense_row(&mut log, "wide_grid", &wg, &winputs, n);
+    dense_row(&mut log, "wide_grid", &wg, &winputs);
 
     if json_mode() {
         let path = log

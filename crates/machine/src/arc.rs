@@ -7,7 +7,10 @@
 //! lists are therefore [`InlineFifo`]s, which keep their first element
 //! inline, so a capacity-1 arc is read and written without touching a
 //! heap buffer. Only arcs of capacity 2 or more (and duplicate faults
-//! on them) spill to the heap.
+//! on them) spill to the heap. On the idealized capacity-1 machine an
+//! arc holds one token, or one pending acknowledge, or neither, and the
+//! one-slot operations ([`release_one`], [`consume_one`], [`emit_one`])
+//! read and write only the inline slots.
 
 use std::collections::VecDeque;
 
@@ -172,6 +175,41 @@ impl ArcState {
     }
 }
 
+/// One-slot release: [`release_acks`] for an arc of capacity 1, which
+/// holds at most one pending acknowledge, so only the inline slot is
+/// read.
+#[inline(always)]
+pub(crate) fn release_one(st: &mut ArcState, now: u64) {
+    debug_assert!(st.freeing.rest.is_empty(), "capacity-1 arc spilled");
+    if st.freeing.first.is_some_and(|t| t <= now) {
+        st.freeing.first = None;
+        st.acked += 1;
+    }
+}
+
+/// One-slot consume: [`consume_token`] with a delivered acknowledge on
+/// an arc of capacity 1. The consumed token was the arc's only held
+/// slot, so the token slot empties and the acknowledge slot was free.
+#[inline(always)]
+pub(crate) fn consume_one(st: &mut ArcState, ack_at: u64) {
+    debug_assert!(
+        st.queue.rest.is_empty() && st.freeing.is_empty(),
+        "capacity-1 arc holds more than its token"
+    );
+    st.queue.first = None;
+    st.consumed += 1;
+    st.freeing.first = Some(ack_at);
+}
+
+/// One-slot emit: [`emit_token`] with a delivered packet on an arc of
+/// capacity 1, which a cell emits onto only while it holds nothing.
+#[inline(always)]
+pub(crate) fn emit_one(st: &mut ArcState, v: Value, ready: u64) {
+    debug_assert!(st.occupied() == 0, "emit onto a full capacity-1 arc");
+    st.sent += 1;
+    st.queue.first = Some((v, ready));
+}
+
 /// Release the acknowledge slots of `st` that expire at or before
 /// `now`.
 #[inline]
@@ -284,6 +322,40 @@ mod tests {
                 assert!(fifo.iter().eq(model.iter()), "{ctx}");
             }
         }
+    }
+
+    #[test]
+    fn one_slot_ops_match_the_general_ops_at_capacity_one() {
+        let fresh = || ArcState {
+            cap: 1,
+            ..ArcState::default()
+        };
+        let (mut one, mut gen) = (fresh(), fresh());
+        for t in 0..20u64 {
+            let v = Value::Int(t as i64);
+            emit_one(&mut one, v, t + 1);
+            assert_eq!(
+                emit_token(&mut gen, v, t + 1, ResultFate::Deliver),
+                Some(t + 1)
+            );
+            consume_one(&mut one, t + 2);
+            assert_eq!(
+                consume_token(&mut gen, t + 2, AckFate::Deliver),
+                Some(t + 2)
+            );
+            for now in [t + 1, t + 2] {
+                release_one(&mut one, now);
+                release_acks(&mut gen, now);
+                assert!(one.queue.iter().eq(gen.queue.iter()), "step {t}");
+                assert!(one.freeing.iter().eq(gen.freeing.iter()), "step {t}");
+                assert_eq!(
+                    (one.sent, one.consumed, one.acked),
+                    (gen.sent, gen.consumed, gen.acked)
+                );
+                assert!(one.conserves());
+            }
+        }
+        assert_eq!(one.occupied(), 0);
     }
 
     #[test]

@@ -183,6 +183,7 @@ pub fn run_closed_loop(
     let mut idle = 0u64;
     let mut res_latency_sum = 0u64;
     let mut plans = Vec::new();
+    let mut budget = vec![0; opts.pes];
 
     while now < opts.max_cycles {
         let mut activity = false;
@@ -195,7 +196,7 @@ pub fn run_closed_loop(
         }
         // 2. Fire enabled cells under PE issue budgets. (Network
         // deliveries are applied in step 4, right after the planes step.)
-        let mut budget = vec![opts.pe_issue_width; opts.pes];
+        budget.fill(opts.pe_issue_width);
         plans.clear();
         for i in 0..n {
             if budget[pe_of[i]] == 0 {

@@ -12,7 +12,12 @@
 //!   of its destination arcs in one shared offset array (CSR);
 //! * per-arc producer and consumer cell ids;
 //! * generator tables: each `CtlGen` wave as a bitset plus its length,
-//!   each `IdxGen` as its first index and wave length ([`Gen`]).
+//!   each `IdxGen` as its first index and wave length ([`Gen`]), read at
+//!   a generator's wave phase (its cursor modulo the wave length, kept
+//!   beside the cursor by the machine), so a firing never divides;
+//! * per cell, whether a firing on the capacity-1 machine can leave it
+//!   enabled with no new event ([`CellCode::refire_check`]), decided
+//!   once here instead of after every firing.
 //!
 //! Cell labels, provenance, port names and the symbolic `CtlStream`s stay
 //! in the [`Graph`], which the machine reads only to build this form, to
@@ -24,7 +29,7 @@
 use std::sync::OnceLock;
 
 use valpipe_ir::graph::{Graph, PortBinding};
-use valpipe_ir::opcode::Opcode;
+use valpipe_ir::opcode::{Opcode, MERGE_CTL};
 use valpipe_ir::value::{BinOp, UnOp, Value};
 use valpipe_ir::{ArcId, CtlStream, NodeId};
 
@@ -87,6 +92,28 @@ pub(crate) struct CellCode {
     out_hi: u32,
     /// Index into `MachineCode::gens` for `Op::Gen` cells.
     pub(crate) aux: u32,
+    /// Whether, on a machine of arc capacity 1, a firing can leave this
+    /// cell enabled at the next step with no new event, so the step
+    /// must ask `sim::may_refire`. False for a cell whose firing
+    /// consumes an arc (a merge always consumes its control), since the
+    /// emptied arc refills only by a delivery, which wakes the cell;
+    /// and for a cell that emits onto a destination every firing (not a
+    /// gate, which may discard, nor a sink, which records instead),
+    /// since the filled arc frees only by an acknowledge, which wakes
+    /// the cell.
+    pub(crate) refire_check: bool,
+}
+
+impl CellCode {
+    fn refire_possible(op: Op, ports: &[Port; 3], has_outs: bool) -> bool {
+        let wired = |p: &Port| matches!(p, Port::Arc(_));
+        let consumes = match op {
+            Op::Merge => wired(&ports[MERGE_CTL]),
+            _ => ports[..op.arity()].iter().any(wired),
+        };
+        let fills = has_outs && !matches!(op, Op::TGate | Op::FGate | Op::Sink);
+        !(consumes || fills)
+    }
 }
 
 /// Waves longer than this many packets keep their run boundaries
@@ -154,20 +181,41 @@ impl Gen {
         }
     }
 
-    /// The packet emitted at 0-based cursor position `k`.
+    /// The wave phase of 0-based cursor position `k`: `k` modulo the
+    /// wave length. An index range spanning all 2⁶⁴ integers wraps its
+    /// length to 0 and never repeats within a `u64` cursor.
     #[inline]
-    pub(crate) fn at(&self, k: u64) -> Value {
+    pub(crate) fn phase(&self, k: u64) -> u64 {
+        k.checked_rem(self.len()).unwrap_or(k)
+    }
+
+    /// The phase after `p`.
+    #[inline]
+    pub(crate) fn next_phase(&self, p: u64) -> u64 {
+        let q = p.wrapping_add(1);
+        if q == self.len() {
+            0
+        } else {
+            q
+        }
+    }
+
+    /// The packet emitted at wave phase `p` (`p < len`).
+    #[inline]
+    pub(crate) fn at_phase(&self, p: u64) -> Value {
         match self {
-            Gen::Bits { len, bits } => {
-                let p = k % len;
-                Value::Bool(bits[(p / 64) as usize] >> (p % 64) & 1 == 1)
-            }
-            Gen::Runs { len, ends, first } => {
-                let run = ends.partition_point(|&e| e <= k % len);
+            Gen::Bits { bits, .. } => Value::Bool(bits[(p / 64) as usize] >> (p % 64) & 1 == 1),
+            Gen::Runs { ends, first, .. } => {
+                let run = ends.partition_point(|&e| e <= p);
                 Value::Bool(*first ^ (run % 2 == 1))
             }
-            Gen::Idx { lo, len } => Value::Int(lo + (k % len) as i64),
+            Gen::Idx { lo, .. } => Value::Int(lo.wrapping_add(p as i64)),
         }
+    }
+
+    /// The packet emitted at 0-based cursor position `k`.
+    pub(crate) fn at(&self, k: u64) -> Value {
+        self.at_phase(self.phase(k))
     }
 
     /// Whether advancing the cursor by `d` leaves the emitted sequence
@@ -251,6 +299,7 @@ impl MachineCode {
                 out_lo,
                 out_hi: outs.len() as u32,
                 aux,
+                refire_check: CellCode::refire_possible(op, &ports, !node.outputs.is_empty()),
             });
         }
         MachineCode {
@@ -343,6 +392,65 @@ mod tests {
             for k in probes {
                 assert_eq!(gen.at(k), Value::Bool(s.at(k)), "{s} at {k}");
             }
+        }
+    }
+
+    /// Walk `gen` phase by phase, as firings advance it, over three
+    /// waves: every read must be what `want` holds at the cursor, and
+    /// what `Gen::at` reads there.
+    fn walk_phases(gen: &Gen, want: impl Fn(u64) -> Value) {
+        let len = gen.len();
+        let mut p = 0;
+        for k in 0..3 * len + 5 {
+            assert_eq!((p, gen.phase(k)), (k % len, p), "{gen:?} at {k}");
+            assert_eq!(gen.at_phase(p), want(k), "{gen:?} at {k}");
+            assert_eq!(gen.at(k), want(k), "{gen:?} at {k}");
+            p = gen.next_phase(p);
+        }
+    }
+
+    #[test]
+    fn phase_reads_agree_with_the_cursor_across_wave_boundaries() {
+        let long = CtlStream::from_runs([(false, 2), (true, 3), (false, 65_600)]);
+        assert!(matches!(Gen::ctl(&long), Gen::Runs { .. }));
+        for s in [
+            CtlStream::from_runs([(true, 2), (false, 3)]),
+            CtlStream::window(70, 3, 60),
+            long,
+        ] {
+            walk_phases(&Gen::ctl(&s), |k| Value::Bool(s.at(k)));
+        }
+        walk_phases(&Gen::Idx { lo: -2, len: 5 }, |k| {
+            Value::Int(k as i64 % 5 - 2)
+        });
+        walk_phases(&Gen::Idx { lo: 7, len: 1 }, |_| Value::Int(7));
+    }
+
+    #[test]
+    fn refire_flag_is_conservative_on_degenerate_cells() {
+        let mut g = Graph::new();
+        // Cells whose firing neither consumes an arc nor fills a
+        // destination: only `may_refire` can tell whether they refire.
+        let src = g.add_node(Opcode::Source("a".into()), "src");
+        let ctl = g.add_node(
+            Opcode::CtlGen(CtlStream::from_runs([(true, 1), (false, 2)])),
+            "ctl",
+        );
+        let idx = g.add_node(Opcode::IdxGen { lo: 0, hi: 3 }, "idx");
+        let lit_sink = g.cell(Opcode::Sink("s".into()), "s", &[1.0.into()]);
+        let gate = g.cell(Opcode::TGate, "g", &[true.into(), 2.0.into()]);
+        let bare = g.cell(Opcode::Bin(BinOp::Add), "bare", &[1.0.into(), 2.0.into()]);
+        // A literal-operand cell with a destination fills it every
+        // firing; a cell fed by an arc empties it.
+        let filled = g.cell(Opcode::Bin(BinOp::Mul), "filled", &[3.0.into(), 2.0.into()]);
+        let fed = g.cell(Opcode::Id, "fed", &[filled.into()]);
+        let _ = g.cell(Opcode::Sink("t".into()), "t", &[gate.into()]);
+        let code = MachineCode::new(&g);
+        for n in [src, ctl, idx, lit_sink, gate, bare] {
+            assert!(code.cell(n.0).refire_check, "{}", g.nodes[n.idx()].label);
+        }
+        for n in [filled, fed] {
+            assert!(!code.cell(n.0).refire_check, "{}", g.nodes[n.idx()].label);
         }
     }
 

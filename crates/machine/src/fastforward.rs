@@ -699,6 +699,7 @@ fn apply_jump(sim: &mut Simulator<'_>, d: &WindowDelta, p: u64, k: u64, base: u6
         sim.cells.ctl_pos[i] += k * d.ctl_pos[i];
         sim.cells.src_pos[i] += k as usize * d.src_pos[i];
     }
+    sim.cells.rephase(&sim.code);
     for (slot, seg) in d.out_segs.iter().enumerate() {
         let dst = &mut sim.cells.outputs[slot].1;
         dst.reserve(seg.len() * k as usize);

@@ -137,16 +137,23 @@ impl Wheel {
         }
     }
 
+    /// Set `id`'s bit in the slot for time `at`, which must be within
+    /// the ring horizon.
+    #[inline(always)]
+    fn set(&mut self, id: u32, at: u64) {
+        debug_assert!((id as usize) < self.words * 64, "id beyond the wheel");
+        let s = (at & SLOT_MASK) as usize;
+        let w = id as usize >> 6;
+        self.bits[s * self.words + w] |= 1 << (id & 63);
+        self.touched[s * self.sums + (w >> 6)] |= 1 << (w & 63);
+    }
+
     /// Post `id` at `at`; posting the same `(id, at)` twice is a no-op.
     #[inline(always)]
     fn push(&mut self, id: u32, at: u64) {
         debug_assert!(at >= self.cursor, "wakeup posted into the past");
-        debug_assert!((id as usize) < self.words * 64, "id beyond the wheel");
         if at - self.cursor < WHEEL_SLOTS as u64 {
-            let s = (at & SLOT_MASK) as usize;
-            let w = id as usize >> 6;
-            self.bits[s * self.words + w] |= 1 << (id & 63);
-            self.touched[s * self.sums + (w >> 6)] |= 1 << (w & 63);
+            self.set(id, at);
         } else {
             self.far.insert((at, id));
         }
@@ -258,6 +265,17 @@ impl Scheduler {
         }
     }
 
+    /// Examine `node` at the step after the one being fired: once the
+    /// step at `now` has drained its cells the cursor stands at
+    /// `now + 1`, so the wakeup lands in the cursor's slot with no
+    /// horizon test. No-op for the scan kernel.
+    #[inline(always)]
+    pub(crate) fn wake_next(&mut self, node: u32) {
+        if self.enabled {
+            self.wheel.set(node, self.wheel.cursor);
+        }
+    }
+
     /// Drain the cells due at `now` into `out` (cleared first),
     /// ascending and distinct — the scan kernel examines cells in index
     /// order, and the resource throttle and first-error selection depend
@@ -318,6 +336,21 @@ mod tests {
         assert_eq!(nodes_at(&mut s, 3), vec![2, 7, 130]);
         assert_eq!(nodes_at(&mut s, 4), vec![1]);
         assert!(nodes_at(&mut s, 5).is_empty());
+    }
+
+    #[test]
+    fn next_step_wakeups_land_after_the_drained_step() {
+        let mut s = Scheduler::resume(Kernel::EventDriven, 130, 9);
+        nodes_at(&mut s, 9);
+        s.wake_next(129);
+        s.wake(5, 10);
+        s.wake_next(5);
+        s.wake_next(64);
+        assert_eq!(nodes_at(&mut s, 10), vec![5, 64, 129]);
+        assert!(nodes_at(&mut s, 11).is_empty());
+        let mut scan = Scheduler::resume(Kernel::Scan, 4, 0);
+        scan.wake_next(3);
+        assert!(nodes_at(&mut scan, 1).is_empty());
     }
 
     #[test]

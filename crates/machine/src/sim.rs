@@ -38,7 +38,9 @@ use valpipe_ir::graph::{Graph, PortBinding};
 use valpipe_ir::opcode::{Opcode, GATE_CTL, GATE_DATA, MERGE_CTL, MERGE_FALSE, MERGE_TRUE};
 use valpipe_ir::value::{apply_bin, apply_un, Value};
 
-use crate::arc::{consume_token, emit_token, release_acks, ArcState};
+use crate::arc::{
+    consume_one, consume_token, emit_one, emit_token, release_acks, release_one, ArcState,
+};
 use crate::code::{CellCode, MachineCode, Op, Port};
 use crate::error::MachineError;
 pub use crate::error::SimError;
@@ -299,6 +301,11 @@ pub(crate) struct Cells {
     pub(crate) src_pos: Vec<usize>,
     pub(crate) src_data: Vec<Option<Vec<Value>>>,
     pub(crate) ctl_pos: Vec<u64>,
+    /// Each generator's wave phase, `ctl_pos` modulo its wave length
+    /// (zero for other cells): what a generator's firing reads. Derived
+    /// from `ctl_pos` ([`Cells::rephase`]) wherever cursors are set
+    /// from outside the firing path, and never snapshotted.
+    pub(crate) ctl_phase: Vec<u64>,
     pub(crate) fires: Vec<u64>,
     /// Per-cell gate pass/discard counts (zero for non-gates); feeds the
     /// gate-accounting invariant and the stall report.
@@ -321,6 +328,7 @@ impl Cells {
             src_pos: vec![0; n],
             src_data: vec![None; n],
             ctl_pos: vec![0; n],
+            ctl_phase: vec![0; n],
             fires: vec![0; n],
             gate_passes: vec![0; n],
             gate_discards: vec![0; n],
@@ -329,6 +337,16 @@ impl Cells {
             src_slot: vec![NO_SLOT; n],
             outputs: Vec::new(),
             emit_times: Vec::new(),
+        }
+    }
+
+    /// Recompute every generator's wave phase from its cursor, after a
+    /// build, a restore or a fast-forward jump set the cursors.
+    pub(crate) fn rephase(&mut self, code: &MachineCode) {
+        for (i, cell) in code.cells.iter().enumerate() {
+            if cell.op == Op::Gen {
+                self.ctl_phase[i] = code.gens[cell.aux as usize].phase(self.ctl_pos[i]);
+            }
         }
     }
 
@@ -696,7 +714,7 @@ pub(crate) fn plan_cell(
             if !outputs_free(code, sim, cell) {
                 return Ok(None);
             }
-            let v = code.gens[cell.aux as usize].at(sim.cells.ctl_pos[n as usize]);
+            let v = code.gens[cell.aux as usize].at_phase(sim.cells.ctl_phase[n as usize]);
             Some(FirePlan::new().emit(v))
         }
         Op::Source => {
@@ -794,6 +812,7 @@ pub(crate) fn note_fire_cell(
             }
             Op::Gen => {
                 cells.ctl_pos[i] += 1;
+                cells.ctl_phase[i] = code.gens[cell.aux as usize].next_phase(cells.ctl_phase[i]);
                 launch = Some(v);
             }
             _ => launch = Some(v),
@@ -923,6 +942,7 @@ impl<'g> Simulator<'g> {
         for st in &mut arcs {
             st.cap = cfg.arc_capacity;
         }
+        cells.rephase(&code);
         let fault = cfg.fault_plan.clone().filter(|p| !p.is_empty());
         let stop_slots = StopSlots::compile(&cfg.stop_outputs, &cells);
         let sched = reseed_wheel(cfg.kernel, &code, &arcs, now);
@@ -968,54 +988,70 @@ impl<'g> Simulator<'g> {
     /// Fire cell `n` by `plan`: consume its operands and start their
     /// acknowledges, launch its result (each packet's fate drawn from
     /// the fault plan), and post the wakeups these events imply.
+    /// `STATIC` is the idealized capacity-1 machine: every packet takes
+    /// one instruction time and is delivered, so every arc is one
+    /// packet register ([`consume_one`], [`emit_one`]) and every wakeup
+    /// lands at the next step ([`Scheduler::wake_next`]).
     #[inline(always)]
-    fn fire<const CLEAN: bool>(&mut self, code: &MachineCode, n: u32, plan: FirePlan) {
+    fn fire<const STATIC: bool>(&mut self, code: &MachineCode, n: u32, plan: FirePlan) {
         let now = self.now;
         for arc in plan.consumes() {
             let a = arc as usize;
-            let (ack_at, fate) = if CLEAN {
-                (now + 1, AckFate::Deliver)
-            } else {
-                (
-                    now + self.cfg.delays.as_ref().map_or(1, |d| d.ack[a]),
-                    self.fault
-                        .as_ref()
-                        .map_or(AckFate::Deliver, |f| f.ack_fate(a, now)),
-                )
-            };
+            // The freed slot re-enables the arc's producer; its wakeup
+            // also releases the slot (see `visit`).
+            if STATIC {
+                consume_one(&mut self.arcs[a], now + 1);
+                self.sched.wake_next(code.arc_src[a]);
+                continue;
+            }
+            let ack_at = now + self.cfg.delays.as_ref().map_or(1, |d| d.ack[a]);
+            let fate = self
+                .fault
+                .as_ref()
+                .map_or(AckFate::Deliver, |f| f.ack_fate(a, now));
             if let Some(t) = consume_token(&mut self.arcs[a], ack_at, fate) {
-                // The freed slot re-enables the arc's producer; its
-                // wakeup also releases the slot (see `visit`).
                 self.sched.wake(code.arc_src[a], t);
             }
         }
+        let cell = code.cell(n);
         if let Some(v) = note_fire_cell(code, self, now, n, &plan) {
-            for &arc in code.outs(code.cell(n)) {
+            for &arc in code.outs(cell) {
                 let a = arc as usize;
-                let (ready, fate) = if CLEAN {
-                    (now + 1, ResultFate::Deliver)
-                } else {
-                    (
-                        now + self.cfg.delays.as_ref().map_or(1, |d| d.forward[a]),
-                        self.fault
-                            .as_ref()
-                            .map_or(ResultFate::Deliver, |f| f.result_fate(a, now)),
-                    )
-                };
+                if STATIC {
+                    emit_one(&mut self.arcs[a], v, now + 1);
+                    self.sched.wake_next(code.arc_dst[a]);
+                    continue;
+                }
+                let ready = now + self.cfg.delays.as_ref().map_or(1, |d| d.forward[a]);
+                let fate = self
+                    .fault
+                    .as_ref()
+                    .map_or(ResultFate::Deliver, |f| f.result_fate(a, now));
                 if let Some(t) = emit_token(&mut self.arcs[a], v, ready, fate) {
                     self.sched.wake(code.arc_dst[a], t);
                 }
             }
         }
-        if !CLEAN {
+        if !STATIC {
             if let Some(ft) = &mut self.cells.fire_times {
                 ft[n as usize].push(now);
             }
         }
         // Re-examine a fired cell next step if it may be enabled again
-        // with no new event (buffered output arcs, queued operands).
-        if self.sched.is_event_driven() && may_refire(code, self, n) {
-            self.sched.wake(n, now + 1);
+        // with no new event (buffered output arcs, queued operands). On
+        // the capacity-1 machine the cell's code already says whether it
+        // can be.
+        if STATIC && !cell.refire_check {
+            debug_assert!(
+                !may_refire(code, self, n),
+                "cell {n} refires at capacity 1 but its code skips the test"
+            );
+        } else if self.sched.is_event_driven() && may_refire(code, self, n) {
+            if STATIC {
+                self.sched.wake_next(n);
+            } else {
+                self.sched.wake(n, now + 1);
+            }
         }
     }
 
@@ -1032,7 +1068,7 @@ impl<'g> Simulator<'g> {
     /// visited after it this step can see one. Fault fates hash
     /// `(arc, step)` alone, so the order draws nothing different.
     #[inline(always)]
-    fn visit<const CLEAN: bool>(
+    fn visit<const STATIC: bool>(
         &mut self,
         code: &MachineCode,
         n: u32,
@@ -1040,9 +1076,14 @@ impl<'g> Simulator<'g> {
     ) -> Result<bool, SimError> {
         let now = self.now;
         for &a in code.outs(code.cell(n)) {
-            release_acks(&mut self.arcs[a as usize], now);
+            let st = &mut self.arcs[a as usize];
+            if STATIC {
+                release_one(st, now);
+            } else {
+                release_acks(st, now);
+            }
         }
-        if !CLEAN {
+        if !STATIC {
             if let Some(f) = &self.fault {
                 if f.frozen(n as usize, now) {
                     // The scan re-examines every cell every step; the
@@ -1058,7 +1099,7 @@ impl<'g> Simulator<'g> {
         let Some(plan) = self.plan(code, n)? else {
             return Ok(false);
         };
-        if !CLEAN {
+        if !STATIC {
             if let Some(res) = &self.cfg.resources {
                 let u = res.unit_of[n as usize] as usize;
                 if budget[u] == 0 {
@@ -1070,12 +1111,12 @@ impl<'g> Simulator<'g> {
                 budget[u] -= 1;
             }
         }
-        self.fire::<CLEAN>(code, n, plan);
+        self.fire::<STATIC>(code, n, plan);
         Ok(true)
     }
 
     /// Visit `cells` (ascending) in one pass; returns how many fired.
-    fn visit_all<const CLEAN: bool>(
+    fn visit_all<const STATIC: bool>(
         &mut self,
         code: &MachineCode,
         cells: impl Iterator<Item = u32>,
@@ -1083,31 +1124,34 @@ impl<'g> Simulator<'g> {
     ) -> Result<usize, SimError> {
         let mut fired = 0;
         for n in cells {
-            fired += self.visit::<CLEAN>(code, n, budget)? as usize;
+            fired += self.visit::<STATIC>(code, n, budget)? as usize;
         }
         Ok(fired)
     }
 
-    /// One instruction time. `CLEAN` (decided once per step, see
+    /// One instruction time. `STATIC` (decided once per step, see
     /// [`Simulator::step`]) compiles the one body for the idealized
-    /// machine of the paper's §2–3, with no fault, throttle, fire-time
-    /// or latency-table test in its consumes and emits. The scan kernel
-    /// visits every cell; the event kernel visits only the cells with a
-    /// wakeup due now (see [`crate::scheduler`] for the invariant).
-    /// Both visit in ascending id order, which the resource throttle
-    /// and first-error selection depend on.
-    fn step_with<const CLEAN: bool>(&mut self, code: &MachineCode) -> Result<usize, SimError> {
+    /// machine of the paper's §2–3 — every arc one packet register,
+    /// every packet one instruction time — with no fault, throttle,
+    /// fire-time or latency-table test in its consumes and emits. The
+    /// scan kernel visits every cell; the event kernel visits only the
+    /// cells with a wakeup due now (see [`crate::scheduler`] for the
+    /// invariant). Both visit in ascending id order, which the resource
+    /// throttle and first-error selection depend on.
+    fn step_with<const STATIC: bool>(&mut self, code: &MachineCode) -> Result<usize, SimError> {
         let mut budget = mem::take(&mut self.scratch.budget);
         budget.clear();
         if let Some(res) = &self.cfg.resources {
             budget.extend_from_slice(&res.capacity);
         }
         let fired = match self.cfg.kernel {
-            Kernel::Scan => self.visit_all::<CLEAN>(code, 0..code.cell_count() as u32, &mut budget),
+            Kernel::Scan => {
+                self.visit_all::<STATIC>(code, 0..code.cell_count() as u32, &mut budget)
+            }
             Kernel::EventDriven => {
                 let mut due = mem::take(&mut self.scratch.due_nodes);
                 self.sched.due_nodes(self.now, &mut due);
-                let fired = self.visit_all::<CLEAN>(code, due.iter().copied(), &mut budget);
+                let fired = self.visit_all::<STATIC>(code, due.iter().copied(), &mut budget);
                 self.scratch.due_nodes = due;
                 fired
             }
@@ -1123,13 +1167,15 @@ impl<'g> Simulator<'g> {
     /// returns a program fault leaves.
     pub fn step(&mut self) -> Result<usize, SimError> {
         let code = Arc::clone(&self.code);
-        // Clean: no fault plan, no resource model, no latency tables
-        // (every packet takes one instruction time), no fire times.
-        let clean = self.fault.is_none()
+        // The static machine: no fault plan, no resource model, no
+        // latency tables (every packet takes one instruction time), no
+        // fire times, and arcs of capacity 1.
+        let is_static = self.fault.is_none()
             && self.cfg.resources.is_none()
             && self.cfg.delays.is_none()
-            && self.cells.fire_times.is_none();
-        let fired = if clean {
+            && self.cells.fire_times.is_none()
+            && self.cfg.arc_capacity == 1;
+        let fired = if is_static {
             self.step_with::<true>(&code)?
         } else {
             self.step_with::<false>(&code)?
@@ -1467,6 +1513,21 @@ impl<'g> Simulator<'g> {
                 }
             }
         }
+        for (i, cell) in self.code.cells.iter().enumerate() {
+            if cell.op != Op::Gen {
+                continue;
+            }
+            let (pos, phase) = (self.cells.ctl_pos[i], self.cells.ctl_phase[i]);
+            if phase != self.code.gens[cell.aux as usize].phase(pos) {
+                return Err(MachineError::InvariantViolation {
+                    step,
+                    detail: format!(
+                        "generator cell {i} ({}) reads wave phase {phase} at cursor {pos}",
+                        self.g.nodes[i].label
+                    ),
+                });
+            }
+        }
         Ok(())
     }
 }
@@ -1758,6 +1819,59 @@ mod tests {
         }
         assert!((ivs[0] - ivs[1]).abs() < 0.02, "{ivs:?}");
         assert!((ivs[0] - 2.0).abs() < 0.05);
+    }
+
+    #[test]
+    fn degenerate_cells_refire_identically_on_both_bodies() {
+        // Sources and generators without destinations, a sink on a
+        // literal, and gates and binary cells on literals only: the
+        // cells whose refiring the per-cell flag leaves to `may_refire`
+        // (and, in debug builds, the cells whose skipped test `fire`
+        // re-asks), on the static body and on the general one.
+        let mut g = Graph::new();
+        let _ = g.add_node(Opcode::Source("a".into()), "src");
+        let _ = g.add_node(
+            Opcode::CtlGen(CtlStream::from_runs([(true, 1), (false, 2)])),
+            "ctl",
+        );
+        let _ = g.add_node(Opcode::IdxGen { lo: 0, hi: 3 }, "idx");
+        let _ = g.cell(Opcode::Sink("lit".into()), "lit", &[1.0.into()]);
+        let tg = g.cell(Opcode::TGate, "tg", &[true.into(), 2.0.into()]);
+        let fg = g.cell(Opcode::FGate, "fg", &[true.into(), 2.0.into()]);
+        let _ = g.cell(Opcode::Sink("t".into()), "t", &[tg.into()]);
+        let _ = g.cell(Opcode::Sink("f".into()), "f", &[fg.into()]);
+        let _ = g.cell(Opcode::Bin(BinOp::Add), "bare", &[1.0.into(), 2.0.into()]);
+        let filled = g.cell(Opcode::Bin(BinOp::Mul), "filled", &[3.0.into(), 2.0.into()]);
+        let _ = g.cell(Opcode::Sink("y".into()), "y", &[filled.into()]);
+        let inputs = ProgramInputs::new().bind("a", reals(&[1.0, 2.0, 3.0]));
+        let run = |kernel: Kernel, general: bool| {
+            let mut r = Simulator::builder(&g)
+                .inputs(inputs.clone())
+                .config(
+                    SimConfig::new()
+                        .kernel(kernel)
+                        .max_steps(40)
+                        .record_fire_times(general),
+                )
+                .run()
+                .unwrap();
+            r.fire_times = None;
+            r
+        };
+        let reference = run(Kernel::Scan, true);
+        assert_eq!(reference.values("lit").len(), 40);
+        assert_eq!(reference.values("y").len(), 20);
+        for (kernel, general) in [
+            (Kernel::Scan, false),
+            (Kernel::EventDriven, false),
+            (Kernel::EventDriven, true),
+        ] {
+            assert_eq!(
+                run(kernel, general),
+                reference,
+                "{kernel:?}, general {general}"
+            );
+        }
     }
 
     #[test]

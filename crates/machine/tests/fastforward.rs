@@ -99,6 +99,34 @@ fn fastforward_is_bit_identical_on_all_kernels() {
 }
 
 #[test]
+fn fastforward_keeps_generator_phases_across_partial_waves() {
+    // An alternating 70-packet control wave is shift-invariant by 2, so
+    // a jump may advance its cursor by less than a wave; the derived
+    // wave phase must follow the cursor (checked after every jump).
+    let mut g = pipeline_graph();
+    let y = g
+        .node_ids()
+        .find(|n| g.nodes[n.idx()].label == "mul")
+        .unwrap();
+    let ctl = g.add_node(
+        Opcode::CtlGen(CtlStream::from_runs(
+            (0..35).flat_map(|_| [(true, 1), (false, 1)]),
+        )),
+        "ctl",
+    );
+    let gate = g.cell(Opcode::TGate, "gate", &[ctl.into(), y.into()]);
+    let _ = g.cell(Opcode::Sink("tap".into()), "tap", &[gate.into()]);
+    let inputs = wave_inputs(400);
+    let cfg = SimConfig::new().check_invariants(true);
+    for kernel in [Kernel::Scan, Kernel::EventDriven] {
+        let exact = run_exact(&g, &inputs, &cfg, kernel);
+        let (ff, stats) = drive_ff(&g, &inputs, &cfg, kernel, 0);
+        assert_eq!(ff, exact, "fast-forward diverged on {kernel:?}");
+        assert!(stats.skipped_steps > 0, "stats: {stats:?}");
+    }
+}
+
+#[test]
 fn fastforward_handles_control_generators() {
     let g = gated_graph();
     let inputs = wave_inputs(400);

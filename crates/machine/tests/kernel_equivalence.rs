@@ -11,6 +11,10 @@
 //! `RunResult` derives `PartialEq`, so each test is a single whole-run
 //! comparison — nothing is projected out, nothing can drift silently.
 
+use std::collections::HashMap;
+
+use valpipe_core::verify::stream_inputs;
+use valpipe_core::{compile_source, CompileOptions};
 use valpipe_ir::opcode::Opcode;
 use valpipe_ir::value::{BinOp, Value};
 use valpipe_ir::{CtlStream, Graph};
@@ -18,6 +22,7 @@ use valpipe_machine::{
     CellFreeze, FaultPlan, Kernel, LinkFault, ProgramInputs, RunResult, RunSpec, SimConfig,
     Simulator, StallKind, StopReason, WatchdogConfig,
 };
+use valpipe_val::interp::ArrayVal;
 
 fn reals(v: &[f64]) -> Vec<Value> {
     v.iter().map(|&x| Value::Real(x)).collect()
@@ -587,4 +592,81 @@ fn faults_plus_throttling_plus_latency_compose() {
         .check_invariants(true);
     let r = assert_equivalent(&g, &inputs, cfg);
     assert!(r.sources_exhausted);
+}
+
+/// A compiled paper program, FIFO-expanded, with `waves` waves of
+/// deterministic inputs.
+fn compiled(src: &str, waves: usize) -> (Graph, ProgramInputs) {
+    let c = compile_source(src, &CompileOptions::paper()).unwrap();
+    let arrays: HashMap<String, ArrayVal> = c
+        .flow
+        .inputs
+        .iter()
+        .map(|(name, (lo, hi))| {
+            let vals: Vec<f64> = (*lo..=*hi).map(|i| (i as f64 * 0.37).sin() + 1.5).collect();
+            (name.clone(), ArrayVal::from_reals(*lo, &vals))
+        })
+        .collect();
+    (c.executable(), stream_inputs(&c, &arrays, waves))
+}
+
+/// The paper's Example 1 (Fig. 6) over `m`.
+fn fig6_src(m: usize) -> String {
+    format!(
+        "param m = {m};
+input B : array[real] [0, m+1];
+input C : array[real] [0, m+1];
+A : array[real] :=
+  forall i in [0, m+1]
+    P : real :=
+      if (i = 0)|(i = m+1) then C[i]
+      else 0.25 * (C[i-1] + 2.*C[i] + C[i+1])
+      endif;
+  construct B[i]*(P*P)
+  endall;
+output A;"
+    )
+}
+
+/// A chain of `blocks` two-tap smoothing blocks over `m`.
+fn chain_src(m: usize, blocks: usize) -> String {
+    let mut s = format!("param m = {m};\ninput S0 : array[real] [0, m+1];\n");
+    for k in 1..=blocks {
+        s.push_str(&format!(
+            "S{k} : array[real] := forall i in [{k}, m+1-{k}] construct 0.5 * (S{}[i-1] + S{}[i+1]) endall;\n",
+            k - 1,
+            k - 1
+        ));
+    }
+    s.push_str(&format!("output S{blocks};\n"));
+    s
+}
+
+#[test]
+fn static_and_general_bodies_agree_on_the_paper_programs() {
+    // A clean run at capacity 1 takes the static body; recording fire
+    // times forces the same run onto the general body. Apart from the
+    // recorded times, the two must agree on both kernels.
+    let fig3 = valpipe_val::parser::FIG3_PROGRAM.replace("param m = 32;", "param m = 48;");
+    for (name, src, waves) in [
+        ("fig3", fig3, 3),
+        ("fig6", fig6_src(40), 3),
+        ("chain20", chain_src(60, 20), 2),
+    ] {
+        let (g, inputs) = compiled(&src, waves);
+        let static_run = assert_equivalent(&g, &inputs, SimConfig::new());
+        assert!(static_run.sources_exhausted, "{name}");
+        assert!(static_run.fire_times.is_none(), "{name}");
+        let mut general = assert_equivalent(&g, &inputs, SimConfig::new().record_fire_times(true));
+        let times = general.fire_times.take().expect("fire times recorded");
+        assert_eq!(
+            times.iter().map(|t| t.len() as u64).collect::<Vec<_>>(),
+            general.fires,
+            "{name}"
+        );
+        assert_eq!(
+            static_run, general,
+            "{name}: static and general bodies differ"
+        );
+    }
 }

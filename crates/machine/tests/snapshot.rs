@@ -175,6 +175,51 @@ fn non_uniform_delays_survive_checkpoint_and_restore() {
     }
 }
 
+/// Generators of three table shapes — a short control wave, a control
+/// wave too long for a bitset, and an index range — gating and feeding
+/// sinks.
+fn generator_graph() -> Graph {
+    let mut g = Graph::new();
+    let a = g.add_node(Opcode::Source("a".into()), "a");
+    let ctl = g.add_node(
+        Opcode::CtlGen(CtlStream::from_runs([(true, 2), (false, 3)])),
+        "ctl",
+    );
+    let gate = g.cell(Opcode::TGate, "gate", &[ctl.into(), a.into()]);
+    let _ = g.cell(Opcode::Sink("kept".into()), "kept", &[gate.into()]);
+    let long = g.add_node(
+        Opcode::CtlGen(CtlStream::from_runs([
+            (false, 2),
+            (true, 3),
+            (false, 70_000),
+        ])),
+        "long",
+    );
+    let _ = g.cell(Opcode::Sink("long".into()), "long_out", &[long.into()]);
+    let idx = g.add_node(Opcode::IdxGen { lo: -3, hi: 3 }, "idx");
+    let _ = g.cell(Opcode::Sink("idx".into()), "idx_out", &[idx.into()]);
+    g
+}
+
+#[test]
+fn restores_generators_mid_wave() {
+    // A generator's wave phase is derived from its cursor, not stored:
+    // a checkpoint at every step of the first waves (so at every phase
+    // of the 5- and 7-packet waves) must resume to the uninterrupted
+    // run.
+    let g = generator_graph();
+    let inputs = workload_inputs(40);
+    let cfg = SimConfig::new().max_steps(200);
+    for kernel in [Kernel::Scan, Kernel::EventDriven] {
+        let reference = straight_run(&g, &inputs, &cfg, kernel);
+        assert_eq!(reference.values("idx").len(), 100);
+        for k in 1..30 {
+            let recovered = crash_and_recover(&g, &inputs, &cfg, kernel, kernel, k);
+            assert_eq!(recovered, reference, "checkpoint at {k} on {kernel:?}");
+        }
+    }
+}
+
 #[test]
 fn default_restore_resumes_on_default_kernel() {
     let g = workload_graph();
