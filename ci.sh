@@ -65,6 +65,9 @@ fi
 
 cargo build --release
 cargo test -q
+# A bare `cargo test` runs only the root package's tests; the library
+# crates' own unit and integration suites run here.
+cargo test -q --workspace --exclude valpipe
 
 # The two step-loop kernels must agree bit-for-bit; run the dedicated
 # equivalence and property suites explicitly so a regression names them.

@@ -31,9 +31,6 @@ pub struct CompileOptions {
     /// (e.g. between time steps of a physics code, paper §2). Enables the
     /// array-memory traffic accounting experiments.
     pub am_boundary: bool,
-    /// Keep blocks whose results reach no declared output (default:
-    /// dead blocks are not compiled).
-    pub keep_dead_blocks: bool,
     /// Lower every control/index generator into circuits of ordinary
     /// instruction cells (Todd's construction) before balancing, so the
     /// final program uses no primitive generator nodes.

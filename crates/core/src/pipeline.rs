@@ -237,7 +237,7 @@ pub(crate) fn lower_block(
 
 /// Lower the program epilogue: output sinks (optionally through
 /// array-memory write cells) and structural drain sinks for any stream
-/// left unconsumed (kept dead blocks).
+/// left unconsumed.
 pub(crate) fn lower_epilogue(
     c: &mut Compiler,
     opts: &CompileOptions,
@@ -260,8 +260,8 @@ pub(crate) fn lower_epilogue(
         c.g.cell(Opcode::Sink(name.clone()), l, &[node.into()]);
     }
 
-    // Any compiled block whose stream ends up unconsumed (kept dead
-    // blocks) still needs a consumer to be structurally valid.
+    // Any stream that ends up unconsumed still needs a consumer to be
+    // structurally valid.
     for id in c.g.node_ids().collect::<Vec<_>>() {
         if c.g.nodes[id.idx()].op.produces_output() && c.g.nodes[id.idx()].outputs.is_empty() {
             // The drain sink belongs to whatever statement produced

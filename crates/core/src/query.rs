@@ -533,7 +533,7 @@ impl QueryEngine {
             let live = live_blocks(&flow, &prog.outputs);
             let blocks = flow.blocks.iter().zip(&prog.blocks).zip(block_keys);
             for ((block, decl), key) in blocks {
-                if !opts.keep_dead_blocks && !live.contains(&block.name) {
+                if !live.contains(&block.name) {
                     cstats.dead_blocks.push(block.name.clone());
                     continue;
                 }

@@ -71,16 +71,6 @@ impl CtlStream {
         ])
     }
 
-    /// `T` only on the first packet of each wave (`T F^(len-1)`).
-    pub fn first_only(len: u32) -> Self {
-        Self::window(len, 0, 1)
-    }
-
-    /// `T` only on the last packet of each wave (`F^(len-1) T`).
-    pub fn last_only(len: u32) -> Self {
-        Self::window(len, len - 1, 1)
-    }
-
     /// `F` on the first packet, `T` elsewhere — the `F T...T` merge control
     /// of the paper's Fig. 7 (take the initial value first, then feedback).
     pub fn all_but_first(len: u32) -> Self {
@@ -250,14 +240,6 @@ mod tests {
 
     #[test]
     fn first_last_helpers() {
-        assert_eq!(
-            CtlStream::first_only(4).take(4),
-            vec![true, false, false, false]
-        );
-        assert_eq!(
-            CtlStream::last_only(4).take(4),
-            vec![false, false, false, true]
-        );
         assert_eq!(CtlStream::all_but_first(3).take(3), vec![false, true, true]);
         assert_eq!(CtlStream::all_but_last(3).take(3), vec![true, true, false]);
     }

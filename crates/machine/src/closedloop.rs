@@ -182,7 +182,6 @@ pub fn run_closed_loop(
     let mut now = 0u64;
     let mut idle = 0u64;
     let mut res_latency_sum = 0u64;
-    let mut plans = Vec::new();
     let mut budget = vec![0; opts.pes];
 
     while now < opts.max_cycles {
@@ -194,24 +193,24 @@ pub fn run_closed_loop(
             deliver(&mut sim.arcs, p, now);
             activity = true;
         }
-        // 2. Fire enabled cells under PE issue budgets. (Network
-        // deliveries are applied in step 4, right after the planes step.)
+        // 2. Fire enabled cells under PE issue budgets, planning and
+        // firing each cell in one visit. (Network deliveries are applied
+        // in step 4, right after the planes step.) A firing cannot change
+        // a later cell's plan this cycle: its tokens and acknowledges
+        // stay IN_NETWORK until delivered next cycle or later, and a
+        // consume leaves the arc's occupancy unchanged.
         budget.fill(opts.pe_issue_width);
-        plans.clear();
         for i in 0..n {
-            if budget[pe_of[i]] == 0 {
+            let pe = pe_of[i];
+            if budget[pe] == 0 {
                 continue;
             }
             let nid = i as u32;
-            if let Some(plan) = plan_cell(&code, &sim, now, nid).map_err(|f| f.at(g, nid))? {
-                budget[pe_of[i]] -= 1;
-                plans.push((nid, plan));
-            }
-        }
-
-        for &(nid, plan) in &plans {
+            let Some(plan) = plan_cell(&code, &sim, now, nid).map_err(|f| f.at(g, nid))? else {
+                continue;
+            };
+            budget[pe] -= 1;
             activity = true;
-            let pe = pe_of[nid as usize];
             // Consume: pop tokens, send acknowledges toward the producers.
             for a in plan.consumes() {
                 consume_token(&mut sim.arcs[a as usize], IN_NETWORK, AckFate::Deliver);

@@ -178,34 +178,6 @@ impl Snapshot {
         std::fs::rename(&tmp, path).map_err(|e| SnapshotError::Io(e.to_string()))
     }
 
-    /// Delete stale `*.tmp` files under `dir` — the droppings of a crash
-    /// that landed between a checkpoint's temporary-file write and its
-    /// atomic rename. Returns the file names removed (sorted, for
-    /// deterministic reporting). Call on startup before trusting a
-    /// checkpoint/hibernation directory; completed snapshots are never
-    /// touched, because a finished write has already renamed its
-    /// temporary away. A missing directory sweeps nothing.
-    pub fn sweep_stale_tmp(dir: impl AsRef<std::path::Path>) -> Result<Vec<String>, SnapshotError> {
-        let dir = dir.as_ref();
-        let entries = match std::fs::read_dir(dir) {
-            Ok(e) => e,
-            Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(Vec::new()),
-            Err(e) => return Err(SnapshotError::Io(e.to_string())),
-        };
-        let mut removed = Vec::new();
-        for entry in entries {
-            let entry = entry.map_err(|e| SnapshotError::Io(e.to_string()))?;
-            let name = entry.file_name();
-            let Some(name) = name.to_str() else { continue };
-            if name.ends_with(".tmp") && entry.file_type().is_ok_and(|t| t.is_file()) {
-                std::fs::remove_file(entry.path()).map_err(|e| SnapshotError::Io(e.to_string()))?;
-                removed.push(name.to_string());
-            }
-        }
-        removed.sort();
-        Ok(removed)
-    }
-
     /// Snapshot format version.
     pub fn version(&self) -> u32 {
         u32::from_le_bytes(self.bytes[8..12].try_into().unwrap())
@@ -1026,24 +998,6 @@ mod tests {
         let a = mid_run_snapshot(&g);
         let b = mid_run_snapshot(&g);
         assert_eq!(a.as_bytes(), b.as_bytes());
-    }
-
-    #[test]
-    fn sweep_removes_only_stale_tmp_files() {
-        let dir = std::env::temp_dir().join(format!("valpipe_sweep_{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        std::fs::write(dir.join("a.snap.tmp"), b"torn half-write").unwrap();
-        std::fs::write(dir.join("b.snap"), b"not a tmp").unwrap();
-        let removed = Snapshot::sweep_stale_tmp(&dir).unwrap();
-        assert_eq!(removed, vec!["a.snap.tmp".to_string()]);
-        assert!(!dir.join("a.snap.tmp").exists());
-        assert!(dir.join("b.snap").exists());
-        // Missing directories sweep nothing rather than erroring.
-        assert_eq!(
-            Snapshot::sweep_stale_tmp(dir.join("missing")).unwrap(),
-            Vec::<String>::new()
-        );
-        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]

@@ -35,20 +35,18 @@
 //! the slot its in-flight job was writing — the file is short, or holds
 //! the new prefix over the old suffix — and its checksums fail. [`load`]
 //! and [`scan`] check both slots and rebuild only the newest valid one,
-//! which holds the state after the last job that completed. The
-//! single-file `VALPHIB1` container `<name>.vph` of earlier releases
-//! (whole-file checksum, see [`encode`]) still loads, as sequence 0, but
-//! is never written.
+//! which holds the state after the last job that completed.
 //!
 //! [`remove`] deletes oldest first, so a close cut short leaves the
 //! newest state, which resumes. A fresh session's first write removes
-//! whatever an earlier session of the same name left, so no leftover
-//! slot can shadow or resurrect it. [`scan`] runs at server startup: it
-//! sweeps temporaries left by earlier releases' writers, validates every
-//! session's containers (framing, checksums, snapshot self-checks,
-//! recompile fingerprint), and returns the recoverable sessions and a
-//! typed reason for every file of a session it could not recover. A torn
-//! or truncated container is a *skip*, never a panic.
+//! whatever slots an earlier session of the same name left, so no
+//! leftover slot can shadow or resurrect it. [`scan`] runs at server
+//! startup: it validates every session's slots (framing, checksums,
+//! snapshot self-checks, recompile fingerprint), and returns the
+//! recoverable sessions and a typed reason for every `.vph` file it
+//! could not recover — a slot of an unrecoverable session, or a file
+//! whose name is not a slot's. A torn or truncated container is a
+//! *skip*, never a panic.
 
 use std::collections::BTreeSet;
 use std::fs::OpenOptions;
@@ -56,18 +54,15 @@ use std::io::{ErrorKind, Write};
 use std::path::{Path, PathBuf};
 use std::sync::{MutexGuard, PoisonError};
 
-use valpipe_machine::{Kernel, Snapshot, SnapshotError};
+use valpipe_machine::{Snapshot, SnapshotError};
 use valpipe_util::{checksum64, Json, Rng};
 
 use crate::proto::{kernel_from_str, kernel_to_str};
 use crate::session::{SessionCore, SessionSpec};
 
-/// Magic of the single-file container of earlier releases (distinct
-/// from the snapshot magic so a raw snapshot dropped in the directory is
-/// diagnosed, not misparsed). Read, never written.
-pub const HIBERNATE_MAGIC: [u8; 8] = *b"VALPHIB1";
-
-/// Magic of a slot container, the form [`save`] writes.
+/// Magic of a slot container, the one form [`save`] writes and [`load`]
+/// reads (distinct from the snapshot magic so a raw snapshot dropped in
+/// the directory is diagnosed, not misparsed).
 pub const SLOT_MAGIC: [u8; 8] = *b"VALPHIB2";
 
 /// Length of a §10 snapshot header, which ends in the payload checksum
@@ -128,14 +123,13 @@ fn disk(core: &SessionCore) -> MutexGuard<'_, DiskState> {
     core.disk.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
-/// Path of a session's single-file container of earlier releases.
-pub fn container_path(dir: &Path, name: &str) -> PathBuf {
-    dir.join(format!("{name}.vph"))
-}
-
 /// Path of one of a session's two slot containers (`slot` is 0 or 1).
 pub fn slot_path(dir: &Path, name: &str, slot: u64) -> PathBuf {
     dir.join(format!("{name}.{slot}.vph"))
+}
+
+fn slot_paths(dir: &Path, name: &str) -> [PathBuf; 2] {
+    [slot_path(dir, name, 0), slot_path(dir, name, 1)]
 }
 
 fn push_u64(out: &mut Vec<u8>, v: u64) {
@@ -165,23 +159,6 @@ fn render_meta(core: &SessionCore) -> String {
         ),
     ])
     .to_compact()
-}
-
-/// Serialize `core` as a single-file `VALPHIB1` container of earlier
-/// releases: magic, meta, snapshot, and a checksum of everything before
-/// it. [`save`] never writes this form; [`decode`] and [`load`] read it.
-pub fn encode(core: &SessionCore) -> Vec<u8> {
-    let meta = render_meta(core);
-    let snap = core.snapshot.as_bytes();
-    let mut out = Vec::with_capacity(32 + meta.len() + snap.len());
-    out.extend_from_slice(&HIBERNATE_MAGIC);
-    push_u64(&mut out, meta.len() as u64);
-    out.extend_from_slice(meta.as_bytes());
-    push_u64(&mut out, snap.len() as u64);
-    out.extend_from_slice(snap);
-    let sum = checksum64(&out);
-    push_u64(&mut out, sum);
-    out
 }
 
 fn slot_bytes(core: &SessionCore, seq: u64, meta: &str) -> Vec<u8> {
@@ -219,12 +196,12 @@ struct Verified {
 fn frame(bytes: &[u8]) -> Result<(u64, &[u8], &[u8]), HibernateError> {
     let corrupt = |m: &str| HibernateError::Corrupt(m.to_string());
     let truncated = || HibernateError::Snapshot(SnapshotError::Truncated);
-    let (seq, meta_at, slot) = match bytes.get(..8) {
-        Some(m) if m == SLOT_MAGIC => (read_u64(bytes, 8).ok_or_else(truncated)?, 24, true),
-        Some(m) if m == HIBERNATE_MAGIC => (0, 16, false),
-        _ => return Err(corrupt("bad magic")),
-    };
-    let meta_len = read_u64(bytes, meta_at - 8).ok_or_else(truncated)?;
+    if bytes.get(..8) != Some(&SLOT_MAGIC[..]) {
+        return Err(corrupt("bad magic"));
+    }
+    let seq = read_u64(bytes, 8).ok_or_else(truncated)?;
+    let meta_at: usize = 24;
+    let meta_len = read_u64(bytes, 16).ok_or_else(truncated)?;
     let meta_end = usize::try_from(meta_len)
         .ok()
         .and_then(|n| meta_at.checked_add(n))
@@ -237,11 +214,7 @@ fn frame(bytes: &[u8]) -> Result<(u64, &[u8], &[u8]), HibernateError> {
         .and_then(|n| snap_at.checked_add(n))
         .filter(|&e| e.checked_add(8) == Some(bytes.len()))
         .ok_or_else(truncated)?;
-    let covered = if slot {
-        snap_at + (snap_end - snap_at).min(SNAPSHOT_HEADER_LEN)
-    } else {
-        snap_end
-    };
+    let covered = snap_at + (snap_end - snap_at).min(SNAPSHOT_HEADER_LEN);
     if checksum64(&bytes[..covered]) != read_u64(bytes, snap_end).unwrap() {
         return Err(corrupt("checksum mismatch (torn or bit-rotted write)"));
     }
@@ -264,7 +237,7 @@ fn verify_bytes(bytes: &[u8]) -> Result<Verified, HibernateError> {
 
 /// Check a container's framing and every checksum, snapshot payload
 /// included, without rebuilding the session; returns its sequence
-/// number (0 for a `VALPHIB1` container).
+/// number.
 pub fn verify(bytes: &[u8]) -> Result<u64, HibernateError> {
     verify_bytes(bytes).map(|v| v.seq)
 }
@@ -292,14 +265,6 @@ fn rebuild(v: Verified) -> Result<SessionCore, HibernateError> {
             .ok_or_else(|| corrupt(&format!("meta missing '{k}'")))
     };
     let kernel_str = str_field("kernel")?;
-    // Containers written while the epoch-batched `parallel:N` kernel
-    // existed still name it. Snapshots are kernel-neutral and every
-    // kernel's results are bit-identical, so such a session resumes on
-    // the event kernel, the one that kernel's steps fell back to.
-    let kernel = match kernel_str.strip_prefix("parallel:") {
-        Some(w) if w.parse::<usize>().is_ok() => Some(Kernel::EventDriven),
-        _ => kernel_from_str(&kernel_str),
-    };
     let spec = SessionSpec {
         name: str_field("name")?,
         source: str_field("source")?,
@@ -308,7 +273,8 @@ fn rebuild(v: Verified) -> Result<SessionCore, HibernateError> {
             .cloned()
             .ok_or_else(|| corrupt("meta missing 'arrays'"))?,
         waves: int_field("waves")? as usize,
-        kernel: kernel.ok_or_else(|| corrupt(&format!("unknown kernel '{kernel_str}'")))?,
+        kernel: kernel_from_str(&kernel_str)
+            .ok_or_else(|| corrupt(&format!("unknown kernel '{kernel_str}'")))?,
         max_steps: int_field("max_steps")? as u64,
     };
     let final_result = match meta.get("final") {
@@ -341,9 +307,8 @@ fn rebuild(v: Verified) -> Result<SessionCore, HibernateError> {
     Ok(core)
 }
 
-/// Rebuild a session core from container bytes, slot (`VALPHIB2`) or
-/// single-file (`VALPHIB1`): validate framing and checksums, then
-/// recompile and check the program fingerprint.
+/// Rebuild a session core from slot container bytes: validate framing
+/// and checksums, then recompile and check the program fingerprint.
 pub fn decode(bytes: &[u8]) -> Result<SessionCore, HibernateError> {
     verify_bytes(bytes).and_then(rebuild)
 }
@@ -380,7 +345,7 @@ fn write_in_place(dir: &Path, path: &Path, bytes: &[u8]) -> std::io::Result<()> 
 /// transient I/O failures with jittered exponential backoff (checkpoint
 /// contention — e.g. a concurrent scan holding the file open on some
 /// platforms — is transient; a full disk eventually is not). The first
-/// write of a fresh core first removes whatever containers an earlier
+/// write of a fresh core first removes whatever slots an earlier
 /// session of the same name left.
 pub fn save(dir: &Path, core: &SessionCore, rng: &mut Rng) -> Result<(), HibernateError> {
     let mut disk = disk(core);
@@ -419,25 +384,20 @@ pub fn save(dir: &Path, core: &SessionCore, rng: &mut Rng) -> Result<(), Hiberna
     )))
 }
 
-/// Every container file of `name` in `dir` (the single-file form, then
-/// slots 0 and 1) with what reading and verifying it gave; missing
-/// files are left out.
+/// The slot files of `name` in `dir` (slot 0, then slot 1) with what
+/// reading and verifying each gave; missing files are left out.
 fn containers(dir: &Path, name: &str) -> Found {
-    [
-        container_path(dir, name),
-        slot_path(dir, name, 0),
-        slot_path(dir, name, 1),
-    ]
-    .into_iter()
-    .filter_map(|path| match std::fs::read(&path) {
-        Ok(bytes) => {
-            let v = verify_bytes(&bytes);
-            Some((path, v))
-        }
-        Err(e) if e.kind() == ErrorKind::NotFound => None,
-        Err(e) => Some((path, Err(HibernateError::Io(e.to_string())))),
-    })
-    .collect()
+    slot_paths(dir, name)
+        .into_iter()
+        .filter_map(|path| match std::fs::read(&path) {
+            Ok(bytes) => {
+                let v = verify_bytes(&bytes);
+                Some((path, v))
+            }
+            Err(e) if e.kind() == ErrorKind::NotFound => None,
+            Err(e) => Some((path, Err(HibernateError::Io(e.to_string())))),
+        })
+        .collect()
 }
 
 type Found = Vec<(PathBuf, Result<Verified, HibernateError>)>;
@@ -465,23 +425,19 @@ pub fn load(dir: &Path, name: &str) -> Result<SessionCore, HibernateError> {
     }
 }
 
-/// Delete a session's containers (used by explicit `close`), oldest
+/// Delete a session's slot files (used by explicit `close`), oldest
 /// first: files whose frame does not hold, then the rest in ascending
 /// sequence. A removal cut short leaves the newest state, never an
 /// older one in place of a deleted newer one.
 pub fn remove(dir: &Path, name: &str) -> Result<(), HibernateError> {
-    let mut found: Vec<(Option<u64>, PathBuf)> = [
-        container_path(dir, name),
-        slot_path(dir, name, 0),
-        slot_path(dir, name, 1),
-    ]
-    .into_iter()
-    .filter_map(|path| match std::fs::read(&path) {
-        Ok(bytes) => Some((frame(&bytes).ok().map(|(seq, ..)| seq), path)),
-        Err(e) if e.kind() == ErrorKind::NotFound => None,
-        Err(_) => Some((None, path)),
-    })
-    .collect();
+    let mut found: Vec<(Option<u64>, PathBuf)> = slot_paths(dir, name)
+        .into_iter()
+        .filter_map(|path| match std::fs::read(&path) {
+            Ok(bytes) => Some((frame(&bytes).ok().map(|(seq, ..)| seq), path)),
+            Err(e) if e.kind() == ErrorKind::NotFound => None,
+            Err(_) => Some((None, path)),
+        })
+        .collect();
     found.sort();
     for (_, path) in found {
         match std::fs::remove_file(&path) {
@@ -498,24 +454,34 @@ pub fn remove(dir: &Path, name: &str) -> Result<(), HibernateError> {
 pub struct ScanReport {
     /// Names of sessions with a valid container, sorted.
     pub recovered: Vec<String>,
-    /// Stale temporary files swept (left by earlier releases' writers).
-    pub swept_tmp: Vec<String>,
-    /// Container files of sessions that could not be recovered, with the
-    /// typed reason.
+    /// `.vph` files that could not be recovered, with the typed reason,
+    /// sorted by file name.
     pub skipped: Vec<(String, HibernateError)>,
 }
 
-/// Crash-recovery scan: sweep stale temporary files, then check every
-/// session's containers and rebuild its newest valid one. A session none
-/// of whose containers rebuilds has each of its files reported, and left
-/// on disk for post-mortem — recovery never deletes data it cannot read.
-/// A torn slot beside a valid one is the expected trace of a kill
-/// mid-write and is not reported.
+/// Why a `.vph` file whose name is not a slot's is not recovered: its
+/// framing error, or its name when the frame holds.
+fn misnamed(path: &Path) -> HibernateError {
+    match std::fs::read(path) {
+        Ok(bytes) => match frame(&bytes) {
+            Err(e) => e,
+            Ok(_) => HibernateError::Corrupt(
+                "not a slot file name (want <name>.0.vph or <name>.1.vph)".to_string(),
+            ),
+        },
+        Err(e) => HibernateError::Io(e.to_string()),
+    }
+}
+
+/// Crash-recovery scan: check every session's slots and rebuild its
+/// newest valid one. A session none of whose slots rebuilds has each of
+/// its files reported, and so has every `.vph` file whose name is not a
+/// slot's; all of them are left on disk for post-mortem — recovery never
+/// deletes or silently ignores data it cannot read. A torn slot beside
+/// a valid one is the expected trace of a kill mid-write and is not
+/// reported.
 pub fn scan(dir: &Path) -> Result<ScanReport, HibernateError> {
-    let mut report = ScanReport {
-        swept_tmp: Snapshot::sweep_stale_tmp(dir).map_err(HibernateError::Snapshot)?,
-        ..ScanReport::default()
-    };
+    let mut report = ScanReport::default();
     let entries = match std::fs::read_dir(dir) {
         Ok(e) => e,
         Err(e) if e.kind() == ErrorKind::NotFound => return Ok(report),
@@ -525,14 +491,23 @@ pub fn scan(dir: &Path) -> Result<ScanReport, HibernateError> {
     for entry in entries {
         let entry = entry.map_err(|e| HibernateError::Io(e.to_string()))?;
         let fname = entry.file_name();
-        let Some(stem) = fname.to_str().and_then(|f| f.strip_suffix(".vph")) else {
+        let lossy = fname.to_string_lossy();
+        let Some(stem) = lossy.strip_suffix(".vph") else {
             continue;
         };
-        let name = stem
-            .strip_suffix(".0")
-            .or_else(|| stem.strip_suffix(".1"))
-            .unwrap_or(stem);
-        names.insert(name.to_string());
+        // Session names arrive as JSON strings, so a slot's file name is
+        // always UTF-8.
+        let session = fname
+            .to_str()
+            .and(stem.strip_suffix(".0").or_else(|| stem.strip_suffix(".1")));
+        match session {
+            Some(name) => {
+                names.insert(name.to_string());
+            }
+            None => report
+                .skipped
+                .push((lossy.into_owned(), misnamed(&entry.path()))),
+        }
     }
     let file_name = |p: &Path| p.file_name().unwrap().to_string_lossy().into_owned();
     for name in names {

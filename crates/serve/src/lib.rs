@@ -24,8 +24,8 @@ pub mod server;
 pub mod session;
 
 pub use client::Client;
-pub use hibernate::{HibernateError, ScanReport, HIBERNATE_MAGIC};
+pub use hibernate::{HibernateError, ScanReport};
 pub use proto::{ErrorBody, ErrorKind};
 pub use registry::Registry;
-pub use server::{Recovery, ServeConfig, Server, Stats};
+pub use server::{ServeConfig, Server, Stats};
 pub use session::{Advance, JobLimits, SessionCore, SessionSpec};

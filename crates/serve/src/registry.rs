@@ -103,8 +103,8 @@ impl Registry {
     }
 
     /// Crash recovery: scan the hibernation directory, register every
-    /// valid container as a hibernated slot, and report what was swept
-    /// or skipped. Run before accepting connections.
+    /// valid container as a hibernated slot, and report what was
+    /// recovered or skipped. Run before accepting connections.
     pub fn recover(&self) -> Result<hibernate::ScanReport, hibernate::HibernateError> {
         let report = hibernate::scan(&self.dir)?;
         let mut slots = self.slots.lock().unwrap();

@@ -30,6 +30,7 @@ use std::time::Duration;
 
 use valpipe_util::{Json, Rng};
 
+use crate::hibernate::ScanReport;
 use crate::proto::{
     err_response, kernel_from_str, mode_from_str, mode_to_str, ok_response, valid_session_name,
     ErrorBody, ErrorKind,
@@ -119,21 +120,11 @@ pub struct Server {
     shutting_down: Arc<AtomicBool>,
 }
 
-/// Outcome of startup recovery, for logging.
-pub struct Recovery {
-    /// Sessions recovered from hibernation containers.
-    pub recovered: Vec<String>,
-    /// Stale temporary files swept.
-    pub swept_tmp: Vec<String>,
-    /// Containers skipped as invalid (file name, reason).
-    pub skipped: Vec<(String, String)>,
-}
-
 impl Server {
     /// Bind the listener, run crash recovery on the hibernation
     /// directory, and return the ready-to-run server plus the recovery
     /// report.
-    pub fn bind(cfg: ServeConfig) -> std::io::Result<(Server, Recovery)> {
+    pub fn bind(cfg: ServeConfig) -> std::io::Result<(Server, ScanReport)> {
         let listener = TcpListener::bind(&cfg.addr)?;
         let registry = Arc::new(Registry::new(
             cfg.hibernate_dir.clone(),
@@ -143,15 +134,6 @@ impl Server {
         let report = registry
             .recover()
             .map_err(|e| std::io::Error::other(format!("hibernation directory unusable: {e}")))?;
-        let recovery = Recovery {
-            recovered: report.recovered,
-            swept_tmp: report.swept_tmp,
-            skipped: report
-                .skipped
-                .into_iter()
-                .map(|(f, e)| (f, e.to_string()))
-                .collect(),
-        };
         Ok((
             Server {
                 cfg,
@@ -160,7 +142,7 @@ impl Server {
                 stats: Arc::new(Stats::default()),
                 shutting_down: Arc::new(AtomicBool::new(false)),
             },
-            recovery,
+            report,
         ))
     }
 

@@ -116,28 +116,23 @@ fn hibernation_at_every_idle_boundary_is_bit_identical_across_kernels() {
 }
 
 /// Arbitrary-bytes fuzz of the container decoder: random garbage, a
-/// valid magic glued onto garbage, and heavily mutated real containers,
-/// in both the slot form and the single-file form of earlier releases,
-/// must all come back as typed `HibernateError`s — never a panic, never
-/// an accepted corruption.
+/// valid magic glued onto garbage, and heavily mutated real slot
+/// containers must all come back as typed `HibernateError`s — never a
+/// panic, never an accepted corruption.
 #[test]
 fn container_decode_survives_arbitrary_bytes() {
     use std::panic::{catch_unwind, AssertUnwindSafe};
 
     let core = SessionCore::open(spec("arb", Kernel::EventDriven, 2)).unwrap();
-    let forms = [
-        (hibernate::encode_slot(&core, 5), hibernate::SLOT_MAGIC),
-        (hibernate::encode(&core), hibernate::HIBERNATE_MAGIC),
-    ];
+    let good = hibernate::encode_slot(&core, 5);
     let mut rng = Rng::seed(0xA5B1);
     for trial in 0..300 {
-        let (good, magic) = &forms[trial / 3 % 2];
         let bytes: Vec<u8> = match trial % 3 {
             // Pure garbage, arbitrary length (including empty).
             0 => (0..rng.below(512)).map(|_| rng.below(256) as u8).collect(),
             // Correct magic, garbage body.
             1 => {
-                let mut b = magic.to_vec();
+                let mut b = hibernate::SLOT_MAGIC.to_vec();
                 b.extend((0..rng.below(256)).map(|_| rng.below(256) as u8));
                 b
             }
@@ -152,7 +147,7 @@ fn container_decode_survives_arbitrary_bytes() {
                 b
             }
         };
-        let changed = bytes != *good;
+        let changed = bytes != good;
         match catch_unwind(AssertUnwindSafe(|| hibernate::decode(&bytes).map(|_| ()))) {
             Ok(result) => {
                 if changed {
@@ -167,26 +162,25 @@ fn container_decode_survives_arbitrary_bytes() {
 #[test]
 fn container_decode_rejects_every_truncation_point_with_typed_errors() {
     let core = SessionCore::open(spec("trunc", Kernel::EventDriven, 2)).unwrap();
-    for bytes in [hibernate::encode_slot(&core, 1), hibernate::encode(&core)] {
-        // Sample truncation points across the whole container; each must
-        // fail cleanly, never panic.
-        let mut at = 0;
-        while at < bytes.len() {
-            let r = hibernate::decode(&bytes[..at]);
-            assert!(r.is_err(), "decode accepted a {at}-byte prefix");
-            at += 1 + at / 8;
-        }
-        // Single-bit corruption anywhere must be caught by a checksum.
-        let mut rng = Rng::seed(42);
-        for _ in 0..32 {
-            let mut bad = bytes.clone();
-            let i = rng.below(bad.len());
-            bad[i] ^= 1 << rng.below(8);
-            assert!(
-                hibernate::decode(&bad).is_err(),
-                "flipped bit at byte {i} went undetected"
-            );
-        }
+    let bytes = hibernate::encode_slot(&core, 1);
+    // Sample truncation points across the whole container; each must
+    // fail cleanly, never panic.
+    let mut at = 0;
+    while at < bytes.len() {
+        let r = hibernate::decode(&bytes[..at]);
+        assert!(r.is_err(), "decode accepted a {at}-byte prefix");
+        at += 1 + at / 8;
+    }
+    // Single-bit corruption anywhere must be caught by a checksum.
+    let mut rng = Rng::seed(42);
+    for _ in 0..32 {
+        let mut bad = bytes.clone();
+        let i = rng.below(bad.len());
+        bad[i] ^= 1 << rng.below(8);
+        assert!(
+            hibernate::decode(&bad).is_err(),
+            "flipped bit at byte {i} went undetected"
+        );
     }
 }
 

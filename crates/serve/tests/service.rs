@@ -357,7 +357,7 @@ fn graceful_shutdown_hibernates_and_restart_recovers() {
 }
 
 #[test]
-fn recovery_sweeps_torn_tmp_and_skips_corrupt_containers_without_panicking() {
+fn recovery_leaves_tmp_files_and_skips_corrupt_containers_without_panicking() {
     let dir = temp_dir("hygiene");
 
     // A valid container, written through the real path.
@@ -365,7 +365,7 @@ fn recovery_sweeps_torn_tmp_and_skips_corrupt_containers_without_panicking() {
     let mut rng = valpipe_util::Rng::seed(7);
     valpipe_serve::hibernate::save(&dir, &core, &mut rng).unwrap();
 
-    // A torn temporary from a crashed write.
+    // A temporary file the service never writes nor reads.
     std::fs::write(dir.join("torn.vph.tmp"), b"VALPHIB1 half-writ").unwrap();
     // Garbage that was never a container.
     std::fs::write(dir.join("noise.vph"), b"not a container at all").unwrap();
@@ -376,11 +376,14 @@ fn recovery_sweeps_torn_tmp_and_skips_corrupt_containers_without_panicking() {
 
     let (server, recovery) = Server::bind(cfg_with(dir.clone())).unwrap();
     assert_eq!(recovery.recovered, vec!["good".to_string()]);
-    assert_eq!(recovery.swept_tmp, vec!["torn.vph.tmp".to_string()]);
-    assert!(!dir.join("torn.vph.tmp").exists());
+    assert_eq!(
+        std::fs::read(dir.join("torn.vph.tmp")).unwrap(),
+        b"VALPHIB1 half-writ"
+    );
     let skipped: Vec<&str> = recovery.skipped.iter().map(|(f, _)| f.as_str()).collect();
     assert_eq!(skipped, vec!["noise.vph", "trunc.1.vph"]);
     for (_, why) in &recovery.skipped {
+        let why = why.to_string();
         assert!(
             why.contains("magic") || why.contains("checksum") || why.contains("truncat"),
             "typed reason expected, got: {why}"
@@ -406,64 +409,46 @@ fn recovery_sweeps_torn_tmp_and_skips_corrupt_containers_without_panicking() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-/// Rewrite a container's metadata `kernel` field and reframe it with a
-/// fresh checksum, as a container written under another kernel name.
-fn with_kernel_name(container: &[u8], kernel: &str) -> Vec<u8> {
-    let meta_len = u64::from_le_bytes(container[8..16].try_into().unwrap()) as usize;
-    let meta = std::str::from_utf8(&container[16..16 + meta_len]).unwrap();
-    let meta = meta.replace(r#""kernel":"event""#, &format!(r#""kernel":"{kernel}""#));
-    let rest = &container[16 + meta_len..container.len() - 8];
-    let mut out = valpipe_serve::HIBERNATE_MAGIC.to_vec();
-    out.extend_from_slice(&(meta.len() as u64).to_le_bytes());
-    out.extend_from_slice(meta.as_bytes());
-    out.extend_from_slice(rest);
-    let sum = valpipe_util::checksum64(&out);
-    out.extend_from_slice(&sum.to_le_bytes());
-    out
-}
-
 #[test]
-fn parallel_kernel_containers_recover_on_the_event_kernel() {
-    // The epoch-batched `parallel:N` kernel is gone, but containers
-    // hibernated under it name it in their metadata. Such a session
-    // must recover, resume on `event`, and finish with the result an
-    // uninterrupted event run gives.
+fn parallel_kernel_slots_are_skipped_and_requests_rejected() {
+    // The epoch-batched `parallel:N` kernel is gone: a slot whose meta
+    // names it is corrupt like any other bad meta — skipped, left on
+    // disk, never resumed.
     let dir = temp_dir("legacy_kernel");
-    let mut core = SessionCore::open(core_spec("legacy", 5, Kernel::EventDriven)).unwrap();
-    let limits = valpipe_serve::JobLimits {
-        until: Some(37),
-        ..Default::default()
-    };
-    core.advance(&limits, 1 << 40).unwrap();
-    assert_eq!(core.now(), 37);
-    let container = with_kernel_name(&valpipe_serve::hibernate::encode(&core), "parallel:2");
-    std::fs::write(dir.join("legacy.vph"), container).unwrap();
+    let core = SessionCore::open(core_spec("par", 5, Kernel::EventDriven)).unwrap();
+    let slot = with_meta(&hibernate::encode_slot(&core, 1), |meta| {
+        meta.replace(r#""kernel":"event""#, r#""kernel":"parallel:2""#)
+    });
+    assert_eq!(hibernate::verify(&slot).unwrap(), 1);
+    std::fs::write(slot_path(&dir, "par", 1), &slot).unwrap();
 
-    let loaded = valpipe_serve::hibernate::load(&dir, "legacy").unwrap();
-    assert_eq!(loaded.spec.kernel, Kernel::EventDriven);
-    assert_eq!(loaded.now(), 37);
-
+    let unknown = "unknown kernel 'parallel:2'";
+    let err = hibernate::load(&dir, "par").err().unwrap().to_string();
+    assert!(err.contains(unknown), "{err}");
     let (server, recovery) = Server::bind(cfg_with(dir.clone())).unwrap();
-    assert_eq!(recovery.recovered, vec!["legacy".to_string()]);
-    assert!(recovery.skipped.is_empty(), "{:?}", recovery.skipped);
+    assert!(recovery.recovered.is_empty());
+    let skipped: Vec<(&str, String)> = recovery
+        .skipped
+        .iter()
+        .map(|(f, e)| (f.as_str(), e.to_string()))
+        .collect();
+    assert_eq!(skipped.len(), 1, "{skipped:?}");
+    assert_eq!(skipped[0].0, "par.1.vph");
+    assert!(skipped[0].1.contains(unknown), "{skipped:?}");
+    assert!(slot_path(&dir, "par", 1).exists());
+
     let addr = server.local_addr().unwrap().to_string();
     let thread = std::thread::spawn(move || server.run());
     let mut c = connect(&addr);
     let resp = c
-        .request(&Json::parse(r#"{"op":"run","session":"legacy"}"#).unwrap())
-        .unwrap();
-    assert_eq!(resp.get("done").and_then(|v| v.as_bool()), Some(true));
-    let served = resp.get("result").unwrap().to_compact();
-
-    let mut oracle = SessionCore::open(core_spec("oracle", 5, Kernel::EventDriven)).unwrap();
-    oracle
-        .advance(&valpipe_serve::JobLimits::default(), 1 << 40)
+        .request(&Json::parse(r#"{"op":"run","session":"par"}"#).unwrap())
         .unwrap();
     assert_eq!(
-        served,
-        Json::parse(&oracle.final_result.unwrap())
-            .unwrap()
-            .to_compact()
+        resp.get("error")
+            .and_then(|e| e.get("kind"))
+            .and_then(|v| v.as_str()),
+        Some("no_such_session"),
+        "{resp:?}"
     );
 
     // A new request naming the deleted kernel is a typed bad request.
@@ -482,6 +467,60 @@ fn parallel_kernel_containers_recover_on_the_event_kernel() {
     );
 
     shut_down(Running { addr, thread });
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// The single-file container of releases before slot files, built by
+/// hand from a slot container's meta and snapshot: magic `VALPHIB1`,
+/// meta, snapshot, and a checksum of every byte before it.
+fn pre_slot_container(slot: &[u8]) -> Vec<u8> {
+    let mut out = b"VALPHIB1".to_vec();
+    out.extend_from_slice(&slot[16..slot.len() - 8]);
+    let sum = valpipe_util::checksum64(&out);
+    out.extend_from_slice(&sum.to_le_bytes());
+    out
+}
+
+#[test]
+fn pre_slot_container_is_skipped_and_left_beside_its_sessions_slots() {
+    let dir = temp_dir("pre_slot");
+    let core = SessionCore::open(core_spec("good", 2, Kernel::Scan)).unwrap();
+    let mut rng = valpipe_util::Rng::seed(7);
+    hibernate::save(&dir, &core, &mut rng).unwrap();
+    let legacy = SessionCore::open(core_spec("legacy", 5, Kernel::EventDriven)).unwrap();
+    let old = pre_slot_container(&hibernate::encode_slot(&legacy, 1));
+    std::fs::write(dir.join("legacy.vph"), &old).unwrap();
+
+    let check = |report: &valpipe_serve::ScanReport, recovered: &[&str]| {
+        assert_eq!(report.recovered, recovered);
+        assert_eq!(report.skipped.len(), 1, "{:?}", report.skipped);
+        let (file, why) = &report.skipped[0];
+        assert_eq!(file, "legacy.vph");
+        assert!(why.to_string().contains("magic"), "{why}");
+        assert_eq!(std::fs::read(dir.join("legacy.vph")).unwrap(), old);
+    };
+    let (server, recovery) = Server::bind(cfg_with(dir.clone())).unwrap();
+    check(&recovery, &["good"]);
+
+    // A session of the same name opens fresh, writes its own slots and
+    // leaves the pre-slot file alone.
+    let addr = server.local_addr().unwrap().to_string();
+    let thread = std::thread::spawn(move || server.run());
+    let mut c = connect(&addr);
+    let resp = c.request(&spec_json("legacy", 5)).unwrap();
+    assert_eq!(
+        resp.get("resumed").and_then(|v| v.as_bool()),
+        Some(false),
+        "{resp:?}"
+    );
+    let run = Json::parse(r#"{"op":"run","session":"legacy","until":23}"#).unwrap();
+    let resp = c.request(&run).unwrap();
+    assert_eq!(resp.get("now").and_then(|v| v.as_i64()), Some(23));
+    shut_down(Running { addr, thread });
+
+    let (_, recovery) = Server::bind(cfg_with(dir.clone())).unwrap();
+    check(&recovery, &["good", "legacy"]);
+    resume_and_finish(&dir, "legacy", 23);
     let _ = std::fs::remove_dir_all(&dir);
 }
 

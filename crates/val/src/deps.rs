@@ -15,7 +15,7 @@ use crate::classify::{
     check_primitive_forall, check_primitive_foriter, index_offset, NameEnv, PrimitiveForIter,
     Violation,
 };
-use crate::fold::{eval_manifest_int, eval_static, is_static_in, Bindings};
+use crate::fold::{eval_manifest_int, eval_static, Bindings};
 use std::collections::{HashMap, HashSet};
 use std::fmt;
 use valpipe_ir::value::Value;
@@ -479,21 +479,6 @@ pub fn analyze_with(
     })
 }
 
-/// Convenience: does any guard of any access in `expr` depend on data
-/// (i.e. is not static in the index variable and parameters)?
-pub fn has_dynamic_guards(expr: &Expr, index_var: &str, params: &Bindings) -> bool {
-    let allowed = |n: &str| n == index_var || params.contains_key(n);
-    let mut dynamic = false;
-    expr.walk(&mut |e| {
-        if let Expr::If(c, _, _) = e {
-            if !is_static_in(c, &allowed) {
-                dynamic = true;
-            }
-        }
-    });
-    dynamic
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -631,9 +616,18 @@ output A;
     #[test]
     fn dynamic_guard_detection() {
         let params = Bindings::new();
+        // A guard static in the index decides its accesses; a guard on
+        // data leaves them undecided.
         let stat = parse_expr("if i < 3 then C[i] else C[i-1] endif").unwrap();
-        assert!(!has_dynamic_guards(&stat, "i", &params));
+        for g in collect_guarded(&stat, "i", &params) {
+            assert!(g.active_at("i", 0, &params).is_some(), "{g:?}");
+        }
         let dyn_ = parse_expr("if C[i] > 0. then A[i] else B[i] endif").unwrap();
-        assert!(has_dynamic_guards(&dyn_, "i", &params));
+        let undecided: Vec<_> = collect_guarded(&dyn_, "i", &params)
+            .into_iter()
+            .filter(|g| g.active_at("i", 0, &params).is_none())
+            .map(|g| g.array)
+            .collect();
+        assert_eq!(undecided, ["A", "B"]);
     }
 }

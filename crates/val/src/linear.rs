@@ -34,14 +34,6 @@ pub struct LinearForm {
     pub beta: Expr,
 }
 
-impl LinearForm {
-    /// The recurrence is a pure running reduction `x_i = x_{i-1} + β_i`
-    /// when `α ≡ 1`.
-    pub fn is_pure_sum(&self) -> bool {
-        matches!(self.alpha, Expr::IntLit(1)) || matches!(self.alpha, Expr::RealLit(v) if v == 1.0)
-    }
-}
-
 /// Extract the linear form of `expr` with respect to accumulator `acc`
 /// (accessed as `acc[i-1]`). `None` if the body is not linear in the
 /// accumulator — i.e. no companion function is derived. Inline lets first
@@ -177,7 +169,7 @@ mod tests {
     #[test]
     fn pure_sum_detected() {
         let f = lin("T[i-1] + B[i]").unwrap();
-        assert!(f.is_pure_sum());
+        assert_eq!(f.alpha, Expr::IntLit(1));
         assert_eq!(f.beta, parse_expr("B[i]").unwrap());
     }
 

@@ -81,9 +81,6 @@ fn main() -> ExitCode {
     for name in &recovery.recovered {
         eprintln!("recovered session '{name}' from hibernation");
     }
-    for f in &recovery.swept_tmp {
-        eprintln!("swept stale temporary '{f}'");
-    }
     for (f, why) in &recovery.skipped {
         eprintln!("skipped invalid container '{f}': {why}");
     }
