@@ -172,22 +172,8 @@ grep -q 'CLAIM \[HOLDS\] all 5 committed corpus repros replay byte-identically' 
 # Incremental compilation (DESIGN.md §17): warm recompiles must be
 # byte-identical to cold across random programs, single-block and
 # cell-count edits, memo eviction and invalid mutants (dedicated property
-# suite), and the incremental experiment must hold all three claims at 120 and at
-# 1000 blocks — <5% of queries re-executed on a single-block edit,
-# >=10x warm speedup, and a warm engine's output bit-identical to a
-# fresh engine's across the workload suite and every committed corpus
-# repro.
+# suite). The incremental experiment runs last, below.
 cargo test -q --test property_incremental
-for blocks in 120 1000; do
-    out="target/ci_incremental_$blocks.txt"
-    run_exp "$out" incremental --blocks "$blocks"
-    grep -q 'CLAIM \[FAILS\]' "$out" \
-        && { echo "ci: FAIL — exp_incremental --blocks $blocks claims did not hold" >&2; exit 1; }
-    grep -q 'CLAIM \[HOLDS\] a single-block edit' "$out" \
-        || { echo "ci: FAIL — exp_incremental --blocks $blocks did not report the query-reuse claim" >&2; exit 1; }
-    grep -q 'CLAIM \[HOLDS\] cold and warm engine output is bit-identical' "$out" \
-        || { echo "ci: FAIL — exp_incremental --blocks $blocks did not report the bit-identity claim" >&2; exit 1; }
-done
 
 cargo clippy --workspace --all-targets -- -D warnings
 
@@ -222,5 +208,22 @@ BENCH_JSON_PATH="$(pwd)/target/ci_bench_compile.json" \
 cargo run --release -q -p valpipe-bench --bin bench_gate -- \
     --baseline BENCH_machine.json --candidate target/ci_bench_compile.json \
     || { echo "ci: FAIL — bench_gate found a compile-throughput regression beyond 15%" >&2; exit 1; }
+
+# The incremental experiment must hold all three claims at 120 and at
+# 1000 blocks — <5% of queries re-executed on a single-block edit,
+# >=10x warm speedup, and a warm engine's output bit-identical to a
+# fresh engine's across the workload suite and every committed corpus
+# repro. It runs last: its speedup claim does not hold yet (ROADMAP
+# item 1), and every other gate should still run before it stops CI.
+for blocks in 120 1000; do
+    out="target/ci_incremental_$blocks.txt"
+    run_exp "$out" incremental --blocks "$blocks"
+    grep -q 'CLAIM \[FAILS\]' "$out" \
+        && { echo "ci: FAIL — exp_incremental --blocks $blocks claims did not hold" >&2; exit 1; }
+    grep -q 'CLAIM \[HOLDS\] a single-block edit' "$out" \
+        || { echo "ci: FAIL — exp_incremental --blocks $blocks did not report the query-reuse claim" >&2; exit 1; }
+    grep -q 'CLAIM \[HOLDS\] cold and warm engine output is bit-identical' "$out" \
+        || { echo "ci: FAIL — exp_incremental --blocks $blocks did not report the bit-identity claim" >&2; exit 1; }
+done
 
 echo "ci: all gates passed"

@@ -26,7 +26,7 @@ pub mod problem;
 pub mod solve;
 
 pub use problem::{apply, extract, BalanceProblem, BalanceSolution, ProblemError};
-pub use solve::{certify, optimal_flow, solve_alap, solve_asap, solve_heuristic, solve_optimal};
+pub use solve::{certify, optimal_flow, solve_asap, solve_heuristic, solve_optimal};
 
 /// Which balancing algorithm to use.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]

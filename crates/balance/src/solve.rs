@@ -132,30 +132,6 @@ pub fn solve_asap(p: &BalanceProblem) -> Result<BalanceSolution, ProblemError> {
     BalanceSolution::from_potentials(p, asap_potentials(p, &order))
 }
 
-/// ALAP balancing: every supernode fires as late as its earliest consumer
-/// allows (the mirror of ASAP; useful as a second feasible baseline and
-/// in slack analyses — slack(n) = π_alap(n) − π_asap(n)).
-pub fn solve_alap(p: &BalanceProblem) -> Result<BalanceSolution, ProblemError> {
-    let order = topo_order(p)?;
-    let asap = asap_potentials(p, &order);
-    let out_arcs = Adjacency::new(p, |a| a.u);
-    // Anchor the latest possible completion at the ASAP horizon so the
-    // two schedules are directly comparable.
-    let horizon = asap.iter().copied().max().unwrap_or(0);
-    let mut pot = vec![horizon; p.n];
-    for &u in order.iter().rev() {
-        let ub = out_arcs
-            .of(u)
-            .iter()
-            .map(|&k| pot[p.arcs[k].v] - p.arcs[k].w)
-            .min();
-        if let Some(ub) = ub {
-            pot[u] = ub;
-        }
-    }
-    BalanceSolution::from_potentials(p, pot)
-}
-
 /// Coordinate-descent improvement over ASAP: slide each supernode within
 /// its slack window in the direction that reduces total buffering, until a
 /// fixpoint (or `max_passes`).
@@ -633,7 +609,6 @@ mod tests {
                 "{mode:?}"
             );
         }
-        assert_eq!(solve_alap(&p).unwrap_err(), ProblemError::ContractedCycle);
         assert_eq!(optimal_flow(&p).unwrap_err(), ProblemError::ContractedCycle);
         assert!(solve(&p, BalanceMode::None).unwrap().is_none());
     }

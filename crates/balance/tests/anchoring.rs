@@ -134,27 +134,3 @@ fn contracted_negative_weights_solve() {
         assert!(sol.unwrap().is_feasible(&p));
     }
 }
-
-#[test]
-fn alap_feasible_and_slack_nonnegative() {
-    let mut g = Graph::new();
-    let a = g.add_node(Opcode::Source("a".into()), "a");
-    let i1 = g.cell(Opcode::Id, "i1", &[a.into()]);
-    let i2 = g.cell(Opcode::Id, "i2", &[i1.into()]);
-    let add = g.cell(Opcode::Bin(BinOp::Add), "add", &[i2.into(), a.into()]);
-    let _ = g.cell(Opcode::Sink("y".into()), "y", &[add.into()]);
-    let p = problem::extract(&g).unwrap();
-    let asap = solve::solve_asap(&p).unwrap();
-    let alap = solve::solve_alap(&p).unwrap();
-    assert!(alap.is_feasible(&p));
-    // Every supernode's ALAP potential ≥ its ASAP potential (slack ≥ 0),
-    // up to the common translation fixed by the shared horizon.
-    for n in 0..p.n {
-        assert!(
-            alap.potential[n] >= asap.potential[n],
-            "node {n}: alap {} < asap {}",
-            alap.potential[n],
-            asap.potential[n]
-        );
-    }
-}

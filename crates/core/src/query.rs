@@ -7,9 +7,10 @@
 //! benches hold engines of their own. The pass sequence is the classic
 //! straight line (parse the whole file, check the whole program, lower
 //! every block, balance the whole graph), but each stage is posed as a
-//! set of **queries** — per-statement parses, per-block type checks,
-//! per-block lowered regions, whole-problem balance solutions — each
-//! memoized under a key of *everything that can influence its result*.
+//! set of **queries** — per-block type checks, analyses and lowered
+//! regions, whole-problem balance solutions — each memoized under a key
+//! of *everything that can influence its result*. The parse is not a
+//! query: every run parses the whole file once.
 //! Re-running a compile after an edit re-executes only the queries whose
 //! inputs changed; everything else is revalidated green-for-free because
 //! its key still matches (red–green with early cutoff: a downstream key
@@ -33,9 +34,8 @@
 //! fingerprint, same stage dumps byte-for-byte, same pass-stat sequence,
 //! same typed errors. The engine guarantees this by construction:
 //!
-//! * per-statement parses are cached with **relative** spans and rebased
-//!   to the statement's current position, so cached parse trees are
-//!   position-independent;
+//! * warm and cold runs parse with the same whole-file parser, so the
+//!   program and its source map are the cold ones;
 //! * per-block queries are keyed by what the block reads, not by the
 //!   program around it (the paper's Theorem 4 composes a program from
 //!   per-block graphs over the flow-dependency graph, so a block's code
@@ -63,10 +63,8 @@
 //! Building a block's keys therefore costs O(block), cold or warm;
 //! [`QueryStats::key_bytes`] counts the bytes built per table.
 //!
-//! Any irregularity (a statement the splitter cannot carve or parse in
-//! isolation) falls back to the whole-program parser — never a panic,
-//! never a stale answer. The `--emit=machine` listing is not a query: it
-//! is rendered from the balanced graph whenever it is asked for.
+//! The `--emit=machine` listing is not a query: it is rendered from the
+//! balanced graph whenever it is asked for.
 
 use crate::builder::{Compiler, Provider};
 use crate::error::CompileError;
@@ -84,7 +82,6 @@ use std::fmt::Write as _;
 use std::time::Instant;
 use valpipe_balance::{problem, solve, BalanceMode, BalanceSolution};
 use valpipe_ir::opcode::Opcode;
-use valpipe_ir::prov::Span;
 use valpipe_ir::region::{Frame, GraphDelta, Mark};
 use valpipe_ir::validate::validate;
 use valpipe_ir::value::Value;
@@ -94,9 +91,7 @@ use valpipe_val::deps::{
     analyze_block, analyze_with, block_names, AnalyzeError, BlockNode, FlowGraph,
 };
 use valpipe_val::fold::Bindings;
-use valpipe_val::parser::{
-    parse_program_mapped_limited, parse_stmt_mapped, split_statements, ParseErrorKind, TopStmt,
-};
+use valpipe_val::parser::{parse_program_mapped_limited, ParseErrorKind};
 use valpipe_val::srcmap::{SourceMap, StmtKey};
 use valpipe_val::typeck::{attach_loc, check_block, program_prelude_env, TypeError};
 
@@ -104,9 +99,7 @@ use valpipe_val::typeck::{attach_loc, check_block, program_prelude_env, TypeErro
 /// many actually executed (the rest were memo hits).
 #[derive(Debug, Clone, Default)]
 pub struct QueryStats {
-    /// Per-statement parse queries (posed, executed).
-    pub parse: (usize, usize),
-    /// Per-block type-check queries.
+    /// Per-block type-check queries (posed, executed).
     pub typed: (usize, usize),
     /// Per-block flow-analysis queries.
     pub analyze: (usize, usize),
@@ -116,16 +109,11 @@ pub struct QueryStats {
     pub balance: (usize, usize),
     /// Memo-key bytes built this run, per table.
     pub key_bytes: KeyBytes,
-    /// Whether this run abandoned statement splitting and re-parsed the
-    /// whole file (malformed source, or a statement failed in isolation).
-    pub full_parse_fallbacks: usize,
 }
 
 /// Bytes of memo keys built in one run, per query table.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct KeyBytes {
-    /// Per-statement parse keys.
-    pub parse: usize,
     /// Per-block type-check keys.
     pub typed: usize,
     /// Per-block flow-analysis keys.
@@ -139,19 +127,13 @@ pub struct KeyBytes {
 impl KeyBytes {
     /// All tables together.
     pub fn total(&self) -> usize {
-        self.parse + self.typed + self.analyze + self.region + self.balance
+        self.typed + self.analyze + self.region + self.balance
     }
 }
 
 impl QueryStats {
-    fn tables(&self) -> [(usize, usize); 5] {
-        [
-            self.parse,
-            self.typed,
-            self.analyze,
-            self.region,
-            self.balance,
-        ]
+    fn tables(&self) -> [(usize, usize); 4] {
+        [self.typed, self.analyze, self.region, self.balance]
     }
 
     /// Total queries posed this run.
@@ -174,13 +156,11 @@ impl QueryStats {
         let k = &self.key_bytes;
         format!(
             "queries: {} total, {} executed, {} cached \
-             (parse {}/{}, typed {}/{}, analyze {}/{}, region {}/{}, balance {}/{}); \
-             key bytes {} (parse {}, typed {}, analyze {}, region {}, balance {}){}",
+             (typed {}/{}, analyze {}/{}, region {}/{}, balance {}/{}); \
+             key bytes {} (typed {}, analyze {}, region {}, balance {})",
             self.total(),
             self.executed(),
             self.hits(),
-            self.parse.1,
-            self.parse.0,
             self.typed.1,
             self.typed.0,
             self.analyze.1,
@@ -190,16 +170,10 @@ impl QueryStats {
             self.balance.1,
             self.balance.0,
             k.total(),
-            k.parse,
             k.typed,
             k.analyze,
             k.region,
             k.balance,
-            if self.full_parse_fallbacks > 0 {
-                " [full-parse fallback]"
-            } else {
-                ""
-            },
         )
     }
 }
@@ -253,9 +227,6 @@ fn answer<V: Clone, E>(
     Ok(value)
 }
 
-/// A parsed statement with its statement-relative spans.
-type ParsedStmt = (TopStmt, Vec<(StmtKey, Span)>);
-
 /// Default per-table memo retention: generous enough that a 1000-block
 /// program's working set stays resident, small enough to bound a
 /// long-lived shared engine fed arbitrary distinct programs.
@@ -270,7 +241,6 @@ const DEFAULT_MEMO_CAP: usize = 16_384;
 /// two compilations (see the module docs).
 #[derive(Debug)]
 pub struct QueryEngine {
-    parse_memo: HashMap<String, Memo<ParsedStmt>>,
     typed_memo: HashMap<String, Memo<Result<BlockDecl, TypeError>>>,
     analyze_memo: HashMap<String, Memo<Result<BlockNode, AnalyzeError>>>,
     region_memo: HashMap<String, Memo<RegionEntry>>,
@@ -285,7 +255,6 @@ pub struct QueryEngine {
 impl Default for QueryEngine {
     fn default() -> QueryEngine {
         QueryEngine {
-            parse_memo: HashMap::new(),
             typed_memo: HashMap::new(),
             analyze_memo: HashMap::new(),
             region_memo: HashMap::new(),
@@ -355,7 +324,7 @@ impl QueryEngine {
             }
             .into());
         }
-        let (prog0, map) = self.parse(src, file, limits.max_nesting_depth)?;
+        let (prog0, map) = parse(src, file, limits.max_nesting_depth)?;
         self.drive(opts, limits, emit, &prog0, &map)
     }
 
@@ -373,68 +342,10 @@ impl QueryEngine {
             m.retain(|_, e| e.gen >= cutoff);
         }
         let cap = self.memo_cap;
-        trim(&mut self.parse_memo, cap);
         trim(&mut self.typed_memo, cap);
         trim(&mut self.analyze_memo, cap);
         trim(&mut self.region_memo, cap);
         trim(&mut self.balance_memo, cap);
-    }
-
-    // ---- parse queries ---------------------------------------------------
-
-    /// Whole-file parse via per-statement queries, falling back to the
-    /// canonical whole-program parser on any irregularity (so diagnostics
-    /// and limit classification stay byte-identical with the cold path).
-    fn parse(
-        &mut self,
-        src: &str,
-        file: &str,
-        max_depth: usize,
-    ) -> Result<(Program, SourceMap), CompileError> {
-        let full = |stats: &mut QueryStats| {
-            stats.full_parse_fallbacks += 1;
-            parse_program_mapped_limited(src, file, max_depth).map_err(|e| match e.kind {
-                ParseErrorKind::DepthLimit => LimitBreach::NestingDepth {
-                    limit: max_depth.min(valpipe_val::parser::DEFAULT_MAX_NESTING_DEPTH),
-                }
-                .into(),
-                ParseErrorKind::Syntax => CompileError::Parse(e),
-            })
-        };
-
-        let Ok(stmts) = split_statements(src) else {
-            return full(&mut self.stats);
-        };
-        let mut prog = Program::default();
-        let mut map = SourceMap::new(file, src);
-        let gen = self.gen;
-        for s in &stmts {
-            let text = &src[s.start..s.end];
-            let key = format!("parse|{max_depth}|{text}");
-            self.stats.key_bytes.parse += key.len();
-            // A statement that fails in isolation gets its authoritative
-            // diagnostic from the whole-program parser (absolute
-            // positions, identical wording).
-            let Ok((stmt, rel)) = answer(
-                &mut self.parse_memo,
-                gen,
-                &mut self.stats.parse,
-                &key,
-                || parse_stmt_mapped(text, max_depth),
-            ) else {
-                return full(&mut self.stats);
-            };
-            for (k, sp) in rel {
-                map.record(k, rebase(sp, s.start as u32, s.line, s.col));
-            }
-            match stmt {
-                TopStmt::Param(n, v) => prog.params.push((n, v)),
-                TopStmt::Input(d) => prog.inputs.push(d),
-                TopStmt::Output(ns) => prog.outputs.extend(ns),
-                TopStmt::Block(b) => prog.blocks.push(b),
-            }
-        }
-        Ok((prog, map))
     }
 
     // ---- the staged driver ----------------------------------------------
@@ -892,22 +803,16 @@ impl QueryEngine {
     }
 }
 
-/// Rebase a statement-relative span to its absolute position: bytes
-/// shift by the statement's start offset, lines by its start line, and
-/// columns only on the statement's first line (later lines already start
-/// at column 1 of the file).
-fn rebase(sp: Span, base_byte: u32, base_line: u32, base_col: u32) -> Span {
-    let col = if sp.line == 1 {
-        sp.col + base_col - 1
-    } else {
-        sp.col
-    };
-    Span::new(
-        sp.start + base_byte,
-        sp.end + base_byte,
-        sp.line + base_line - 1,
-        col,
-    )
+/// Parse the whole file, classifying a nesting-depth overrun as a
+/// limit breach and anything else as a parse error.
+fn parse(src: &str, file: &str, max_depth: usize) -> Result<(Program, SourceMap), CompileError> {
+    parse_program_mapped_limited(src, file, max_depth).map_err(|e| match e.kind {
+        ParseErrorKind::DepthLimit => LimitBreach::NestingDepth {
+            limit: max_depth.min(valpipe_val::parser::DEFAULT_MAX_NESTING_DEPTH),
+        }
+        .into(),
+        ParseErrorKind::Syntax => CompileError::Parse(e),
+    })
 }
 
 #[cfg(test)]
@@ -1024,7 +929,6 @@ mod tests {
         assert_identical(&cold(&edited), &warm);
 
         let s = e.stats();
-        assert_eq!(s.parse.1, 1, "only the edited statement re-parses");
         assert_eq!(s.typed.1, 1, "only the edited block re-checks");
         assert_eq!(s.analyze.1, 1, "only the edited block re-analyzes");
         assert_eq!(s.region.1, 1, "only the edited block re-lowers");
@@ -1059,6 +963,25 @@ mod tests {
         assert_eq!(e.stats().typed.1, 0, "the cached error was reused");
         assert_eq!(e1.to_string(), e2.to_string());
         assert!(e1.to_string().contains("bad.val:"), "{e1}");
+
+        // Prepending lines moves every statement without changing its
+        // text: the cached error is reused and located at its new line.
+        let shifted = format!("% a comment\n\n{bad}");
+        let e3 = e
+            .run_source(&opts, &limits, &[], &shifted, "bad.val")
+            .unwrap_err();
+        assert_eq!(e.stats().typed.1, 0, "the cached error was reused");
+        let cold = QueryEngine::new()
+            .run_source(&opts, &limits, &[], &shifted, "bad.val")
+            .unwrap_err();
+        assert_eq!(e3.to_string(), cold.to_string());
+        assert_ne!(e3.to_string(), e1.to_string());
+        let line = |e: &CompileError| {
+            let m = e.to_string();
+            let at = m.find("bad.val:").expect("located error") + "bad.val:".len();
+            m[at..].split(':').next().unwrap().parse::<u32>().unwrap()
+        };
+        assert_eq!(line(&e3), line(&e1) + 2, "{e1} / {e3}");
     }
 
     #[test]
@@ -1139,7 +1062,7 @@ mod tests {
     }
 
     #[test]
-    fn malformed_source_falls_back_to_the_whole_program_parser() {
+    fn malformed_source_is_a_parse_error() {
         let mut e = QueryEngine::new();
         let err = e
             .run_source(
@@ -1151,15 +1074,13 @@ mod tests {
             )
             .unwrap_err();
         assert!(matches!(err, CompileError::Parse(_)), "{err}");
-        assert_eq!(e.stats().full_parse_fallbacks, 1);
     }
 
-    /// The engine's per-statement parse and per-block type check are the
-    /// only frontend code the compile path runs, so they are checked
-    /// against the whole-program parser and checker as an independent
-    /// reference: same `Program`, same `SourceMap`, same errors.
+    /// The engine's per-block type check is the only type checker the
+    /// compile path runs, so it is checked against the whole-program
+    /// checker as an independent reference: same program, same errors.
     #[test]
-    fn incremental_frontend_matches_whole_program_frontend() {
+    fn per_block_typecheck_matches_whole_program_typecheck() {
         let mut cases = vec![
             ("fig3.val".to_string(), FIG3_PROGRAM.to_string()),
             (
@@ -1185,22 +1106,8 @@ mod tests {
         let mut type_errors = 0;
         for (file, src) in &cases {
             let mut e = QueryEngine::new();
-            let whole = parse_program_mapped_limited(src, file, depth);
-            let (prog, map) = match (e.parse(src, file, depth), whole) {
-                (Ok(got), Ok(want)) => {
-                    assert_eq!(got, want, "{file}: parse diverges");
-                    want
-                }
-                (Err(CompileError::Parse(got)), Err(want)) => {
-                    assert_eq!(got, want, "{file}: parse error diverges");
-                    continue;
-                }
-                (Err(CompileError::Limit(LimitBreach::NestingDepth { .. })), Err(want))
-                    if want.kind == ParseErrorKind::DepthLimit =>
-                {
-                    continue;
-                }
-                (got, want) => panic!("{file}: parse outcomes diverge: {got:?} vs {want:?}"),
+            let Ok((prog, map)) = parse_program_mapped_limited(src, file, depth) else {
+                continue;
             };
             let Ok((flat, _)) = valpipe_val::dims::flatten_program(&prog) else {
                 continue;

@@ -24,10 +24,11 @@ use valpipe_ir::graph::Graph;
 use valpipe_ir::value::Value;
 
 use crate::arc::{consume_token, emit_token, ArcState};
+use crate::error::MachineError;
 use crate::fault::{AckFate, ResultFate};
 use crate::scheduler::Kernel;
 use crate::session::SimConfig;
-use crate::sim::{note_fire_cell, plan_cell, ProgramInputs, SimError, Simulator};
+use crate::sim::{note_fire_cell, plan_cell, ProgramInputs, Simulator};
 
 /// Ready time of a result or acknowledge packet still in the network:
 /// never reached, so the token is not yet visible to its consumer and
@@ -128,22 +129,22 @@ pub fn run_closed_loop(
     inputs: &ProgramInputs,
     pe_of: &[usize],
     opts: &ClosedLoopOptions,
-) -> Result<ClosedLoopResult, SimError> {
+) -> Result<ClosedLoopResult, MachineError> {
     if !opts.pes.is_power_of_two() || opts.pes < 2 {
-        return Err(SimError::InvalidConfig(format!(
+        return Err(MachineError::InvalidConfig(format!(
             "closed-loop machine needs a power-of-two PE count >= 2, got {}",
             opts.pes
         )));
     }
     if pe_of.len() != g.node_count() {
-        return Err(SimError::InvalidConfig(format!(
+        return Err(MachineError::InvalidConfig(format!(
             "placement table covers {} cells but the graph has {}",
             pe_of.len(),
             g.node_count()
         )));
     }
     if let Some(&pe) = pe_of.iter().find(|&&pe| pe >= opts.pes) {
-        return Err(SimError::InvalidConfig(format!(
+        return Err(MachineError::InvalidConfig(format!(
             "placement assigns a cell to PE {pe} but the machine has {} PEs",
             opts.pes
         )));
@@ -173,7 +174,7 @@ pub fn run_closed_loop(
             plane
                 .net
                 .fail_link(lf.stage, lf.port, lf.from, lf.until)
-                .map_err(SimError::InvalidConfig)?;
+                .map_err(MachineError::InvalidConfig)?;
         }
     }
     let mut local: VecDeque<(u64, Payload)> = VecDeque::new();
@@ -443,7 +444,7 @@ mod tests {
         ];
         for r in bad {
             let err = r.unwrap_err();
-            assert!(matches!(err, SimError::InvalidConfig(_)), "{err}");
+            assert!(matches!(err, MachineError::InvalidConfig(_)), "{err}");
         }
     }
 

@@ -67,10 +67,6 @@ pub enum MachineError {
     },
 }
 
-/// Historical name for [`MachineError`]; the simulator began with a much
-/// smaller error set under this name.
-pub type SimError = MachineError;
-
 impl fmt::Display for MachineError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {

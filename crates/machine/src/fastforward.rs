@@ -80,7 +80,7 @@ use valpipe_ir::value::Value;
 use valpipe_util::checksum64;
 
 use crate::code::Op;
-use crate::error::SimError;
+use crate::error::MachineError;
 use crate::sim::{reseed_wheel, Simulator, StopSlots};
 use crate::snapshot::{Snapshot, Writer};
 use crate::watchdog::ProgressTracker;
@@ -249,7 +249,7 @@ impl FastForward {
         fired: u64,
         pause_at: Option<u64>,
         step_limit: u64,
-    ) -> Result<(), SimError> {
+    ) -> Result<(), MachineError> {
         let prog_delta = sim.progress - self.last_progress;
         self.last_progress = sim.progress;
         self.ring_fired[self.head] = fired;
@@ -375,7 +375,7 @@ impl FastForward {
         p: u64,
         pause_at: Option<u64>,
         step_limit: u64,
-    ) -> Result<bool, SimError> {
+    ) -> Result<bool, MachineError> {
         let now = sim.now;
         let pu = p as usize;
         let n = sim.code.cell_count();

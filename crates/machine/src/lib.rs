@@ -38,7 +38,7 @@ pub use arch::{MachineConfig, Placement};
 pub use closedloop::{run_closed_loop, ClosedLoopOptions, ClosedLoopResult};
 pub use code::MachineCode;
 pub use diag::{render_error, render_stall};
-pub use error::{MachineError, SimError};
+pub use error::MachineError;
 pub use fastforward::FastForwardStats;
 pub use fault::{CellFreeze, FaultPlan, LinkFault};
 pub use network::{OmegaNetwork, Packet};

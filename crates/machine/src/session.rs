@@ -46,12 +46,11 @@ use valpipe_ir::graph::Graph;
 use valpipe_ir::opcode::Opcode;
 
 use crate::code::MachineCode;
+use crate::error::MachineError;
 use crate::fastforward::{FastForward, FastForwardStats};
 use crate::fault::FaultPlan;
 use crate::scheduler::Kernel;
-use crate::sim::{
-    ArcDelays, ProgramInputs, ResourceModel, RunPhase, RunResult, SimError, Simulator,
-};
+use crate::sim::{ArcDelays, ProgramInputs, ResourceModel, RunPhase, RunResult, Simulator};
 use crate::snapshot::{Snapshot, SnapshotError};
 use crate::watchdog::{StallKind, StallReport, WatchdogConfig};
 
@@ -230,8 +229,8 @@ impl<'g> SessionBuilder<'g> {
 
     /// Prepare a [`Session`] for manual stepping. The graph must already
     /// be FIFO-expanded, and the config must fit it (`sim::check_config`):
-    /// an unusable one is a typed [`SimError`], never a later panic.
-    pub fn build(self) -> Result<Session<'g>, SimError> {
+    /// an unusable one is a typed [`MachineError`], never a later panic.
+    pub fn build(self) -> Result<Session<'g>, MachineError> {
         Ok(Session {
             sim: Simulator::with_config(self.g, &self.inputs, self.cfg)?,
         })
@@ -241,7 +240,7 @@ impl<'g> SessionBuilder<'g> {
     /// [`Session::drive`] with the default [`RunSpec`]. FIFO pseudo-cells
     /// are expanded on a private copy of the graph first, so callers can
     /// run a compiled program directly.
-    pub fn run(self) -> Result<RunResult, SimError> {
+    pub fn run(self) -> Result<RunResult, MachineError> {
         let expanded;
         let g = if self.g.nodes.iter().any(|n| matches!(n.op, Opcode::Fifo(_))) {
             let mut g = self.g.clone();
@@ -378,13 +377,13 @@ impl<'g> Session<'g> {
     ///
     /// Each kernel visits its cells once, in ascending id order, and
     /// fires each enabled cell as it visits it. A step that returns a
-    /// program fault ([`SimError::Eval`], [`SimError::NonBoolControl`])
+    /// program fault ([`MachineError::Eval`], [`MachineError::NonBoolControl`])
     /// therefore stops mid-step: the enabled cells before the faulting
     /// one have fired at [`Session::now`], the cells after it have not,
     /// and the clock has not advanced. Both kernels leave the identical
     /// state, which serves diagnosis ([`Session::checkpoint`],
     /// [`Session::stall_report`]); do not step on from it.
-    pub fn step(&mut self) -> Result<usize, SimError> {
+    pub fn step(&mut self) -> Result<usize, MachineError> {
         self.sim.step()
     }
 
@@ -401,7 +400,7 @@ impl<'g> Session<'g> {
     /// are built on. [`ExecMode::FastForward`] preserves the same
     /// bit-identity while skipping provably periodic windows (see
     /// [`crate::fastforward`]).
-    pub fn drive(self, spec: RunSpec) -> Result<Driven<'g>, SimError> {
+    pub fn drive(self, spec: RunSpec) -> Result<Driven<'g>, MachineError> {
         self.drive_inner(spec, None)
     }
 
@@ -411,7 +410,7 @@ impl<'g> Session<'g> {
         self,
         spec: RunSpec,
         mut sink: impl FnMut(Snapshot),
-    ) -> Result<Driven<'g>, SimError> {
+    ) -> Result<Driven<'g>, MachineError> {
         self.drive_inner(spec, Some(&mut sink))
     }
 
@@ -419,7 +418,7 @@ impl<'g> Session<'g> {
         self,
         spec: RunSpec,
         sink: Option<&mut dyn FnMut(Snapshot)>,
-    ) -> Result<Driven<'g>, SimError> {
+    ) -> Result<Driven<'g>, MachineError> {
         let mut stats = FastForwardStats::default();
         let mut ff = match spec.mode {
             ExecMode::Exact => None,

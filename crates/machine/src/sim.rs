@@ -43,7 +43,6 @@ use crate::arc::{
 };
 use crate::code::{CellCode, MachineCode, Op, Port};
 use crate::error::MachineError;
-pub use crate::error::SimError;
 use crate::fault::{AckFate, FaultPlan, ResultFate};
 use crate::scheduler::{Kernel, Scheduler};
 use crate::session::{SessionBuilder, SimConfig};
@@ -433,13 +432,17 @@ pub(crate) struct MachineState {
 impl MachineState {
     /// The state of a machine that has not run yet: every source bound
     /// to its input sequence, every arc holding only its initial token.
-    fn fresh(g: &Graph, inputs: &ProgramInputs, record_fire_times: bool) -> Result<Self, SimError> {
+    fn fresh(
+        g: &Graph,
+        inputs: &ProgramInputs,
+        record_fire_times: bool,
+    ) -> Result<Self, MachineError> {
         let mut cells = Cells::empty(g.nodes.len(), record_fire_times);
         for (i, node) in g.nodes.iter().enumerate() {
             if let Opcode::Source(name) = &node.op {
                 let data = inputs
                     .get(name)
-                    .ok_or_else(|| SimError::MissingInput(name.clone()))?;
+                    .ok_or_else(|| MachineError::MissingInput(name.clone()))?;
                 cells.src_data[i] = Some(data.to_vec());
             }
         }
@@ -476,7 +479,7 @@ impl MachineState {
 /// takes at least one instruction time to cross the network, every cell
 /// issues on a unit that exists, and injected faults name real cells
 /// with finite probabilities.
-pub(crate) fn check_config(g: &Graph, cfg: &SimConfig) -> Result<(), SimError> {
+pub(crate) fn check_config(g: &Graph, cfg: &SimConfig) -> Result<(), MachineError> {
     let (cells, arcs) = (g.nodes.len(), g.arcs.len());
     if let Some(i) = g.nodes.iter().position(|n| matches!(n.op, Opcode::Fifo(_))) {
         return Err(MachineError::UnexpandedFifo(i));
@@ -620,16 +623,16 @@ pub(crate) enum Fault {
 
 impl Fault {
     /// The machine error for this fault at cell `node` of `g`.
-    pub(crate) fn at(self, g: &Graph, node: u32) -> SimError {
+    pub(crate) fn at(self, g: &Graph, node: u32) -> MachineError {
         let label = g.nodes[node as usize].label.clone();
         let node = node as usize;
         match self {
-            Fault::Eval(message) => SimError::Eval {
+            Fault::Eval(message) => MachineError::Eval {
                 node,
                 label,
                 message,
             },
-            Fault::NonBoolControl => SimError::NonBoolControl { node, label },
+            Fault::NonBoolControl => MachineError::NonBoolControl { node, label },
         }
     }
 }
@@ -895,7 +898,7 @@ impl<'g> Simulator<'g> {
         g: &'g Graph,
         inputs: &ProgramInputs,
         cfg: SimConfig,
-    ) -> Result<Self, SimError> {
+    ) -> Result<Self, MachineError> {
         let state = MachineState::fresh(g, inputs, cfg.record_fire_times)?;
         Self::assemble(g, Arc::new(MachineCode::new(g)), cfg, state)
     }
@@ -912,7 +915,7 @@ impl<'g> Simulator<'g> {
         code: Arc<MachineCode>,
         cfg: SimConfig,
         state: MachineState,
-    ) -> Result<Self, SimError> {
+    ) -> Result<Self, MachineError> {
         check_config(g, &cfg)?;
         let MachineState {
             mut cells,
@@ -981,7 +984,7 @@ impl<'g> Simulator<'g> {
     /// Determine whether `n` can fire now and, if so, what it does.
     /// Delegates to [`plan_cell`] — the single planning implementation.
     #[inline(always)]
-    fn plan(&self, code: &MachineCode, n: u32) -> Result<Option<FirePlan>, SimError> {
+    fn plan(&self, code: &MachineCode, n: u32) -> Result<Option<FirePlan>, MachineError> {
         plan_cell(code, self, self.now, n).map_err(|f| f.at(self.g, n))
     }
 
@@ -1073,7 +1076,7 @@ impl<'g> Simulator<'g> {
         code: &MachineCode,
         n: u32,
         budget: &mut [u32],
-    ) -> Result<bool, SimError> {
+    ) -> Result<bool, MachineError> {
         let now = self.now;
         for &a in code.outs(code.cell(n)) {
             let st = &mut self.arcs[a as usize];
@@ -1121,7 +1124,7 @@ impl<'g> Simulator<'g> {
         code: &MachineCode,
         cells: impl Iterator<Item = u32>,
         budget: &mut [u32],
-    ) -> Result<usize, SimError> {
+    ) -> Result<usize, MachineError> {
         let mut fired = 0;
         for n in cells {
             fired += self.visit::<STATIC>(code, n, budget)? as usize;
@@ -1138,7 +1141,7 @@ impl<'g> Simulator<'g> {
     /// cells with a wakeup due now (see [`crate::scheduler`] for the
     /// invariant). Both visit in ascending id order, which the resource
     /// throttle and first-error selection depend on.
-    fn step_with<const STATIC: bool>(&mut self, code: &MachineCode) -> Result<usize, SimError> {
+    fn step_with<const STATIC: bool>(&mut self, code: &MachineCode) -> Result<usize, MachineError> {
         let mut budget = mem::take(&mut self.scratch.budget);
         budget.clear();
         if let Some(res) = &self.cfg.resources {
@@ -1165,7 +1168,7 @@ impl<'g> Simulator<'g> {
     /// Advance one instruction time. Returns how many cells fired. See
     /// [`crate::session::Session::step`] for the state a step that
     /// returns a program fault leaves.
-    pub fn step(&mut self) -> Result<usize, SimError> {
+    pub fn step(&mut self) -> Result<usize, MachineError> {
         let code = Arc::clone(&self.code);
         // The static machine: no fault plan, no resource model, no
         // latency tables (every packet takes one instruction time), no
@@ -1231,7 +1234,7 @@ impl<'g> Simulator<'g> {
         pause_at: Option<u64>,
         mut sink: Option<&mut dyn FnMut(crate::snapshot::Snapshot)>,
         mut ff: Option<&mut crate::fastforward::FastForward>,
-    ) -> Result<RunPhase<'g>, SimError> {
+    ) -> Result<RunPhase<'g>, MachineError> {
         let wd = self.cfg.watchdog;
         let step_limit = match wd {
             Some(w) => self.cfg.max_steps.min(w.step_budget),
@@ -1449,7 +1452,7 @@ impl<'g> Simulator<'g> {
     /// step when [`SimConfig::check_invariants`] is set (and after every
     /// fast-forward jump); these hold by construction today and exist to
     /// catch future regressions in the firing rules.
-    pub(crate) fn check_invariants(&self) -> Result<(), SimError> {
+    pub(crate) fn check_invariants(&self) -> Result<(), MachineError> {
         let step = self.now;
         for (i, st) in self.arcs.iter().enumerate() {
             let e = &self.g.arcs[i];
@@ -1593,7 +1596,7 @@ mod tests {
         vals.iter().map(|&v| Value::Real(v)).collect()
     }
 
-    fn run_defaults(g: &Graph, inputs: ProgramInputs) -> Result<RunResult, SimError> {
+    fn run_defaults(g: &Graph, inputs: ProgramInputs) -> Result<RunResult, MachineError> {
         Simulator::builder(g).inputs(inputs).run()
     }
 
@@ -1769,7 +1772,7 @@ mod tests {
     fn missing_input_reported() {
         let g = fig2();
         let err = run_defaults(&g, ProgramInputs::new().bind("a", reals(&[1.0]))).unwrap_err();
-        assert_eq!(err, SimError::MissingInput("b".into()));
+        assert_eq!(err, MachineError::MissingInput("b".into()));
     }
 
     #[test]
@@ -1779,7 +1782,7 @@ mod tests {
         let and = g.cell(Opcode::Bin(BinOp::And), "and", &[a.into(), true.into()]);
         let _ = g.cell(Opcode::Sink("out".into()), "out", &[and.into()]);
         let err = run_defaults(&g, ProgramInputs::new().bind("a", reals(&[1.0]))).unwrap_err();
-        assert!(matches!(err, SimError::Eval { .. }));
+        assert!(matches!(err, MachineError::Eval { .. }));
     }
 
     #[test]
@@ -1796,7 +1799,7 @@ mod tests {
                 .bind("b", reals(&[2.0])),
         )
         .unwrap_err();
-        assert!(matches!(err, SimError::NonBoolControl { .. }));
+        assert!(matches!(err, MachineError::NonBoolControl { .. }));
     }
 
     #[test]
@@ -1883,7 +1886,7 @@ mod tests {
         let err = Simulator::builder(&g)
             .inputs(ProgramInputs::new().bind("a", reals(&[1.0])))
             .build();
-        assert!(matches!(err, Err(SimError::UnexpandedFifo(_))));
+        assert!(matches!(err, Err(MachineError::UnexpandedFifo(_))));
         // … but the all-in-one run path expands them transparently.
         let r = Simulator::builder(&g)
             .inputs(ProgramInputs::new().bind("a", reals(&[1.0, 2.0])))

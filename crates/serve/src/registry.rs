@@ -69,7 +69,7 @@ pub struct Registry {
     /// compile — the lock is only ever held for the swap itself, so one
     /// slow compile never serializes other tenants' opens; a contended
     /// open falls back to a private cold engine (bit-identical output,
-    /// just no warm hits).
+    /// just no warm hits), which it drops afterwards.
     compile_cache: Mutex<Option<QueryEngine>>,
 }
 
@@ -81,16 +81,12 @@ pub struct Registry {
 /// it compiled.
 const SHARED_MEMO_CAP: usize = 64;
 
-fn shared_engine() -> QueryEngine {
-    let mut engine = QueryEngine::new();
-    engine.set_memo_cap(SHARED_MEMO_CAP);
-    engine
-}
-
 impl Registry {
     /// Create a registry persisting into `dir`, holding at most
     /// `max_live` sessions in memory.
     pub fn new(dir: PathBuf, max_live: usize, seed: u64) -> Registry {
+        let mut engine = QueryEngine::new();
+        engine.set_memo_cap(SHARED_MEMO_CAP);
         Registry {
             dir,
             max_live: max_live.max(1),
@@ -98,7 +94,7 @@ impl Registry {
             rng: Mutex::new(Rng::seed(seed ^ 0x005e_5510_4e61)),
             stats: RegistryStats::default(),
             slots: Mutex::new(HashMap::new()),
-            compile_cache: Mutex::new(Some(shared_engine())),
+            compile_cache: Mutex::new(Some(engine)),
         }
     }
 
@@ -185,18 +181,16 @@ impl Registry {
         // then race to insert; losing the race re-checks identity. The
         // shared warm engine is taken out of its mutex for the compile;
         // if another open holds it, compile on a private cold engine —
-        // the output is bit-identical either way.
-        let taken = self.compile_cache.lock().unwrap().take();
-        let mut engine = taken.unwrap_or_else(shared_engine);
-        let compiled = SessionCore::open_with_engine(spec.clone(), &mut engine);
-        {
-            // Restore the engine (first finisher wins; a later finisher's
-            // engine is simply dropped — warm state is an optimization,
-            // never a correctness dependency).
-            let mut slot = self.compile_cache.lock().unwrap();
-            if slot.is_none() {
-                *slot = Some(engine);
-            }
+        // the output is bit-identical either way. Only the shared engine
+        // goes back: a private one would replace the warm memo with one
+        // program's.
+        let mut taken = self.compile_cache.lock().unwrap().take();
+        let compiled = match taken.as_mut() {
+            Some(engine) => SessionCore::open_with_engine(spec.clone(), engine),
+            None => SessionCore::open_with_engine(spec.clone(), &mut QueryEngine::new()),
+        };
+        if taken.is_some() {
+            *self.compile_cache.lock().unwrap() = taken;
         }
         let core = compiled?;
         let now = core.now();
@@ -446,9 +440,13 @@ mod tests {
     }
 
     fn spec(name: &str) -> SessionSpec {
+        spec_of(name, "param m = 3;\ninput A : array[real] [0, m];\nY : array[real] := forall i in [0, m] construct A[i] + 1. endall;\noutput Y;")
+    }
+
+    fn spec_of(name: &str, source: &str) -> SessionSpec {
         SessionSpec {
             name: name.to_string(),
-            source: "param m = 3;\ninput A : array[real] [0, m];\nY : array[real] := forall i in [0, m] construct A[i] + 1. endall;\noutput Y;".to_string(),
+            source: source.to_string(),
             arrays: Json::parse(r#"{"A":[1.0,2.0,3.0,4.0]}"#).unwrap(),
             waves: 1,
             kernel: Kernel::EventDriven,
@@ -524,6 +522,39 @@ mod tests {
     }
 
     #[test]
+    fn a_contended_open_never_replaces_the_shared_engine() {
+        let dir = temp_dir("contended");
+        let reg = Registry::new(dir.clone(), 8, 1);
+        let chain = |last: &str| {
+            format!(
+                "param m = 3;\ninput A : array[real] [0, m];\n\
+                 P : array[real] := forall i in [0, m] construct A[i] + 1. endall;\n\
+                 Q : array[real] := forall i in [0, m] construct P[i] * 2. endall;\n\
+                 R : array[real] := forall i in [0, m] construct Q[i] + {last} endall;\n\
+                 output R;"
+            )
+        };
+        reg.open(spec_of("a", &chain("3."))).unwrap();
+        // Hold the shared engine, standing in for a concurrent open: this
+        // open compiles a different program on a private engine.
+        let shared = reg.compile_cache.lock().unwrap().take();
+        assert!(shared.is_some());
+        reg.open(spec("b")).unwrap();
+        assert!(
+            reg.compile_cache.lock().unwrap().is_none(),
+            "a private engine was put back"
+        );
+        *reg.compile_cache.lock().unwrap() = shared;
+        // A one-block edit of "a" still finds "a"'s other blocks warm.
+        reg.open(spec_of("c", &chain("4."))).unwrap();
+        let slot = reg.compile_cache.lock().unwrap();
+        let stats = slot.as_ref().expect("shared engine restored").stats();
+        assert!(stats.executed() < stats.total(), "{}", stats.render());
+        drop(slot);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
     fn concurrent_opens_do_not_serialize_on_the_compile_cache() {
         let dir = temp_dir("concurrent");
         let reg = Arc::new(Registry::new(dir.clone(), 16, 1));
@@ -536,7 +567,7 @@ mod tests {
         for h in handles {
             h.join().unwrap().unwrap();
         }
-        // Whichever open finished first put an engine back; contended
+        // The opens that held the shared engine put it back; contended
         // opens compiled on private cold engines and still succeeded.
         assert!(reg.compile_cache.lock().unwrap().is_some());
         assert_eq!(reg.session_count(), 8);

@@ -40,8 +40,7 @@ pub use interp::{ArrayVal, InterpError};
 pub use linear::{companion_g, companion_tree, extract_linear, recurrence_f, LinearForm};
 pub use parser::{
     parse_block_body, parse_expr, parse_program, parse_program_mapped,
-    parse_program_mapped_limited, parse_stmt_mapped, split_statements, ParseError, ParseErrorKind,
-    SplitStmt, StmtId, TopStmt, DEFAULT_MAX_NESTING_DEPTH,
+    parse_program_mapped_limited, ParseError, ParseErrorKind, DEFAULT_MAX_NESTING_DEPTH,
 };
 pub use srcmap::{SourceMap, StmtKey};
 pub use typeck::{

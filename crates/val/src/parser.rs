@@ -681,13 +681,11 @@ impl Parser {
     }
 }
 
-/// A single top-level statement of a pipe-structured program, the
-/// granularity at which the incremental engine parses and caches.
+/// A single top-level statement of a pipe-structured program.
 // A block declaration dominates the size; statements are few and
 // short-lived, so boxing would only complicate matching.
 #[allow(clippy::large_enum_variant)]
-#[derive(Debug, Clone, PartialEq)]
-pub enum TopStmt {
+enum TopStmt {
     /// `param NAME = N;`
     Param(String, i64),
     /// `input NAME : array[T] [lo, hi];`
@@ -696,155 +694,6 @@ pub enum TopStmt {
     Output(Vec<String>),
     /// `NAME : type := forall … endall;` / `… for … endfor;`
     Block(BlockDecl),
-}
-
-/// Stable identity of a top-level statement, independent of its byte
-/// position: named declarations identify by name, output statements by
-/// ordinal. Incremental recompilation tracks statements by this identity
-/// so unrelated edits never disturb a statement's cached artifacts.
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
-pub enum StmtId {
-    /// A `param` declaration, by parameter name.
-    Param(String),
-    /// An `input` declaration, by array name.
-    Input(String),
-    /// An `output` statement, by ordinal among output statements.
-    Output(usize),
-    /// A block declaration, by block name.
-    Block(String),
-}
-
-/// One statement located by [`split_statements`]: its identity plus the
-/// byte range and start position of its text in the enclosing source.
-#[derive(Debug, Clone, PartialEq)]
-pub struct SplitStmt {
-    /// Stable statement identity.
-    pub id: StmtId,
-    /// Byte offset of the statement's first token.
-    pub start: usize,
-    /// Byte offset just past the statement's last token.
-    pub end: usize,
-    /// 1-based line of the first token.
-    pub line: u32,
-    /// 1-based column of the first token.
-    pub col: u32,
-}
-
-/// Keywords that open a nested construct while scanning for statement
-/// boundaries, and the matching closers.
-const OPENERS: &[&str] = &["forall", "for", "if", "let", "iter"];
-const CLOSERS: &[&str] = &["endall", "endfor", "endif", "endlet", "enditer"];
-
-/// Split a program into its top-level statements **without parsing them**:
-/// a single lex, then a linear scan that tracks construct nesting depth
-/// (`forall`/`for`/`if`/`let`/`iter` vs. their `end…` closers). Block
-/// statements end at the closer returning the depth to zero (plus an
-/// optional trailing `;`); `param`/`input`/`output` statements end at the
-/// first depth-zero `;`.
-///
-/// On any irregularity (unbalanced closers, an unterminated statement, a
-/// statement that starts with a non-identifier) the split fails; callers
-/// fall back to the whole-program parser, whose diagnostics stay
-/// authoritative. A successful split of a *valid* program always carves
-/// exactly the statement texts the whole-program parser would consume.
-pub fn split_statements(src: &str) -> Result<Vec<SplitStmt>, ParseError> {
-    let toks = lex(src)?;
-    let split_err = |sp: &Spanned, msg: String| ParseError {
-        message: msg,
-        line: sp.span.line,
-        col: sp.span.col,
-        kind: ParseErrorKind::Syntax,
-    };
-    let ident_at = |i: usize| match &toks[i].tok {
-        Tok::Ident(s) if !KEYWORDS.contains(&s.as_str()) => Some(s.clone()),
-        _ => None,
-    };
-    let mut out = Vec::new();
-    let mut output_ord = 0usize;
-    let mut i = 0usize;
-    while toks[i].tok != Tok::Eof {
-        let first = i;
-        let (id, is_block) = match &toks[i].tok {
-            Tok::Ident(s) if s == "param" => match ident_at(i + 1) {
-                Some(n) => (StmtId::Param(n), false),
-                None => return Err(split_err(&toks[i + 1], "expected parameter name".into())),
-            },
-            Tok::Ident(s) if s == "input" => match ident_at(i + 1) {
-                Some(n) => (StmtId::Input(n), false),
-                None => return Err(split_err(&toks[i + 1], "expected input name".into())),
-            },
-            Tok::Ident(s) if s == "output" => {
-                output_ord += 1;
-                (StmtId::Output(output_ord - 1), false)
-            }
-            _ => match ident_at(i) {
-                Some(n) => (StmtId::Block(n), true),
-                None => {
-                    return Err(split_err(
-                        &toks[i],
-                        format!("expected statement, found '{}'", toks[i].tok),
-                    ))
-                }
-            },
-        };
-        let mut depth = 0i64;
-        let mut last = None;
-        while last.is_none() {
-            match &toks[i].tok {
-                Tok::Eof => {
-                    return Err(split_err(&toks[first], "unterminated statement".into()));
-                }
-                Tok::Ident(s) if OPENERS.contains(&s.as_str()) => depth += 1,
-                Tok::Ident(s) if CLOSERS.contains(&s.as_str()) => {
-                    depth -= 1;
-                    if depth < 0 {
-                        return Err(split_err(&toks[i], format!("unmatched '{s}'")));
-                    }
-                    if depth == 0 && is_block {
-                        // The block construct just closed; an optional
-                        // trailing semicolon belongs to this statement.
-                        last = Some(if toks[i + 1].tok == Tok::Semi {
-                            i + 1
-                        } else {
-                            i
-                        });
-                    }
-                }
-                Tok::Semi if depth == 0 && !is_block => last = Some(i),
-                _ => {}
-            }
-            i += 1;
-        }
-        let last = last.expect("loop exits only with an end token");
-        i = last + 1;
-        out.push(SplitStmt {
-            id,
-            start: toks[first].span.start as usize,
-            end: toks[last].span.end as usize,
-            line: toks[first].span.line,
-            col: toks[first].span.col,
-        });
-    }
-    Ok(out)
-}
-
-/// Parse one top-level statement given as standalone source text (as
-/// carved out by [`split_statements`]). The returned statement spans are
-/// *relative* to `text` — line 1, column 1, byte 0 at the first token —
-/// so the parse of a statement is position-independent and can be cached
-/// by content and rebased to wherever the statement sits in a file.
-pub fn parse_stmt_mapped(
-    text: &str,
-    max_depth: usize,
-) -> Result<(TopStmt, Vec<(StmtKey, Span)>), ParseError> {
-    let toks = lex(text)?;
-    let mut p = Parser::new(toks);
-    p.max_depth = max_depth.min(DEFAULT_MAX_NESTING_DEPTH);
-    let stmt = p.statement()?;
-    if p.peek() != &Tok::Eof {
-        return p.err(format!("trailing input at '{}'", p.peek()));
-    }
-    Ok((stmt, p.map))
 }
 
 /// Parse a complete pipe-structured program.
@@ -1084,108 +933,5 @@ mod tests {
     fn if_inside_arithmetic() {
         let e = parse_expr("2 * if c then 1 else 0 endif").unwrap();
         assert!(matches!(e, Expr::Bin(BinOp::Mul, _, _)));
-    }
-
-    #[test]
-    fn split_carves_fig3_statements() {
-        let stmts = split_statements(FIG3_PROGRAM).unwrap();
-        let ids: Vec<_> = stmts.iter().map(|s| s.id.clone()).collect();
-        assert_eq!(
-            ids,
-            vec![
-                StmtId::Param("m".into()),
-                StmtId::Input("B".into()),
-                StmtId::Input("C".into()),
-                StmtId::Block("A".into()),
-                StmtId::Block("X".into()),
-                StmtId::Output(0),
-            ]
-        );
-        // Each carved text ends at a semicolon and the slices tile the
-        // non-whitespace source in order.
-        for s in &stmts {
-            let text = &FIG3_PROGRAM[s.start..s.end];
-            assert!(text.trim_end().ends_with(';'), "slice: {text}");
-        }
-        for w in stmts.windows(2) {
-            assert!(w[0].end <= w[1].start);
-            assert!(FIG3_PROGRAM[w[0].end..w[1].start].trim().is_empty());
-        }
-    }
-
-    #[test]
-    fn split_statement_texts_reparse_to_the_whole_program() {
-        for src in [EXAMPLE_1, EXAMPLE_2, FIG3_PROGRAM] {
-            // EXAMPLE_1/2 are block bodies, not programs; wrap them.
-            let full = if src.contains("param") {
-                src.to_string()
-            } else {
-                format!(
-                    "param m = 8;\ninput B : array[real] [0, m+1];\n\
-                     A : array[real] := {src};\noutput A;\n"
-                )
-            };
-            let whole = parse_program(&full).unwrap();
-            let stmts = split_statements(&full).unwrap();
-            let mut rebuilt = Program::default();
-            for s in &stmts {
-                let (stmt, _) =
-                    parse_stmt_mapped(&full[s.start..s.end], DEFAULT_MAX_NESTING_DEPTH).unwrap();
-                match stmt {
-                    TopStmt::Param(n, v) => rebuilt.params.push((n, v)),
-                    TopStmt::Input(d) => rebuilt.inputs.push(d),
-                    TopStmt::Output(ns) => rebuilt.outputs.extend(ns),
-                    TopStmt::Block(b) => rebuilt.blocks.push(b),
-                }
-            }
-            assert_eq!(rebuilt, whole);
-        }
-    }
-
-    #[test]
-    fn split_spans_rebase_to_whole_program_map() {
-        let (_, whole_map) = parse_program_mapped(FIG3_PROGRAM, "f.val").unwrap();
-        let stmts = split_statements(FIG3_PROGRAM).unwrap();
-        let mut rebased: Vec<(StmtKey, Span)> = Vec::new();
-        for s in &stmts {
-            let (_, rel) =
-                parse_stmt_mapped(&FIG3_PROGRAM[s.start..s.end], DEFAULT_MAX_NESTING_DEPTH)
-                    .unwrap();
-            for (key, sp) in rel {
-                let col = if sp.line == 1 {
-                    sp.col + s.col - 1
-                } else {
-                    sp.col
-                };
-                rebased.push((
-                    key,
-                    Span::new(
-                        sp.start + s.start as u32,
-                        sp.end + s.start as u32,
-                        sp.line + s.line - 1,
-                        col,
-                    ),
-                ));
-            }
-        }
-        assert_eq!(rebased.len(), whole_map.len());
-        for (key, sp) in &rebased {
-            assert_eq!(whole_map.span(key), Some(*sp), "key {key:?}");
-        }
-    }
-
-    #[test]
-    fn split_fails_cleanly_on_malformed_source() {
-        // Unterminated statement, unmatched closer, non-identifier start:
-        // every anomaly is an error, never a panic or a bogus carve.
-        assert!(split_statements("param m = 3").is_err());
-        assert!(split_statements("endall;").is_err());
-        assert!(split_statements("[ 3 ];").is_err());
-        assert!(split_statements("A : array[real] := forall i in [0, 1] construct 1").is_err());
-    }
-
-    #[test]
-    fn parse_stmt_rejects_trailing_input() {
-        assert!(parse_stmt_mapped("param m = 3; param k = 4;", 200).is_err());
     }
 }
