@@ -28,7 +28,7 @@ use valpipe_ir::graph::Graph;
 use valpipe_ir::ArcId;
 
 /// One constraint arc of the balancing problem (already contracted).
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct BArc {
     /// Source supernode.
     pub u: usize,

@@ -52,7 +52,7 @@ impl Provider {
 /// Provenance-table ids (`valpipe_ir::prov`) for one block's statements,
 /// used to stamp every cell the block compiles to with the statement it
 /// came from. Id 0 is the whole-program fallback.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct BlockProv {
     /// The block header (name, type, range specification).
     pub header: u32,

@@ -210,16 +210,15 @@ pub(crate) fn lower_block(
     opts: &CompileOptions,
     decl: &BlockDecl,
     block: &valpipe_val::deps::BlockNode,
-    src_ids: &HashMap<StmtKey, u32>,
+    bp: &BlockProv,
 ) -> Result<Lowered, CompileError> {
-    let bp = block_prov(decl, src_ids);
     let scheme = match (&block.class, &decl.body) {
         (BlockClass::Forall { lo, hi }, BlockBody::Forall(f)) => {
-            compile_forall(c, &block.name, f, *lo, *hi, &bp)?;
+            compile_forall(c, &block.name, f, *lo, *hi, bp)?;
             None
         }
         (BlockClass::ForIter(pfi), _) => {
-            let (_, used) = compile_foriter(c, &block.name, pfi, opts.scheme, &bp)?;
+            let (_, used) = compile_foriter(c, &block.name, pfi, opts.scheme, bp)?;
             Some(used)
         }
         _ => {

@@ -1,94 +1,91 @@
-//! Query-based incremental compilation — the workspace's only compile
-//! driver.
+//! Incremental compilation against the previous compile — the
+//! workspace's only compile driver.
 //!
 //! Every compile runs through [`QueryEngine::run_source`]:
 //! [`crate::compile_source`] and [`crate::compile_source_limited`] are one
 //! call on a fresh engine, and the CLI, the service, the fuzzer and the
 //! benches hold engines of their own. The pass sequence is the classic
 //! straight line (parse the whole file, check the whole program, lower
-//! every block, balance the whole graph), but each stage is posed as a
-//! set of **queries** — per-block type checks, analyses and lowered
-//! regions, whole-problem balance solutions — each memoized under a key
-//! of *everything that can influence its result*. The parse is not a
-//! query: every run parses the whole file once.
-//! Re-running a compile after an edit re-executes only the queries whose
-//! inputs changed; everything else is revalidated green-for-free because
-//! its key still matches (red–green with early cutoff: a downstream key
-//! embeds the upstream *value* fingerprints, so an upstream re-execution
-//! that reproduces the same value leaves the downstream keys untouched).
+//! every block, balance the whole graph), but the per-block stages and
+//! the balance solve are posed as **queries**: per-block type checks,
+//! analyses and lowered regions, and one balance solution. The parse is
+//! not a query: every run parses the whole file once.
 //!
-//! Memo hits are **exact-match**, not hash-match: every memo table is
-//! keyed by the full canonical key string, so a hit proves the inputs
-//! are byte-identical. No 64-bit fingerprint collision — accidental or
-//! adversarially constructed (the engine is shared across tenants in
-//! the serve registry) — can splice one compilation's artifact into
-//! another's.
-//!
-//! Memo tables live in memory only, for the engine's lifetime, and are
-//! bounded: after each run, entries not touched within the retention cap
-//! are swept (generation-based LRU), so a long-lived shared engine fed
-//! arbitrary programs holds bounded memory.
+//! The engine retains what its previous run computed: for each block, in
+//! source order, the inputs each stage read beside the output it
+//! produced, and the balance problem beside its solution. A query of the
+//! next run is answered from that record when every one of its inputs
+//! equals the previous run's, and executes otherwise. A block is compared
+//! with the block at the same position in the previous compile. Equality
+//! is exact: the syntax tree compares real literals by their bits, so
+//! `0.0` and `-0.0` are different blocks. A cold compile compares nothing
+//! and builds no key; a warm one pays one equality test per stage of
+//! each unchanged block. Outputs are shared (`Arc`) or moved, never
+//! copied, and the engine holds one compile's worth of memory: a longer
+//! history is not kept, so after A→B→A the return to A re-executes the
+//! blocks where B differed.
 //!
 //! **Bit-identity is the contract.** A warm [`QueryEngine::run_source`]
 //! must produce exactly the artifacts of a cold one: same graph
 //! fingerprint, same stage dumps byte-for-byte, same pass-stat sequence,
-//! same typed errors. The engine guarantees this by construction:
+//! same typed errors. Each query's inputs are everything its result
+//! depends on:
 //!
 //! * warm and cold runs parse with the same whole-file parser, so the
 //!   program and its source map are the cold ones;
-//! * per-block queries are keyed by what the block reads, not by the
-//!   program around it (the paper's Theorem 4 composes a program from
-//!   per-block graphs over the flow-dependency graph, so a block's code
-//!   depends only on the blocks it reads). The **typed** key is the
-//!   flattened block plus the types bound to the names it mentions
-//!   ([`valpipe_val::deps::block_names`]); cached type errors carry no
-//!   source location — it is attached at use time from the current
+//! * per-block queries read what the block reads, not the program around
+//!   it (the paper's Theorem 4 composes a program from per-block graphs
+//!   over the flow-dependency graph, so a block's code depends only on
+//!   the blocks it reads). The **typed** query reads the flattened block
+//!   and the types bound to the names it mentions
+//!   ([`valpipe_val::deps::block_names`]); a type error is kept without
+//!   its source location, which is attached at use time from the current
 //!   source map;
-//! * the per-block **analyze** key extends the typed key with the
-//!   block's [`valpipe_val::deps::BlockScope`]: the values of the
-//!   parameters it mentions and the ranges of the arrays it reads;
-//! * the per-block lowered **region** ([`valpipe_ir::GraphDelta`]) key
-//!   extends the analyze key with the lowering options, the block's
-//!   provenance ids and each *direct* provider's name, aliasing (the
-//!   index of the first direct provider sharing its cell) and range.
-//!   Deltas are position-independent — local cell ids, relative arc ids
-//!   and label numbers, providers named by position — and are rebased
-//!   at splice, so an edit that changes one block's cell count does not
-//!   miss any other block's region (provenance ids stay absolute, so an
-//!   edit that adds or removes a statement re-keys the blocks after it);
-//! * balance solutions are keyed by the full constraint-problem
-//!   structure; the solvers are deterministic, so an equal problem has an
-//!   equal solution.
+//! * the **analyze** query also reads the block's
+//!   [`valpipe_val::deps::BlockScope`]: the values of the parameters it
+//!   mentions and the ranges of the arrays it reads;
+//! * the lowered **region** ([`valpipe_ir::GraphDelta`]) also reads the
+//!   lowering options, the block's provenance ids and each *direct*
+//!   provider's aliasing (the index of the first direct provider sharing
+//!   its cell) and range. Deltas are position-independent — local cell
+//!   ids, relative arc ids and label numbers, providers named by position
+//!   — and are rebased at splice, so an edit that changes one block's
+//!   cell count does not re-lower any other block (provenance ids stay
+//!   absolute, so an edit that adds or removes a statement re-lowers the
+//!   blocks after it);
+//! * the **balance** query reads the constraint problem's structure; the
+//!   solvers are deterministic, so an equal problem has an equal
+//!   solution.
 //!
-//! Building a block's keys therefore costs O(block), cold or warm;
-//! [`QueryStats::key_bytes`] counts the bytes built per table.
+//! A stage that re-executes discards the block's later stages, so a
+//! block's record is always one consistent chain of inputs and outputs.
 //!
 //! The `--emit=machine` listing is not a query: it is rendered from the
 //! balanced graph whenever it is asked for.
 
-use crate::builder::{Compiler, Provider};
+use crate::builder::{BlockProv, Compiler, Provider};
 use crate::error::CompileError;
 use crate::foriter::UsedScheme;
 use crate::limits::{CompileLimits, LimitBreach};
-use crate::options::CompileOptions;
+use crate::options::{CompileOptions, ForIterScheme};
 use crate::pipeline::{
     block_prov, build_prov, dump_graph, live_blocks, lower_block, lower_epilogue, lower_inputs,
     PassStat, PipelineOutput, Stage,
 };
 use crate::program::{CompileStats, Compiled};
 use std::collections::HashMap;
-use std::convert::Infallible;
-use std::fmt::Write as _;
+use std::sync::Arc;
 use std::time::Instant;
+use valpipe_balance::problem::BalanceProblem;
 use valpipe_balance::{problem, solve, BalanceMode, BalanceSolution};
 use valpipe_ir::opcode::Opcode;
 use valpipe_ir::region::{Frame, GraphDelta, Mark};
 use valpipe_ir::validate::validate;
 use valpipe_ir::value::Value;
 use valpipe_ir::NodeId;
-use valpipe_val::ast::{BlockDecl, Program};
+use valpipe_val::ast::{BlockDecl, Program, Type};
 use valpipe_val::deps::{
-    analyze_block, analyze_with, block_names, AnalyzeError, BlockNode, FlowGraph,
+    analyze_block, analyze_with, block_names, AnalyzeError, BlockNode, BlockScope, FlowGraph,
 };
 use valpipe_val::fold::Bindings;
 use valpipe_val::parser::{parse_program_mapped_limited, ParseErrorKind};
@@ -96,7 +93,8 @@ use valpipe_val::srcmap::{SourceMap, StmtKey};
 use valpipe_val::typeck::{attach_loc, check_block, program_prelude_env, TypeError};
 
 /// Per-run query accounting, by query kind: how many were posed and how
-/// many actually executed (the rest were memo hits).
+/// many actually executed (the rest were answered from the previous
+/// compile).
 #[derive(Debug, Clone, Default)]
 pub struct QueryStats {
     /// Per-block type-check queries (posed, executed).
@@ -107,28 +105,6 @@ pub struct QueryStats {
     pub region: (usize, usize),
     /// Balance-solution queries.
     pub balance: (usize, usize),
-    /// Memo-key bytes built this run, per table.
-    pub key_bytes: KeyBytes,
-}
-
-/// Bytes of memo keys built in one run, per query table.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct KeyBytes {
-    /// Per-block type-check keys.
-    pub typed: usize,
-    /// Per-block flow-analysis keys.
-    pub analyze: usize,
-    /// Per-block region keys.
-    pub region: usize,
-    /// Balance-problem keys.
-    pub balance: usize,
-}
-
-impl KeyBytes {
-    /// All tables together.
-    pub fn total(&self) -> usize {
-        self.typed + self.analyze + self.region + self.balance
-    }
 }
 
 impl QueryStats {
@@ -141,23 +117,21 @@ impl QueryStats {
         self.tables().iter().map(|t| t.0).sum()
     }
 
-    /// Queries that executed (missed the memo) this run.
+    /// Queries that executed this run.
     pub fn executed(&self) -> usize {
         self.tables().iter().map(|t| t.1).sum()
     }
 
-    /// Queries answered from the memo this run.
+    /// Queries answered from the previous compile this run.
     pub fn hits(&self) -> usize {
         self.total() - self.executed()
     }
 
     /// One-line human rendering (for test and experiment diagnostics).
     pub fn render(&self) -> String {
-        let k = &self.key_bytes;
         format!(
-            "queries: {} total, {} executed, {} cached \
-             (typed {}/{}, analyze {}/{}, region {}/{}, balance {}/{}); \
-             key bytes {} (typed {}, analyze {}, region {}, balance {})",
+            "queries: {} total, {} executed, {} reused \
+             (typed {}/{}, analyze {}/{}, region {}/{}, balance {}/{})",
             self.total(),
             self.executed(),
             self.hits(),
@@ -169,19 +143,56 @@ impl QueryStats {
             self.region.0,
             self.balance.1,
             self.balance.0,
-            k.total(),
-            k.typed,
-            k.analyze,
-            k.region,
-            k.balance,
         )
     }
 }
 
-/// Cached result of lowering one block: the graph region it appended plus
+/// One block of the previous compile: the type check's inputs and
+/// output, and the later stages it reached.
+#[derive(Debug)]
+struct BlockRecord {
+    /// The flattened block.
+    block: Arc<BlockDecl>,
+    /// The names it mentions ([`block_names`]). Checking keeps every
+    /// name, so these are also the checked block's names.
+    names: Vec<String>,
+    /// The type bound to each of `names` when the block was checked.
+    types: Vec<Option<Type>>,
+    /// The checked block, or its type error without a location.
+    checked: Result<Arc<BlockDecl>, TypeError>,
+    analyzed: Option<AnalyzeRecord>,
+}
+
+/// The flow analysis of a checked block: its scope and result.
+#[derive(Debug)]
+struct AnalyzeRecord {
+    scope: BlockScope,
+    node: Result<Arc<BlockNode>, AnalyzeError>,
+    lowered: Option<RegionRecord>,
+}
+
+/// The lowering of an analyzed block: what it read besides the block and
+/// its analysis, and the region it produced.
+#[derive(Debug)]
+struct RegionRecord {
+    inputs: RegionInputs,
+    entry: RegionEntry,
+}
+
+#[derive(Debug, PartialEq)]
+struct RegionInputs {
+    scheme: ForIterScheme,
+    am_boundary: bool,
+    prov: BlockProv,
+    /// Each direct provider in name order: the index of the first one
+    /// sharing its cell, and its range (`None` when undefined).
+    providers: Vec<Option<(usize, i64, i64)>>,
+}
+
+/// Result of lowering one block: the graph region it appended plus
 /// every other piece of compiler state the block's lowering touched, all
 /// in the delta's local cell ids (see [`valpipe_ir::region`]).
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug)]
 struct RegionEntry {
     delta: GraphDelta,
     /// Streams the block registered, in registration order.
@@ -192,95 +203,31 @@ struct RegionEntry {
     scheme: Option<UsedScheme>,
 }
 
-/// A memoized value plus the run generation that last touched it (for
-/// the post-run LRU sweep).
-#[derive(Debug, Clone)]
-struct Memo<V> {
-    value: V,
-    gen: u64,
-}
-
-/// Look `key` up in `table`, refreshing a hit's generation; on a miss run
-/// the query and memoize its value unless it fails. `count` tallies
-/// (posed, executed).
-fn answer<V: Clone, E>(
-    table: &mut HashMap<String, Memo<V>>,
-    gen: u64,
-    count: &mut (usize, usize),
-    key: &str,
-    run: impl FnOnce() -> Result<V, E>,
-) -> Result<V, E> {
-    count.0 += 1;
-    if let Some(hit) = table.get_mut(key) {
-        hit.gen = gen;
-        return Ok(hit.value.clone());
-    }
-    count.1 += 1;
-    let value = run()?;
-    table.insert(
-        key.to_string(),
-        Memo {
-            value: value.clone(),
-            gen,
-        },
-    );
-    Ok(value)
-}
-
-/// Default per-table memo retention: generous enough that a 1000-block
-/// program's working set stays resident, small enough to bound a
-/// long-lived shared engine fed arbitrary distinct programs.
-const DEFAULT_MEMO_CAP: usize = 16_384;
-
-/// The incremental compile engine: in-memory memo tables for every query
-/// kind. One engine instance per logical compilation session; a fresh
-/// engine performs exactly the cold pipeline.
-///
-/// Every memo table is keyed by the full canonical key string — a hit
-/// requires byte-identical inputs, so no hash collision can cross-wire
-/// two compilations (see the module docs).
+/// The previous balance solve.
 #[derive(Debug)]
-pub struct QueryEngine {
-    typed_memo: HashMap<String, Memo<Result<BlockDecl, TypeError>>>,
-    analyze_memo: HashMap<String, Memo<Result<BlockNode, AnalyzeError>>>,
-    region_memo: HashMap<String, Memo<RegionEntry>>,
-    balance_memo: HashMap<String, Memo<BalanceSolution>>,
-    stats: QueryStats,
-    /// Current run generation; bumped at every [`QueryEngine::run_source`].
-    gen: u64,
-    /// Per-table entry cap enforced after each run.
-    memo_cap: usize,
+struct BalanceRecord {
+    mode: BalanceMode,
+    problem: BalanceProblem,
+    solution: BalanceSolution,
 }
 
-impl Default for QueryEngine {
-    fn default() -> QueryEngine {
-        QueryEngine {
-            typed_memo: HashMap::new(),
-            analyze_memo: HashMap::new(),
-            region_memo: HashMap::new(),
-            balance_memo: HashMap::new(),
-            stats: QueryStats::default(),
-            gen: 0,
-            memo_cap: DEFAULT_MEMO_CAP,
-        }
-    }
+/// The incremental compile engine: the previous compile's per-block
+/// records and balance solve. One engine instance per logical
+/// compilation session; a fresh engine performs exactly the cold
+/// pipeline.
+#[derive(Debug, Default)]
+pub struct QueryEngine {
+    /// The previous compile's blocks, in source order. A run updates
+    /// each record in place as it reaches the block.
+    blocks: Vec<BlockRecord>,
+    balance: Option<BalanceRecord>,
+    stats: QueryStats,
 }
 
 impl QueryEngine {
-    /// Fresh engine with empty memos.
+    /// Fresh engine with no previous compile.
     pub fn new() -> QueryEngine {
         QueryEngine::default()
-    }
-
-    /// Cap each memo table at roughly `cap` entries. After every run,
-    /// entries least recently touched (by run generation) are swept
-    /// until the table fits; entries touched by the current run are
-    /// never swept, so a single program larger than the cap still
-    /// compiles warm within a run. Long-lived shared engines (the serve
-    /// registry) rely on this to bound memory against arbitrary
-    /// distinct submissions.
-    pub fn set_memo_cap(&mut self, cap: usize) {
-        self.memo_cap = cap.max(1);
     }
 
     /// Query accounting for the most recent [`QueryEngine::run_source`].
@@ -288,8 +235,8 @@ impl QueryEngine {
         &self.stats
     }
 
-    /// Compile source text through the staged pipeline, answering every
-    /// stage from the memo tables where the inputs are unchanged. The
+    /// Compile source text through the staged pipeline, reusing each
+    /// stage of the previous compile whose inputs are unchanged. The
     /// output is bit-identical to a fresh engine's with the same options,
     /// limits, and emit list. Stage dumps come back in `emit` order.
     pub fn run_source(
@@ -301,22 +248,6 @@ impl QueryEngine {
         file: &str,
     ) -> Result<PipelineOutput, CompileError> {
         self.stats = QueryStats::default();
-        self.gen += 1;
-        let out = self.run_source_inner(opts, limits, emit, src, file);
-        // Sweep cold memo entries whether the compile succeeded or not —
-        // failed compiles populate memos too.
-        self.evict();
-        out
-    }
-
-    fn run_source_inner(
-        &mut self,
-        opts: &CompileOptions,
-        limits: &CompileLimits,
-        emit: &[Stage],
-        src: &str,
-        file: &str,
-    ) -> Result<PipelineOutput, CompileError> {
         if src.len() > limits.max_source_bytes {
             return Err(LimitBreach::SourceBytes {
                 got: src.len(),
@@ -326,26 +257,6 @@ impl QueryEngine {
         }
         let (prog0, map) = parse(src, file, limits.max_nesting_depth)?;
         self.drive(opts, limits, emit, &prog0, &map)
-    }
-
-    /// Trim each memo table to the retention cap, dropping the entries
-    /// least recently touched. Entries touched this run share the
-    /// current (maximal) generation and always survive.
-    fn evict(&mut self) {
-        fn trim<V>(m: &mut HashMap<String, Memo<V>>, cap: usize) {
-            if m.len() <= cap {
-                return;
-            }
-            let mut gens: Vec<u64> = m.values().map(|e| e.gen).collect();
-            gens.sort_unstable();
-            let cutoff = gens[m.len() - cap];
-            m.retain(|_, e| e.gen >= cutoff);
-        }
-        let cap = self.memo_cap;
-        trim(&mut self.typed_memo, cap);
-        trim(&mut self.analyze_memo, cap);
-        trim(&mut self.region_memo, cap);
-        trim(&mut self.balance_memo, cap);
     }
 
     // ---- the staged driver ----------------------------------------------
@@ -423,8 +334,8 @@ impl QueryEngine {
         let (prog, dims) = pass!("flatten", &empty, {
             valpipe_val::dims::flatten_program(prog0).map_err(CompileError::Unsupported)?
         });
-        let (prog, typed_keys) = pass!("typecheck", &empty, self.typecheck(&prog, map)?);
-        let (flow, block_keys) = pass!("analyze", &empty, self.analyze(&prog, typed_keys)?);
+        let prog = pass!("typecheck", &empty, self.typecheck(&prog, map)?);
+        let flow = pass!("analyze", &empty, self.analyze(&prog)?);
         let (prov, src_ids) = build_prov(&prog, map);
 
         if emit.contains(&Stage::Typed) {
@@ -442,13 +353,12 @@ impl QueryEngine {
         pass!("lower", &c.g, {
             lower_inputs(&mut c, opts, &flow, &src_ids);
             let live = live_blocks(&flow, &prog.outputs);
-            let blocks = flow.blocks.iter().zip(&prog.blocks).zip(block_keys);
-            for ((block, decl), key) in blocks {
+            for (i, (block, decl)) in flow.blocks.iter().zip(&prog.blocks).enumerate() {
                 if !live.contains(&block.name) {
                     cstats.dead_blocks.push(block.name.clone());
                     continue;
                 }
-                self.lower_block_query(&mut c, &mut cstats, opts, decl, block, &src_ids, key)?;
+                self.lower_block_query(i, &mut c, &mut cstats, opts, decl, block, &src_ids)?;
             }
             lower_epilogue(&mut c, opts, &prog, &src_ids)?;
         });
@@ -497,8 +407,8 @@ impl QueryEngine {
         if opts.balance != BalanceMode::None {
             pass!("global-balance", &c.g, {
                 let p = problem::extract_anchored(&c.g, &c.anchors)?;
-                let sol = self.balance_query(&p, opts.balance)?;
-                cstats.global_buffers = problem::apply(&mut c.g, &p, &sol);
+                let r = self.balance_query(p, opts.balance)?;
+                cstats.global_buffers = problem::apply(&mut c.g, &r.problem, &r.solution);
             });
         }
 
@@ -564,36 +474,41 @@ impl QueryEngine {
     // ---- typed and analyze queries ---------------------------------------
 
     /// Per-block replication of `check_program_mapped`: same environment
-    /// evolution, same first-error-wins order, same output check. Cached
-    /// type errors are stored location-free and resolved against the
-    /// current source map at use time. Returns the checked program and
-    /// each block's typed key, which the analyze and region keys extend.
-    fn typecheck(
-        &mut self,
-        prog: &Program,
-        map: &SourceMap,
-    ) -> Result<(Program, Vec<String>), CompileError> {
+    /// evolution, same first-error-wins order, same output check. A
+    /// block's check is reused when the block and the types of the names
+    /// it mentions equal the previous compile's; type errors are kept
+    /// location-free and resolved against the current source map.
+    fn typecheck(&mut self, prog: &Program, map: &SourceMap) -> Result<Program, CompileError> {
         let mut env = program_prelude_env(prog).map_err(|e| attach_loc(e, map))?;
+        self.blocks.truncate(prog.blocks.len());
         let mut blocks = Vec::with_capacity(prog.blocks.len());
-        let mut keys = Vec::with_capacity(prog.blocks.len());
-        for block in &prog.blocks {
-            let mut key = format!("typed|{block:?}|");
-            for name in block_names(block) {
-                if let Some(ty) = env.get(&name) {
-                    let _ = write!(key, "{name}:{ty};");
+        for (i, block) in prog.blocks.iter().enumerate() {
+            self.stats.typed.0 += 1;
+            let same = self.blocks.get(i).is_some_and(|r| {
+                r.block == *block
+                    && r.names
+                        .iter()
+                        .map(|n| env.get(n))
+                        .eq(r.types.iter().map(Option::as_ref))
+            });
+            if !same {
+                self.stats.typed.1 += 1;
+                let names = block_names(block);
+                let record = BlockRecord {
+                    types: names.iter().map(|n| env.get(n).cloned()).collect(),
+                    names,
+                    checked: check_block(block, &env).map(Arc::new),
+                    block: Arc::clone(block),
+                    analyzed: None,
+                };
+                match self.blocks.get_mut(i) {
+                    Some(r) => *r = record,
+                    None => self.blocks.push(record),
                 }
             }
-            self.stats.key_bytes.typed += key.len();
-            let Ok(checked) = answer(
-                &mut self.typed_memo,
-                self.gen,
-                &mut self.stats.typed,
-                &key,
-                || Ok::<_, Infallible>(check_block(block, &env)),
-            );
-            blocks.push(checked.map_err(|e| attach_loc(e, map))?);
+            let checked = self.blocks[i].checked.as_ref();
+            blocks.push(Arc::clone(checked.map_err(|e| attach_loc(e.clone(), map))?));
             env.bind(&block.name, block.ty.clone());
-            keys.push(key);
         }
         for o in &prog.outputs {
             if env.get(o).is_none() {
@@ -609,101 +524,92 @@ impl QueryEngine {
                 .into());
             }
         }
-        let prog = Program {
+        Ok(Program {
             params: prog.params.clone(),
             inputs: prog.inputs.clone(),
             blocks,
             outputs: prog.outputs.clone(),
-        };
-        Ok((prog, keys))
+        })
     }
 
-    /// The flow analysis with each block's step answered per block, keyed
-    /// by its typed key (which determines the checked block) plus its
-    /// [`valpipe_val::deps::BlockScope`]. Returns the flow graph and each
-    /// block's analyze key, which the region key extends.
-    fn analyze(
-        &mut self,
-        prog: &Program,
-        mut keys: Vec<String>,
-    ) -> Result<(FlowGraph, Vec<String>), CompileError> {
-        let (memo, stats, gen) = (&mut self.analyze_memo, &mut self.stats, self.gen);
-        let mut bi = 0;
-        let flow = analyze_with(prog, |block, scope| {
-            let key = &mut keys[bi];
-            bi += 1;
-            let _ = write!(key, "|analyze|{scope:?}");
-            stats.key_bytes.analyze += key.len();
-            let Ok(node) = answer(memo, gen, &mut stats.analyze, key, || {
-                Ok::<_, Infallible>(analyze_block(block, scope))
-            });
-            node
-        })?;
-        Ok((flow, keys))
+    /// The flow analysis with each block's step reused when the block's
+    /// type check was and its [`BlockScope`] equals the previous
+    /// compile's.
+    fn analyze(&mut self, prog: &Program) -> Result<FlowGraph, CompileError> {
+        let (records, stats) = (&mut self.blocks, &mut self.stats);
+        let mut records = records.iter_mut();
+        Ok(analyze_with(prog, |block, visible| {
+            let r = records.next().expect("a record per checked block");
+            let scope = visible.scope(&r.names);
+            stats.analyze.0 += 1;
+            let a = match &mut r.analyzed {
+                Some(a) if a.scope == scope => a,
+                slot => {
+                    stats.analyze.1 += 1;
+                    slot.insert(AnalyzeRecord {
+                        node: analyze_block(block, &scope).map(Arc::new),
+                        scope,
+                        lowered: None,
+                    })
+                }
+            };
+            a.node.clone()
+        })?)
     }
 
     // ---- region queries --------------------------------------------------
 
-    /// Lower one block, answering from the region memo when its key — the
-    /// block's analyze key, the lowering options, its provenance ids and
-    /// its direct providers' names, aliasing and ranges — is unchanged. A
-    /// memo hit splices the cached region at the graph's end, wired to
-    /// the providers' current cells; a miss lowers cold and captures the
-    /// delta.
+    /// Lower block `i`, reusing the previous compile's region when the
+    /// block's analysis was reused and the lowering options, its
+    /// provenance ids and its direct providers' aliasing and ranges are
+    /// unchanged. A reused region is spliced at the graph's end, wired to
+    /// the providers' current cells; otherwise the block is lowered cold
+    /// and its delta captured.
     #[allow(clippy::too_many_arguments)]
     fn lower_block_query(
         &mut self,
+        i: usize,
         c: &mut Compiler,
         cstats: &mut CompileStats,
         opts: &CompileOptions,
         decl: &BlockDecl,
         block: &BlockNode,
         src_ids: &HashMap<StmtKey, u32>,
-        mut key: String,
     ) -> Result<(), CompileError> {
-        let bp = block_prov(decl, src_ids);
-        let _ = write!(
-            key,
-            "|region|scheme:{:?}|am:{}|bp:{}:{}:",
-            opts.scheme, opts.am_boundary, bp.header, bp.body,
-        );
-        let mut defs: Vec<_> = bp.defs.iter().collect();
-        defs.sort();
-        for (name, id) in defs {
-            let _ = write!(key, "{name}={id},");
-        }
         // The direct providers, in name order (`consumes` is sorted): the
-        // region's external cells. A provider sharing a cell with an
-        // earlier one is keyed by that one's index.
+        // region's external cells.
         let mut ext: Vec<NodeId> = Vec::new();
+        let mut providers = Vec::new();
         let mut prev: Option<&str> = None;
         for (name, _) in &block.consumes {
             if prev == Some(name.as_str()) {
                 continue;
             }
             prev = Some(name);
-            match c.providers.get(name) {
-                Some(p) => {
-                    let alias = ext.iter().position(|&n| n == p.node).unwrap_or(ext.len());
-                    let _ = write!(key, "|{name}:{alias}:{}..{}", p.lo, p.hi);
-                    ext.push(p.node);
-                }
-                None => {
-                    let _ = write!(key, "|{name}:-");
-                }
-            }
+            providers.push(c.providers.get(name).map(|p| {
+                let alias = ext.iter().position(|&n| n == p.node).unwrap_or(ext.len());
+                ext.push(p.node);
+                (alias, p.lo, p.hi)
+            }));
         }
-        self.stats.key_bytes.region += key.len();
+        let inputs = RegionInputs {
+            scheme: opts.scheme,
+            am_boundary: opts.am_boundary,
+            prov: block_prov(decl, src_ids),
+            providers,
+        };
         self.stats.region.0 += 1;
+        let analyzed = self.blocks[i].analyzed.as_mut().ok_or_else(|| {
+            CompileError::Internal(format!("block '{}' lowered unanalyzed", block.name))
+        })?;
         let mark = Mark::of(&c.g, c.label_seq());
         let frame = Frame {
             base: mark.nodes,
             ext: &ext,
         };
 
-        if let Some(hit) = self.region_memo.get_mut(&key) {
-            hit.gen = self.gen;
-            let entry = &hit.value;
+        if let Some(r) = analyzed.lowered.as_ref().filter(|r| r.inputs == inputs) {
+            let entry = &r.entry;
             entry
                 .delta
                 .splice(&mut c.g, mark.labels, &ext)
@@ -723,7 +629,7 @@ impl QueryEngine {
 
         self.stats.region.1 += 1;
         let anchors_base = c.anchors.len();
-        let lowered = lower_block(c, opts, decl, block, src_ids)?;
+        let lowered = lower_block(c, opts, decl, block, &inputs.prov)?;
         if let Some(u) = lowered.scheme {
             cstats.schemes.insert(block.name.clone(), u);
         }
@@ -754,52 +660,41 @@ impl QueryEngine {
                 .collect::<Result<_, CompileError>>()?,
             scheme: lowered.scheme,
         };
-        self.region_memo.insert(
-            key,
-            Memo {
-                value: entry,
-                gen: self.gen,
-            },
-        );
+        analyzed.lowered = Some(RegionRecord { inputs, entry });
         Ok(())
     }
 
     // ---- balance queries -------------------------------------------------
 
-    /// Solve (or recall) a balance problem. The solvers are deterministic
-    /// functions of the problem structure, so an exact key match is a
-    /// proof the cached solution equals a fresh solve.
+    /// Solve a balance problem, or reuse the previous compile's solution
+    /// when the mode and the problem's structure are unchanged: the
+    /// solvers are deterministic functions of that structure. Returns
+    /// the problem with its solution.
     fn balance_query(
         &mut self,
-        p: &problem::BalanceProblem,
+        p: BalanceProblem,
         mode: BalanceMode,
-    ) -> Result<BalanceSolution, CompileError> {
-        let mut key = format!("balance|{mode:?}|n:{}", p.n);
-        for a in &p.arcs {
-            let _ = write!(
-                key,
-                "|{}>{}w{}c{}a{:?}",
-                a.u,
-                a.v,
-                a.w,
-                a.cost,
-                a.arc.map(|x| x.0)
-            );
-        }
-        self.stats.key_bytes.balance += key.len();
-        answer(
-            &mut self.balance_memo,
-            self.gen,
-            &mut self.stats.balance,
-            &key,
-            || {
-                solve::solve(p, mode)
+    ) -> Result<&BalanceRecord, CompileError> {
+        self.stats.balance.0 += 1;
+        match &mut self.balance {
+            Some(r) if r.mode == mode && r.problem.n == p.n && r.problem.arcs == p.arcs => {
+                r.problem = p;
+            }
+            slot => {
+                self.stats.balance.1 += 1;
+                let solution = solve::solve(&p, mode)
                     .map_err(|e| CompileError::Internal(format!("balance solver: {e}")))?
                     .ok_or_else(|| {
                         CompileError::Internal("balance pass entered with BalanceMode::None".into())
-                    })
-            },
-        )
+                    })?;
+                *slot = Some(BalanceRecord {
+                    mode,
+                    problem: p,
+                    solution,
+                });
+            }
+        }
+        Ok(self.balance.as_ref().expect("just recorded"))
     }
 }
 
@@ -895,7 +790,7 @@ mod tests {
             BalanceMode::Heuristic,
             BalanceMode::Optimal,
         ] {
-            match QueryEngine::new().balance_query(&cyclic, mode) {
+            match QueryEngine::new().balance_query(cyclic.clone(), mode) {
                 Err(CompileError::Internal(m)) => assert!(m.contains("cycle"), "{m}"),
                 other => panic!("{mode:?}: want an internal error, got {other:?}"),
             }
@@ -912,7 +807,7 @@ mod tests {
         assert_eq!(
             e.stats().executed(),
             0,
-            "unchanged source must answer every query from the memo: {}",
+            "unchanged source must reuse every query: {}",
             e.stats().render()
         );
         assert!(e.stats().total() > 0);
@@ -960,7 +855,7 @@ mod tests {
         let e2 = e
             .run_source(&opts, &limits, &[], bad, "bad.val")
             .unwrap_err();
-        assert_eq!(e.stats().typed.1, 0, "the cached error was reused");
+        assert_eq!(e.stats().typed.1, 0, "the recorded error was reused");
         assert_eq!(e1.to_string(), e2.to_string());
         assert!(e1.to_string().contains("bad.val:"), "{e1}");
 
@@ -970,7 +865,7 @@ mod tests {
         let e3 = e
             .run_source(&opts, &limits, &[], &shifted, "bad.val")
             .unwrap_err();
-        assert_eq!(e.stats().typed.1, 0, "the cached error was reused");
+        assert_eq!(e.stats().typed.1, 0, "the recorded error was reused");
         let cold = QueryEngine::new()
             .run_source(&opts, &limits, &[], &shifted, "bad.val")
             .unwrap_err();
@@ -985,80 +880,43 @@ mod tests {
     }
 
     #[test]
-    fn memo_cap_sweeps_entries_untouched_by_recent_runs() {
-        let edited = FIG3_PROGRAM.replace("0.25", "0.75");
-        let mut e = QueryEngine::new();
-        e.set_memo_cap(1);
-        run(&mut e, FIG3_PROGRAM);
-        // Compiling a different program bumps shared entries but leaves
-        // the first program's unique entries at the old generation; the
-        // post-run sweep (cap 1) drops them.
-        run(&mut e, &edited);
-        run(&mut e, FIG3_PROGRAM);
-        assert!(
-            e.stats().executed() > 0,
-            "swept entries must re-execute, not resurrect: {}",
-            e.stats().render()
-        );
-        // Correctness is unaffected: output still matches a cold compile.
-        let mut fresh = QueryEngine::new();
-        assert_identical(&cold(FIG3_PROGRAM), &run(&mut fresh, FIG3_PROGRAM));
-    }
-
-    #[test]
-    fn memo_cap_never_sweeps_the_current_runs_working_set() {
-        let mut e = QueryEngine::new();
-        e.set_memo_cap(1);
-        run(&mut e, FIG3_PROGRAM);
-        let b = run(&mut e, FIG3_PROGRAM);
-        assert_eq!(
-            e.stats().executed(),
-            0,
-            "entries touched by the previous run survive a cap of 1: {}",
-            e.stats().render()
-        );
-        assert_identical(&cold(FIG3_PROGRAM), &b);
-    }
-
-    /// The 1-D stencil chain of the scaling workloads: `blocks` blocks,
-    /// each reading its predecessor at offsets -1 and +1.
-    fn chain_src(blocks: usize) -> String {
-        let mut s = format!(
-            "param m = {};\ninput S0 : array[real] [0, m+1];\n",
-            2 * blocks + 16
-        );
-        for k in 1..=blocks {
-            let _ = writeln!(
-                s,
-                "S{k} : array[real] := forall i in [{k}, m+1-{k}] construct 0.5 * (S{p}[i-1] + S{p}[i+1]) endall;",
-                p = k - 1
-            );
-        }
-        let _ = writeln!(s, "output S{blocks};");
-        s
-    }
-
-    #[test]
-    fn key_bytes_per_block_do_not_grow_with_the_program() {
-        let per_block = |blocks: usize| {
-            let mut e = QueryEngine::new();
-            e.run_source(
-                &CompileOptions::paper(),
-                &CompileLimits::unbounded(),
-                &[],
-                &chain_src(blocks),
-                "chain.val",
-            )
-            .unwrap();
-            let k = e.stats().key_bytes;
-            assert!(k.typed > 0 && k.analyze > 0 && k.region > 0 && k.balance > 0);
-            k.total() as f64 / blocks as f64
+    fn a_block_differing_only_in_the_sign_of_zero_is_rechecked() {
+        use valpipe_val::ast::{BlockBody, Expr, Forall};
+        let block = |zero: f64| {
+            Arc::new(BlockDecl {
+                name: "A".into(),
+                ty: Type::Array(Box::new(Type::Real)),
+                body: BlockBody::Forall(Forall {
+                    index_var: "i".into(),
+                    range: (Expr::IntLit(0), Expr::IntLit(3)),
+                    second: None,
+                    defs: Vec::new(),
+                    body: Expr::RealLit(zero),
+                }),
+            })
         };
-        let (small, large) = (per_block(50), per_block(200));
-        assert!(
-            large <= 1.25 * small,
-            "memo-key bytes per block grew from {small:.0} (50 blocks) to {large:.0} (200 blocks)"
-        );
+        assert_ne!(block(0.0), block(-0.0));
+        assert_eq!(block(-0.0), block(-0.0));
+        let prog = |zero: f64| Program {
+            params: Vec::new(),
+            inputs: Vec::new(),
+            blocks: vec![block(zero)],
+            outputs: vec!["A".into()],
+        };
+        let map = SourceMap::default();
+        let mut e = QueryEngine::new();
+        for (zero, executed) in [(0.0, 1), (0.0, 0), (-0.0, 1)] {
+            e.stats = QueryStats::default();
+            let checked = e.typecheck(&prog(zero), &map).unwrap();
+            assert_eq!(e.stats().typed, (1, executed), "{zero:?}");
+            let Expr::RealLit(got) = (match &checked.blocks[0].body {
+                BlockBody::Forall(f) => &f.body,
+                BlockBody::ForIter(_) => unreachable!(),
+            }) else {
+                panic!("a literal body stays a literal");
+            };
+            assert_eq!(got.to_bits(), zero.to_bits());
+        }
     }
 
     #[test]
@@ -1112,10 +970,7 @@ mod tests {
             let Ok((flat, _)) = valpipe_val::dims::flatten_program(&prog) else {
                 continue;
             };
-            match (
-                e.typecheck(&flat, &map).map(|(p, _)| p),
-                check_program_mapped(&flat, &map),
-            ) {
+            match (e.typecheck(&flat, &map), check_program_mapped(&flat, &map)) {
                 (Ok(got), Ok(want)) => assert_eq!(got, want, "{file}: typecheck diverges"),
                 (Err(CompileError::Type(got)), Err(want)) => {
                     assert_eq!(got, want, "{file}: type error diverges");

@@ -34,15 +34,19 @@
 //! fsynced, so power loss is out of scope). A kill mid-write tears only
 //! the slot its in-flight job was writing — the file is short, or holds
 //! the new prefix over the old suffix — and its checksums fail. [`load`]
-//! and [`scan`] check both slots and rebuild only the newest valid one,
-//! which holds the state after the last job that completed.
+//! and [`scan`] check both slots' frames, then the snapshot payloads
+//! newest first, and rebuild only the newest valid slot, which holds the
+//! state after the last job that completed; the older slot's payload is
+//! checked only when the newest fails.
 //!
 //! [`remove`] deletes oldest first, so a close cut short leaves the
-//! newest state, which resumes. A fresh session's first write removes
-//! whatever slots an earlier session of the same name left, so no
-//! leftover slot can shadow or resurrect it. [`scan`] runs at server
-//! startup: it validates every session's slots (framing, checksums,
-//! snapshot self-checks, recompile fingerprint), and returns the
+//! newest state, which resumes; closing a session held in memory orders
+//! its deletions by the sequence number it keeps, reading no slot. A
+//! fresh session's first write removes whatever slots an earlier session
+//! of the same name left, so no leftover slot can shadow or resurrect
+//! it. [`scan`] runs at server startup: it validates every session's
+//! slots (framing, checksums, snapshot self-checks, recompile
+//! fingerprint), and returns the
 //! recoverable sessions and a typed reason for every `.vph` file it
 //! could not recover — a slot of an unrecoverable session, or a file
 //! whose name is not a slot's. A torn or truncated container is a
@@ -384,15 +388,17 @@ pub fn save(dir: &Path, core: &SessionCore, rng: &mut Rng) -> Result<(), Hiberna
     )))
 }
 
-/// The slot files of `name` in `dir` (slot 0, then slot 1) with what
-/// reading and verifying each gave; missing files are left out.
+/// The slot files of `name` in `dir` (slot 0, then slot 1), each with
+/// its bytes and sequence number if its frame holds; missing files are
+/// left out. Snapshot payloads are not checked yet: [`take_newest`]
+/// checks only the slots it may rebuild.
 fn containers(dir: &Path, name: &str) -> Found {
     slot_paths(dir, name)
         .into_iter()
         .filter_map(|path| match std::fs::read(&path) {
             Ok(bytes) => {
-                let v = verify_bytes(&bytes);
-                Some((path, v))
+                let framed = frame(&bytes).map(|(seq, ..)| seq);
+                Some((path, framed.map(|seq| (seq, bytes))))
             }
             Err(e) if e.kind() == ErrorKind::NotFound => None,
             Err(e) => Some((path, Err(HibernateError::Io(e.to_string())))),
@@ -400,16 +406,26 @@ fn containers(dir: &Path, name: &str) -> Found {
         .collect()
 }
 
-type Found = Vec<(PathBuf, Result<Verified, HibernateError>)>;
+type Found = Vec<(PathBuf, Result<(u64, Vec<u8>), HibernateError>)>;
 
-/// Take the valid container with the highest sequence number out of
-/// `found`.
+/// Verify the framed slots of `found` newest first and take out the
+/// first that holds; a slot that fails keeps its error in `found`, and
+/// an older slot is checked only when every newer one failed.
 fn take_newest(found: &mut Found) -> Option<(PathBuf, Verified)> {
-    let (_, i) = (0..found.len())
-        .filter_map(|i| found[i].1.as_ref().ok().map(|v| (v.seq, i)))
-        .max()?;
-    let (path, v) = found.swap_remove(i);
-    Some((path, v.ok()?))
+    let mut framed: Vec<(u64, usize)> = (0..found.len())
+        .filter_map(|i| found[i].1.as_ref().ok().map(|(seq, _)| (*seq, i)))
+        .collect();
+    framed.sort_unstable_by(|a, b| b.cmp(a));
+    for (_, i) in framed {
+        let Ok((_, bytes)) = &found[i].1 else {
+            continue;
+        };
+        match verify_bytes(bytes) {
+            Ok(v) => return Some((found.swap_remove(i).0, v)),
+            Err(e) => found[i].1 = Err(e),
+        }
+    }
+    None
 }
 
 /// Load one named session from `dir`: the newest of its valid
@@ -441,6 +457,25 @@ pub fn remove(dir: &Path, name: &str) -> Result<(), HibernateError> {
     found.sort();
     for (_, path) in found {
         match std::fs::remove_file(&path) {
+            Ok(()) => {}
+            Err(e) if e.kind() == ErrorKind::NotFound => {}
+            Err(e) => return Err(HibernateError::Io(e.to_string())),
+        }
+    }
+    Ok(())
+}
+
+/// Delete the slot files of a session whose core is in memory, oldest
+/// first like [`remove`], but without reading them: a core that was
+/// saved or loaded knows its newest slot, `seq % 2`, so the other slot is
+/// the older one. A core never written falls back to [`remove`].
+pub(crate) fn remove_core(dir: &Path, core: &SessionCore) -> Result<(), HibernateError> {
+    let name = &core.spec.name;
+    let Some(seq) = disk(core).seq else {
+        return remove(dir, name);
+    };
+    for slot in [(seq + 1) % 2, seq % 2] {
+        match std::fs::remove_file(slot_path(dir, name, slot)) {
             Ok(()) => {}
             Err(e) if e.kind() == ErrorKind::NotFound => {}
             Err(e) => return Err(HibernateError::Io(e.to_string())),

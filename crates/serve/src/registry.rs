@@ -60,11 +60,12 @@ pub struct Registry {
     /// Counters for the `stats` op and the CI gate.
     pub stats: RegistryStats,
     slots: Mutex<HashMap<String, Arc<Slot>>>,
-    /// Shared incremental compile cache: sessions submitting overlapping
-    /// programs recompile only the blocks that differ. Sharing across
-    /// tenants is safe because the engine's memos verify by full key
-    /// (exact-match, collision-proof) and are capped at
-    /// [`SHARED_MEMO_CAP`] (bounded memory).
+    /// Shared incremental compile engine: it keeps the previous compile,
+    /// so a session opening an edit of the program opened before it
+    /// recompiles only the blocks that differ. Sharing across tenants is
+    /// safe because a stage is reused only when its inputs equal the
+    /// previous compile's, and the engine holds one compile's worth of
+    /// memory.
     /// The engine is *swapped out* of the mutex for the duration of a
     /// compile — the lock is only ever held for the swap itself, so one
     /// slow compile never serializes other tenants' opens; a contended
@@ -73,20 +74,10 @@ pub struct Registry {
     compile_cache: Mutex<Option<QueryEngine>>,
 }
 
-/// Entries each memo table of the shared compile engine keeps between
-/// compiles, besides the current compile's own, which always stay. Edits
-/// of one program share every entry but the edited blocks', so a few
-/// dozen keep a fleet of near-identical jobs warm; the engine's default
-/// of 16,384 let a busy server's memory grow with every distinct program
-/// it compiled.
-const SHARED_MEMO_CAP: usize = 64;
-
 impl Registry {
     /// Create a registry persisting into `dir`, holding at most
     /// `max_live` sessions in memory.
     pub fn new(dir: PathBuf, max_live: usize, seed: u64) -> Registry {
-        let mut engine = QueryEngine::new();
-        engine.set_memo_cap(SHARED_MEMO_CAP);
         Registry {
             dir,
             max_live: max_live.max(1),
@@ -94,7 +85,7 @@ impl Registry {
             rng: Mutex::new(Rng::seed(seed ^ 0x005e_5510_4e61)),
             stats: RegistryStats::default(),
             slots: Mutex::new(HashMap::new()),
-            compile_cache: Mutex::new(Some(engine)),
+            compile_cache: Mutex::new(Some(QueryEngine::new())),
         }
     }
 
@@ -409,8 +400,11 @@ impl Registry {
                     format!("session '{name}' is closed"),
                 ));
             }
-            *guard = SlotState::Closed;
-            hibernate::remove(&self.dir, name).map_err(|e| hibernate::to_error_body(&e))?;
+            let removed = match std::mem::replace(&mut *guard, SlotState::Closed) {
+                SlotState::Hot(core) => hibernate::remove_core(&self.dir, &core),
+                _ => hibernate::remove(&self.dir, name),
+            };
+            removed.map_err(|e| hibernate::to_error_body(&e))?;
         }
         self.slots.lock().unwrap().remove(name);
         Ok(Json::obj([("closed", Json::Bool(true))]))
@@ -518,6 +512,32 @@ mod tests {
             engine.stats().render()
         );
         drop(slot);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn closing_a_hot_session_leaves_no_slot_file() {
+        let dir = temp_dir("close_hot");
+        let reg = Registry::new(dir.clone(), 8, 1);
+        let slots = |name: &str| {
+            (0..2)
+                .filter(|&s| hibernate::slot_path(&dir, name, s).exists())
+                .count()
+        };
+        // "a" is written once, "b" twice: one slot file, then both.
+        reg.open(spec("a")).unwrap();
+        reg.open(spec("b")).unwrap();
+        let limits = JobLimits {
+            until: Some(1),
+            ..JobLimits::default()
+        };
+        reg.with_session("b", |core| core.advance(&limits, 1 << 20).map(|_| ()))
+            .unwrap();
+        assert_eq!((slots("a"), slots("b")), (1, 2));
+        for name in ["a", "b"] {
+            reg.close(name).unwrap();
+            assert_eq!(slots(name), 0, "{name}");
+        }
         let _ = std::fs::remove_dir_all(&dir);
     }
 

@@ -8,6 +8,7 @@
 //! parameters, input arrays, blocks and outputs.
 
 use std::fmt;
+use std::sync::Arc;
 pub use valpipe_ir::value::{BinOp, UnOp};
 
 /// Val types in the subset.
@@ -65,8 +66,9 @@ pub struct Def {
     pub value: Expr,
 }
 
-/// Expressions.
-#[derive(Debug, Clone, PartialEq)]
+/// Expressions. Equality is structural, with real literals compared by
+/// their bits (see the `PartialEq` impl).
+#[derive(Debug, Clone)]
 pub enum Expr {
     /// Integer literal.
     IntLit(i64),
@@ -194,6 +196,33 @@ impl Expr {
     }
 }
 
+/// Real literals are equal when their bits are: `0.0` and `-0.0` are
+/// different programs (they lower to different constants), and a NaN
+/// literal equals itself. The incremental compiler reuses a block's
+/// artifacts only when its syntax tree equals the previous compile's, so
+/// IEEE equality here would let `-0.0` reuse the code of `0.0`.
+impl PartialEq for Expr {
+    fn eq(&self, other: &Expr) -> bool {
+        use Expr::*;
+        match (self, other) {
+            (IntLit(a), IntLit(b)) => a == b,
+            (RealLit(a), RealLit(b)) => a.to_bits() == b.to_bits(),
+            (BoolLit(a), BoolLit(b)) => a == b,
+            (Var(a), Var(b)) => a == b,
+            (Bin(o, a, b), Bin(p, c, d)) => o == p && a == c && b == d,
+            (Un(o, a), Un(p, b)) => o == p && a == b,
+            (Index(n, i), Index(m, j)) => n == m && i == j,
+            (Index2(n, a, b), Index2(m, c, d)) => n == m && a == c && b == d,
+            (If(a, b, c), If(d, e, f)) => a == d && b == e && c == f,
+            (Let(a, b), Let(c, d)) => a == c && b == d,
+            (Iter(a), Iter(b)) => a == b,
+            (Append(n, a, b), Append(m, c, d)) => n == m && a == c && b == d,
+            (ArrayInit(a, b), ArrayInit(c, d)) => a == c && b == d,
+            _ => false,
+        }
+    }
+}
+
 /// A `forall` block (paper §4, Example 1).
 #[derive(Debug, Clone, PartialEq)]
 pub struct Forall {
@@ -263,8 +292,10 @@ pub struct Program {
     pub params: Vec<(String, i64)>,
     /// Input arrays.
     pub inputs: Vec<InputDecl>,
-    /// Blocks, in source order.
-    pub blocks: Vec<BlockDecl>,
+    /// Blocks, in source order. Shared, so a compiler can keep a block
+    /// (and its type-checked form) from one compile to the next without
+    /// copying it.
+    pub blocks: Vec<Arc<BlockDecl>>,
     /// Names exported as outputs.
     pub outputs: Vec<String>,
 }
@@ -277,7 +308,7 @@ impl Program {
 
     /// Look up a block by name.
     pub fn block(&self, name: &str) -> Option<&BlockDecl> {
-        self.blocks.iter().find(|b| b.name == name)
+        self.blocks.iter().find(|b| b.name == name).map(Arc::as_ref)
     }
 
     /// Look up an input by name.

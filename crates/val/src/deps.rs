@@ -18,6 +18,7 @@ use crate::classify::{
 use crate::fold::{eval_manifest_int, eval_static, Bindings};
 use std::collections::{HashMap, HashSet};
 use std::fmt;
+use std::sync::Arc;
 use valpipe_ir::value::Value;
 
 /// An array access together with the conjunction of the `if` conditions
@@ -149,8 +150,9 @@ pub struct BlockNode {
 pub struct FlowGraph {
     /// Declared inputs with manifest ranges.
     pub inputs: Vec<(String, (i64, i64))>,
-    /// Blocks in (topological = source) order.
-    pub blocks: Vec<BlockNode>,
+    /// Blocks in (topological = source) order, shared with the
+    /// incremental compiler's record of the compile.
+    pub blocks: Vec<Arc<BlockNode>>,
     /// Producer → consumer edges (producer may be an input).
     pub edges: Vec<(String, String)>,
 }
@@ -410,25 +412,55 @@ pub fn analyze_block(block: &BlockDecl, scope: &BlockScope) -> Result<BlockNode,
 /// Analyze a (type-checked) program into its flow dependency graph,
 /// classifying every block and range-checking every access.
 pub fn analyze(prog: &Program) -> Result<FlowGraph, AnalyzeError> {
-    analyze_with(prog, analyze_block)
+    analyze_with(prog, |block, visible| {
+        analyze_block(block, &visible.scope(&block_names(block))).map(Arc::new)
+    })
+}
+
+/// What a block of the program being analyzed may read: the parameters,
+/// and the arrays (inputs and earlier blocks) with their manifest ranges.
+#[derive(Debug)]
+pub struct Visible<'p> {
+    params: HashMap<&'p str, i64>,
+    arrays: HashMap<&'p str, (i64, i64)>,
+}
+
+impl Visible<'_> {
+    /// The [`BlockScope`] of a block that mentions `names` (its
+    /// [`block_names`]).
+    pub fn scope(&self, names: &[String]) -> BlockScope {
+        let mut scope = BlockScope::default();
+        for n in names {
+            if let Some(&v) = self.params.get(n.as_str()) {
+                scope.params.push((n.clone(), v));
+            }
+            if let Some(&r) = self.arrays.get(n.as_str()) {
+                scope.arrays.push((n.clone(), r));
+            }
+        }
+        scope
+    }
 }
 
 /// [`analyze`] with the per-block step supplied by the caller, which gets
-/// each block with its [`BlockScope`] and must return what
-/// [`analyze_block`] would; the incremental compiler answers it from a
-/// memo. Blocks are visited in source order and the first error wins.
-pub fn analyze_with(
-    prog: &Program,
-    mut per_block: impl FnMut(&BlockDecl, &BlockScope) -> Result<BlockNode, AnalyzeError>,
+/// each block with what it may read and must return what
+/// [`analyze_block`] would for the block's [`BlockScope`]; the
+/// incremental compiler reuses the previous compile's answer. Blocks are
+/// visited in source order and the first error wins.
+pub fn analyze_with<'p>(
+    prog: &'p Program,
+    mut per_block: impl FnMut(&BlockDecl, &Visible<'p>) -> Result<Arc<BlockNode>, AnalyzeError>,
 ) -> Result<FlowGraph, AnalyzeError> {
-    let mut params: HashMap<&str, i64> = HashMap::new();
+    let mut visible = Visible {
+        params: HashMap::new(),
+        arrays: HashMap::new(),
+    };
     let mut bindings = Bindings::new();
     for (n, v) in &prog.params {
-        params.insert(n, *v);
+        visible.params.insert(n, *v);
         bindings.insert(n.clone(), Value::Int(*v));
     }
     let mut inputs = Vec::new();
-    let mut known: HashMap<String, (i64, i64)> = HashMap::new();
     for d in &prog.inputs {
         let lo = eval_manifest_int(&d.range.0, &bindings).map_err(AnalyzeError::Other)?;
         let hi = eval_manifest_int(&d.range.1, &bindings).map_err(AnalyzeError::Other)?;
@@ -439,36 +471,28 @@ pub fn analyze_with(
             )));
         }
         inputs.push((d.name.clone(), (lo, hi)));
-        known.insert(d.name.clone(), (lo, hi));
+        visible.arrays.insert(&d.name, (lo, hi));
     }
 
     let mut blocks = Vec::with_capacity(prog.blocks.len());
     let mut edges = Vec::new();
-    let mut edge_set: HashSet<(String, String)> = HashSet::new();
+    let mut edge_set: HashSet<(&str, &str)> = HashSet::new();
     for block in &prog.blocks {
-        let mut scope = BlockScope::default();
-        for n in block_names(block) {
-            if let Some(&v) = params.get(n.as_str()) {
-                scope.params.push((n.clone(), v));
-            }
-            if let Some(&r) = known.get(&n) {
-                scope.arrays.push((n, r));
-            }
-        }
-        let node = per_block(block, &scope)?;
+        let node = per_block(block, &visible)?;
         for (a, _) in &node.consumes {
-            let edge = (a.clone(), block.name.clone());
-            if edge_set.insert(edge.clone()) {
-                edges.push(edge);
+            if let Some((&a, _)) = visible.arrays.get_key_value(a.as_str()) {
+                if edge_set.insert((a, &block.name)) {
+                    edges.push((a.to_string(), block.name.clone()));
+                }
             }
         }
-        known.insert(block.name.clone(), node.range);
+        visible.arrays.insert(&block.name, node.range);
         blocks.push(node);
     }
 
     // Outputs must resolve.
     for o in &prog.outputs {
-        if !known.contains_key(o) {
+        if !visible.arrays.contains_key(o.as_str()) {
             return Err(AnalyzeError::Other(format!("output '{o}' is undefined")));
         }
     }

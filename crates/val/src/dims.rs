@@ -24,6 +24,7 @@ use crate::ast::*;
 use crate::classify::index_offset;
 use crate::fold::{eval_manifest_int, Bindings};
 use std::collections::HashMap;
+use std::sync::Arc;
 use valpipe_ir::value::Value;
 
 /// Manifest 2-D shape of an array (both ranges inclusive).
@@ -202,6 +203,21 @@ fn rewrite(e: &Expr, ctx: &Ctx) -> Result<Expr, String> {
     }
 }
 
+/// Whether a block has a second index dimension or a two-dimensional
+/// element selection (which flattening rewrites, or rejects).
+fn is_two_dimensional(block: &BlockDecl) -> bool {
+    let (exprs, body) = match &block.body {
+        BlockBody::Forall(f) if f.second.is_some() => return true,
+        BlockBody::Forall(f) => (&f.defs, &f.body),
+        BlockBody::ForIter(fi) => (&fi.inits, &fi.body),
+    };
+    let mut found = false;
+    for e in exprs.iter().map(|d| &d.value).chain([body]) {
+        e.walk(&mut |x| found |= matches!(x, Expr::Index2(..)));
+    }
+    found
+}
+
 /// Flatten every 2-D construct. Returns the equivalent 1-D program plus
 /// the original shapes (for reshaping flattened inputs/outputs).
 pub fn flatten_program(prog: &Program) -> Result<(Program, FlattenInfo), String> {
@@ -237,8 +253,14 @@ pub fn flatten_program(prog: &Program) -> Result<(Program, FlattenInfo), String>
         }
     }
 
-    // Blocks.
+    // Blocks. The rewrite is the identity on a block with neither a
+    // second dimension nor a two-dimensional access, which keeps its
+    // shared syntax tree.
     for (block, orig) in out.blocks.iter_mut().zip(&prog.blocks) {
+        if !is_two_dimensional(orig) {
+            continue;
+        }
+        let block = Arc::make_mut(block);
         match &orig.body {
             BlockBody::Forall(fa) => {
                 let frame = if let Some((jvar, (jlo, jhi))) = &fa.second {

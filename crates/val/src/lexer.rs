@@ -11,11 +11,137 @@
 use std::fmt;
 use valpipe_ir::prov::Span;
 
-/// Token kinds.
-#[derive(Debug, Clone, PartialEq)]
-pub enum Tok {
-    /// Identifier or keyword (keywords resolved by the parser).
-    Ident(String),
+/// Reserved words. The lexer gives each its own token kind, so an
+/// identifier token is never a keyword.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Kw {
+    /// `forall`
+    Forall,
+    /// `in`
+    In,
+    /// `construct`
+    Construct,
+    /// `endall`
+    Endall,
+    /// `for`
+    For,
+    /// `do`
+    Do,
+    /// `endfor`
+    Endfor,
+    /// `if`
+    If,
+    /// `then`
+    Then,
+    /// `else`
+    Else,
+    /// `endif`
+    Endif,
+    /// `let`
+    Let,
+    /// `endlet`
+    Endlet,
+    /// `iter`
+    Iter,
+    /// `enditer`
+    Enditer,
+    /// `param`
+    Param,
+    /// `input`
+    Input,
+    /// `output`
+    Output,
+    /// `true`
+    True,
+    /// `false`
+    False,
+    /// `integer`
+    Integer,
+    /// `real`
+    Real,
+    /// `boolean`
+    Boolean,
+    /// `array`
+    Array,
+}
+
+impl Kw {
+    /// The keyword a word spells, if any.
+    pub fn of(word: &str) -> Option<Kw> {
+        Some(match word {
+            "forall" => Kw::Forall,
+            "in" => Kw::In,
+            "construct" => Kw::Construct,
+            "endall" => Kw::Endall,
+            "for" => Kw::For,
+            "do" => Kw::Do,
+            "endfor" => Kw::Endfor,
+            "if" => Kw::If,
+            "then" => Kw::Then,
+            "else" => Kw::Else,
+            "endif" => Kw::Endif,
+            "let" => Kw::Let,
+            "endlet" => Kw::Endlet,
+            "iter" => Kw::Iter,
+            "enditer" => Kw::Enditer,
+            "param" => Kw::Param,
+            "input" => Kw::Input,
+            "output" => Kw::Output,
+            "true" => Kw::True,
+            "false" => Kw::False,
+            "integer" => Kw::Integer,
+            "real" => Kw::Real,
+            "boolean" => Kw::Boolean,
+            "array" => Kw::Array,
+            _ => return None,
+        })
+    }
+
+    /// The keyword's source text.
+    pub fn text(self) -> &'static str {
+        match self {
+            Kw::Forall => "forall",
+            Kw::In => "in",
+            Kw::Construct => "construct",
+            Kw::Endall => "endall",
+            Kw::For => "for",
+            Kw::Do => "do",
+            Kw::Endfor => "endfor",
+            Kw::If => "if",
+            Kw::Then => "then",
+            Kw::Else => "else",
+            Kw::Endif => "endif",
+            Kw::Let => "let",
+            Kw::Endlet => "endlet",
+            Kw::Iter => "iter",
+            Kw::Enditer => "enditer",
+            Kw::Param => "param",
+            Kw::Input => "input",
+            Kw::Output => "output",
+            Kw::True => "true",
+            Kw::False => "false",
+            Kw::Integer => "integer",
+            Kw::Real => "real",
+            Kw::Boolean => "boolean",
+            Kw::Array => "array",
+        }
+    }
+}
+
+impl fmt::Display for Kw {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.write_str(self.text())
+    }
+}
+
+/// Token kinds. Identifiers borrow their text from the source, so a
+/// token is plain data and copying it allocates nothing.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum Tok<'a> {
+    /// Identifier (never a keyword).
+    Ident(&'a str),
+    /// Keyword.
+    Kw(Kw),
     /// Integer literal.
     Int(i64),
     /// Real literal.
@@ -66,10 +192,11 @@ pub enum Tok {
     Eof,
 }
 
-impl fmt::Display for Tok {
+impl fmt::Display for Tok<'_> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             Tok::Ident(s) => write!(f, "{s}"),
+            Tok::Kw(k) => write!(f, "{k}"),
             Tok::Int(v) => write!(f, "{v}"),
             Tok::Real(v) => write!(f, "{v}"),
             Tok::Assign => write!(f, ":="),
@@ -99,15 +226,15 @@ impl fmt::Display for Tok {
 }
 
 /// A token with its source [`Span`] for diagnostics and provenance.
-#[derive(Debug, Clone, PartialEq)]
-pub struct Spanned {
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct Spanned<'a> {
     /// The token.
-    pub tok: Tok,
+    pub tok: Tok<'a>,
     /// Byte range and 1-based line/column of the token.
     pub span: Span,
 }
 
-impl Spanned {
+impl Spanned<'_> {
     /// Source line (1-based) of the token.
     pub fn line(&self) -> u32 {
         self.span.line
@@ -134,7 +261,7 @@ impl fmt::Display for LexError {
 impl std::error::Error for LexError {}
 
 /// Tokenize a source string.
-pub fn lex(src: &str) -> Result<Vec<Spanned>, LexError> {
+pub fn lex(src: &str) -> Result<Vec<Spanned<'_>>, LexError> {
     let mut out = Vec::new();
     let bytes = src.as_bytes();
     let mut i = 0;
@@ -192,8 +319,9 @@ pub fn lex(src: &str) -> Result<Vec<Spanned>, LexError> {
                 {
                     i += 1;
                 }
+                let word = &src[start..i];
                 out.push(Spanned {
-                    tok: Tok::Ident(src[start..i].to_string()),
+                    tok: Kw::of(word).map_or(Tok::Ident(word), Tok::Kw),
                     span: span_from!(start),
                 });
             }
@@ -303,7 +431,7 @@ pub fn lex(src: &str) -> Result<Vec<Spanned>, LexError> {
 mod tests {
     use super::*;
 
-    fn toks(src: &str) -> Vec<Tok> {
+    fn toks(src: &str) -> Vec<Tok<'_>> {
         lex(src).unwrap().into_iter().map(|s| s.tok).collect()
     }
 
@@ -338,7 +466,7 @@ mod tests {
     fn comments_skipped() {
         assert_eq!(
             toks("a % comment here\nb"),
-            vec![Tok::Ident("a".into()), Tok::Ident("b".into()), Tok::Eof]
+            vec![Tok::Ident("a"), Tok::Ident("b"), Tok::Eof]
         );
     }
 
@@ -348,8 +476,27 @@ mod tests {
         let t = toks(src);
         assert!(t.contains(&Tok::Real(0.25)));
         assert!(t.contains(&Tok::Real(2.0)));
-        assert!(t.contains(&Tok::Ident("C".into())));
+        assert!(t.contains(&Tok::Ident("C")));
         assert_eq!(t.iter().filter(|x| **x == Tok::LBracket).count(), 3);
+    }
+
+    #[test]
+    fn keywords_get_their_own_kinds() {
+        assert_eq!(
+            toks("forall fora in_ In endall"),
+            vec![
+                Tok::Kw(Kw::Forall),
+                Tok::Ident("fora"),
+                Tok::Ident("in_"),
+                Tok::Ident("In"),
+                Tok::Kw(Kw::Endall),
+                Tok::Eof
+            ]
+        );
+        for kw in [Kw::Forall, Kw::In, Kw::Enditer, Kw::Boolean, Kw::Array] {
+            assert_eq!(Kw::of(kw.text()), Some(kw));
+            assert_eq!(Tok::Kw(kw).to_string(), kw.text());
+        }
     }
 
     #[test]
@@ -369,7 +516,7 @@ mod tests {
         // ":=" at 1:4, bytes [3,5).
         assert_eq!(s[1].span, Span::new(3, 5, 1, 4));
         // "x2" on line 2, column 3.
-        let x2 = s.iter().find(|t| t.tok == Tok::Ident("x2".into())).unwrap();
+        let x2 = s.iter().find(|t| t.tok == Tok::Ident("x2")).unwrap();
         assert_eq!((x2.span.line, x2.span.col), (2, 3));
         assert_eq!(&src[x2.span.start as usize..x2.span.end as usize], "x2");
         // "0.25" span slices back to its text.

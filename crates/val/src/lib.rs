@@ -33,7 +33,7 @@ pub use classify::{
 };
 pub use deps::{
     analyze, analyze_block, analyze_with, block_names, AnalyzeError, BlockClass, BlockScope,
-    FlowGraph,
+    FlowGraph, Visible,
 };
 pub use dims::{flatten_program, Dim2, FlattenInfo};
 pub use interp::{ArrayVal, InterpError};

@@ -14,9 +14,10 @@
 //! ```
 
 use crate::ast::*;
-use crate::lexer::{lex, LexError, Spanned, Tok};
+use crate::lexer::{lex, Kw, LexError, Spanned, Tok};
 use crate::srcmap::{SourceMap, StmtKey};
 use std::fmt;
+use std::sync::Arc;
 use valpipe_ir::prov::Span;
 
 /// What kind of failure a [`ParseError`] reports. `DepthLimit` is kept
@@ -75,40 +76,13 @@ impl From<LexError> for ParseError {
 /// while staying comfortably inside a 2 MiB thread stack.
 pub const DEFAULT_MAX_NESTING_DEPTH: usize = 200;
 
-const KEYWORDS: &[&str] = &[
-    "forall",
-    "in",
-    "construct",
-    "endall",
-    "for",
-    "do",
-    "endfor",
-    "if",
-    "then",
-    "else",
-    "endif",
-    "let",
-    "endlet",
-    "iter",
-    "enditer",
-    "param",
-    "input",
-    "output",
-    "true",
-    "false",
-    "integer",
-    "real",
-    "boolean",
-    "array",
-];
-
-struct Parser {
-    toks: Vec<Spanned>,
+struct Parser<'a> {
+    toks: Vec<Spanned<'a>>,
     pos: usize,
     /// Statement spans recorded while parsing a whole program.
     map: Vec<(StmtKey, Span)>,
     /// Name of the block currently being parsed ("" outside blocks).
-    cur_block: String,
+    cur_block: &'a str,
     /// Token index where the current block declaration started.
     block_start: usize,
     /// Current expression/type nesting depth.
@@ -119,13 +93,13 @@ struct Parser {
 
 type PResult<T> = Result<T, ParseError>;
 
-impl Parser {
-    fn new(toks: Vec<Spanned>) -> Parser {
+impl<'a> Parser<'a> {
+    fn new(toks: Vec<Spanned<'a>>) -> Parser<'a> {
         Parser {
             toks,
             pos: 0,
             map: Vec::new(),
-            cur_block: String::new(),
+            cur_block: "",
             block_start: 0,
             depth: 0,
             max_depth: DEFAULT_MAX_NESTING_DEPTH,
@@ -151,7 +125,7 @@ impl Parser {
         self.depth -= 1;
     }
 
-    fn peek(&self) -> &Tok {
+    fn peek(&self) -> &Tok<'a> {
         &self.toks[self.pos].tok
     }
 
@@ -159,8 +133,8 @@ impl Parser {
         self.toks[self.pos].span.line
     }
 
-    fn bump(&mut self) -> Tok {
-        let t = self.toks[self.pos].tok.clone();
+    fn bump(&mut self) -> Tok<'a> {
+        let t = self.toks[self.pos].tok;
         if self.pos + 1 < self.toks.len() {
             self.pos += 1;
         }
@@ -204,11 +178,11 @@ impl Parser {
         }
     }
 
-    fn is_kw(&self, kw: &str) -> bool {
-        matches!(self.peek(), Tok::Ident(s) if s == kw)
+    fn is_kw(&self, kw: Kw) -> bool {
+        self.peek() == &Tok::Kw(kw)
     }
 
-    fn eat_kw(&mut self, kw: &str) -> bool {
+    fn eat_kw(&mut self, kw: Kw) -> bool {
         if self.is_kw(kw) {
             self.bump();
             true
@@ -217,7 +191,7 @@ impl Parser {
         }
     }
 
-    fn expect_kw(&mut self, kw: &str) -> PResult<()> {
+    fn expect_kw(&mut self, kw: Kw) -> PResult<()> {
         if self.eat_kw(kw) {
             Ok(())
         } else {
@@ -225,14 +199,19 @@ impl Parser {
         }
     }
 
-    fn ident(&mut self) -> PResult<String> {
-        match self.peek().clone() {
-            Tok::Ident(s) if !KEYWORDS.contains(&s.as_str()) => {
+    /// An identifier's text, borrowed from the source.
+    fn name(&mut self) -> PResult<&'a str> {
+        match *self.peek() {
+            Tok::Ident(s) => {
                 self.bump();
                 Ok(s)
             }
             other => self.err(format!("expected identifier, found '{other}'")),
         }
+    }
+
+    fn ident(&mut self) -> PResult<String> {
+        self.name().map(str::to_string)
     }
 
     // ---- types -----------------------------------------------------------
@@ -245,13 +224,13 @@ impl Parser {
     }
 
     fn ty_inner(&mut self) -> PResult<Type> {
-        if self.eat_kw("integer") {
+        if self.eat_kw(Kw::Integer) {
             Ok(Type::Int)
-        } else if self.eat_kw("real") {
+        } else if self.eat_kw(Kw::Real) {
             Ok(Type::Real)
-        } else if self.eat_kw("boolean") {
+        } else if self.eat_kw(Kw::Boolean) {
             Ok(Type::Bool)
-        } else if self.eat_kw("array") {
+        } else if self.eat_kw(Kw::Array) {
             self.expect(&Tok::LBracket)?;
             let inner = self.ty()?;
             self.expect(&Tok::RBracket)?;
@@ -268,7 +247,7 @@ impl Parser {
         // `iter` is a loop-body form, never an operand. `if` and `let`
         // ARE operands (handled at the atom level), so an expression like
         // `if c then 1 else 0 endif + 2` chains into the operator parser.
-        let e = if self.is_kw("iter") {
+        let e = if self.is_kw(Kw::Iter) {
             self.iter_expr()
         } else {
             self.or_expr()
@@ -278,37 +257,37 @@ impl Parser {
     }
 
     fn if_expr(&mut self) -> PResult<Expr> {
-        self.expect_kw("if")?;
+        self.expect_kw(Kw::If)?;
         let c = self.expr()?;
-        self.expect_kw("then")?;
+        self.expect_kw(Kw::Then)?;
         let t = self.expr()?;
-        self.expect_kw("else")?;
+        self.expect_kw(Kw::Else)?;
         let e = self.expr()?;
-        self.expect_kw("endif")?;
+        self.expect_kw(Kw::Endif)?;
         Ok(Expr::if_(c, t, e))
     }
 
     fn let_expr(&mut self) -> PResult<Expr> {
-        self.expect_kw("let")?;
+        self.expect_kw(Kw::Let)?;
         let mut defs = vec![self.def()?];
         while self.peek() == &Tok::Semi {
             self.bump();
-            if self.is_kw("in") {
+            if self.is_kw(Kw::In) {
                 break;
             }
             defs.push(self.def()?);
         }
-        self.expect_kw("in")?;
+        self.expect_kw(Kw::In)?;
         let body = self.expr()?;
-        self.expect_kw("endlet")?;
+        self.expect_kw(Kw::Endlet)?;
         Ok(Expr::Let(defs, Box::new(body)))
     }
 
     fn iter_expr(&mut self) -> PResult<Expr> {
-        self.expect_kw("iter")?;
+        self.expect_kw(Kw::Iter)?;
         let mut binds = Vec::new();
         loop {
-            if self.eat_kw("enditer") {
+            if self.eat_kw(Kw::Enditer) {
                 break;
             }
             let name = self.ident()?;
@@ -425,7 +404,7 @@ impl Parser {
     }
 
     fn postfix_expr(&mut self) -> PResult<Expr> {
-        match self.peek().clone() {
+        match *self.peek() {
             Tok::Int(v) => {
                 self.bump();
                 Ok(Expr::IntLit(v))
@@ -449,17 +428,18 @@ impl Parser {
                 self.expect(&Tok::RBracket)?;
                 Ok(Expr::ArrayInit(Box::new(idx), Box::new(val)))
             }
-            Tok::Ident(s) if s == "true" => {
+            Tok::Kw(Kw::True) => {
                 self.bump();
                 Ok(Expr::BoolLit(true))
             }
-            Tok::Ident(s) if s == "false" => {
+            Tok::Kw(Kw::False) => {
                 self.bump();
                 Ok(Expr::BoolLit(false))
             }
-            Tok::Ident(s) if s == "if" => self.if_expr(),
-            Tok::Ident(s) if s == "let" => self.let_expr(),
-            Tok::Ident(_) => {
+            Tok::Kw(Kw::If) => self.if_expr(),
+            Tok::Kw(Kw::Let) => self.let_expr(),
+            // Any other keyword is reported as a misplaced identifier.
+            Tok::Ident(_) | Tok::Kw(_) => {
                 let name = self.ident()?;
                 if self.peek() == &Tok::LBracket {
                     self.bump();
@@ -493,9 +473,9 @@ impl Parser {
     // ---- blocks ----------------------------------------------------------
 
     fn forall(&mut self) -> PResult<Forall> {
-        self.expect_kw("forall")?;
+        self.expect_kw(Kw::Forall)?;
         let index_var = self.ident()?;
-        self.expect_kw("in")?;
+        self.expect_kw(Kw::In)?;
         self.expect(&Tok::LBracket)?;
         let lo = self.expr()?;
         self.expect(&Tok::Comma)?;
@@ -505,7 +485,7 @@ impl Parser {
         let second = if self.peek() == &Tok::Comma {
             self.bump();
             let jvar = self.ident()?;
-            self.expect_kw("in")?;
+            self.expect_kw(Kw::In)?;
             self.expect(&Tok::LBracket)?;
             let jlo = self.expr()?;
             self.expect(&Tok::Comma)?;
@@ -516,14 +496,17 @@ impl Parser {
             None
         };
         let header_span = self.span_since(self.block_start);
-        self.record(StmtKey::BlockHeader(self.cur_block.clone()), header_span);
+        self.record(
+            StmtKey::BlockHeader(self.cur_block.to_string()),
+            header_span,
+        );
         let mut defs = Vec::new();
-        while !self.is_kw("construct") {
+        while !self.is_kw(Kw::Construct) {
             let dm = self.mark();
             let d = self.def()?;
             let span = self.span_since(dm);
             self.record(
-                StmtKey::BlockDef(self.cur_block.clone(), d.name.clone()),
+                StmtKey::BlockDef(self.cur_block.to_string(), d.name.clone()),
                 span,
             );
             defs.push(d);
@@ -531,12 +514,12 @@ impl Parser {
                 self.bump();
             }
         }
-        self.expect_kw("construct")?;
+        self.expect_kw(Kw::Construct)?;
         let bm = self.mark();
         let body = self.expr()?;
         let body_span = self.span_since(bm);
-        self.record(StmtKey::BlockBody(self.cur_block.clone()), body_span);
-        self.expect_kw("endall")?;
+        self.record(StmtKey::BlockBody(self.cur_block.to_string()), body_span);
+        self.expect_kw(Kw::Endall)?;
         Ok(Forall {
             index_var,
             range: (lo, hi),
@@ -547,16 +530,19 @@ impl Parser {
     }
 
     fn foriter(&mut self) -> PResult<ForIter> {
-        self.expect_kw("for")?;
+        self.expect_kw(Kw::For)?;
         let header_span = self.span_since(self.block_start);
-        self.record(StmtKey::BlockHeader(self.cur_block.clone()), header_span);
+        self.record(
+            StmtKey::BlockHeader(self.cur_block.to_string()),
+            header_span,
+        );
         let mut inits = Vec::new();
-        while !self.is_kw("do") {
+        while !self.is_kw(Kw::Do) {
             let dm = self.mark();
             let d = self.def()?;
             let span = self.span_since(dm);
             self.record(
-                StmtKey::BlockInit(self.cur_block.clone(), d.name.clone()),
+                StmtKey::BlockInit(self.cur_block.to_string(), d.name.clone()),
                 span,
             );
             inits.push(d);
@@ -564,19 +550,19 @@ impl Parser {
                 self.bump();
             }
         }
-        self.expect_kw("do")?;
+        self.expect_kw(Kw::Do)?;
         let bm = self.mark();
         let body = self.expr()?;
         let body_span = self.span_since(bm);
-        self.record(StmtKey::BlockBody(self.cur_block.clone()), body_span);
-        self.expect_kw("endfor")?;
+        self.record(StmtKey::BlockBody(self.cur_block.to_string()), body_span);
+        self.expect_kw(Kw::Endfor)?;
         Ok(ForIter { inits, body })
     }
 
     fn block_body(&mut self) -> PResult<BlockBody> {
-        if self.is_kw("forall") {
+        if self.is_kw(Kw::Forall) {
             Ok(BlockBody::Forall(self.forall()?))
-        } else if self.is_kw("for") {
+        } else if self.is_kw(Kw::For) {
             Ok(BlockBody::ForIter(self.foriter()?))
         } else {
             self.err(format!(
@@ -595,7 +581,7 @@ impl Parser {
                 TopStmt::Param(name, v) => prog.params.push((name, v)),
                 TopStmt::Input(decl) => prog.inputs.push(decl),
                 TopStmt::Output(names) => prog.outputs.extend(names),
-                TopStmt::Block(decl) => prog.blocks.push(decl),
+                TopStmt::Block(decl) => prog.blocks.push(Arc::new(decl)),
             }
         }
         Ok(prog)
@@ -607,7 +593,7 @@ impl Parser {
     /// (including the terminating/trailing semicolon).
     fn statement(&mut self) -> PResult<TopStmt> {
         let stmt_mark = self.mark();
-        if self.eat_kw("param") {
+        if self.eat_kw(Kw::Param) {
             let name = self.ident()?;
             self.expect(&Tok::Eq)?;
             let neg = self.peek() == &Tok::Minus;
@@ -622,7 +608,7 @@ impl Parser {
             let span = self.span_since(stmt_mark);
             self.record(StmtKey::Param(name.clone()), span);
             Ok(TopStmt::Param(name, if neg { -v } else { v }))
-        } else if self.eat_kw("input") {
+        } else if self.eat_kw(Kw::Input) {
             let name = self.ident()?;
             self.expect(&Tok::Colon)?;
             let ty = self.ty()?;
@@ -654,7 +640,7 @@ impl Parser {
                 range: (lo, hi),
                 range2,
             }))
-        } else if self.eat_kw("output") {
+        } else if self.eat_kw(Kw::Output) {
             let mut names = vec![self.ident()?];
             while self.peek() == &Tok::Comma {
                 self.bump();
@@ -665,18 +651,22 @@ impl Parser {
             self.record(StmtKey::Output, span);
             Ok(TopStmt::Output(names))
         } else {
-            let name = self.ident()?;
+            let name = self.name()?;
             self.expect(&Tok::Colon)?;
             let ty = self.ty()?;
             self.expect(&Tok::Assign)?;
-            self.cur_block = name.clone();
+            self.cur_block = name;
             self.block_start = stmt_mark;
             let body = self.block_body()?;
-            self.cur_block.clear();
+            self.cur_block = "";
             if self.peek() == &Tok::Semi {
                 self.bump();
             }
-            Ok(TopStmt::Block(BlockDecl { name, ty, body }))
+            Ok(TopStmt::Block(BlockDecl {
+                name: name.to_string(),
+                ty,
+                body,
+            }))
         }
     }
 }

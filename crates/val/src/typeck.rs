@@ -13,6 +13,7 @@ use crate::ast::*;
 use crate::srcmap::{SourceMap, StmtKey};
 use std::collections::HashMap;
 use std::fmt;
+use std::sync::Arc;
 
 /// Type error with context.
 #[derive(Debug, Clone, PartialEq)]
@@ -481,7 +482,7 @@ pub fn check_program(prog: &Program) -> Result<Program, TypeError> {
     let mut env = program_prelude_env(prog)?;
     let mut out = prog.clone();
     for (bi, block) in prog.blocks.iter().enumerate() {
-        out.blocks[bi] = check_block(block, &env)?;
+        out.blocks[bi] = Arc::new(check_block(block, &env)?);
         env.bind(&block.name, block.ty.clone());
     }
     for o in &prog.outputs {

@@ -1,7 +1,8 @@
 //! Property suite for the incremental query engine: warm recompiles must
 //! be byte-identical to cold compiles — for arbitrary random programs,
-//! random single-block edits, cell-count edits, aliased providers, memo
-//! eviction, and corrupted mutants (typed errors included).
+//! random single-block edits, cell-count edits, returns to an earlier
+//! program, aliased providers, sequences of distinct programs, and
+//! corrupted mutants (typed errors included).
 
 use valpipe::compiler::{PipelineOutput, QueryEngine};
 use valpipe::{CompileError, CompileLimits, CompileOptions, Stage};
@@ -155,16 +156,55 @@ fn cell_count_edits_reexecute_only_the_edited_block() {
         );
         assert_eq!(s.balance.1, 1, "{}", s.render());
 
-        // And back: the original program is fully memoized, and every
-        // downstream region replays at its old position again.
+        // And back: the engine keeps only the edited program, so the
+        // return re-executes block k (and the balance solve) and replays
+        // every other block at its old position again.
         let warm_base = compile(&mut engine, &base, &opts).unwrap();
-        assert_eq!(engine.stats().executed(), 0, "{}", engine.stats().render());
+        let s = engine.stats();
+        assert_eq!(
+            (s.typed.1, s.analyze.1, s.region.1, s.balance.1),
+            (1, 1, 1, 1),
+            "trial {trial} (S{k}), back: {}",
+            s.render()
+        );
         assert_eq!(
             digest(&Ok(cold_base.clone())),
             digest(&Ok(warm_base.clone()))
         );
         assert_stats_match(&cold_base, &warm_base);
     }
+}
+
+#[test]
+fn returning_to_a_program_reexecutes_only_the_blocks_the_edit_changed() {
+    // A → B → A, where B edits the literal of block S3 of A.
+    let a = chain(8, &["0.5"]);
+    let mut lits = vec!["0.5"; 8];
+    lits[2] = "0.75";
+    let b = chain(8, &lits);
+    let opts = CompileOptions::paper();
+    let cold_a = compile(&mut QueryEngine::new(), &a, &opts).unwrap();
+    let mut engine = QueryEngine::new();
+    compile(&mut engine, &a, &opts).unwrap();
+    compile(&mut engine, &b, &opts).unwrap();
+    let s = engine.stats().clone();
+    assert_eq!(
+        (s.typed.1, s.analyze.1, s.region.1),
+        (1, 1, 1),
+        "{}",
+        s.render()
+    );
+    let back = compile(&mut engine, &a, &opts).unwrap();
+    let s = engine.stats().clone();
+    assert_eq!(digest(&Ok(cold_a.clone())), digest(&Ok(back.clone())));
+    assert_stats_match(&cold_a, &back);
+    assert_eq!(
+        (s.typed.1, s.analyze.1, s.region.1, s.balance.1),
+        (1, 1, 1, 0),
+        "only block S3 re-executes on the return: {}",
+        s.render()
+    );
+    assert_eq!(s.total(), 3 * 8 + 1, "{}", s.render());
 }
 
 #[test]
@@ -214,11 +254,10 @@ fn aliased_providers_are_part_of_the_region_key() {
 }
 
 #[test]
-fn memo_cap_eviction_keeps_warm_output_equal_to_cold() {
+fn distinct_program_sequence_keeps_warm_output_equal_to_cold() {
     let opts = CompileOptions::paper();
     let base = chain(6, &["0.5"]);
     let mut engine = QueryEngine::new();
-    engine.set_memo_cap(4);
     let mut r = Rng::seed(0x1AC6);
     let mut sources = Vec::new();
     for i in 0..10 {
