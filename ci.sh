@@ -64,6 +64,10 @@ if grep -rnE 'fs::rename|fs::write\(|\.tmp"' crates/serve/src; then
 fi
 
 cargo build --release
+# The benchmark harness (perfbench/, its own workspace with a committed
+# lock file) must build against the current crates. `--locked` fails
+# instead of rewriting perfbench/Cargo.lock.
+cargo check --locked --manifest-path perfbench/Cargo.toml
 cargo test -q
 # A bare `cargo test` runs only the root package's tests; the library
 # crates' own unit and integration suites run here.
@@ -171,8 +175,8 @@ grep -q 'CLAIM \[HOLDS\] all 5 committed corpus repros replay byte-identically' 
 
 # Incremental compilation (DESIGN.md §17): warm recompiles must be
 # byte-identical to cold across random programs, single-block and
-# cell-count edits, memo eviction and invalid mutants (dedicated property
-# suite). The incremental experiment runs last, below.
+# cell-count edits, sequences of distinct programs and invalid mutants
+# (dedicated property suite). The incremental experiment runs last, below.
 cargo test -q --test property_incremental
 
 cargo clippy --workspace --all-targets -- -D warnings

@@ -8,6 +8,11 @@
 //! ([`solve::solve_optimal`], §8 conclusions 1–3) — and inserts the
 //! resulting FIFO buffers back into the graph ([`problem::apply`]).
 //!
+//! The compiler balances with the optimal solver ([`BalanceMode`]'s
+//! default); ASAP is its ablation baseline. The heuristic
+//! ([`solve::solve_heuristic`]) is not a compile mode: it is the solver
+//! the §8 buffer-reduction experiments compare against the other two.
+//!
 //! The optimum is found by successive shortest paths on the flow side
 //! ([`solve::optimal_flow`]); the cell potentials are then the least
 //! non-negative duals feasible on the final residual network. Every
@@ -28,15 +33,13 @@ pub mod solve;
 pub use problem::{apply, extract, BalanceProblem, BalanceSolution, ProblemError};
 pub use solve::{certify, optimal_flow, solve_asap, solve_heuristic, solve_optimal};
 
-/// Which balancing algorithm to use.
+/// Which balancing algorithm the compiler uses.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum BalanceMode {
     /// Longest-path ASAP balancing (baseline).
     Asap,
-    /// ASAP followed by coordinate-descent buffer reduction.
-    #[default]
-    Heuristic,
     /// Optimal (minimum total buffer stages) via the min-cost-flow dual.
+    #[default]
     Optimal,
     /// Insert no buffers (for ablation experiments).
     None,

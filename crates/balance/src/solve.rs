@@ -6,7 +6,8 @@
 //!    Montz/Gao polynomial balancing. Always feasible, often wasteful.
 //! 2. **Heuristic reduction** (`solve_heuristic`) — coordinate descent on
 //!    the cell potentials, "effectively reducing the buffering in many
-//!    cases" (§8 conclusion 2).
+//!    cases" (§8 conclusion 2). No compile mode selects it: it is the
+//!    middle solver of the buffer-reduction experiments.
 //! 3. **Optimal** (`solve_optimal`) — minimum total buffer stages. The
 //!    problem is the linear-programming dual of a min-cost flow (§8
 //!    conclusion 3, Theorem 4). [`optimal_flow`] solves the flow side by
@@ -33,7 +34,7 @@ use std::collections::BinaryHeap;
 use crate::problem::{BArc, BalanceProblem, BalanceSolution, ProblemError};
 use crate::BalanceMode;
 
-/// Solve `p` with the algorithm `mode` selects; `Ok(None)` for
+/// Solve `p` with the compile mode's algorithm; `Ok(None)` for
 /// [`BalanceMode::None`], which inserts no buffers.
 pub fn solve(
     p: &BalanceProblem,
@@ -41,7 +42,6 @@ pub fn solve(
 ) -> Result<Option<BalanceSolution>, ProblemError> {
     Ok(Some(match mode {
         BalanceMode::Asap => solve_asap(p)?,
-        BalanceMode::Heuristic => solve_heuristic(p, 64)?,
         BalanceMode::Optimal => solve_optimal(p)?,
         BalanceMode::None => return Ok(None),
     }))
@@ -598,17 +598,17 @@ mod tests {
     #[test]
     fn cyclic_problem_is_an_error_in_every_mode() {
         let p = hand_built(3, vec![arc(0, 1, 1), arc(1, 2, 1), arc(2, 0, 1)]);
-        for mode in [
-            BalanceMode::Asap,
-            BalanceMode::Heuristic,
-            BalanceMode::Optimal,
-        ] {
+        for mode in [BalanceMode::Asap, BalanceMode::Optimal] {
             assert_eq!(
                 solve(&p, mode).unwrap_err(),
                 ProblemError::ContractedCycle,
                 "{mode:?}"
             );
         }
+        assert_eq!(
+            solve_heuristic(&p, 64).unwrap_err(),
+            ProblemError::ContractedCycle
+        );
         assert_eq!(optimal_flow(&p).unwrap_err(), ProblemError::ContractedCycle);
         assert!(solve(&p, BalanceMode::None).unwrap().is_none());
     }
@@ -616,17 +616,17 @@ mod tests {
     #[test]
     fn out_of_range_arc_is_an_error_in_every_mode() {
         let p = hand_built(2, vec![arc(0, 1, 1), arc(1, 2, 1)]);
-        for mode in [
-            BalanceMode::Asap,
-            BalanceMode::Heuristic,
-            BalanceMode::Optimal,
-        ] {
+        for mode in [BalanceMode::Asap, BalanceMode::Optimal] {
             assert_eq!(
                 solve(&p, mode).unwrap_err(),
                 ProblemError::ArcOutOfRange { arc: 1 },
                 "{mode:?}"
             );
         }
+        assert_eq!(
+            solve_heuristic(&p, 64).unwrap_err(),
+            ProblemError::ArcOutOfRange { arc: 1 }
+        );
     }
 
     #[test]

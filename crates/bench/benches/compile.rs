@@ -19,7 +19,7 @@ use valpipe_util::Json;
 fn engine_compile(engine: &mut QueryEngine, src: &str) -> PipelineOutput {
     engine
         .run_source(
-            &CompileOptions::paper(),
+            &CompileOptions::default(),
             &CompileLimits::unbounded(),
             &[],
             src,
@@ -135,20 +135,20 @@ fn main() {
     for m in [32usize, 256, 1024] {
         let src = fig6_src(m);
         bench(&format!("compile/fig6_forall/{m}"), iters(20), || {
-            compile_source(&src, &CompileOptions::paper()).unwrap()
+            compile_source(&src, &CompileOptions::default()).unwrap()
         });
         let src = fig3_src(m);
         bench(&format!("compile/fig3_program/{m}"), iters(20), || {
-            compile_source(&src, &CompileOptions::paper()).unwrap()
+            compile_source(&src, &CompileOptions::default()).unwrap()
         });
     }
     for blocks in [10usize, 40] {
         let src = chain_src(2 * blocks + 16, blocks);
         bench(&format!("compile/chain_blocks/{blocks}"), iters(20), || {
-            compile_source(&src, &CompileOptions::paper()).unwrap()
+            compile_source(&src, &CompileOptions::default()).unwrap()
         });
     }
-    let mut todd = CompileOptions::paper();
+    let mut todd = CompileOptions::default();
     todd.scheme = ForIterScheme::Todd;
     let src = fig3_src(256);
     bench("compile/fig3_todd_m256", iters(20), || {

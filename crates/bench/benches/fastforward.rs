@@ -43,7 +43,7 @@ fn main() {
     } else {
         (24, 20_000)
     };
-    let compiled = compile_source(&fig6_src(m), &CompileOptions::paper()).unwrap();
+    let compiled = compile_source(&fig6_src(m), &CompileOptions::default()).unwrap();
     let exe = compiled.executable();
     let arrays = inputs_for_compiled(&compiled);
     let inputs = stream_inputs(&compiled, &arrays, waves);

@@ -280,7 +280,7 @@ fn main() {
         ("fig3_dense", fig3_src(1024), 8),
         ("chain100_dense", chain_src(216, 100), 1),
     ] {
-        let compiled = compile_source(&src, &CompileOptions::paper()).unwrap();
+        let compiled = compile_source(&src, &CompileOptions::default()).unwrap();
         let exe = compiled.executable();
         let arrays = inputs_for_compiled(&compiled);
         let inputs = stream_inputs(&compiled, &arrays, waves);

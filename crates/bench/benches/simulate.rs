@@ -10,15 +10,15 @@ use valpipe_machine::{SimConfig, Simulator};
 fn main() {
     let waves = 10usize;
     for (name, src, opts) in [
-        ("fig6", fig6_src(64), CompileOptions::paper()),
-        ("fig3", fig3_src(64), CompileOptions::paper()),
+        ("fig6", fig6_src(64), CompileOptions::default()),
+        ("fig3", fig3_src(64), CompileOptions::default()),
         ("fig8_companion", example2_src(64), {
-            let mut o = CompileOptions::paper();
+            let mut o = CompileOptions::default();
             o.scheme = ForIterScheme::Companion;
             o
         }),
         ("fig7_todd", example2_src(64), {
-            let mut o = CompileOptions::paper();
+            let mut o = CompileOptions::default();
             o.scheme = ForIterScheme::Todd;
             o
         }),

@@ -16,7 +16,7 @@ pub(super) fn run(args: &FaultArgs) -> Report {
         "AMTRAF: operation-packet traffic to the array memories",
         Some("§2 (\"one eighth or less of the operation packets\")"),
     );
-    let mut opts = CompileOptions::paper();
+    let mut opts = CompileOptions::default();
     opts.am_boundary = true;
     let mut rows: Vec<Measurement> = Vec::new();
     for m in [16usize, 64, 256] {

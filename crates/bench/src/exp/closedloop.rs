@@ -28,7 +28,7 @@ pub(super) fn run(args: &FaultArgs) -> Report {
         }
     }
 
-    let compiled = compile_source(&fig6_src(32), &CompileOptions::paper()).expect("compiles");
+    let compiled = compile_source(&fig6_src(32), &CompileOptions::default()).expect("compiles");
     let exe = compiled.executable();
     let arrays = inputs_for_compiled(&compiled);
     let inputs = stream_inputs(&compiled, &arrays, 12);

@@ -63,7 +63,7 @@ pub(super) fn run(args: &FaultArgs) -> Report {
         Some("§4 steady state (rate 1/2) + Fig. 6"),
     );
 
-    let compiled = compile_source(&fig6_src(M), &CompileOptions::paper()).unwrap();
+    let compiled = compile_source(&fig6_src(M), &CompileOptions::default()).unwrap();
     let exe = compiled.executable();
     let arrays = inputs_for_compiled(&compiled);
     let inputs = stream_inputs(&compiled, &arrays, waves);

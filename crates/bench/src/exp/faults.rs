@@ -56,7 +56,7 @@ pub(super) fn run(args: &FaultArgs) -> Report {
     let compiled = compile_source_limited(
         &src,
         "fig6.val",
-        &CompileOptions::paper(),
+        &CompileOptions::default(),
         &CompileLimits::unbounded(),
     )
     .expect("compiles");

@@ -30,7 +30,7 @@ pub(super) fn run(args: &FaultArgs) -> Report {
         "FIG2: pipelined expression execution",
         Some("Fig. 2 + §3 (maximum rate 1/2; rate independent of stage count)"),
     );
-    let opts = CompileOptions::paper();
+    let opts = CompileOptions::default();
     let mut rows: Vec<Measurement> = Vec::new();
     for m in [16usize, 64, 256] {
         rows.extend(rep.measure(args, &format!("fig2 m={m}"), &fig2_src(m), &opts, "Y", 30));

@@ -17,7 +17,7 @@ pub(super) fn run(args: &FaultArgs) -> Report {
             args,
             &format!("fig3 A m={m}"),
             &fig3_src(m),
-            &CompileOptions::paper(),
+            &CompileOptions::default(),
             "A",
             24,
         ));
@@ -25,18 +25,18 @@ pub(super) fn run(args: &FaultArgs) -> Report {
             args,
             &format!("fig3 X m={m}"),
             &fig3_src(m),
-            &CompileOptions::paper(),
+            &CompileOptions::default(),
             "X",
             24,
         ));
     }
     // Ablation: force Todd to show the loop throttling the whole pipe.
-    let mut todd = CompileOptions::paper();
+    let mut todd = CompileOptions::default();
     todd.scheme = ForIterScheme::Todd;
     rows.extend(rep.measure(args, "fig3 A m=64 (todd)", &fig3_src(64), &todd, "A", 24));
     rep.table(&rows);
 
-    let compiled = compile_source(&fig3_src(64), &CompileOptions::paper()).unwrap();
+    let compiled = compile_source(&fig3_src(64), &CompileOptions::default()).unwrap();
     println!();
     rep.observe(
         "flow dependency edges",

@@ -22,12 +22,12 @@ pub(super) fn run(args: &FaultArgs) -> Report {
             args,
             &format!("balanced m={m}"),
             &fig4_src(m),
-            &CompileOptions::paper(),
+            &CompileOptions::default(),
             "S",
             24,
         ));
     }
-    let mut ablate = CompileOptions::paper();
+    let mut ablate = CompileOptions::default();
     ablate.balance = BalanceMode::None;
     {
         let m = 64usize;
@@ -43,7 +43,7 @@ pub(super) fn run(args: &FaultArgs) -> Report {
     rep.table(&rows);
 
     // Show the generated code carries the paper's skew FIFOs.
-    let compiled = compile_source(&fig4_src(8), &CompileOptions::paper()).unwrap();
+    let compiled = compile_source(&fig4_src(8), &CompileOptions::default()).unwrap();
     println!(
         "\ncompiled cell mix (m=8): {}",
         valpipe_ir::pretty::summary(&compiled.graph)

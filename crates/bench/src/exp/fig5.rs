@@ -25,14 +25,14 @@ pub(super) fn run(args: &FaultArgs) -> Report {
             args,
             &format!("fig5 m={m}"),
             &fig5_src(m),
-            &CompileOptions::paper(),
+            &CompileOptions::default(),
             "Y",
             24,
         ));
     }
     rep.table(&rows);
 
-    let compiled = compile_source(&fig5_src(15), &CompileOptions::paper()).unwrap();
+    let compiled = compile_source(&fig5_src(15), &CompileOptions::default()).unwrap();
     let hist = compiled.graph.opcode_histogram();
     println!(
         "\ncompiled cell mix (m=15): {}",

@@ -21,14 +21,14 @@ pub(super) fn run(args: &FaultArgs) -> Report {
             args,
             &format!("example1 m={m}"),
             &fig6_src(m),
-            &CompileOptions::paper(),
+            &CompileOptions::default(),
             "A",
             20,
         ));
     }
     rep.table(&rows);
 
-    let compiled = compile_source(&fig6_src(8), &CompileOptions::paper()).unwrap();
+    let compiled = compile_source(&fig6_src(8), &CompileOptions::default()).unwrap();
     println!(
         "\ncompiled cell mix (m=8): {}",
         valpipe_ir::pretty::summary(&compiled.graph)

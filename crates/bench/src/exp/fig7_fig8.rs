@@ -25,7 +25,7 @@ pub(super) fn run(args: &FaultArgs) -> Report {
             ("todd", ForIterScheme::Todd),
             ("companion", ForIterScheme::Companion),
         ] {
-            let mut opts = CompileOptions::paper();
+            let mut opts = CompileOptions::default();
             opts.scheme = scheme;
             rows.extend(rep.measure(
                 args,

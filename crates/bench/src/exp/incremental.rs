@@ -49,7 +49,7 @@ fn engine_compile(
     limits: &CompileLimits,
     emit: &[Stage],
 ) -> Result<valpipe_core::PipelineOutput, CompileError> {
-    engine.run_source(&CompileOptions::paper(), limits, emit, src, file)
+    engine.run_source(&CompileOptions::default(), limits, emit, src, file)
 }
 
 /// Wall time of the whole-file parse every compile starts with.

@@ -20,7 +20,7 @@ pub(super) fn run(args: &FaultArgs) -> Report {
         Some("§2 / Fig. 1 architecture behaviour"),
     );
     let src = fig6_src(64);
-    let compiled = compile_source(&src, &CompileOptions::paper()).expect("compiles");
+    let compiled = compile_source(&src, &CompileOptions::default()).expect("compiles");
     let exe = compiled.executable();
     let arrays = inputs_for_compiled(&compiled);
     let inputs = stream_inputs(&compiled, &arrays, 20);

@@ -45,7 +45,7 @@ pub(super) fn run(args: &FaultArgs) -> Report {
 
     // 2. Trace-driven replay of a fully pipelined program on two machine
     // sizings: packed (2 cells/PE — oversubscribed) and spread (1 cell/PE).
-    let compiled = compile_source(&fig6_src(64), &CompileOptions::paper()).expect("compiles");
+    let compiled = compile_source(&fig6_src(64), &CompileOptions::default()).expect("compiles");
     let exe = compiled.executable();
     let arrays = inputs_for_compiled(&compiled);
     let inputs = stream_inputs(&compiled, &arrays, 12);

@@ -23,17 +23,17 @@ pub(super) fn run(args: &FaultArgs) -> Report {
     );
 
     let todd = {
-        let mut o = CompileOptions::paper();
+        let mut o = CompileOptions::default();
         o.scheme = ForIterScheme::Todd;
         o
     };
     let companion = {
-        let mut o = CompileOptions::paper();
+        let mut o = CompileOptions::default();
         o.scheme = ForIterScheme::Companion;
         o
     };
     let synth = {
-        let mut o = CompileOptions::paper();
+        let mut o = CompileOptions::default();
         o.synthesize_generators = true;
         o
     };
@@ -41,25 +41,25 @@ pub(super) fn run(args: &FaultArgs) -> Report {
         (
             "fig2 m=64".into(),
             fig2_src(64),
-            CompileOptions::paper(),
+            CompileOptions::default(),
             "Y",
         ),
         (
             "fig4 m=64".into(),
             fig4_src(64),
-            CompileOptions::paper(),
+            CompileOptions::default(),
             "S",
         ),
         (
             "fig5 m=63".into(),
             fig5_src(63),
-            CompileOptions::paper(),
+            CompileOptions::default(),
             "Y",
         ),
         (
             "fig6 m=32".into(),
             fig6_src(32),
-            CompileOptions::paper(),
+            CompileOptions::default(),
             "A",
         ),
         ("ex2 todd m=32".into(), example2_src(32), todd, "X"),
@@ -72,19 +72,19 @@ pub(super) fn run(args: &FaultArgs) -> Report {
         (
             "fig3 m=64 (A)".into(),
             fig3_src(64),
-            CompileOptions::paper(),
+            CompileOptions::default(),
             "A",
         ),
         (
             "physics m=64 (V)".into(),
             physics_src(64),
-            CompileOptions::paper(),
+            CompileOptions::default(),
             "V",
         ),
         (
             "chain 20 blocks".into(),
             chain_src(56, 20),
-            CompileOptions::paper(),
+            CompileOptions::default(),
             "S20",
         ),
         ("fig6 synth m=32".into(), fig6_src(32), synth, "A"),

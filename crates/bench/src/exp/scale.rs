@@ -40,7 +40,7 @@ pub(super) fn run(args: &FaultArgs) -> Report {
     for blocks in [5usize, 20, 80, 200] {
         let m = 2 * blocks + 16;
         let src = chain_src(m, blocks);
-        let compiled = compile_source(&src, &CompileOptions::paper()).expect("chain compiles");
+        let compiled = compile_source(&src, &CompileOptions::default()).expect("chain compiles");
         let arrays = inputs_for_compiled(&compiled);
         let _ = stream_inputs(&compiled, &arrays, 1); // warm the builder
         let cfg = args.sim_config().record_fire_times(true);

@@ -60,7 +60,7 @@ pub(super) fn run(args: &FaultArgs) -> Report {
         None,
     );
     let src = fig6_src(64);
-    let compiled = compile_source(&src, &CompileOptions::paper()).expect("compiles");
+    let compiled = compile_source(&src, &CompileOptions::default()).expect("compiles");
     let exe = compiled.executable();
     let arrays = inputs_for_compiled(&compiled);
     // 45 waves ≈ 11k instruction times uninterrupted — long enough that

@@ -22,17 +22,17 @@ pub(super) fn run(args: &FaultArgs) -> Report {
             args,
             &format!("{name} primitive"),
             &src,
-            &CompileOptions::paper(),
+            &CompileOptions::default(),
             "A",
             20,
         ));
-        let mut opts = CompileOptions::paper();
+        let mut opts = CompileOptions::default();
         opts.synthesize_generators = true;
         rows.extend(rep.measure(args, &format!("{name} synthesized"), &src, &opts, "A", 20));
     }
     rep.table(&rows);
 
-    let mut opts = CompileOptions::paper();
+    let mut opts = CompileOptions::default();
     opts.synthesize_generators = true;
     let compiled = compile_source(&fig6_src(32), &opts).unwrap();
     println!();

@@ -108,7 +108,7 @@ mod tests {
 
     #[test]
     fn measure_produces_sane_numbers() {
-        let compiled = compile_source(&fig4_src(16), &CompileOptions::paper()).unwrap();
+        let compiled = compile_source(&fig4_src(16), &CompileOptions::default()).unwrap();
         let m = measure_compiled_with("fig4", &compiled, "S", 20, SimConfig::new()).unwrap();
         assert!(m.cells > 5);
         assert!(m.interval > 1.9 && m.interval < 3.0);

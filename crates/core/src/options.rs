@@ -1,4 +1,10 @@
 //! Compilation options.
+//!
+//! [`CompileOptions::default()`] is the paper's construction: the auto
+//! recurrence scheme, optimal buffering (§8: the LP dual of a min-cost
+//! flow) and gate fusion, which always runs. The remaining settings are
+//! the experiments' ablations: a forced recurrence scheme, ASAP or no
+//! balancing, the array-memory boundary and generator synthesis.
 
 use valpipe_balance::BalanceMode;
 
@@ -35,22 +41,11 @@ pub struct CompileOptions {
     /// instruction cells (Todd's construction) before balancing, so the
     /// final program uses no primitive generator nodes.
     pub synthesize_generators: bool,
-    /// Fuse cascaded static gates (nested static conditionals produce
-    /// `TGate(s1) → TGate(s2)` chains that collapse into one gate with the
-    /// composed selection) and sweep the dead cells. Off in
-    /// `CompileOptions::default()`; on in [`CompileOptions::paper`].
-    pub fuse_gates: bool,
 }
 
 impl CompileOptions {
-    /// Options matching the paper's headline construction: auto scheme,
-    /// optimal buffering, gate fusion.
+    /// The paper's construction; the same as [`CompileOptions::default`].
     pub fn paper() -> Self {
-        CompileOptions {
-            scheme: ForIterScheme::Auto,
-            balance: BalanceMode::Optimal,
-            fuse_gates: true,
-            ..Default::default()
-        }
+        Self::default()
     }
 }

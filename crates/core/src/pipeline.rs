@@ -165,19 +165,9 @@ pub struct PipelineOutput {
 /// input (element `i` of an array over `[lo, hi]` cannot arrive before
 /// `2·(i − lo)` instruction times, hence the `−2·lo` anchor), optionally
 /// routed through an array-memory read cell.
-pub(crate) fn lower_inputs(
-    c: &mut Compiler,
-    opts: &CompileOptions,
-    flow: &FlowGraph,
-    src_ids: &HashMap<StmtKey, u32>,
-) {
-    for (name, (lo, hi)) in &flow.inputs {
-        c.g.set_provenance(
-            src_ids
-                .get(&StmtKey::Input(name.clone()))
-                .copied()
-                .unwrap_or(0),
-        );
+pub(crate) fn lower_inputs(c: &mut Compiler, opts: &CompileOptions, flow: &FlowGraph, ids: &[u32]) {
+    for ((name, (lo, hi)), &id) in flow.inputs.iter().zip(ids) {
+        c.g.set_provenance(id);
         let src = c.g.add_node(Opcode::Source(name.clone()), name.clone());
         c.anchors.push((src, -2 * lo));
         let node = if opts.am_boundary {
@@ -241,9 +231,9 @@ pub(crate) fn lower_epilogue(
     c: &mut Compiler,
     opts: &CompileOptions,
     prog: &Program,
-    src_ids: &HashMap<StmtKey, u32>,
+    output: u32,
 ) -> Result<(), CompileError> {
-    c.g.set_provenance(src_ids.get(&StmtKey::Output).copied().unwrap_or(0));
+    c.g.set_provenance(output);
     for name in &prog.outputs {
         let p = *c
             .providers
@@ -275,117 +265,74 @@ pub(crate) fn lower_epilogue(
     Ok(())
 }
 
-/// Build the provenance table for a program from its statement source
-/// map, in deterministic program order. Statements absent from the map
-/// fall back to provenance id 0 (the whole-program entry).
-pub(crate) fn build_prov(prog: &Program, map: &SourceMap) -> (Provenance, HashMap<StmtKey, u32>) {
-    let mut prov = Provenance::new(&map.file);
-    let mut ids = HashMap::new();
-    let put =
-        |prov: &mut Provenance, ids: &mut HashMap<StmtKey, u32>, key: StmtKey, role: String| {
-            if let Some(span) = map.span(&key) {
-                let id = prov.add(role, span, map.snippet(span));
-                ids.insert(key, id);
-            }
-        };
-    for (n, _) in &prog.params {
-        put(
-            &mut prov,
-            &mut ids,
-            StmtKey::Param(n.clone()),
-            format!("param '{n}'"),
-        );
-    }
-    for i in &prog.inputs {
-        put(
-            &mut prov,
-            &mut ids,
-            StmtKey::Input(i.name.clone()),
-            format!("input declaration '{}'", i.name),
-        );
-    }
-    for b in &prog.blocks {
-        put(
-            &mut prov,
-            &mut ids,
-            StmtKey::BlockHeader(b.name.clone()),
-            format!("header of block '{}'", b.name),
-        );
-        match &b.body {
-            BlockBody::Forall(f) => {
-                for d in &f.defs {
-                    put(
-                        &mut prov,
-                        &mut ids,
-                        StmtKey::BlockDef(b.name.clone(), d.name.clone()),
-                        format!("definition '{}' in block '{}'", d.name, b.name),
-                    );
-                }
-                put(
-                    &mut prov,
-                    &mut ids,
-                    StmtKey::BlockBody(b.name.clone()),
-                    format!("forall body of block '{}'", b.name),
-                );
-            }
-            BlockBody::ForIter(fi) => {
-                for d in &fi.inits {
-                    put(
-                        &mut prov,
-                        &mut ids,
-                        StmtKey::BlockInit(b.name.clone(), d.name.clone()),
-                        format!("loop init '{}' in block '{}'", d.name, b.name),
-                    );
-                }
-                put(
-                    &mut prov,
-                    &mut ids,
-                    StmtKey::BlockBody(b.name.clone()),
-                    format!("loop body of block '{}'", b.name),
-                );
-            }
-        }
-    }
-    put(
-        &mut prov,
-        &mut ids,
-        StmtKey::Output,
-        "output declaration".to_string(),
-    );
-    (prov, ids)
+/// The provenance ids lowering tags its cells with, one per statement.
+pub(crate) struct ProvIds {
+    /// Each input declaration's id, in declaration order.
+    pub inputs: Vec<u32>,
+    /// Each block's ids, in program order.
+    pub blocks: Vec<BlockProv>,
+    /// The `output` declaration's id.
+    pub output: u32,
 }
 
-/// Per-block provenance ids for [`compile_forall`]/[`compile_foriter`].
-pub(crate) fn block_prov(decl: &BlockDecl, ids: &HashMap<StmtKey, u32>) -> BlockProv {
-    let name = decl.name.as_str();
-    let mut bp = BlockProv {
-        header: ids
-            .get(&StmtKey::BlockHeader(name.to_string()))
-            .copied()
-            .unwrap_or(0),
-        defs: HashMap::new(),
-        body: ids
-            .get(&StmtKey::BlockBody(name.to_string()))
-            .copied()
-            .unwrap_or(0),
+/// Build the provenance table for a program from its statement source
+/// map, in deterministic program order, with the ids lowering reads.
+/// Statements absent from the map fall back to provenance id 0 (the
+/// whole-program entry).
+pub(crate) fn build_prov(prog: &Program, map: &SourceMap) -> (Provenance, ProvIds) {
+    let mut prov = Provenance::new(&map.file);
+    let mut put = |key: StmtKey, role: String| {
+        map.span(&key)
+            .map(|span| prov.add(role, span, map.snippet(span)))
     };
-    match &decl.body {
-        BlockBody::Forall(f) => {
-            for d in &f.defs {
-                if let Some(&id) = ids.get(&StmtKey::BlockDef(name.to_string(), d.name.clone())) {
-                    bp.defs.insert(d.name.clone(), id);
-                }
-            }
-        }
-        BlockBody::ForIter(fi) => {
-            for d in &fi.inits {
-                if let Some(&id) = ids.get(&StmtKey::BlockInit(name.to_string(), d.name.clone())) {
-                    bp.defs.insert(d.name.clone(), id);
-                }
-            }
-        }
+    for (n, _) in &prog.params {
+        put(StmtKey::Param(n.clone()), format!("param '{n}'"));
     }
-    bp
+    let inputs = prog
+        .inputs
+        .iter()
+        .map(|i| {
+            let role = format!("input declaration '{}'", i.name);
+            put(StmtKey::Input(i.name.clone()), role).unwrap_or(0)
+        })
+        .collect();
+    let mut blocks = Vec::with_capacity(prog.blocks.len());
+    for b in &prog.blocks {
+        let name = &b.name;
+        let header = put(
+            StmtKey::BlockHeader(name.clone()),
+            format!("header of block '{name}'"),
+        );
+        let mut defs = HashMap::new();
+        let (stmts, key, role, body): (_, fn(String, String) -> StmtKey, _, _) = match &b.body {
+            BlockBody::Forall(f) => (&f.defs, StmtKey::BlockDef, "definition", "forall body"),
+            BlockBody::ForIter(fi) => (&fi.inits, StmtKey::BlockInit, "loop init", "loop body"),
+        };
+        for d in stmts {
+            let role = format!("{role} '{}' in block '{name}'", d.name);
+            if let Some(id) = put(key(name.clone(), d.name.clone()), role) {
+                defs.insert(d.name.clone(), id);
+            }
+        }
+        let body = put(
+            StmtKey::BlockBody(name.clone()),
+            format!("{body} of block '{name}'"),
+        );
+        blocks.push(BlockProv {
+            header: header.unwrap_or(0),
+            defs,
+            body: body.unwrap_or(0),
+        });
+    }
+    let output = put(StmtKey::Output, "output declaration".to_string()).unwrap_or(0);
+    (
+        prov,
+        ProvIds {
+            inputs,
+            blocks,
+            output,
+        },
+    )
 }
 
 pub(crate) fn live_blocks(flow: &FlowGraph, outputs: &[String]) -> HashSet<String> {
@@ -464,7 +411,7 @@ mod tests {
     fn run(emit: &[Stage], file: &str) -> PipelineOutput {
         QueryEngine::new()
             .run_source(
-                &CompileOptions::paper(),
+                &CompileOptions::default(),
                 &CompileLimits::unbounded(),
                 emit,
                 FIG3_PROGRAM,
@@ -476,7 +423,7 @@ mod tests {
     #[test]
     fn pipeline_matches_compile_source() {
         let direct =
-            crate::program::compile_source(FIG3_PROGRAM, &CompileOptions::paper()).unwrap();
+            crate::program::compile_source(FIG3_PROGRAM, &CompileOptions::default()).unwrap();
         let piped = run(&[], "<source>");
         assert_eq!(
             direct.graph.fingerprint(),
@@ -502,7 +449,7 @@ mod tests {
     fn pass_stats_cover_the_pipeline() {
         let out = run(&[], "<source>");
         let names: Vec<_> = out.pass_stats.iter().map(|s| s.name).collect();
-        // paper(): fuse_gates on, generator synthesis off.
+        // Generator synthesis is off by default.
         assert_eq!(
             names,
             vec![

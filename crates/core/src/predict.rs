@@ -209,7 +209,7 @@ input B : array[real] [0, m];
 Y : array[real] := forall i in [0, m] construct B[i] * 2. + 1. endall;
 output Y;
 ";
-        let (p, m) = measure(src, &CompileOptions::paper(), "Y");
+        let (p, m) = measure(src, &CompileOptions::default(), "Y");
         assert!((p - 2.0).abs() < 1e-6, "predicted {p}");
         assert!((p - m).abs() / m < 0.03, "predicted {p}, measured {m}");
     }
@@ -222,7 +222,7 @@ input C : array[real] [0, m+1];
 S : array[real] := forall i in [1, m] construct 0.25*(C[i-1] + 2.*C[i] + C[i+1]) endall;
 output S;
 ";
-        let (p, m) = measure(src, &CompileOptions::paper(), "S");
+        let (p, m) = measure(src, &CompileOptions::default(), "S");
         assert!((p - 2.25).abs() < 1e-6, "predicted {p}");
         assert!((p - m).abs() / m < 0.03, "predicted {p}, measured {m}");
     }
@@ -240,14 +240,14 @@ X : array[real] :=
   endfor;
 output X;
 ";
-        let mut opts = CompileOptions::paper();
+        let mut opts = CompileOptions::default();
         opts.scheme = ForIterScheme::Todd;
         let (p, m) = measure(src, &opts, "X");
         assert!((p - 4.0).abs() < 0.1, "Todd predicted {p}");
         assert!((p - m).abs() / m < 0.05, "predicted {p}, measured {m}");
 
         // Companion: virtual tokens 2 → cycle ratio 2/4 → pacing dominates.
-        let mut opts = CompileOptions::paper();
+        let mut opts = CompileOptions::default();
         opts.scheme = ForIterScheme::Companion;
         let (p, m) = measure(src, &opts, "X");
         let expected = 2.0 * 26.0 / 24.0;

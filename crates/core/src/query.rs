@@ -69,11 +69,10 @@ use crate::foriter::UsedScheme;
 use crate::limits::{CompileLimits, LimitBreach};
 use crate::options::{CompileOptions, ForIterScheme};
 use crate::pipeline::{
-    block_prov, build_prov, dump_graph, live_blocks, lower_block, lower_epilogue, lower_inputs,
-    PassStat, PipelineOutput, Stage,
+    build_prov, dump_graph, live_blocks, lower_block, lower_epilogue, lower_inputs, PassStat,
+    PipelineOutput, Stage,
 };
 use crate::program::{CompileStats, Compiled};
-use std::collections::HashMap;
 use std::sync::Arc;
 use std::time::Instant;
 use valpipe_balance::problem::BalanceProblem;
@@ -89,7 +88,7 @@ use valpipe_val::deps::{
 };
 use valpipe_val::fold::Bindings;
 use valpipe_val::parser::{parse_program_mapped_limited, ParseErrorKind};
-use valpipe_val::srcmap::{SourceMap, StmtKey};
+use valpipe_val::srcmap::SourceMap;
 use valpipe_val::typeck::{attach_loc, check_block, program_prelude_env, TypeError};
 
 /// Per-run query accounting, by query kind: how many were posed and how
@@ -336,7 +335,7 @@ impl QueryEngine {
         });
         let prog = pass!("typecheck", &empty, self.typecheck(&prog, map)?);
         let flow = pass!("analyze", &empty, self.analyze(&prog)?);
-        let (prov, src_ids) = build_prov(&prog, map);
+        let (prov, ids) = build_prov(&prog, map);
 
         if emit.contains(&Stage::Typed) {
             dumps.push((Stage::Typed, valpipe_val::pretty::program_to_source(&prog)));
@@ -351,27 +350,26 @@ impl QueryEngine {
         let mut cstats = CompileStats::default();
 
         pass!("lower", &c.g, {
-            lower_inputs(&mut c, opts, &flow, &src_ids);
+            lower_inputs(&mut c, opts, &flow, &ids.inputs);
             let live = live_blocks(&flow, &prog.outputs);
-            for (i, (block, decl)) in flow.blocks.iter().zip(&prog.blocks).enumerate() {
+            let blocks = flow.blocks.iter().zip(&prog.blocks).zip(ids.blocks);
+            for (i, ((block, decl), bp)) in blocks.enumerate() {
                 if !live.contains(&block.name) {
                     cstats.dead_blocks.push(block.name.clone());
                     continue;
                 }
-                self.lower_block_query(i, &mut c, &mut cstats, opts, decl, block, &src_ids)?;
+                self.lower_block_query(i, &mut c, &mut cstats, opts, decl, block, bp)?;
             }
-            lower_epilogue(&mut c, opts, &prog, &src_ids)?;
+            lower_epilogue(&mut c, opts, &prog, ids.output)?;
         });
 
-        if opts.fuse_gates {
-            pass!("fuse", &c.g, {
-                let fused = crate::fuse::fuse_static_gates(&mut c.g);
-                cstats.fused_gates = fused.fused;
-                if fused.fused > 0 {
-                    crate::fuse::sweep_dead(&mut c.g);
-                }
-            });
-        }
+        pass!("fuse", &c.g, {
+            let fused = crate::fuse::fuse_static_gates(&mut c.g);
+            cstats.fused_gates = fused.fused;
+            if fused.fused > 0 {
+                crate::fuse::sweep_dead(&mut c.g);
+            }
+        });
 
         if opts.synthesize_generators {
             pass!("synth", &c.g, {
@@ -574,7 +572,7 @@ impl QueryEngine {
         opts: &CompileOptions,
         decl: &BlockDecl,
         block: &BlockNode,
-        src_ids: &HashMap<StmtKey, u32>,
+        prov: BlockProv,
     ) -> Result<(), CompileError> {
         // The direct providers, in name order (`consumes` is sorted): the
         // region's external cells.
@@ -595,7 +593,7 @@ impl QueryEngine {
         let inputs = RegionInputs {
             scheme: opts.scheme,
             am_boundary: opts.am_boundary,
-            prov: block_prov(decl, src_ids),
+            prov,
             providers,
         };
         self.stats.region.0 += 1;
@@ -731,7 +729,7 @@ mod tests {
     fn run(engine: &mut QueryEngine, src: &str) -> PipelineOutput {
         engine
             .run_source(
-                &CompileOptions::paper(),
+                &CompileOptions::default(),
                 &CompileLimits::default(),
                 &all_stages(),
                 src,
@@ -785,16 +783,18 @@ mod tests {
             comp_of: vec![0, 1],
             rel: vec![0, 0],
         };
-        for mode in [
-            BalanceMode::Asap,
-            BalanceMode::Heuristic,
-            BalanceMode::Optimal,
-        ] {
+        for mode in [BalanceMode::Asap, BalanceMode::Optimal] {
             match QueryEngine::new().balance_query(cyclic.clone(), mode) {
                 Err(CompileError::Internal(m)) => assert!(m.contains("cycle"), "{m}"),
                 other => panic!("{mode:?}: want an internal error, got {other:?}"),
             }
         }
+        // The heuristic is no compile mode, but its solver must still
+        // reject the problem with a typed error.
+        assert_eq!(
+            valpipe_balance::solve_heuristic(&cyclic, 64).unwrap_err(),
+            problem::ProblemError::ContractedCycle
+        );
     }
 
     #[test]
@@ -845,7 +845,7 @@ mod tests {
     #[test]
     fn cached_type_errors_resolve_locations_each_run() {
         let bad = BAD_SRC;
-        let opts = CompileOptions::paper();
+        let opts = CompileOptions::default();
         let limits = CompileLimits::default();
         let mut e = QueryEngine::new();
         let e1 = e
@@ -924,7 +924,7 @@ mod tests {
         let mut e = QueryEngine::new();
         let err = e
             .run_source(
-                &CompileOptions::paper(),
+                &CompileOptions::default(),
                 &CompileLimits::default(),
                 &[],
                 "this is ( not val",

@@ -84,7 +84,7 @@ input C : array[real] [0, m+1];
 S : array[real] := forall i in [1, m] construct 0.25 * (C[i-1] + 2.*C[i] + C[i+1]) endall;
 output S;
 ";
-    let compiled = compile_source(src, &CompileOptions::paper()).unwrap();
+    let compiled = compile_source(src, &CompileOptions::default()).unwrap();
     let c: Vec<f64> = (0..18).map(|i| (i as f64 * 0.4).sin()).collect();
     let mut inputs = HashMap::new();
     inputs.insert("C".to_string(), ArrayVal::from_reals(0, &c));
@@ -101,7 +101,7 @@ output S;
 #[test]
 fn fig6_example1_forall_correct_and_pipelined() {
     let m = 16;
-    let compiled = compile_source(&example1_src(m), &CompileOptions::paper()).unwrap();
+    let compiled = compile_source(&example1_src(m), &CompileOptions::default()).unwrap();
     let report = check_against_oracle(&compiled, &arrays(m), 30, 1e-12).unwrap();
     // Output has m+2 elements per wave of m+2 inputs → full rate 1/2.
     let iv = report.run.timing("A").interval().unwrap();
@@ -111,7 +111,7 @@ fn fig6_example1_forall_correct_and_pipelined() {
 #[test]
 fn fig6_example1_unbalanced_ablation_is_slower() {
     let m = 16;
-    let mut opts = CompileOptions::paper();
+    let mut opts = CompileOptions::default();
     opts.balance = BalanceMode::None;
     let compiled = compile_source(&example1_src(m), &opts).unwrap();
     // Still correct…
@@ -127,7 +127,7 @@ fn fig6_example1_unbalanced_ablation_is_slower() {
 #[test]
 fn fig7_example2_todd_rate_one_quarter() {
     let m = 16;
-    let mut opts = CompileOptions::paper();
+    let mut opts = CompileOptions::default();
     opts.scheme = ForIterScheme::Todd;
     let compiled = compile_source(&example2_src(m), &opts).unwrap();
     let report = check_against_oracle(&compiled, &ex2_arrays(m), 30, 1e-9).unwrap();
@@ -145,7 +145,7 @@ fn fig7_example2_todd_rate_one_quarter() {
 #[test]
 fn fig8_example2_companion_rate_one_half() {
     let m = 16;
-    let mut opts = CompileOptions::paper();
+    let mut opts = CompileOptions::default();
     opts.scheme = ForIterScheme::Companion;
     let compiled = compile_source(&example2_src(m), &opts).unwrap();
     // Companion reassociates float products: tolerance, not equality.
@@ -162,7 +162,7 @@ fn fig8_example2_companion_rate_one_half() {
 #[test]
 fn auto_scheme_picks_companion_for_linear() {
     let m = 12;
-    let compiled = compile_source(&example2_src(m), &CompileOptions::paper()).unwrap();
+    let compiled = compile_source(&example2_src(m), &CompileOptions::default()).unwrap();
     assert_eq!(
         compiled.stats.schemes["X"],
         crate::foriter::UsedScheme::Companion
@@ -187,7 +187,7 @@ X : array[real] :=
 output X;
 "
     );
-    let compiled = compile_source(&src, &CompileOptions::paper()).unwrap();
+    let compiled = compile_source(&src, &CompileOptions::default()).unwrap();
     assert_eq!(
         compiled.stats.schemes["X"],
         crate::foriter::UsedScheme::Todd
@@ -209,7 +209,7 @@ X : array[real] :=
   endfor;
 output X;
 ";
-    let mut opts = CompileOptions::paper();
+    let mut opts = CompileOptions::default();
     opts.scheme = ForIterScheme::Companion;
     let err = compile_source(src, &opts).unwrap_err();
     assert!(matches!(err, crate::error::CompileError::Unsupported(_)));
@@ -217,7 +217,7 @@ output X;
 
 #[test]
 fn fig3_whole_program_correct_and_pipelined() {
-    let compiled = compile_source(FIG3_PROGRAM, &CompileOptions::paper()).unwrap();
+    let compiled = compile_source(FIG3_PROGRAM, &CompileOptions::default()).unwrap();
     let report = check_against_oracle(&compiled, &arrays(32), 20, 1e-9).unwrap();
     assert!(report.packets_checked > 0);
     // Both outputs flow at full rate (per their wave lengths): A has m+2
@@ -247,7 +247,7 @@ Y : array[real] :=
   endall;
 output Y;
 ";
-    let compiled = compile_source(src, &CompileOptions::paper()).unwrap();
+    let compiled = compile_source(src, &CompileOptions::default()).unwrap();
     let n = 16;
     let mut inputs = HashMap::new();
     inputs.insert(
@@ -289,7 +289,7 @@ X : array[real] :=
 output X;
 "
     );
-    let compiled = compile_source(&src, &CompileOptions::paper()).unwrap();
+    let compiled = compile_source(&src, &CompileOptions::default()).unwrap();
     assert_eq!(
         compiled.stats.schemes["X"],
         crate::foriter::UsedScheme::Companion
@@ -315,7 +315,7 @@ X : array[real] :=
   endfor;
 output X;
 ";
-    let compiled = compile_source(src, &CompileOptions::paper()).unwrap();
+    let compiled = compile_source(src, &CompileOptions::default()).unwrap();
     assert_eq!(
         compiled.stats.schemes["X"],
         crate::foriter::UsedScheme::Straight
@@ -335,7 +335,7 @@ DEAD : array[real] := forall i in [0, m] construct B[i] * 100. endall;
 Y : array[real] := forall i in [0, m] construct B[i] + 1. endall;
 output Y;
 ";
-    let compiled = compile_source(src, &CompileOptions::paper()).unwrap();
+    let compiled = compile_source(src, &CompileOptions::default()).unwrap();
     assert_eq!(compiled.stats.dead_blocks, vec!["DEAD".to_string()]);
     let mut inputs = HashMap::new();
     inputs.insert(
@@ -348,7 +348,7 @@ output Y;
 #[test]
 fn am_boundary_routes_traffic_through_array_memories() {
     let m = 16;
-    let mut opts = CompileOptions::paper();
+    let mut opts = CompileOptions::default();
     opts.am_boundary = true;
     let compiled = compile_source(&example1_src(m), &opts).unwrap();
     let report = check_against_oracle(&compiled, &arrays(m), 10, 1e-12).unwrap();
@@ -372,7 +372,7 @@ S : array[integer] :=
   endfor;
 output S;
 ";
-    let compiled = compile_source(src, &CompileOptions::paper()).unwrap();
+    let compiled = compile_source(src, &CompileOptions::default()).unwrap();
     let mut inputs = HashMap::new();
     inputs.insert(
         "K".to_string(),
@@ -394,7 +394,7 @@ S2 : array[real] := forall i in [2, m-1] construct 0.5 * (S1[i-1] + S1[i+1]) end
 S3 : array[real] := forall i in [3, m-2] construct S2[i] + S2[i-1] endall;
 output S3;
 ";
-    let compiled = compile_source(src, &CompileOptions::paper()).unwrap();
+    let compiled = compile_source(src, &CompileOptions::default()).unwrap();
     let c: Vec<f64> = (0..14).map(|i| (i as f64 * 0.33).sin()).collect();
     let mut inputs = HashMap::new();
     inputs.insert("C".to_string(), ArrayVal::from_reals(0, &c));
@@ -412,21 +412,14 @@ output S3;
 fn balance_modes_all_correct_with_decreasing_buffers() {
     let m = 16;
     let mut buffers = Vec::new();
-    for mode in [
-        BalanceMode::Asap,
-        BalanceMode::Heuristic,
-        BalanceMode::Optimal,
-    ] {
-        let mut opts = CompileOptions::paper();
+    for mode in [BalanceMode::Asap, BalanceMode::Optimal] {
+        let mut opts = CompileOptions::default();
         opts.balance = mode;
         let compiled = compile_source(&example1_src(m), &opts).unwrap();
         check_against_oracle(&compiled, &arrays(m), 8, 1e-12).unwrap();
         buffers.push(compiled.stats.global_buffers);
     }
-    assert!(
-        buffers[2] <= buffers[1] && buffers[1] <= buffers[0],
-        "{buffers:?}"
-    );
+    assert!(buffers[1] <= buffers[0], "{buffers:?}");
 }
 
 #[test]
@@ -435,7 +428,7 @@ fn synthesized_generators_end_to_end() {
     // stream and index stream is a circuit of ordinary cells — and the
     // program still matches the oracle at the maximum rate.
     let m = 16;
-    let mut opts = CompileOptions::paper();
+    let mut opts = CompileOptions::default();
     opts.synthesize_generators = true;
     let compiled = compile_source(&example1_src(m), &opts).unwrap();
     assert!(compiled.stats.synthesized_generators > 0);
@@ -457,7 +450,7 @@ fn synthesized_generators_end_to_end() {
 
 #[test]
 fn synthesized_fig3_program_correct() {
-    let mut opts = CompileOptions::paper();
+    let mut opts = CompileOptions::default();
     opts.synthesize_generators = true;
     let compiled = compile_source(FIG3_PROGRAM, &opts).unwrap();
     let report = check_against_oracle(&compiled, &arrays(32), 15, 1e-9).unwrap();
@@ -488,7 +481,7 @@ V : array[array[real]] :=
 output V;
 "
     );
-    let compiled = compile_source(&src, &CompileOptions::paper()).unwrap();
+    let compiled = compile_source(&src, &CompileOptions::default()).unwrap();
     let shape = compiled.dims.shapes["V"];
     assert_eq!(
         (shape.height(), shape.width()),
@@ -532,7 +525,7 @@ output T;
 ",
         (n + 1) * (m + 1)
     );
-    let compiled = compile_source(&src, &CompileOptions::paper()).unwrap();
+    let compiled = compile_source(&src, &CompileOptions::default()).unwrap();
     let rows: Vec<Vec<f64>> = (0..n + 1)
         .map(|i| (0..m + 1).map(|j| (i * 10 + j) as f64 * 0.1).collect())
         .collect();
@@ -552,7 +545,7 @@ Y : array[real] := forall i in [0, m] construct B[i] * i endall;
 output Y;
 ";
     for synth in [false, true] {
-        let mut opts = CompileOptions::paper();
+        let mut opts = CompileOptions::default();
         opts.synthesize_generators = synth;
         let compiled = compile_source(src, &opts).unwrap();
         let b: Vec<f64> = (0..10).map(|i| 1.0 + i as f64 * 0.1).collect();
@@ -574,7 +567,7 @@ input B : array[real] [0, m];
 Y : array[real] := forall i in [0, m] construct B[i] * B[i] + B[i] endall;
 output Y;
 ";
-    let compiled = compile_source(src, &CompileOptions::paper()).unwrap();
+    let compiled = compile_source(src, &CompileOptions::default()).unwrap();
     // Window == full range at offset 0 → tap is the source itself; the
     // source node must fan out to exactly the two cells that consume it
     // (MULT twice → same cell ports count as arcs).
@@ -600,7 +593,7 @@ input B : array[real] [0, m+1];
 Y : array[real] := forall i in [1, m] construct (B[i-1] + B[i-1]) + (B[i+1] + B[i+1]) endall;
 output Y;
 ";
-    let compiled = compile_source(src, &CompileOptions::paper()).unwrap();
+    let compiled = compile_source(src, &CompileOptions::default()).unwrap();
     // Exactly two window gates (one per distinct offset), each fanned out.
     let hist = compiled.graph.opcode_histogram();
     assert_eq!(hist.get("TGATE").copied().unwrap_or(0), 2);
@@ -619,7 +612,7 @@ Y : array[real] :=
   endall;
 output Y;
 ";
-    let compiled = compile_source(src, &CompileOptions::paper()).unwrap();
+    let compiled = compile_source(src, &CompileOptions::default()).unwrap();
     assert_eq!(
         compiled
             .graph
@@ -651,7 +644,7 @@ Y : array[real] :=
   endall;
 output Y;
 ";
-    let compiled = compile_source(src, &CompileOptions::paper()).unwrap();
+    let compiled = compile_source(src, &CompileOptions::default()).unwrap();
     let b: Vec<f64> = (0..12).map(|i| 1.0 + i as f64).collect();
     let mut inputs = HashMap::new();
     inputs.insert("B".to_string(), ArrayVal::from_reals(0, &b));
@@ -675,7 +668,7 @@ Y : array[real] :=
   endall;
 output Y;
 ";
-    let compiled = compile_source(src, &CompileOptions::paper()).unwrap();
+    let compiled = compile_source(src, &CompileOptions::default()).unwrap();
     let b: Vec<f64> = (0..11).map(|i| ((i * 7) % 11) as f64 / 11.0).collect();
     let mut inputs = HashMap::new();
     inputs.insert("B".to_string(), ArrayVal::from_reals(0, &b));
@@ -705,25 +698,30 @@ Y : array[real] :=
   endall;
 output Y;
 ";
-    let mut no_fuse = CompileOptions::paper();
-    no_fuse.fuse_gates = false;
-    let plain = compile_source(src, &no_fuse).unwrap();
-    let fused = compile_source(src, &CompileOptions::paper()).unwrap();
-    assert!(fused.stats.fused_gates > 0, "bands must fuse");
+    let out = crate::QueryEngine::new()
+        .run_source(
+            &CompileOptions::default(),
+            &crate::CompileLimits::default(),
+            &[],
+            src,
+            "<source>",
+        )
+        .unwrap();
+    let fuse = out.pass_stats.iter().find(|s| s.name == "fuse").unwrap();
     assert!(
-        fused.graph.node_count() < plain.graph.node_count(),
-        "fusion must shrink the program ({} vs {})",
-        fused.graph.node_count(),
-        plain.graph.node_count()
+        fuse.nodes_after < fuse.nodes_before,
+        "fusion must shrink the program ({} -> {})",
+        fuse.nodes_before,
+        fuse.nodes_after
     );
-    // Same results either way.
+    let fused = out.compiled;
+    assert!(fused.stats.fused_gates > 0, "bands must fuse");
+    // The fused program still computes the oracle's results.
     let b: Vec<f64> = (0..12).map(|i| 1.0 + i as f64).collect();
     let mut inputs = HashMap::new();
     inputs.insert("B".to_string(), ArrayVal::from_reals(0, &b));
-    let ra = check_against_oracle(&plain, &inputs, 12, 1e-12).unwrap();
-    let rb = check_against_oracle(&fused, &inputs, 12, 1e-12).unwrap();
-    assert_eq!(ra.packets_checked, rb.packets_checked);
-    let iv = rb.run.timing("Y").interval().unwrap();
+    let report = check_against_oracle(&fused, &inputs, 12, 1e-12).unwrap();
+    let iv = report.run.timing("Y").interval().unwrap();
     assert!((iv - 2.0).abs() < 0.1, "fused interval {iv}");
 }
 
@@ -744,7 +742,7 @@ V : array[real] :=
 output V;
 "
     );
-    let mut opts = CompileOptions::paper();
+    let mut opts = CompileOptions::default();
     opts.am_boundary = true;
     let compiled = compile_source(&src, &opts).unwrap();
     let mut u = vec![0.0; m + 2];
@@ -771,7 +769,7 @@ fn deep_nesting_is_a_typed_limit_breach() {
         "(".repeat(depth),
         ")".repeat(depth)
     );
-    match compile_source(&src, &CompileOptions::paper()) {
+    match compile_source(&src, &CompileOptions::default()) {
         Err(crate::CompileError::Limit(crate::LimitBreach::NestingDepth { limit })) => {
             assert_eq!(limit, valpipe_val::parser::DEFAULT_MAX_NESTING_DEPTH)
         }

@@ -45,7 +45,7 @@ impl CaseSpec {
     pub fn replay(src: impl Into<String>) -> CaseSpec {
         CaseSpec {
             src: src.into(),
-            opts: CompileOptions::paper(),
+            opts: CompileOptions::default(),
             limits: CompileLimits::service(),
             waves: 8,
             tol: 1e-9,

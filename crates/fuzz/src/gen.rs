@@ -243,7 +243,7 @@ pub fn generate(seed: u64) -> GenCase {
     }
     src.push_str(&format!("output {last};\n"));
 
-    let mut opts = CompileOptions::paper();
+    let mut opts = CompileOptions::default();
     if r.flip() {
         opts.scheme = ForIterScheme::Companion;
     } else {

@@ -597,7 +597,7 @@ fn faults_plus_throttling_plus_latency_compose() {
 /// A compiled paper program, FIFO-expanded, with `waves` waves of
 /// deterministic inputs.
 fn compiled(src: &str, waves: usize) -> (Graph, ProgramInputs) {
-    let c = compile_source(src, &CompileOptions::paper()).unwrap();
+    let c = compile_source(src, &CompileOptions::default()).unwrap();
     let arrays: HashMap<String, ArrayVal> = c
         .flow
         .inputs

@@ -42,7 +42,8 @@ fn source(m: usize, alphas: &[f64]) -> String {
 fn main() {
     let m = 64usize;
     let alphas = [0.05, 0.15, 0.4, 0.8];
-    let compiled = compile_source(&source(m, &alphas), &CompileOptions::paper()).expect("compiles");
+    let compiled =
+        compile_source(&source(m, &alphas), &CompileOptions::default()).expect("compiles");
     println!(
         "== IIR filter bank: {} filters over one signal ==",
         alphas.len()

@@ -31,7 +31,7 @@ output V;
 
 fn main() {
     let (n, m) = (14usize, 18usize);
-    let compiled = compile_source(&source(n, m), &CompileOptions::paper()).expect("compiles");
+    let compiled = compile_source(&source(n, m), &CompileOptions::default()).expect("compiles");
     let shape = compiled.dims.shapes["V"];
     println!(
         "== 2-D Jacobi sweep, {}×{} grid ==",

@@ -59,7 +59,7 @@ output V, D;
 
 fn main() {
     let m = 64usize;
-    let mut opts = CompileOptions::paper();
+    let mut opts = CompileOptions::default();
     opts.am_boundary = true; // inputs come from / outputs go to array memory
     let compiled = compile_source(&source(m), &opts).expect("compiles");
 

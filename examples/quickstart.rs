@@ -33,7 +33,7 @@ output A;
 
 fn main() {
     // 1. Compile to a balanced machine-level data flow program.
-    let compiled = compile_source(SRC, &CompileOptions::paper()).expect("compiles");
+    let compiled = compile_source(SRC, &CompileOptions::default()).expect("compiles");
     println!("== machine code summary ==");
     println!("{}", valpipe::ir::pretty::summary(&compiled.graph));
     println!(

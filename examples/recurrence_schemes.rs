@@ -59,7 +59,7 @@ fn main() {
         ("todd", ForIterScheme::Todd),
         ("companion", ForIterScheme::Companion),
     ] {
-        let mut opts = CompileOptions::paper();
+        let mut opts = CompileOptions::default();
         opts.scheme = scheme;
         let compiled = compile_source(&source(m), &opts).expect("compiles");
         let report = check_against_oracle(&compiled, &inputs, 60, 1e-9).expect("oracle");

@@ -13,7 +13,7 @@ use valpipe::val::parser::FIG3_PROGRAM;
 use valpipe::{compile_source, ArrayVal, CompileOptions};
 
 fn main() {
-    let compiled = compile_source(FIG3_PROGRAM, &CompileOptions::paper()).expect("compiles");
+    let compiled = compile_source(FIG3_PROGRAM, &CompileOptions::default()).expect("compiles");
 
     println!("== Fig. 3 pipe-structured program ==\n");
     println!("flow dependency graph:");

@@ -38,7 +38,7 @@ output V;
 fn main() {
     let m = 48usize;
     let steps = 12usize;
-    let mut opts = CompileOptions::paper();
+    let mut opts = CompileOptions::default();
     opts.am_boundary = true;
     let compiled = compile_source(&source(m), &opts).expect("compiles");
     println!("== diffusion over {steps} time steps, m = {m} ==");

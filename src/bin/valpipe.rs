@@ -45,7 +45,7 @@ fn main() -> ExitCode {
     }
     let cmd = args[0].as_str();
     let path = &args[1];
-    let mut opts = CompileOptions::paper();
+    let mut opts = CompileOptions::default();
     let mut waves = 20usize;
     let mut emit_json = false;
     let mut emit_stages: Vec<Stage> = Vec::new();

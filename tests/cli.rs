@@ -55,7 +55,7 @@ fn compile_emits_listing_and_json() {
     assert!(nodes.len() > 5);
     // The CLI prints exactly the library's encoding of the program.
     let src = std::fs::read_to_string(&p).unwrap();
-    let lib = valpipe::compile_source(&src, &valpipe::CompileOptions::paper()).unwrap();
+    let lib = valpipe::compile_source(&src, &valpipe::CompileOptions::default()).unwrap();
     assert_eq!(json, lib.graph.to_json());
 }
 

@@ -55,7 +55,7 @@ fn compile_named(src: &str, file: &str, opts: &CompileOptions) -> Compiled {
 fn stall_report_names_the_source_of_every_blocked_cell() {
     let m = 8;
     let src = fig6_src(m);
-    let compiled = compile_named(&src, "fig6.val", &CompileOptions::paper());
+    let compiled = compile_named(&src, "fig6.val", &CompileOptions::default());
     let exe = compiled.executable();
     let victim = exe
         .nodes
@@ -112,7 +112,7 @@ fn stall_report_names_the_source_of_every_blocked_cell() {
 fn machine_error_names_the_faulting_statement() {
     let m = 8;
     let src = fig6_src(m);
-    let compiled = compile_named(&src, "fig6.val", &CompileOptions::paper());
+    let compiled = compile_named(&src, "fig6.val", &CompileOptions::default());
     let exe = compiled.executable();
     // Poison one element of C: a boolean in real arithmetic faults the
     // first arithmetic cell it reaches.
@@ -195,7 +195,7 @@ output Y;",
                 body(&mut r, 3)
             )
         };
-        let mut opts = CompileOptions::paper();
+        let mut opts = CompileOptions::default();
         if r.flip() {
             opts.synthesize_generators = true;
         }

@@ -47,7 +47,7 @@ fn tables_reproduce_every_corpus_program() {
         let text = std::fs::read_to_string(&path).expect("readable");
         let repro = Repro::parse(&text).expect("well-formed repro");
         // Rejected programs (the corpus records some) have no graph.
-        let Ok(c) = compile_source(&repro.src, &CompileOptions::paper()) else {
+        let Ok(c) = compile_source(&repro.src, &CompileOptions::default()) else {
             continue;
         };
         let ctx = path.display().to_string();
@@ -61,7 +61,7 @@ fn tables_reproduce_every_corpus_program() {
 #[test]
 fn tables_reproduce_the_hundred_block_chain() {
     let src = valpipe_bench::workloads::chain_src(216, 100);
-    let c = compile_source(&src, &CompileOptions::paper()).expect("chain compiles");
+    let c = compile_source(&src, &CompileOptions::default()).expect("chain compiles");
     let exe = c.executable();
     assert_eq!(exe.node_count(), 1002, "the chain_cold machine");
     assert_tables_match(&exe, "chain_src(216, 100)");

@@ -53,7 +53,7 @@ fn fig3_src(m: usize) -> String {
 fn check(name: &str, src: &str, file: &str, stages: &[Stage]) {
     let out = QueryEngine::new()
         .run_source(
-            &CompileOptions::paper(),
+            &CompileOptions::default(),
             &CompileLimits::unbounded(),
             stages,
             src,

@@ -14,7 +14,7 @@ input B : array[real] [0, m];
 Y : array[real] := forall i in [0, m] construct B[i] * 2. + 1. endall;
 output Y;
 ";
-    let compiled = compile_source(src, &CompileOptions::paper()).unwrap();
+    let compiled = compile_source(src, &CompileOptions::default()).unwrap();
     let b: Vec<f64> = (0..9).map(|i| i as f64).collect();
     let mut inputs = HashMap::new();
     inputs.insert("B".to_string(), ArrayVal::from_reals(0, &b));
@@ -67,7 +67,7 @@ input B : array[real] [0, m+1];
 Y : array[real] := forall i in [1, m] construct B[i-1] + B[i+1] endall;
 output Y;
 ";
-    let mut compiled = compile_source(src, &CompileOptions::paper()).unwrap();
+    let mut compiled = compile_source(src, &CompileOptions::default()).unwrap();
     let mut tampered = false;
     for node in &mut compiled.graph.nodes {
         if let Opcode::CtlGen(s) = &node.op {
@@ -111,8 +111,8 @@ input C : array[real] [0, m+1];
 S : array[real] := forall i in [1, m] construct C[i-1] + C[i+1] endall;
 output S;
 ";
-    let balanced = compile_source(src, &CompileOptions::paper()).unwrap();
-    let mut unbalanced_opts = CompileOptions::paper();
+    let balanced = compile_source(src, &CompileOptions::default()).unwrap();
+    let mut unbalanced_opts = CompileOptions::default();
     unbalanced_opts.balance = valpipe::balance::BalanceMode::None;
     let unbalanced = compile_source(src, &unbalanced_opts).unwrap();
     let c: Vec<f64> = (0..18).map(|i| (i as f64).sqrt()).collect();

@@ -50,7 +50,7 @@ fn published_examples_parse_and_classify() {
 
 #[test]
 fn fig3_program_full_stack() {
-    let compiled = compile_source(FIG3_PROGRAM, &CompileOptions::paper()).unwrap();
+    let compiled = compile_source(FIG3_PROGRAM, &CompileOptions::default()).unwrap();
     // The for-iter got the companion scheme automatically.
     assert_eq!(
         compiled.stats.schemes["X"],
@@ -64,7 +64,7 @@ fn fig3_program_full_stack() {
 
 #[test]
 fn fig3_program_with_todd_is_slower_but_correct() {
-    let mut opts = CompileOptions::paper();
+    let mut opts = CompileOptions::default();
     opts.scheme = ForIterScheme::Todd;
     let compiled = compile_source(FIG3_PROGRAM, &opts).unwrap();
     let report = check_against_oracle(&compiled, &fig3_inputs(32), 25, 1e-9).unwrap();
@@ -85,7 +85,7 @@ fn fig3_program_with_todd_is_slower_but_correct() {
 fn rates_stable_across_sizes() {
     for m in [8usize, 24, 64] {
         let src = FIG3_PROGRAM.replace("param m = 32;", &format!("param m = {m};"));
-        let compiled = compile_source(&src, &CompileOptions::paper()).unwrap();
+        let compiled = compile_source(&src, &CompileOptions::default()).unwrap();
         let report = check_against_oracle(&compiled, &fig3_inputs(m), 20, 1e-9).unwrap();
         let iv = report.run.timing("A").interval().unwrap();
         assert!(
@@ -97,7 +97,7 @@ fn rates_stable_across_sizes() {
 
 #[test]
 fn machine_code_listing_and_dot_cover_all_cells() {
-    let compiled = compile_source(FIG3_PROGRAM, &CompileOptions::paper()).unwrap();
+    let compiled = compile_source(FIG3_PROGRAM, &CompileOptions::default()).unwrap();
     let listing = valpipe::ir::pretty::listing(&compiled.graph);
     assert_eq!(listing.lines().count(), compiled.graph.node_count());
     let dot = valpipe::ir::dot::to_dot(&compiled.graph, "fig3");
@@ -109,7 +109,7 @@ fn machine_code_listing_and_dot_cover_all_cells() {
 
 #[test]
 fn executable_graph_has_no_symbolic_fifos() {
-    let compiled = compile_source(FIG3_PROGRAM, &CompileOptions::paper()).unwrap();
+    let compiled = compile_source(FIG3_PROGRAM, &CompileOptions::default()).unwrap();
     let exe = compiled.executable();
     assert!(exe
         .nodes
@@ -122,7 +122,7 @@ fn executable_graph_has_no_symbolic_fifos() {
 fn detailed_machine_model_matches_values() {
     use valpipe::machine::{MachineConfig, Placement, Simulator};
 
-    let compiled = compile_source(FIG3_PROGRAM, &CompileOptions::paper()).unwrap();
+    let compiled = compile_source(FIG3_PROGRAM, &CompileOptions::default()).unwrap();
     let exe = compiled.executable();
     let placement = Placement::round_robin(&exe, MachineConfig::default());
     let inputs = valpipe::compiler::verify::stream_inputs(&compiled, &fig3_inputs(32), 5);
@@ -148,7 +148,7 @@ input B : array[real] [0, m];
 A : array[real] := forall i in [0, m] construct B[2*i] endall;
 output A;
 ";
-    assert!(compile_source(bad, &CompileOptions::paper()).is_err());
+    assert!(compile_source(bad, &CompileOptions::default()).is_err());
 
     // Dynamic range.
     let bad2 = "
@@ -156,7 +156,7 @@ input B : array[real] [0, 4];
 A : array[real] := forall i in [0, B[0]] construct B[i] endall;
 output A;
 ";
-    assert!(compile_source(bad2, &CompileOptions::paper()).is_err());
+    assert!(compile_source(bad2, &CompileOptions::default()).is_err());
 }
 
 #[test]
@@ -175,7 +175,7 @@ fn latency_grows_with_depth_but_rate_does_not() {
             ));
         }
         src.push_str(&format!("output S{blocks};\n"));
-        let compiled = compile_source(&src, &CompileOptions::paper()).unwrap();
+        let compiled = compile_source(&src, &CompileOptions::default()).unwrap();
         let vals: Vec<f64> = (0..m + 2).map(|i| (i as f64 * 0.2).sin()).collect();
         let mut arrays = HashMap::new();
         arrays.insert("S0".to_string(), ArrayVal::from_reals(0, &vals));
@@ -193,7 +193,7 @@ fn closed_loop_machine_runs_feedback_loops() {
     // The companion-scheme loop (initial tokens + merge-seeded feedback)
     // must work when every packet crosses a real network.
     use valpipe_machine::{run_closed_loop, ClosedLoopOptions, MachineConfig, Placement};
-    let compiled = compile_source(FIG3_PROGRAM, &CompileOptions::paper()).unwrap();
+    let compiled = compile_source(FIG3_PROGRAM, &CompileOptions::default()).unwrap();
     let exe = compiled.executable();
     let inputs = valpipe::compiler::verify::stream_inputs(&compiled, &fig3_inputs(32), 6);
     let ideal =

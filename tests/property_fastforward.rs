@@ -179,7 +179,7 @@ fn random_compiled_programs_fast_forward_identically() {
     for case in 0..8u64 {
         let mut r = Rng::seed(0xFF03).fork(case);
         let (src, m) = random_pipe_source(&mut r);
-        let compiled = compile_source(&src, &CompileOptions::paper())
+        let compiled = compile_source(&src, &CompileOptions::default())
             .unwrap_or_else(|e| panic!("case {case} must compile: {e}\n{src}"));
         let exe = compiled.executable();
         let vals: Vec<f64> = (0..m + 2).map(|i| (i as f64 * 0.2).sin()).collect();

@@ -44,7 +44,7 @@ fn generated_programs_parse_typecheck_and_terminate() {
 
 #[test]
 fn mutants_never_panic_the_compiler() {
-    let opts = CompileOptions::paper();
+    let opts = CompileOptions::default();
     let limits = CompileLimits::service();
     let mut r = Rng::seed(0xFA22);
     for seed in 0..32u64 {
@@ -67,7 +67,7 @@ fn mutants_over_limits_get_limit_errors_not_panics() {
     // Force the over-limit paths: tiny budgets make almost every mutant
     // (and the original) breach something; all breaches must surface as
     // CompileError::Limit, never a panic.
-    let opts = CompileOptions::paper();
+    let opts = CompileOptions::default();
     let tight = CompileLimits {
         max_source_bytes: 200,
         max_nesting_depth: 4,

@@ -72,7 +72,7 @@ fn chain(blocks: usize, lits: &[&str]) -> String {
 #[test]
 fn single_block_edits_recompile_byte_identically_and_sparsely() {
     let base = chain(8, &["0.5"]);
-    let opts = CompileOptions::paper();
+    let opts = CompileOptions::default();
     let mut engine = QueryEngine::new();
     compile(&mut engine, &base, &opts).unwrap();
 
@@ -118,7 +118,7 @@ fn drop_scale(src: &str, k: usize) -> String {
 #[test]
 fn cell_count_edits_reexecute_only_the_edited_block() {
     let base = chain(8, &["0.5"]);
-    let opts = CompileOptions::paper();
+    let opts = CompileOptions::default();
     let cold_base = compile(&mut QueryEngine::new(), &base, &opts).unwrap();
     let mut engine = QueryEngine::new();
     compile(&mut engine, &base, &opts).unwrap();
@@ -182,7 +182,7 @@ fn returning_to_a_program_reexecutes_only_the_blocks_the_edit_changed() {
     let mut lits = vec!["0.5"; 8];
     lits[2] = "0.75";
     let b = chain(8, &lits);
-    let opts = CompileOptions::paper();
+    let opts = CompileOptions::default();
     let cold_a = compile(&mut QueryEngine::new(), &a, &opts).unwrap();
     let mut engine = QueryEngine::new();
     compile(&mut engine, &a, &opts).unwrap();
@@ -211,7 +211,7 @@ fn returning_to_a_program_reexecutes_only_the_blocks_the_edit_changed() {
 fn prepended_lines_move_every_statement_without_reexecuting() {
     let base = chain(8, &["0.5"]);
     let shifted = format!("% moved down one line\n{base}");
-    let opts = CompileOptions::paper();
+    let opts = CompileOptions::default();
     let mut engine = QueryEngine::new();
     let before = compile(&mut engine, &base, &opts).unwrap();
     let warm = compile(&mut engine, &shifted, &opts).unwrap();
@@ -244,7 +244,7 @@ fn aliased_providers_are_part_of_the_region_key() {
              output C;\n"
         )
     };
-    let opts = CompileOptions::paper();
+    let opts = CompileOptions::default();
     let mut engine = QueryEngine::new();
     for src in [prog("A[i]"), prog("2. * A[i]"), prog("A[i]")] {
         let warm = compile(&mut engine, &src, &opts);
@@ -255,7 +255,7 @@ fn aliased_providers_are_part_of_the_region_key() {
 
 #[test]
 fn distinct_program_sequence_keeps_warm_output_equal_to_cold() {
-    let opts = CompileOptions::paper();
+    let opts = CompileOptions::default();
     let base = chain(6, &["0.5"]);
     let mut engine = QueryEngine::new();
     let mut r = Rng::seed(0x1AC6);

@@ -133,7 +133,7 @@ fn random_compiled_programs_identical_runs() {
     for case in 0..12u64 {
         let mut r = Rng::seed(0x7002).fork(case);
         let (src, m, _) = random_pipe_source(&mut r);
-        let compiled = compile_source(&src, &CompileOptions::paper())
+        let compiled = compile_source(&src, &CompileOptions::default())
             .unwrap_or_else(|e| panic!("case {case} must compile: {e}\n{src}"));
         let exe = compiled.executable();
         let vals: Vec<f64> = (0..m + 2).map(|i| (i as f64 * 0.2).sin()).collect();
@@ -149,7 +149,7 @@ fn random_compiled_programs_identical_runs() {
 /// The compiled `chain_src(216, 100)` machine and one wave of inputs.
 fn chain_machine() -> (Graph, ProgramInputs) {
     let src = valpipe_bench::workloads::chain_src(216, 100);
-    let compiled = compile_source(&src, &CompileOptions::paper()).expect("chain compiles");
+    let compiled = compile_source(&src, &CompileOptions::default()).expect("chain compiles");
     let exe = compiled.executable();
     let vals: Vec<f64> = (0..218).map(|i| (i as f64 * 0.37).cos()).collect();
     let mut arrays = HashMap::new();

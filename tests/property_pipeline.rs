@@ -157,7 +157,7 @@ Y : array[real] := forall i in [1, m] construct {} endall;
 output Y;",
             to_src(&body)
         );
-        let compiled = compile_source(&src, &CompileOptions::paper())
+        let compiled = compile_source(&src, &CompileOptions::default())
             .unwrap_or_else(|e| panic!("compile failed: {e}\nsource:\n{src}"));
         let report = check_against_oracle(&compiled, &inputs(), 24, 1e-9)
             .unwrap_or_else(|e| panic!("oracle failed: {e}\nsource:\n{src}"));
@@ -215,7 +215,7 @@ output X;"
         );
         let mut ivs = Vec::new();
         for scheme in [ForIterScheme::Todd, ForIterScheme::Companion] {
-            let mut opts = CompileOptions::paper();
+            let mut opts = CompileOptions::default();
             opts.scheme = scheme;
             let compiled = compile_source(&src, &opts)
                 .unwrap_or_else(|e| panic!("compile ({scheme:?}) failed: {e}\n{src}"));

@@ -235,7 +235,7 @@ fn compiled_programs_recover_exactly_at_every_step() {
                S1 : array[real] :=\n  forall i in [0, m+1]\n    P : real :=\n      if (i = 0)|(i = m+1) then S0[i]\n      else 0.25 * (S0[i-1] + 2.*S0[i] + S0[i+1])\n      endif;\n  construct P endall;\n\
                X : array[real] :=\n  for\n    i : integer := 1;\n    T : array[real] := [0: 0.]\n  do\n    let P : real := 0.5*S1[i]*T[i-1] + S0[i]\n    in\n      if i < m then\n        iter\n          T := T[i: P];\n          i := i + 1\n        enditer\n      else T\n      endif\n    endlet\n  endfor;\n\
                output X;\n";
-    let compiled = compile_source(src, &CompileOptions::paper()).expect("program must compile");
+    let compiled = compile_source(src, &CompileOptions::default()).expect("program must compile");
     let mut exe = compiled.executable().clone();
     exe.expand_fifos();
     let vals: Vec<f64> = (0..14).map(|i| (i as f64 * 0.2).sin()).collect();
